@@ -6,11 +6,16 @@ block per phrase table (absent blocks filled with a floor constant) plus a
 presence indicator per block, one feature per language model, word and
 phrase penalties, and the distance-based distortion total.  Hypotheses are
 recombined on (coverage, last position, LM states); stacks are organized
-by covered-word count with histogram pruning.
+by covered-word count with histogram pruning.  Expansions that histogram
+pruning would drop are rejected before they are stored, exactly: the
+search gives the same n-best lists as sorting and cutting full stacks.
+The rejection test runs before any LM query only when every LM weight is
+>= 0 and no LM stores a positive log10 probability or backoff weight.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -157,50 +162,36 @@ def build_options(sentence, tables, floor: float = DEFAULT_FLOOR,
 
 
 @dataclass
-class Hypothesis:
-    coverage: int
-    last_end: int
-    lm_states: tuple
-    score: float
-    future: float
-    target: tuple
-    parent: "Hypothesis | None"
-    option: TranslationOption | None
-    jump: int
-    lm_scores: tuple  # per-LM log10 contribution of this expansion
-
-    def sort_key(self):
-        return (-(self.score + self.future), self.target)
-
-
-@dataclass
 class DecodeResult:
     target: tuple
     features: np.ndarray
     score: float
 
 
-def _lm_extend(lm, state, words):
-    """Score words given an LM state; returns (log10 sum, new state)."""
+def _lm_extend(lm, state, words, memo):
+    """Score words given an LM state; returns (log10 sum, new state).
+    memo caches lm.log10_prob per (state, word)."""
     total = 0.0
     for word in words:
         mapped = word if word in lm.vocab else UNK
-        total += lm.log10_prob(mapped, state)
+        key = (state, mapped)
+        logp = memo.get(key)
+        if logp is None:
+            logp = memo[key] = lm.log10_prob(mapped, state)
+        total += logp
         if lm.order > 1:
             state = (state + (mapped,))[-(lm.order - 1):]
     return total, state
 
 
-def _future_costs(sentence, options, weights, lms, layout):
+def _future_costs(options, weighted, lm_weights, lms, n):
     """Per-span best weighted option score (LM part estimated by unigram
-    scores), combined over splits by dynamic programming."""
-    n = len(sentence)
-    lm_weights = [weights[layout.lm_feature(k)] for k in range(len(lms))]
+    scores), combined over splits by dynamic programming.  weighted holds
+    each option's static score, weights @ features, per span."""
     direct = {}
     for span, opts in options.items():
         best = -math.inf
-        for opt in opts:
-            score = float(weights @ np.asarray(opt.features))
+        for opt, score in zip(opts, weighted[span]):
             for w_lm, lm in zip(lm_weights, lms):
                 score += w_lm * sum(lm.unigram_log10(w) for w in opt.tgt)
             best = max(best, score)
@@ -234,15 +225,25 @@ def _coverage_future(fc, coverage, n):
     return total
 
 
-def _reconstruct_features(hyp: Hypothesis, layout: FeatureLayout) -> np.ndarray:
+# A hypothesis is a tuple (value, score, target, coverage, last_end,
+# lm_states, parent, option, jump, lm_scores): value = score + future cost,
+# lm_scores the per-LM log10 contribution of its last expansion.
+_VALUE, _SCORE, _TARGET, _PARENT = 0, 1, 2, 6
+
+
+def _rank(hyp):
+    return (-hyp[_VALUE], hyp[_TARGET])
+
+
+def _reconstruct_features(hyp, layout: FeatureLayout) -> np.ndarray:
     feats = np.zeros(layout.dimension)
-    node = hyp
-    while node.parent is not None:
-        feats += np.asarray(node.option.features)
-        feats[layout.distortion] += node.jump
-        for k, s in enumerate(node.lm_scores):
+    while hyp[_PARENT] is not None:
+        _, _, _, _, _, _, parent, option, jump, lm_scores = hyp
+        feats += np.asarray(option.features)
+        feats[layout.distortion] += jump
+        for k, s in enumerate(lm_scores):
             feats[layout.lm_feature(k)] += s
-        node = node.parent
+        hyp = parent
     return feats
 
 
@@ -252,7 +253,26 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
     """Beam-stack decoding; returns the n-best list of DecodeResult.
 
     stack_size <= 0 disables pruning (exhaustive up to recombination).
-    Ties break on (score, target string) so decoding is deterministic.
+    A stack ranks its hypotheses on (score + future cost, target string),
+    then on the order in which their recombination keys were first
+    reached; the n-best list ranks on (score, target string).  Decoding is
+    deterministic.
+
+    Expansions that histogram pruning would drop are rejected before a
+    hypothesis is built, and the result is exactly that of storing every
+    expansion and cutting each sorted stack at stack_size:
+    - A pruned stack keeps the stack_size largest values (score + future)
+      that its keys had when first stored.  Recombination only raises a
+      key's value, so the least of them bounds the stack_size-th best
+      value from below, and an expansion strictly under it cannot survive.
+      The final stack is never pruned.
+    - When every LM weight is >= 0 and no LM stores a log10 probability or
+      backoff weight above 0, every LM term is <= 0, so the static part of
+      the score is an upper bound and the same test runs before any LM
+      query.  Otherwise it runs only after LM scoring.
+    - A rejected expansion may have been the first to reach its key.  So
+      where two hypotheses tie in a stack that rejected some, the first
+      expansion into each key is found again from the earlier stacks.
     """
     sentence = tuple(sentence)
     if not sentence:
@@ -261,99 +281,157 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
         layout = FeatureLayout(1, len(lms))
     weights = np.asarray(weights, dtype=float)
     n = len(sentence)
-    fc = _future_costs(sentence, options, weights, lms, layout)
+    weighted = {span: [float(weights @ np.asarray(o.features)) for o in opts]
+                for span, opts in options.items()}
     lm_weights = [float(weights[layout.lm_feature(k)]) for k in range(len(lms))]
     dist_weight = float(weights[layout.distortion])
+    fc = _future_costs(options, weighted, lm_weights, lms, n)
+    lm_lowers = all(w >= 0 for w in lm_weights) and all(lm.log10_nonpositive for lm in lms)
 
-    # per-span expansion plan with the static feature part pre-weighted
-    plan = []
-    for span, opts in options.items():
-        start, end = span
-        mask = ((1 << (end - start)) - 1) << start
-        weighted = [float(weights @ np.asarray(o.features)) for o in opts]
-        plan.append((start, end, mask, opts, weighted))
+    # per last_end, the spans within the distortion limit in option order,
+    # each with its options, their static scores, and whether those scores
+    # never rise along the list
+    spans = []
+    for (start, end), opts in options.items():
+        ws = weighted[(start, end)]
+        descending = all(a >= b for a, b in zip(ws, ws[1:]))
+        spans.append((start, end, ((1 << (end - start)) - 1) << start,
+                      list(zip(opts, ws)), descending))
+    reachable = []
+    for last_end in range(n + 1):
+        row = []
+        for start, end, mask, choices, descending in spans:
+            jump = abs(start - last_end)
+            if distortion_limit < 0 or jump <= distortion_limit:
+                row.append((mask, end, end - start, jump, dist_weight * jump, choices, descending))
+        reachable.append(row)
 
-    memo: dict = {}
+    futures: dict = {}
+    phrase_memo: dict = {}
+    word_memos = [{} for _ in lms]
 
     def phrase_lm(k, state, words):
         key = (k, state, words)
-        hit = memo.get(key)
+        hit = phrase_memo.get(key)
         if hit is None:
-            hit = _lm_extend(lms[k], state, words)
-            memo[key] = hit
+            hit = phrase_memo[key] = _lm_extend(lms[k], state, words, word_memos[k])
         return hit
 
     init_states = tuple((BOS,) if lm.order > 1 else () for lm in lms)
-    initial = Hypothesis(0, 0, init_states, 0.0, _coverage_future(fc, 0, n), (),
-                         None, None, 0, ())
+    initial = (_coverage_future(fc, 0, n), 0.0, (), 0, 0, init_states, None, None, 0, ())
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, init_states)] = initial
+    kept: list[list] = []  # per expanded stack, its hypotheses in rank order
+    # per pruned stack: a min-heap of the stack_size largest values its keys
+    # had when first stored, and its least element once full (else -inf)
+    floors = [-math.inf] * (n + 1)
+    heaps: list[list] = [[] for _ in range(n)] if stack_size > 0 else []
+
+    def first_expansion(key, covered):
+        """Position, in expansion order, of the first expansion that
+        reaches key in stack covered: (stack, rank, span, option)."""
+        coverage, end, states = key
+        for source in range(covered):
+            for rank, parent in enumerate(kept[source]):
+                _, _, _, p_coverage, p_end, p_states, _, _, _, _ = parent
+                if p_coverage | coverage != coverage:
+                    continue
+                mask = coverage ^ p_coverage
+                for pos, (span_mask, span_end, _, _, _, choices, _) in enumerate(reachable[p_end]):
+                    if span_mask == mask and span_end == end:
+                        for i, (opt, _) in enumerate(choices):
+                            if states == tuple(phrase_lm(k, p_states[k], opt.tgt)[1]
+                                               for k in range(len(lms))):
+                                return (source, rank, pos, i)
+
+    def ranked(covered):
+        stack = stacks[covered]
+        if stack_size <= 0:
+            return sorted(stack.values(), key=_rank)
+        if floors[covered] == -math.inf:  # nothing was rejected
+            return heapq.nsmallest(stack_size, stack.values(), key=_rank)
+        hyps = heapq.nsmallest(stack_size + 1, stack.values(), key=_rank)
+        ranks = [_rank(h) for h in hyps]
+        tied = {a for a, b in zip(ranks, ranks[1:]) if a == b}
+        if not tied:
+            return hyps[:stack_size]
+        first = {key: first_expansion(key, covered)
+                 for key, hyp in stack.items() if _rank(hyp) in tied}
+        return [hyp for _, hyp in heapq.nsmallest(
+            stack_size, stack.items(), key=lambda kv: (_rank(kv[1]), first.get(kv[0], ())))]
+
     full_mask = (1 << n) - 1
     for covered in range(n):
-        stack = stacks[covered]
-        if not stack:
-            continue
-        hyps = sorted(stack.values(), key=Hypothesis.sort_key)
-        if stack_size > 0:
-            hyps = hyps[:stack_size]
+        hyps = ranked(covered)
+        kept.append(hyps)
         for hyp in hyps:
-            for start, end, mask, opts, weighted in plan:
-                if hyp.coverage & mask:
+            _, h_score, h_target, h_coverage, h_end, h_states, _, _, _, _ = hyp
+            for mask, end, length, jump, dist_cost, choices, descending in reachable[h_end]:
+                if h_coverage & mask:
                     continue
-                jump = abs(start - hyp.last_end)
-                if distortion_limit >= 0 and jump > distortion_limit:
-                    continue
-                coverage = hyp.coverage | mask
+                coverage = h_coverage | mask
                 complete = coverage == full_mask
-                count = covered + (end - start)
-                base = hyp.score + dist_weight * jump
+                count = covered + length
+                future = futures.get(coverage)
+                if future is None:
+                    future = futures[coverage] = _coverage_future(fc, coverage, n)
+                floor = floors[count]
+                base = h_score + dist_cost
                 target_stack = stacks[count]
-                for opt, w_static in zip(opts, weighted):
+                for opt, w_static in choices:
                     score = base + w_static
+                    if lm_lowers and score + future < floor:
+                        if descending:
+                            break
+                        continue
                     new_states = []
                     lm_scores = []
                     for k in range(len(lms)):
-                        lm_delta, state = phrase_lm(k, hyp.lm_states[k], opt.tgt)
+                        lm_delta, state = phrase_lm(k, h_states[k], opt.tgt)
                         if complete:
                             end_delta, _ = phrase_lm(k, state, (EOS,))
                             lm_delta += end_delta
                         lm_scores.append(lm_delta)
                         new_states.append(state)
                         score += lm_weights[k] * lm_delta
+                    value = score + future
+                    if value < floor:
+                        continue
                     new_states = tuple(new_states)
                     key = (coverage, end, new_states)
                     incumbent = target_stack.get(key)
-                    if incumbent is not None and incumbent.score > score:
+                    if incumbent is not None and incumbent[_SCORE] > score:
                         continue
-                    target = hyp.target + opt.tgt
-                    if (
-                        incumbent is None
-                        or score > incumbent.score
-                        or (score == incumbent.score and target < incumbent.target)
-                    ):
-                        target_stack[key] = Hypothesis(
-                            coverage, end, new_states, score,
-                            _coverage_future(fc, coverage, n), target,
-                            hyp, opt, jump, tuple(lm_scores),
-                        )
+                    target = h_target + opt.tgt
+                    if incumbent is None:
+                        if heaps and count < n:
+                            heap = heaps[count]
+                            if len(heap) < stack_size:
+                                heapq.heappush(heap, value)
+                            else:
+                                heapq.heappushpop(heap, value)
+                            if len(heap) == stack_size:
+                                floor = floors[count] = heap[0]
+                    elif not (score > incumbent[_SCORE]
+                              or (score == incumbent[_SCORE] and target < incumbent[_TARGET])):
+                        continue
+                    target_stack[key] = (value, score, target, coverage, end, new_states,
+                                         hyp, opt, jump, tuple(lm_scores))
     final = stacks[n]
     if not final:
         raise RuntimeError("no complete hypothesis")
-    ranked = sorted(final.values(), key=lambda h: (-h.score, h.target))
+    ranked_final = sorted(final.values(), key=lambda h: (-h[_SCORE], h[_TARGET]))
     results = []
     seen = set()
-    for hyp in ranked:
-        if hyp.target in seen:
+    for hyp in ranked_final:
+        if hyp[_TARGET] in seen:
             continue
-        seen.add(hyp.target)
-        results.append(DecodeResult(hyp.target, _reconstruct_features(hyp, layout), hyp.score))
+        seen.add(hyp[_TARGET])
+        results.append(DecodeResult(hyp[_TARGET], _reconstruct_features(hyp, layout),
+                                    hyp[_SCORE]))
         if len(results) >= nbest_size:
             break
     return results
-
-
-def decode_best(sentence, options, weights, lms, **kwargs) -> DecodeResult:
-    return decode(sentence, options, weights, lms, nbest_size=1, **kwargs)[0]
 
 
 NBEST_SEPARATOR = " ||| "

@@ -14,16 +14,20 @@ the in-memory scorer and an ARPA-round-tripped model bit-compatible.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
 LOG10_FLOOR = -99.0
+
+_NO_GRAMS = MappingProxyType({})
 
 
 @dataclass
@@ -42,7 +46,7 @@ class NgramLanguageModel:
         total_bow = 0.0
         while True:
             gram = context + (word,)
-            stored = self.probs.get(len(gram), {}).get(gram)
+            stored = self.probs.get(len(gram), _NO_GRAMS).get(gram)
             if stored is not None:
                 return total_bow + stored
             if not context:
@@ -50,6 +54,15 @@ class NgramLanguageModel:
                 return total_bow + self.probs[1].get((word,), LOG10_FLOOR)
             total_bow += self.bows.get(context, 0.0)
             context = context[1:]
+
+    @functools.cached_property
+    def log10_nonpositive(self) -> bool:
+        """True when no stored log10 probability or backoff weight is above
+        0, so that every query, and every sum of queries, is <= 0.  Computed
+        once; the tables are not expected to change after construction."""
+        return all(
+            logp <= 0.0 for table in self.probs.values() for logp in table.values()
+        ) and all(bow <= 0.0 for bow in self.bows.values())
 
     def score_sentence(self, tokens) -> float:
         """Sum of conditional log10 probabilities including </s>."""

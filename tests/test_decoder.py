@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,15 +9,15 @@ import pytest
 from traitmt.align import PhraseTable
 from traitmt.decoder import (
     DEFAULT_FLOOR,
+    DecodeResult,
     FeatureLayout,
     build_options,
     decode,
-    decode_best,
     format_nbest,
     read_weights,
     write_weights,
 )
-from traitmt.lm import train_kn_lm
+from traitmt.lm import BOS, EOS, UNK, train_kn_lm
 
 
 def make_lm(sentences=None, order=2):
@@ -76,6 +78,150 @@ def oracle_decode(sentence, options, weights, lms, layout, distortion_limit):
     return best
 
 
+@dataclasses.dataclass
+class RefHypothesis:
+    coverage: int
+    last_end: int
+    lm_states: tuple
+    score: float
+    future: float
+    target: tuple
+    parent: "RefHypothesis | None"
+    option: object
+    jump: int
+    lm_scores: tuple
+
+    def sort_key(self):
+        return (-(self.score + self.future), self.target)
+
+
+def reference_beam_decode(sentence, options, weights, lms, stack_size=100,
+                          distortion_limit=6, layout=None, nbest_size=1):
+    """The beam decoder without early rejection: every expansion becomes a
+    hypothesis, and each stack is sorted in full and cut at stack_size."""
+    sentence = tuple(sentence)
+    if layout is None:
+        layout = FeatureLayout(1, len(lms))
+    weights = np.asarray(weights, dtype=float)
+    n = len(sentence)
+    lm_weights = [float(weights[layout.lm_feature(k)]) for k in range(len(lms))]
+    dist_weight = float(weights[layout.distortion])
+
+    direct = {}
+    for span, opts in options.items():
+        best = -math.inf
+        for opt in opts:
+            score = float(weights @ np.asarray(opt.features))
+            for w_lm, lm in zip(lm_weights, lms):
+                score += w_lm * sum(lm.unigram_log10(w) for w in opt.tgt)
+            best = max(best, score)
+        direct[span] = best
+    fc = [[-math.inf] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        fc[i][i] = 0.0
+    for length in range(1, n + 1):
+        for i in range(0, n - length + 1):
+            j = i + length
+            best = direct.get((i, j), -math.inf)
+            for k in range(i + 1, j):
+                best = max(best, fc[i][k] + fc[k][j])
+            fc[i][j] = best
+
+    def coverage_future(coverage):
+        total, i = 0.0, 0
+        while i < n:
+            if coverage & (1 << i):
+                i += 1
+                continue
+            j = i
+            while j < n and not (coverage & (1 << j)):
+                j += 1
+            total += fc[i][j]
+            i = j
+        return total
+
+    def lm_extend(lm, state, words):
+        total = 0.0
+        for word in words:
+            mapped = word if word in lm.vocab else UNK
+            total += lm.log10_prob(mapped, state)
+            if lm.order > 1:
+                state = (state + (mapped,))[-(lm.order - 1):]
+        return total, state
+
+    plan = []
+    for (start, end), opts in options.items():
+        mask = ((1 << (end - start)) - 1) << start
+        plan.append((start, end, mask, opts, [float(weights @ np.asarray(o.features)) for o in opts]))
+
+    init_states = tuple((BOS,) if lm.order > 1 else () for lm in lms)
+    stacks = [dict() for _ in range(n + 1)]
+    stacks[0][(0, 0, init_states)] = RefHypothesis(
+        0, 0, init_states, 0.0, coverage_future(0), (), None, None, 0, ())
+    full_mask = (1 << n) - 1
+    for covered in range(n):
+        hyps = sorted(stacks[covered].values(), key=RefHypothesis.sort_key)
+        if stack_size > 0:
+            hyps = hyps[:stack_size]
+        for hyp in hyps:
+            for start, end, mask, opts, weighted in plan:
+                if hyp.coverage & mask:
+                    continue
+                jump = abs(start - hyp.last_end)
+                if distortion_limit >= 0 and jump > distortion_limit:
+                    continue
+                coverage = hyp.coverage | mask
+                complete = coverage == full_mask
+                target_stack = stacks[covered + (end - start)]
+                for opt, w_static in zip(opts, weighted):
+                    score = hyp.score + dist_weight * jump + w_static
+                    new_states, lm_scores = [], []
+                    for k, lm in enumerate(lms):
+                        lm_delta, state = lm_extend(lm, hyp.lm_states[k], opt.tgt)
+                        if complete:
+                            lm_delta += lm_extend(lm, state, (EOS,))[0]
+                        lm_scores.append(lm_delta)
+                        new_states.append(state)
+                        score += lm_weights[k] * lm_delta
+                    key = (coverage, end, tuple(new_states))
+                    incumbent = target_stack.get(key)
+                    target = hyp.target + opt.tgt
+                    if (
+                        incumbent is None
+                        or score > incumbent.score
+                        or (score == incumbent.score and target < incumbent.target)
+                    ):
+                        target_stack[key] = RefHypothesis(
+                            coverage, end, key[2], score, coverage_future(coverage),
+                            target, hyp, opt, jump, tuple(lm_scores))
+    if not stacks[n]:
+        raise RuntimeError("no complete hypothesis")
+    results, seen = [], set()
+    for hyp in sorted(stacks[n].values(), key=lambda h: (-h.score, h.target)):
+        if hyp.target in seen:
+            continue
+        seen.add(hyp.target)
+        feats = np.zeros(layout.dimension)
+        node = hyp
+        while node.parent is not None:
+            feats += np.asarray(node.option.features)
+            feats[layout.distortion] += node.jump
+            for k, s in enumerate(node.lm_scores):
+                feats[layout.lm_feature(k)] += s
+            node = node.parent
+        results.append(DecodeResult(hyp.target, feats, hyp.score))
+        if len(results) >= nbest_size:
+            break
+    return results
+
+
+def assert_same_nbest(got, want):
+    assert [r.target for r in got] == [r.target for r in want]
+    assert [r.score for r in got] == [r.score for r in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.features, w.features)
+
+
 class TestBuildOptions:
     def test_indicator_block_placement(self):
         empty = table_from({})
@@ -132,7 +278,7 @@ class TestDecode:
         table, lm, layout = self.simple_system()
         weights = layout.default_weights()
         options = build_options(("a",), [table], layout=layout, weights=weights)
-        result = decode_best(("a",), options, weights, [lm], layout=layout)
+        result = decode(("a",), options, weights, [lm], layout=layout)[0]
         assert result.target == ("x",)
         assert result.score == pytest.approx(float(weights @ result.features), abs=1e-9)
 
@@ -166,13 +312,84 @@ class TestDecode:
             weights = layout.default_weights() + rng.uniform(-0.3, 0.3)
             dlimit = rng.choice([0, 1, 6])
             options = build_options(sentence, tables, layout=layout, weights=weights)
-            got = decode_best(
+            got = decode(
                 sentence, options, weights, [lm],
                 stack_size=0, distortion_limit=dlimit, layout=layout,
-            )
+            )[0]
             best = oracle_decode(sentence, options, weights, [lm], layout, dlimit)
             assert got.target == best[1], (trial, sentence)
             assert got.score == pytest.approx(best[2], abs=1e-9)
+
+    @pytest.mark.parametrize("stack_size", [1, 2, 3, 5])
+    @pytest.mark.parametrize("distortion_limit", [-1, 0, 1, 3])
+    def test_pruned_search_matches_reference_beam(self, stack_size, distortion_limit):
+        # sentences long enough to fill the stacks, so that expansions are
+        # rejected against full stacks.  A negative LM weight or positive
+        # backoff weights disable the rejection before LM scoring; uniform
+        # tables force exact ties, and zero LM weights ties at the rejection
+        # threshold; options built under other weights are not in
+        # static-score order.
+        rng = random.Random(1000 * stack_size + distortion_limit)
+        src_words = ["a", "b", "c", "d"]
+        tgt_words = ["w", "x", "y", "z"]
+        for trial in range(12):
+            uniform = trial % 3 == 2
+            lms = [make_lm([tuple(rng.choices(tgt_words, k=rng.randint(1, 5)))
+                            for _ in range(8)], order=rng.choice([1, 2, 3]))
+                   for _ in range(rng.randint(1, 2))]
+            tables = []
+            for _ in range(rng.randint(1, 2)):
+                entries = {}
+                for s in src_words + ["a b", "b c", "c d", "d a", "a b c"]:
+                    if rng.random() < 0.7:
+                        entries[s] = {
+                            " ".join(rng.choices(tgt_words, k=rng.randint(1, 2))):
+                                (0.5,) * 4 if uniform
+                                else tuple(rng.uniform(0.05, 1.0) for _ in range(4))
+                            for _ in range(rng.randint(1, 3))
+                        }
+                tables.append(table_from(entries))
+            layout = FeatureLayout(len(tables), len(lms))
+            weights = layout.default_weights() + np.array(
+                [rng.uniform(-0.3, 0.3) for _ in range(layout.dimension)])
+            if uniform:
+                weights[layout.distortion] = rng.choice([0.0, -0.5])
+            if trial % 4 == 1:
+                weights[layout.lm_feature(0)] = -0.4
+            if trial % 4 == 3:
+                for k in range(len(lms)):
+                    weights[layout.lm_feature(k)] = 0.0
+            if trial % 6 == 4:
+                lms[0] = dataclasses.replace(lms[0], bows={c: 2.0 for c in lms[0].bows})
+            sentence = tuple(rng.choices(src_words, k=rng.randint(4, 8)))
+            build_weights = weights if trial % 2 else layout.default_weights()
+            options = build_options(sentence, tables, layout=layout, weights=build_weights)
+            kwargs = dict(stack_size=stack_size, distortion_limit=distortion_limit,
+                          layout=layout, nbest_size=10)
+            try:
+                want = reference_beam_decode(sentence, options, weights, lms, **kwargs)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    decode(sentence, options, weights, lms, **kwargs)
+                continue
+            assert_same_nbest(decode(sentence, options, weights, lms, **kwargs), want)
+
+    def test_rejected_first_expansion_still_orders_ties(self):
+        # only the unigram LM counts, so hypotheses over different "a"s tie
+        # on value and target; the stack must rank tied keys in the order
+        # they were first reached, also where the expansion that first
+        # reached a key was rejected against the full stack
+        u = (0.5,) * 4
+        table = table_from({"a": {"w w": u, "z x": u}, "a a": {"x": u, "x w": u}})
+        lms = [make_lm([("z", "w", "x")], order=2), make_lm([("w", "w", "w"), ("y",)], order=1)]
+        layout = FeatureLayout(1, 2)
+        weights = np.zeros(layout.dimension)
+        weights[layout.lm_feature(1)] = 1.0
+        sentence = ("a", "a", "a")
+        options = build_options(sentence, [table], layout=layout, weights=weights)
+        kwargs = dict(stack_size=2, distortion_limit=3, layout=layout, nbest_size=5)
+        assert_same_nbest(decode(sentence, options, weights, lms, **kwargs),
+                          reference_beam_decode(sentence, options, weights, lms, **kwargs))
 
     def test_monotone_toy_grammar(self):
         # unique best path through a grammar with one option per word
@@ -188,9 +405,9 @@ class TestDecode:
         weights = layout.default_weights()
         sentence = ("der", "hund", "bellt")
         options = build_options(sentence, [table], layout=layout, weights=weights)
-        result = decode_best(
+        result = decode(
             sentence, options, weights, [lm], distortion_limit=0, layout=layout
-        )
+        )[0]
         assert result.target == ("the", "dog", "barks")
         assert result.features[layout.distortion] == 0.0
 
@@ -206,9 +423,9 @@ class TestDecode:
         weights = layout.default_weights()
         weights[layout.distortion] = 5.0  # even a distortion bonus cannot help
         options = build_options(("a", "b"), [table], layout=layout, weights=weights)
-        result = decode_best(
+        result = decode(
             ("a", "b"), options, weights, [lm], distortion_limit=0, layout=layout
-        )
+        )[0]
         assert result.features[layout.distortion] == 0.0
         assert result.target == ("x", "y")
 
@@ -220,7 +437,7 @@ class TestDecode:
             n = rng.randint(1, 4)
             sentence = tuple(rng.choice(["a", "b"]) for _ in range(n))
             options = build_options(sentence, [table], layout=layout, weights=weights)
-            pruned = decode_best(sentence, options, weights, [lm], stack_size=0, layout=layout)
+            pruned = decode(sentence, options, weights, [lm], stack_size=0, layout=layout)[0]
             oracle = oracle_decode(sentence, options, weights, [lm], layout, 6)
             assert pruned.score == pytest.approx(oracle[2], abs=1e-9)
 

@@ -119,6 +119,14 @@ class TestScoring:
         assert math.isfinite(score)
 
 
+    def test_log10_nonpositive(self, model):
+        assert model.log10_nonpositive
+        context = next(iter(model.bows))
+        raised = NgramLanguageModel(
+            model.order, model.probs, {**model.bows, context: 0.5}, model.vocab, model.discounts)
+        assert not raised.log10_nonpositive
+
+
 class TestArpaRoundTrip:
     def test_scores_identical_after_round_trip(self, tmp_path):
         rng = random.Random(1)
