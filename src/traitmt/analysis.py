@@ -10,22 +10,26 @@ the markers of an original text through its translation variants.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 
+def _count_entropy(counts, n: int) -> float:
+    """Entropy in bits of n labels with the given per-class counts."""
+    ent = 0.0
+    for count in counts:
+        if count:
+            p = count / n
+            ent -= p * math.log2(p)
+    return ent
+
+
 def entropy(labels) -> float:
     """Shannon entropy of a label sequence in bits."""
-    labels = list(labels)
-    n = len(labels)
-    if n == 0:
-        return 0.0
-    ent = 0.0
-    for c in set(labels):
-        p = labels.count(c) / n
-        ent -= p * math.log2(p)
-    return ent
+    counts = Counter(labels)
+    return _count_entropy(counts.values(), sum(counts.values()))
 
 
 def discretize_feature(values, labels):
@@ -33,7 +37,8 @@ def discretize_feature(values, labels):
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values; ties resolve to the smallest threshold.  A constant feature has
-    no threshold (None, gain 0).
+    no threshold (None, gain 0).  One sort, then one sweep that keeps the
+    class counts left of the threshold: O(n log n).
     """
     values = list(values)
     labels = list(labels)
@@ -42,20 +47,27 @@ def discretize_feature(values, labels):
     distinct = sorted(set(values))
     if len(distinct) < 2:
         return None, 0.0
-    base = entropy(labels)
     n = len(values)
-    best_gain, best_threshold = -1.0, None
-    order = sorted(range(n), key=lambda i: values[i])
-    sorted_labels = [labels[i] for i in order]
+    class_of = {c: k for k, c in enumerate(sorted(set(labels)))}
+    order = sorted(range(n), key=values.__getitem__)
+    sorted_classes = [class_of[labels[i]] for i in order]
     sorted_values = [values[i] for i in order]
+    totals = [0] * len(class_of)
+    for k in sorted_classes:
+        totals[k] += 1
+    base = _count_entropy(totals, n)
+    left = [0] * len(class_of)
+    best_gain, best_threshold = -1.0, None
     split_at = 0
     for lo, hi in zip(distinct, distinct[1:]):
         threshold = (lo + hi) / 2.0
         while split_at < n and sorted_values[split_at] <= threshold:
+            left[sorted_classes[split_at]] += 1
             split_at += 1
-        left = sorted_labels[:split_at]
-        right = sorted_labels[split_at:]
-        cond = (len(left) * entropy(left) + len(right) * entropy(right)) / n
+        right = [t - l for t, l in zip(totals, left)]
+        n_right = n - split_at
+        cond = (split_at * _count_entropy(left, split_at)
+                + n_right * _count_entropy(right, n_right)) / n
         gain = base - cond
         if gain > best_gain + 1e-15:
             best_gain, best_threshold = gain, threshold
@@ -85,9 +97,11 @@ def info_gain_rank(X, labels, feature_names, weak_threshold: float = 0.01):
     classes = sorted(set(labels))
     out = []
     label_arr = np.array(labels)
-    for j, name in enumerate(feature_names):
-        _, gain = discretize_feature(X[:, j].tolist(), labels)
-        means = {c: X[label_arr == c, j].mean() for c in classes}
+    # contiguous rows, so each mean sums in the same order as X[label_arr == c, j].mean()
+    by_class = {c: np.ascontiguousarray(X[label_arr == c].T) for c in classes}
+    for j, (column, name) in enumerate(zip(X.T.tolist(), feature_names)):
+        _, gain = discretize_feature(column, labels)
+        means = {c: by_class[c][j].mean() for c in classes}
         direction = max(sorted(means), key=lambda c: means[c])
         out.append(MarkerWeight(name, gain, direction, gain < weak_threshold))
     out.sort(key=lambda m: (-m.info_gain, m.feature))

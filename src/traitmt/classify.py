@@ -168,6 +168,7 @@ class SvmModel:
     maxs: np.ndarray
     pos_label: str
     neg_label: str
+    iterations: int = 0     # SMO iterations run; max_iter means it may have stopped at its cap
 
 
 def _encode_labels(labels):
@@ -190,9 +191,9 @@ def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 2000
     mins, maxs = scale_fit(X)
     Xs = scale_apply(X, mins, maxs)
     K = Xs @ Xs.T
-    alpha, b, _ = smo_solve(K, y, C, tol, max_iter)
+    alpha, b, iterations = smo_solve(K, y, C, tol, max_iter)
     w = (alpha * y) @ Xs
-    return SvmModel(w, b, alpha, Xs, y, C, mins, maxs, pos, neg)
+    return SvmModel(w, b, alpha, Xs, y, C, mins, maxs, pos, neg, iterations)
 
 
 def predict(model: SvmModel, x):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 GENDERS = ("M", "F", "U")
 
@@ -246,10 +246,14 @@ _FR_ELISION_RE = re.compile(
 )
 
 
+_LEADING_DOTS_RE = re.compile(r"^\.{2,}")
+_TRAILING_DOTS_RE = re.compile(r"\.{2,}$")
+
+
 def _split_leading(chunk: str) -> tuple[list[str], str]:
     out = []
     while chunk:
-        m = re.match(r"^\.{2,}", chunk)
+        m = _LEADING_DOTS_RE.match(chunk)
         if m:
             out.append(m.group(0))
             chunk = chunk[m.end():]
@@ -264,7 +268,7 @@ def _split_leading(chunk: str) -> tuple[list[str], str]:
 def _split_trailing(chunk: str) -> tuple[str, list[str]]:
     tail = []
     while chunk:
-        m = re.search(r"\.{2,}$", chunk)
+        m = _TRAILING_DOTS_RE.search(chunk)
         if m:
             tail.append(m.group(0))
             chunk = chunk[: m.start()]
@@ -280,21 +284,22 @@ def _split_trailing(chunk: str) -> tuple[str, list[str]]:
 def tokenize(s: str, lang: str = "en") -> TokenizedSentence:
     """Rule-based tokenizer: whitespace split, then leading/trailing
     punctuation split off (dot runs kept together), then French elision."""
+    elide = lang == "fr"
     tokens: list[str] = []
     for chunk in s.split():
-        head, rest = _split_leading(chunk)
-        tokens.extend(head)
-        rest, tail = _split_trailing(rest)
-        if rest:
-            if lang == "fr":
-                m = _FR_ELISION_RE.match(rest)
-                if m:
-                    tokens.append(m.group(1) + "'")
-                    tokens.append(m.group(2))
-                else:
-                    tokens.append(rest)
-            else:
-                tokens.append(rest)
+        if chunk[0] in _SPLIT_PUNCT or chunk[-1] in _SPLIT_PUNCT:
+            head, rest = _split_leading(chunk)
+            tokens.extend(head)
+            rest, tail = _split_trailing(rest)
+        else:
+            # nothing to split off: every dot run starts and ends with "."
+            rest, tail = chunk, ()
+        m = _FR_ELISION_RE.match(rest) if elide and "'" in rest else None
+        if m:
+            tokens.append(m.group(1) + "'")
+            tokens.append(m.group(2))
+        elif rest:
+            tokens.append(rest)
         tokens.extend(tail)
     return TokenizedSentence(tuple(tokens))
 
@@ -313,8 +318,3 @@ def find_duplicate_sources(corpus: Corpus) -> list[int]:
         else:
             seen[p.source_text] = i
     return dups
-
-
-def pair_with(pair: AnnotatedSentencePair, **kwargs) -> AnnotatedSentencePair:
-    """Copy a pair with some fields replaced (pairs are frozen)."""
-    return replace(pair, **kwargs)

@@ -9,8 +9,10 @@ format is accepted everywhere a tagger would run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from itertools import chain
 
 ORIGINAL = "original"
 HUMAN_TRANSLATED = "human"
@@ -46,6 +48,9 @@ class TaggerModel:
     fall back to the majority tag of the longest matching training suffix
     (length 3, then 2, then 1), then to the global majority tag.  All
     tie-breaks are lexicographic on the tag, so tagging is deterministic.
+
+    tag_token is the rule; tag memoizes its answer per token, and train
+    clears the memo, so more training changes later answers.
     """
 
     def __init__(self, max_suffix: int = 3):
@@ -53,12 +58,14 @@ class TaggerModel:
         self.token_tags: dict[str, Counter] = {}
         self.suffix_tags: dict[str, Counter] = {}
         self.global_tags: Counter = Counter()
+        self._memo: dict[str, str] = {}
 
     @property
     def trained(self) -> bool:
         return bool(self.global_tags)
 
     def train(self, sentences) -> "TaggerModel":
+        self._memo.clear()
         for sent in sentences:
             for token, tag in zip(sent.tokens, sent.tags):
                 self.token_tags.setdefault(token, Counter())[tag] += 1
@@ -85,7 +92,14 @@ class TaggerModel:
         if not self.trained:
             raise RuntimeError("tagger model is untrained")
         toks = tuple(tokens)
-        return TaggedSentence(toks, tuple(self.tag_token(t) for t in toks))
+        memo = self._memo
+        tags = []
+        for token in toks:
+            tag = memo.get(token)
+            if tag is None:
+                tag = memo[token] = self.tag_token(token)
+            tags.append(tag)
+        return TaggedSentence(toks, tuple(tags))
 
 
 def tag_sentence(sentence, model: TaggerModel | None = None) -> TaggedSentence:
@@ -115,8 +129,17 @@ def format_tagged_line(sent: TaggedSentence) -> str:
 
 
 def read_tagged_file(path):
+    """Parse a token_TAG file, skipping blank lines; a bad line raises
+    ValueError naming `path:line`."""
+    sentences = []
     with open(path, encoding="utf-8") as fh:
-        return [parse_tagged_line(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    sentences.append(parse_tagged_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return sentences
 
 
 @dataclass
@@ -175,10 +198,19 @@ class FeatureSpace:
     def names(self):
         return [self.feature_name(i) for i in range(self.dimension)]
 
+    @cached_property
+    def fw_index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.function_words)}
+
+    @cached_property
+    def trigram_index(self) -> dict[tuple[str, str, str], int]:
+        offset = len(self.function_words)
+        return {t: offset + i for i, t in enumerate(self.pos_trigrams)}
+
 
 def _padded_trigrams(tags):
     padded = (BOUNDARY_START, BOUNDARY_START) + tuple(tags) + (BOUNDARY_END, BOUNDARY_END)
-    return [padded[i: i + 3] for i in range(len(padded) - 2)]
+    return zip(padded, padded[1:], padded[2:])
 
 
 def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
@@ -197,10 +229,8 @@ def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
         if lw not in seen:
             seen.add(lw)
             fw_seen.append(lw)
-    counts: Counter = Counter()
-    for chunk in chunks:
-        for sent in chunk.sentences:
-            counts.update(_padded_trigrams(sent.tags))
+    counts = Counter(chain.from_iterable(
+        _padded_trigrams(s.tags) for chunk in chunks for s in chunk.sentences))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     trigrams = tuple(t for t, _ in ranked[:k])
     return FeatureSpace(tuple(fw_seen), trigrams)
@@ -212,14 +242,6 @@ class FeatureVector:
     label: str
     status: str
 
-    def dense(self, dimension: int):
-        import numpy as np
-
-        out = np.zeros(dimension)
-        for i, v in self.values.items():
-            out[i] = v
-        return out
-
 
 def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     """Raw feature counts divided by the chunk's token count.
@@ -230,30 +252,29 @@ def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     n = chunk.token_count
     if n == 0:
         raise ValueError("cannot vectorize an empty chunk")
-    fw_index = {w: i for i, w in enumerate(space.function_words)}
-    tri_index = {t: len(space.function_words) + i for i, t in enumerate(space.pos_trigrams)}
-    counts: dict[int, float] = {}
-    for sent in chunk.sentences:
-        for token in sent.tokens:
-            idx = fw_index.get(token.lower())
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0.0) + 1.0
-        for tri in _padded_trigrams(sent.tags):
-            idx = tri_index.get(tri)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0.0) + 1.0
-    return FeatureVector({i: c / n for i, c in counts.items()}, chunk.label, chunk.status)
+    sents = chunk.sentences
+    words = Counter(map(str.lower, chain.from_iterable(s.tokens for s in sents)))
+    trigrams = Counter(chain.from_iterable(_padded_trigrams(s.tags) for s in sents))
+    fw_index, tri_index = space.fw_index, space.trigram_index
+    values = {fw_index[w]: c / n for w, c in words.items() if w in fw_index}
+    values.update((tri_index[t], c / n) for t, c in trigrams.items() if t in tri_index)
+    return FeatureVector(values, chunk.label, chunk.status)
+
+
+def _parse_function_words(text: str) -> list[str]:
+    """One word per line, '#' comments."""
+    words = []
+    for line in text.splitlines():
+        word = line.split("#", 1)[0].strip()
+        if word:
+            words.append(word)
+    return words
 
 
 def load_function_words(path):
     """One word per line, UTF-8, '#' comments."""
-    words = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.append(word)
-    return words
+        return _parse_function_words(fh.read())
 
 
 def default_function_words(lang: str):
@@ -262,12 +283,7 @@ def default_function_words(lang: str):
     ref = resources.files("traitmt.data").joinpath(name)
     if not ref.is_file():
         raise ValueError(f"no vendored function-word list for language {lang!r}")
-    words = []
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        word = line.split("#", 1)[0].strip()
-        if word:
-            words.append(word)
-    return words
+    return _parse_function_words(ref.read_text(encoding="utf-8"))
 
 
 def write_vectors(vectors, space: FeatureSpace, path) -> None:

@@ -16,8 +16,20 @@ from traitmt.analysis import (
 )
 
 
+def reference_entropy(labels):
+    """Entropy in bits, counting each class in the list."""
+    labels = list(labels)
+    n = len(labels)
+    ent = 0.0
+    for c in sorted(set(labels)):
+        p = labels.count(c) / n
+        ent -= p * math.log2(p)
+    return ent
+
+
 def brute_force_best_split(values, labels):
     """Independent check: information gain of every midpoint, max taken."""
+    entropy = reference_entropy
     distinct = sorted(set(values))
     base = entropy(labels)
     n = len(values)
@@ -55,6 +67,20 @@ class TestDiscretize:
             assert gain == pytest.approx(expected_gain, abs=1e-12)
             if expected_gain > 0:
                 assert threshold == pytest.approx(expected_threshold)
+
+    def test_equals_exhaustive_search_exactly(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(2, 300)
+            levels = rng.randint(2, 2 * n)
+            labels = ["M", "F"] + [rng.choice("MF") for _ in range(n - 2)]
+            values = [rng.randrange(levels) / levels + (0.3 if l == "M" else 0.0)
+                      for l in labels]
+            if len(set(values)) < 2:
+                continue
+            expected_gain, expected_threshold = brute_force_best_split(values, labels)
+            assert expected_threshold is not None
+            assert discretize_feature(values, labels) == (expected_threshold, expected_gain)
 
     def test_tie_break_to_smallest_threshold(self):
         # both midpoints yield zero gain; smallest one must be reported

@@ -144,6 +144,15 @@ class TestSmoCore:
         for prev, cur in zip(objectives, objectives[1:]):
             assert cur <= prev + 1e-12
 
+    def test_model_reports_iterations_and_cap(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 5))
+        labels = ["A" if v else "B" for v in rng.random(40) < 0.5]
+        full = train_svm(X, labels, C=1.0)
+        assert 1 < full.iterations < 200000
+        capped = train_svm(X, labels, C=1.0, max_iter=1)
+        assert capped.iterations == 1
+
 
 class TestPredict:
     def test_margin_zero_goes_to_positive_class(self):

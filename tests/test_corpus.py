@@ -1,9 +1,13 @@
 import datetime
 import random
+import re
 
 import pytest
 
 from traitmt.corpus import (
+    _FR_ELISION,
+    _FR_ELISION_RE,
+    _SPLIT_PUNCT,
     AnnotatedSentencePair,
     Corpus,
     CorpusFormatError,
@@ -16,6 +20,58 @@ from traitmt.corpus import (
 )
 
 HEADER = "src_lang\ttgt_lang\tspeaker_id\tgender\tage\tsession_date\tsource_text\ttarget_text"
+
+
+def reference_tokenize(s, lang="en"):
+    """The tokenizer without its fast path: every whitespace chunk goes
+    through the leading and trailing punctuation loops."""
+
+    def split_leading(chunk):
+        out = []
+        while chunk:
+            m = re.match(r"^\.{2,}", chunk)
+            if m:
+                out.append(m.group(0))
+                chunk = chunk[m.end():]
+            elif chunk[0] in _SPLIT_PUNCT:
+                out.append(chunk[0])
+                chunk = chunk[1:]
+            else:
+                break
+        return out, chunk
+
+    def split_trailing(chunk):
+        tail = []
+        while chunk:
+            m = re.search(r"\.{2,}$", chunk)
+            if m:
+                tail.append(m.group(0))
+                chunk = chunk[: m.start()]
+            elif chunk[-1] in _SPLIT_PUNCT:
+                tail.append(chunk[-1])
+                chunk = chunk[:-1]
+            else:
+                break
+        tail.reverse()
+        return chunk, tail
+
+    tokens = []
+    for chunk in s.split():
+        head, rest = split_leading(chunk)
+        tokens.extend(head)
+        rest, tail = split_trailing(rest)
+        if rest:
+            if lang == "fr":
+                m = _FR_ELISION_RE.match(rest)
+                if m:
+                    tokens.append(m.group(1) + "'")
+                    tokens.append(m.group(2))
+                else:
+                    tokens.append(rest)
+            else:
+                tokens.append(rest)
+        tokens.extend(tail)
+    return tuple(tokens)
 
 
 def make_pair(src="hello world", tgt="bonjour monde", gender="M", speaker="s1"):
@@ -182,6 +238,16 @@ class TestTokenize:
                 assert all(t != "" for t in toks)
                 again = tokenize(" ".join(toks), lang).tokens
                 assert again == toks
+
+    def test_matches_reference_tokenizer(self):
+        rng = random.Random(12)
+        prefixes = [p + "'" for p in _FR_ELISION] + [p.upper() + "'" for p in _FR_ELISION]
+        pieces = (list("abzAQZé") + ["homme", "Est", ".", "..", "...", "....", "'", "''", " ", "  "]
+                  + sorted(_SPLIT_PUNCT) + prefixes)
+        for lang in ("en", "fr"):
+            for _ in range(3000):
+                s = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+                assert tokenize(s, lang).tokens == reference_tokenize(s, lang), s
 
 
 class TestDuplicateSources:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from traitmt.stylometry import (
     format_tagged_line,
     load_function_words,
     parse_tagged_line,
+    read_tagged_file,
     read_vectors,
     tag_sentence,
     vectorize_chunk,
@@ -27,6 +29,26 @@ def sent(tokens, tags=None):
     else:
         tags = tuple(tags.split())
     return TaggedSentence(tokens, tags)
+
+
+def reference_vectorize_values(chunk, space):
+    """Feature values by the plain per-token loop: float counts over
+    index maps built for this call, trigrams cut by slicing."""
+    n = chunk.token_count
+    fw_index = {w: i for i, w in enumerate(space.function_words)}
+    tri_index = {t: len(space.function_words) + i for i, t in enumerate(space.pos_trigrams)}
+    counts = {}
+    for s in chunk.sentences:
+        for token in s.tokens:
+            idx = fw_index.get(token.lower())
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0.0) + 1.0
+        padded = ("<S>", "<S>") + s.tags + ("</S>", "</S>")
+        for i in range(len(padded) - 2):
+            idx = tri_index.get(padded[i: i + 3])
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0.0) + 1.0
+    return {i: c / n for i, c in counts.items()}
 
 
 class TestTagger:
@@ -59,6 +81,18 @@ class TestTagger:
     def test_passthrough(self):
         tagged = sent("a b", "X Y")
         assert tag_sentence(tagged) is tagged
+
+    def test_tag_agrees_with_tag_token(self):
+        model = self.train_model()
+        tokens = "the dog runs slowly zzz the dog".split()
+        for _ in range(2):  # the second pass reads the memo
+            assert model.tag(tokens).tags == tuple(model.tag_token(t) for t in tokens)
+
+    def test_training_after_tagging_changes_tags(self):
+        model = self.train_model()
+        assert model.tag(["dog", "slowly"]).tags == ("N", "ADV")
+        model.train([sent("dog dog dog slowly", "V V V ADJ")] * 2)
+        assert model.tag(["dog", "slowly"]).tags == ("V", "ADJ")
 
     def test_untrained_model_rejected(self):
         with pytest.raises(RuntimeError):
@@ -207,6 +241,23 @@ class TestVectorize:
         for i in once:
             assert twice[i] == pytest.approx(once[i])
 
+    def test_matches_reference_loop(self):
+        rng = random.Random(5)
+        words = ["the", "The", "THE", "of", "Of", "and", "AND", "cat", "Dog", "x", "ran"]
+        tags = ["D", "N", "V", "ADV", "P"]
+        for _ in range(200):
+            chunks = []
+            for _ in range(rng.randint(1, 3)):
+                sents = []
+                for _ in range(rng.randint(1, 6)):
+                    n = rng.randint(1, 12)
+                    sents.append(TaggedSentence(tuple(rng.choice(words) for _ in range(n)),
+                                                tuple(rng.choice(tags) for _ in range(n))))
+                chunks.append(Chunk(sents, "M", "original", "en"))
+            fs = build_feature_space(chunks, ["the", "of", "and", "but"], k=rng.randint(1, 40))
+            for chunk in chunks:
+                assert vectorize_chunk(chunk, fs).values == reference_vectorize_values(chunk, fs)
+
     def test_empty_chunk_rejected(self):
         fs = FeatureSpace(("the",), ())
         with pytest.raises(ValueError):
@@ -231,6 +282,17 @@ class TestIo:
             assert set(back.values) == set(orig.values)
             for i in orig.values:
                 assert back.values[i] == pytest.approx(orig.values[i], abs=1e-12)
+
+    def test_tagged_file_error_names_line(self, tmp_path):
+        p = tmp_path / "bank.txt"
+        p.write_text("the_D dog_N\n\nthe_D dog\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: bad token_TAG item 'dog'"):
+            read_tagged_file(p)
+
+    def test_tagged_file_round_trip(self, tmp_path):
+        p = tmp_path / "bank.txt"
+        p.write_text("the_D dog_N\n\nruns_V\n", encoding="utf-8")
+        assert read_tagged_file(p) == [sent("the dog", "D N"), sent("runs", "V")]
 
     def test_fw_file_loading(self, tmp_path):
         p = tmp_path / "fw.txt"
