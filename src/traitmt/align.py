@@ -3,7 +3,15 @@
 IBM Model 1 expectation maximization produces lexical translation tables
 in both directions; Viterbi alignments are symmetrized (intersection,
 union or grow-diag-final-and) and consistent phrase pairs are extracted
-and scored by relative frequency plus lexical weighting.
+and scored by relative frequency plus lexical weighting (Koehn, Och &
+Marcu 2003).
+
+In a consistent phrase pair every link of every word in either span lies
+inside the pair, so a word's lexical factor does not depend on the phrase:
+the mean of its linked translation probabilities, or its NULL probability
+when it has no link.  Scoring computes these factors once per sentence,
+in both directions, and weighs each occurrence by their product over its
+span.
 """
 
 from __future__ import annotations
@@ -62,11 +70,6 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
     else:
         probs, history = _em_sparse(pairs, src_vocab, tgt_vocab, iterations, use_null)
     return LexicalTable(probs, NULL_TOKEN if use_null else None), history
-
-
-def train_ibm1(pairs, iterations: int = 5, use_null: bool = True) -> LexicalTable:
-    table, _ = ibm1_em(pairs, iterations, use_null)
-    return table
 
 
 def _encode(pairs, src_vocab, tgt_vocab, use_null):
@@ -212,57 +215,84 @@ def symmetrize(fwd: AlignmentMatrix, rev: AlignmentMatrix,
     return AlignmentMatrix(frozenset(alignment), fwd.src_len, fwd.tgt_len)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class AlignedSentence:
+    """A sentence pair and its alignment, shared by every phrase pair
+    extracted from it."""
+
+    src: tuple
+    tgt: tuple
+    alignment: AlignmentMatrix
+
+
+@dataclass(frozen=True, slots=True)
 class PhrasePair:
+    """One extracted occurrence.  It keeps no links of its own: consistency
+    puts every link of every word of either span inside the pair, so its
+    internal alignment is the sentence's alignment within the spans, and
+    score_phrases reads each word's lexical factor from vectors computed
+    once per sentence."""
+
     src: tuple
     tgt: tuple
     src_span: tuple  # (i1, i2) inclusive
     tgt_span: tuple  # (j1, j2) inclusive
-    links: frozenset  # internal links, offset to the spans
+    sentence: AlignedSentence
+
+
+def _position_links(alignment: AlignmentMatrix):
+    """(per source position its linked target positions, per target
+    position its linked source positions), each list ascending."""
+    tgt_of = [[] for _ in range(alignment.src_len)]
+    src_of = [[] for _ in range(alignment.tgt_len)]
+    for i, j in sorted(alignment.links):
+        tgt_of[i].append(j)
+        src_of[j].append(i)
+    return tgt_of, src_of
 
 
 def extract_phrases(src, tgt, alignment: AlignmentMatrix, max_len: int = 7):
     """All phrase pairs consistent with the alignment, unaligned-boundary
-    extensions included, both sides at most max_len tokens."""
-    src = tuple(src)
-    tgt = tuple(tgt)
-    links = alignment.links
-    aligned_tgt = {j for _, j in links}
-    out = []
+    extensions included, both sides at most max_len tokens.
+
+    A source span's target bounds grow with its right end, and only the
+    target positions inside them are checked for links leaving the span."""
+    sentence = AlignedSentence(tuple(src), tuple(tgt), alignment)
+    src, tgt = sentence.src, sentence.tgt
+    tgt_of, src_of = _position_links(alignment)
     n = len(src)
     m = len(tgt)
+    # each target position's least and greatest linked source position;
+    # n and -1 when it has no link, so that it never blocks a span
+    lo = [s[0] if s else n for s in src_of]
+    hi = [s[-1] if s else -1 for s in src_of]
+    out = []
     for i1 in range(n):
+        j1, j2 = m, -1
         for i2 in range(i1, min(n, i1 + max_len)):
-            tps = [j for i, j in links if i1 <= i <= i2]
-            if not tps:
+            if tgt_of[i2]:
+                j1 = min(j1, tgt_of[i2][0])
+                j2 = max(j2, tgt_of[i2][-1])
+            if j2 < 0:
                 continue
-            j1, j2 = min(tps), max(tps)
-            if any(j1 <= j <= j2 and not (i1 <= i <= i2) for i, j in links):
+            if j2 - j1 >= max_len:
+                break  # the target bounds only widen as i2 grows
+            if min(lo[j1: j2 + 1]) < i1:
+                break  # that link stays inside the bounds for every wider span
+            if max(hi[j1: j2 + 1]) > i2:
                 continue
+            src_phrase = src[i1: i2 + 1]
             js = j1
             while True:
                 je = j2
-                while je < m:
-                    if je - js + 1 <= max_len:
-                        sub_links = frozenset(
-                            (i - i1, j - js)
-                            for i, j in links
-                            if i1 <= i <= i2 and js <= j <= je
-                        )
-                        out.append(
-                            PhrasePair(
-                                src[i1: i2 + 1],
-                                tgt[js: je + 1],
-                                (i1, i2),
-                                (js, je),
-                                sub_links,
-                            )
-                        )
+                while je < m and je - js < max_len:
+                    out.append(PhrasePair(src_phrase, tgt[js: je + 1], (i1, i2), (js, je),
+                                          sentence))
                     je += 1
-                    if je >= m or je in aligned_tgt:
+                    if je >= m or hi[je] >= 0:
                         break
                 js -= 1
-                if js < 0 or js in aligned_tgt:
+                if js < 0 or hi[js] >= 0 or j2 - js >= max_len:
                     break
     return out
 
@@ -271,6 +301,7 @@ def extract_phrases(src, tgt, alignment: AlignmentMatrix, max_len: int = 7):
 class PhraseTable:
     entries: dict  # src tuple -> {tgt tuple: (phi_fwd, lex_fwd, phi_rev, lex_rev)}
     max_len: int = 7
+    dropped_pairs: int = 0  # empty sentence pairs build_phrase_table skipped
 
     def lookup(self, src_phrase):
         return self.entries.get(tuple(src_phrase), {})
@@ -282,50 +313,61 @@ class PhraseTable:
 _LEX_FLOOR = 1e-12
 
 
-def _lexical_weight(src, tgt, links, table: LexicalTable) -> float:
-    """w(tgt | src, a): average translation probability per aligned target
-    word, NULL-based for unaligned ones."""
-    by_target: dict[int, list[int]] = defaultdict(list)
-    for i, j in links:
-        by_target[j].append(i)
-    weight = 1.0
-    for j, w in enumerate(tgt):
-        if j in by_target:
-            sources = by_target[j]
-            p = sum(table.prob(w, src[i]) for i in sources) / len(sources)
+def _lexical_factors(words, other, links_of, table: LexicalTable) -> list:
+    """Per word: the mean of t(word | linked word of other) over its links,
+    summed in ascending position, or the NULL probability if it has none."""
+    factors = []
+    for w, linked in zip(words, links_of):
+        if linked:
+            factors.append(sum(table.prob(w, other[k]) for k in linked) / len(linked))
         else:
-            p = table.null_prob(w)
-        weight *= p
-    return max(weight, _LEX_FLOOR)
+            factors.append(table.null_prob(w))
+    return factors
 
 
 def score_phrases(extracted, lex_fwd: LexicalTable, lex_rev: LexicalTable,
                   max_len: int = 7) -> PhraseTable:
     """Relative-frequency phrase scores in both directions plus lexical
-    weights maximized over the observed internal alignments."""
+    weights maximized over the occurrences of each pair.
+
+    An occurrence's lexical weight w(tgt | src, a) is the product over its
+    target span of the sentence's per-word factors (see _lexical_factors),
+    which are computed once per sentence; the reverse weight likewise over
+    its source span."""
     extracted = list(extracted)
     if not extracted:
         raise ValueError("no phrase pairs extracted")
-    pair_counts: Counter = Counter()
+    factors: dict[AlignedSentence, tuple] = {}
+    stats: dict[tuple, list] = {}  # (src, tgt) -> [count, max lex_fwd, max lex_rev]
+    for pp in extracted:
+        sentence = pp.sentence
+        both = factors.get(sentence)
+        if both is None:
+            tgt_of, src_of = _position_links(sentence.alignment)
+            both = factors[sentence] = (
+                _lexical_factors(sentence.tgt, sentence.src, src_of, lex_fwd),
+                _lexical_factors(sentence.src, sentence.tgt, tgt_of, lex_rev),
+            )
+        (i1, i2), (j1, j2) = pp.src_span, pp.tgt_span
+        lex_f = math.prod(both[0][j1: j2 + 1])
+        lex_r = math.prod(both[1][i1: i2 + 1])
+        key = (pp.src, pp.tgt)
+        entry = stats.get(key)
+        if entry is None:
+            stats[key] = [1, lex_f, lex_r]
+        else:
+            entry[0] += 1
+            entry[1] = max(entry[1], lex_f)
+            entry[2] = max(entry[2], lex_r)
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
-    alignments: dict[tuple, set] = defaultdict(set)
-    for pp in extracted:
-        key = (pp.src, pp.tgt)
-        pair_counts[key] += 1
-        src_counts[pp.src] += 1
-        tgt_counts[pp.tgt] += 1
-        alignments[key].add(pp.links)
+    for (src, tgt), (count, _, _) in stats.items():
+        src_counts[src] += count
+        tgt_counts[tgt] += count
     entries: dict[tuple, dict] = defaultdict(dict)
-    for (src, tgt), count in pair_counts.items():
-        phi_fwd = count / src_counts[src]
-        phi_rev = count / tgt_counts[tgt]
-        lex_f = max(
-            _lexical_weight(src, tgt, links, lex_fwd) for links in alignments[(src, tgt)]
-        )
-        rev_links = [frozenset((j, i) for i, j in links) for links in alignments[(src, tgt)]]
-        lex_r = max(_lexical_weight(tgt, src, links, lex_rev) for links in rev_links)
-        entries[src][tgt] = (phi_fwd, lex_f, phi_rev, lex_r)
+    for (src, tgt), (count, lex_f, lex_r) in stats.items():
+        entries[src][tgt] = (count / src_counts[src], max(lex_f, _LEX_FLOOR),
+                             count / tgt_counts[tgt], max(lex_r, _LEX_FLOOR))
     return PhraseTable(dict(entries), max_len)
 
 
@@ -364,13 +406,14 @@ def read_phrase_table(path, max_len: int = 7) -> PhraseTable:
 def build_phrase_table(pairs, iterations: int = 5, max_len: int = 7,
                        heuristic: str = GROW_DIAG_FINAL_AND):
     """Full pipeline: bidirectional IBM1, symmetrization, extraction,
-    scoring.  Returns (PhraseTable, fwd LexicalTable, rev LexicalTable)."""
+    scoring.  Returns (PhraseTable, fwd LexicalTable, rev LexicalTable);
+    the table's dropped_pairs counts the pairs skipped for an empty side."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
-    pairs = [(s, t) for s, t in pairs if s and t]
-    lex_fwd = train_ibm1(pairs, iterations)
-    lex_rev = train_ibm1([(t, s) for s, t in pairs], iterations)
+    kept = [(s, t) for s, t in pairs if s and t]
+    lex_fwd = ibm1_em(kept, iterations)[0]
+    lex_rev = ibm1_em([(t, s) for s, t in kept], iterations)[0]
     extracted = []
-    for s, t in pairs:
+    for s, t in kept:
         fwd = viterbi_align(lex_fwd, s, t)
         rev_swapped = viterbi_align(lex_rev, t, s)
         rev = AlignmentMatrix(
@@ -378,4 +421,6 @@ def build_phrase_table(pairs, iterations: int = 5, max_len: int = 7,
         )
         sym = symmetrize(fwd, rev, heuristic)
         extracted.extend(extract_phrases(s, t, sym, max_len))
-    return score_phrases(extracted, lex_fwd, lex_rev, max_len), lex_fwd, lex_rev
+    table = score_phrases(extracted, lex_fwd, lex_rev, max_len)
+    table.dropped_pairs = len(pairs) - len(kept)
+    return table, lex_fwd, lex_rev

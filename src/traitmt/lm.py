@@ -208,10 +208,6 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
     return NgramLanguageModel(order, probs, bows, vocab, discounts)
 
 
-def lm_score(model: NgramLanguageModel, tokens) -> float:
-    return model.score_sentence(tokens)
-
-
 def write_arpa(model: NgramLanguageModel, path) -> None:
     """Standard ARPA text format, log10 domain, full float precision."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -15,7 +16,6 @@ from traitmt.align import (
     read_phrase_table,
     score_phrases,
     symmetrize,
-    train_ibm1,
     viterbi_align,
     write_phrase_table,
     LexicalTable,
@@ -33,7 +33,7 @@ class TestIbm1:
             assert cur >= prev - 1e-12
 
     def test_single_pair_after_one_iteration(self):
-        table = train_ibm1([(("a",), ("x",))], iterations=1)
+        table, _ = ibm1_em([(("a",), ("x",))], iterations=1)
         assert table.prob("x", "a") == pytest.approx(1.0)
         # the null word also explains x completely after one round
         assert table.null_prob("x") == pytest.approx(1.0)
@@ -87,7 +87,7 @@ class TestIbm1:
 class TestViterbi:
     def test_obvious_alignment(self):
         pairs = [(("der", "hund"), ("the", "dog")), (("der",), ("the",)), (("hund",), ("dog",))]
-        table = train_ibm1(pairs, iterations=10)
+        table, _ = ibm1_em(pairs, iterations=10)
         matrix = viterbi_align(table, ("der", "hund"), ("the", "dog"))
         assert matrix.links == frozenset({(0, 0), (1, 1)})
 
@@ -196,8 +196,70 @@ class TestExtractPhrases:
             alignment = AlignmentMatrix(links, n, m)
             src = tuple(f"s{i}" for i in range(n))
             tgt = tuple(f"t{j}" for j in range(m))
-            got = self.spans(extract_phrases(src, tgt, alignment, max_len=4))
-            assert got == oracle_extract(n, m, links, 4)
+            max_len = rng.randint(1, 7)
+            pairs = extract_phrases(src, tgt, alignment, max_len=max_len)
+            assert self.spans(pairs) == oracle_extract(n, m, links, max_len)
+            for pp in pairs:
+                (i1, i2), (j1, j2) = pp.src_span, pp.tgt_span
+                assert pp.src == src[i1: i2 + 1] and pp.tgt == tgt[j1: j2 + 1]
+            # the order scoring sees: source span, then target start
+            # descending, then target end ascending
+            order = [(i1, i2, -j1, j2) for (i1, i2), (j1, j2) in
+                     ((pp.src_span, pp.tgt_span) for pp in pairs)]
+            assert order == sorted(order)
+
+
+def reference_lexical_weight(src, tgt, links, table):
+    """w(tgt | src, a) from one pair's own internal links; a word's linked
+    probabilities are summed in ascending position."""
+    by_target = defaultdict(list)
+    for i, j in links:
+        by_target[j].append(i)
+    weight = 1.0
+    for j, w in enumerate(tgt):
+        if j in by_target:
+            sources = sorted(by_target[j])
+            p = sum(table.prob(w, src[i]) for i in sources) / len(sources)
+        else:
+            p = table.null_prob(w)
+        weight *= p
+    return max(weight, align_mod._LEX_FLOOR)
+
+
+def internal_links(pp):
+    """The sentence alignment's links inside the pair, offset to its spans."""
+    (i1, i2), (j1, j2) = pp.src_span, pp.tgt_span
+    return frozenset((i - i1, j - j1) for i, j in pp.sentence.alignment.links
+                     if i1 <= i <= i2 and j1 <= j <= j2)
+
+
+def reference_score_phrases(extracted, lex_fwd, lex_rev):
+    """Relative frequencies, and lexical weights maximized over each pair's
+    distinct internal alignments, each weighed on its own; returns the
+    entries mapping."""
+    pair_counts, src_counts, tgt_counts = Counter(), Counter(), Counter()
+    alignments = defaultdict(set)
+    for pp in extracted:
+        key = (pp.src, pp.tgt)
+        pair_counts[key] += 1
+        src_counts[pp.src] += 1
+        tgt_counts[pp.tgt] += 1
+        alignments[key].add(internal_links(pp))
+    entries = defaultdict(dict)
+    for (src, tgt), count in pair_counts.items():
+        forward = alignments[(src, tgt)]
+        lex_f = max(reference_lexical_weight(src, tgt, links, lex_fwd) for links in forward)
+        reverse = [frozenset((j, i) for i, j in links) for links in forward]
+        lex_r = max(reference_lexical_weight(tgt, src, links, lex_rev) for links in reverse)
+        entries[src][tgt] = (count / src_counts[src], lex_f, count / tgt_counts[tgt], lex_r)
+    return dict(entries)
+
+
+def random_lexical_table(rng, given, conditioned, use_null):
+    """Random t(given | conditioned), some pairs missing (probability 0)."""
+    sources = list(conditioned) + ([NULL_TOKEN] if use_null else [])
+    probs = {w: {v: rng.random() for v in given if rng.random() < 0.95} for w in sources}
+    return LexicalTable(probs, NULL_TOKEN if use_null else None)
 
 
 class TestScorePhrases:
@@ -256,10 +318,79 @@ class TestScorePhrases:
                 for s in scores:
                     assert 0.0 < s <= 1.0
 
+    def test_matches_reference_scorer(self):
+        rng = random.Random(5)
+        for case in range(120):
+            # small vocabularies repeat pairs under different alignments
+            k = rng.randint(2, 4)
+            src_words, tgt_words = "abcd"[:k], "wxyz"[:k]
+            use_null = case % 3 != 0
+            lex_fwd = random_lexical_table(rng, tgt_words, src_words, use_null)
+            lex_rev = random_lexical_table(rng, src_words, tgt_words, use_null)
+            max_len = rng.randint(1, 7)
+            extracted = []
+            for _ in range(rng.randint(1, 12)):
+                n, m = rng.randint(1, 7), rng.randint(1, 7)
+                src = tuple(rng.choice(src_words) for _ in range(n))
+                tgt = tuple(rng.choice(tgt_words) for _ in range(m))
+                # dense enough that some words get three or more links,
+                # sparse enough that some boundary words stay unaligned
+                links = frozenset((rng.randrange(n), rng.randrange(m))
+                                  for _ in range(rng.randint(0, n * m // 2 + 1)))
+                extracted.extend(
+                    extract_phrases(src, tgt, AlignmentMatrix(links, n, m), max_len))
+            if not extracted:
+                continue
+            table = score_phrases(extracted, lex_fwd, lex_rev, max_len)
+            assert table.entries == reference_score_phrases(extracted, lex_fwd, lex_rev)
+
+    def test_build_phrase_table_matches_reference_scorer(self, monkeypatch):
+        seen = []
+
+        def recording(extracted, lex_fwd, lex_rev, max_len=7):
+            seen.append((list(extracted), lex_fwd, lex_rev))
+            return score_phrases(extracted, lex_fwd, lex_rev, max_len)
+
+        monkeypatch.setattr(align_mod, "score_phrases", recording)
+        rng = random.Random(6)
+        for _ in range(5):
+            pairs = []
+            for _ in range(40):
+                n = rng.randint(1, 8)
+                src = tuple(rng.choice("abcdef") for _ in range(n))
+                tgt = tuple(rng.choice("uvwxyz") for _ in range(max(1, n + rng.randint(-2, 2))))
+                pairs.append((src, tgt))
+            table, _, _ = build_phrase_table(pairs, iterations=4, max_len=rng.randint(2, 7))
+            extracted, lex_fwd, lex_rev = seen.pop()
+            assert table.entries == reference_score_phrases(extracted, lex_fwd, lex_rev)
+
     def test_empty_extraction_rejected(self):
         lex = LexicalTable({})
         with pytest.raises(ValueError):
             score_phrases([], lex, lex)
+
+
+class TestBuildPhraseTable:
+    CORPUS = [(("a", "b"), ("x", "y")), (("a",), ("x",)), (("b",), ("y",))]
+
+    def test_stages_called_through_module(self, monkeypatch):
+        # the benchmark's per-layer timings wrap these module attributes
+        calls = Counter()
+        for name in ("ibm1_em", "extract_phrases", "score_phrases"):
+            def counting(*args, _name=name, _inner=getattr(align_mod, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(align_mod, name, counting)
+        build_phrase_table(self.CORPUS, iterations=2)
+        assert calls == {"ibm1_em": 2, "extract_phrases": len(self.CORPUS), "score_phrases": 1}
+
+    def test_counts_dropped_pairs(self):
+        table, _, _ = build_phrase_table(self.CORPUS, iterations=2)
+        assert table.dropped_pairs == 0
+        with_empty = self.CORPUS + [((), ("x",)), (("a",), ()), ((), ())]
+        dropped, _, _ = build_phrase_table(with_empty, iterations=2)
+        assert dropped.dropped_pairs == 3
+        assert dropped.entries == table.entries
 
 
 class TestPhraseTableIo:

@@ -8,7 +8,6 @@ from traitmt.lm import (
     EOS,
     UNK,
     NgramLanguageModel,
-    lm_score,
     read_arpa,
     train_kn_lm,
     write_arpa,
@@ -115,7 +114,7 @@ class TestScoring:
 
     def test_oov_scores_finite(self):
         model = train_kn_lm(HAND_CORPUS, order=2)
-        score = lm_score(model, ("quux", "a", "zzz"))
+        score = model.score_sentence(("quux", "a", "zzz"))
         assert math.isfinite(score)
 
 
