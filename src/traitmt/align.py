@@ -6,6 +6,14 @@ union or grow-diag-final-and) and consistent phrase pairs are extracted
 and scored by relative frequency plus lexical weighting (Koehn, Och &
 Marcu 2003).
 
+IBM1 keeps t(target | source) as one vector over the (source, target)
+word pairs that co-occur in some sentence, so memory grows with the
+co-occurrences, not with the product of the vocabularies.  Every
+(source position incl. NULL, target position) cell of the corpus is
+enumerated once, and an EM iteration is three weighted `np.bincount`s:
+each target token's denominator, each pair's expected count, and each
+source word's total.
+
 In a consistent phrase pair every link of every word in either span lies
 inside the pair, so a word's lexical factor does not depend on the phrase:
 the mean of its linked translation probabilities, or its NULL probability
@@ -23,9 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NULL_TOKEN = "<null>"
-
-# vocabulary product up to which EM runs on a dense numpy table
-_DENSE_LIMIT = 4_000_000
 
 
 @dataclass
@@ -51,6 +56,8 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
     parameters entering each iteration (uniform alignment prior included),
     so it is non-decreasing by the EM guarantee.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     pairs = [(s, t) for s, t in pairs if s and t]
     if not pairs:
@@ -64,79 +71,38 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
             src_vocab.setdefault(w, len(src_vocab))
         for w in t:
             tgt_vocab.setdefault(w, len(tgt_vocab))
-    ns, nt = len(src_vocab), len(tgt_vocab)
-    if ns * nt <= _DENSE_LIMIT:
-        probs, history = _em_dense(pairs, src_vocab, tgt_vocab, iterations, use_null)
-    else:
-        probs, history = _em_sparse(pairs, src_vocab, tgt_vocab, iterations, use_null)
-    return LexicalTable(probs, NULL_TOKEN if use_null else None), history
-
-
-def _encode(pairs, src_vocab, tgt_vocab, use_null):
-    encoded = []
+    nt = len(tgt_vocab)
+    # one cell per (source position, target position) of each sentence, in
+    # C order; a column is one target token of the corpus
     null_id = [0] if use_null else []
+    cell_keys, cell_cols = [], []
+    n_cols, log_prior = 0, 0.0
     for s, t in pairs:
         s_ids = np.array(null_id + [src_vocab[w] for w in s], dtype=np.int64)
         t_ids = np.array([tgt_vocab[w] for w in t], dtype=np.int64)
-        encoded.append((s_ids, t_ids))
-    return encoded
-
-
-def _em_dense(pairs, src_vocab, tgt_vocab, iterations, use_null):
-    ns, nt = len(src_vocab), len(tgt_vocab)
-    encoded = _encode(pairs, src_vocab, tgt_vocab, use_null)
-    T = np.full((ns, nt), 1.0 / nt)
+        cell_keys.append(np.add.outer(s_ids * nt, t_ids).ravel())
+        cell_cols.append(np.tile(np.arange(n_cols, n_cols + len(t_ids)), len(s_ids)))
+        n_cols += len(t_ids)
+        log_prior += len(t_ids) * math.log(len(s_ids))
+    # t(.|.) is a vector over the co-occurring (source, target) pairs,
+    # ascending by source id, then target id
+    keys, cell_pair = np.unique(np.concatenate(cell_keys), return_inverse=True)
+    cell_col = np.concatenate(cell_cols)
+    pair_src = keys // nt
+    t = np.full(len(keys), 1.0 / nt)
     history = []
     for _ in range(iterations):
-        counts = np.zeros((ns, nt))
-        ll = 0.0
-        for s_ids, t_ids in encoded:
-            sub = T[s_ids][:, t_ids]
-            denom = sub.sum(axis=0)
-            ll += float(np.log(denom).sum()) - len(t_ids) * math.log(len(s_ids))
-            contrib = sub / denom
-            np.add.at(counts, (s_ids[:, None], t_ids[None, :]), contrib)
-        history.append(ll)
-        totals = counts.sum(axis=1, keepdims=True)
-        T = np.divide(counts, totals, out=np.full_like(counts, 1.0 / nt), where=totals > 0)
-    probs: dict[str, dict[str, float]] = {}
-    tgt_words = list(tgt_vocab)
-    for w, i in src_vocab.items():
-        row = T[i]
-        support = np.flatnonzero(row > 0.0)
-        probs[w] = {tgt_words[j]: float(row[j]) for j in support}
-    return probs, history
-
-
-def _em_sparse(pairs, src_vocab, tgt_vocab, iterations, use_null):
-    nt = len(tgt_vocab)
-    uniform = 1.0 / nt
-    t: dict[tuple[str, str], float] = {}
-    history = []
-    for it in range(iterations):
-        counts: dict[tuple[str, str], float] = defaultdict(float)
-        totals: dict[str, float] = defaultdict(float)
-        ll = 0.0
-        for s, tgt in pairs:
-            s_all = ((NULL_TOKEN,) if use_null else ()) + s
-            for w in tgt:
-                if it == 0:
-                    denom = uniform * len(s_all)
-                else:
-                    denom = sum(t.get((sw, w), 0.0) for sw in s_all)
-                ll += math.log(denom) - math.log(len(s_all))
-                for sw in s_all:
-                    p = uniform if it == 0 else t.get((sw, w), 0.0)
-                    share = p / denom
-                    counts[(sw, w)] += share
-                    totals[sw] += share
-        history.append(ll)
-        t = {k: v / totals[k[0]] for k, v in counts.items() if totals[k[0]] > 0}
-    probs: dict[str, dict[str, float]] = defaultdict(dict)
-    for (sw, w), p in t.items():
-        if p > 0:
-            probs[sw][w] = p
-    return dict(probs), history
+        p = t[cell_pair]
+        denom = np.bincount(cell_col, weights=p)
+        history.append(float(np.log(denom).sum()) - log_prior)
+        counts = np.bincount(cell_pair, weights=p / denom[cell_col])
+        t = counts / np.bincount(pair_src, weights=counts)[pair_src]
+    src_words, tgt_words = list(src_vocab), list(tgt_vocab)
+    probs: dict[str, dict[str, float]] = {w: {} for w in src_words}
+    for key, p in zip(keys.tolist(), t.tolist()):
+        if p > 0.0:
+            probs[src_words[key // nt]][tgt_words[key % nt]] = p
+    return LexicalTable(probs, NULL_TOKEN if use_null else None), history
 
 
 @dataclass(frozen=True)

@@ -134,35 +134,10 @@ def _bias(alpha, y, G, C):
     return -float((ub + lb) / 2)
 
 
-def kkt_violation(K, y, alpha, C):
-    """m(a) - M(a), the maximal violating pair gap (0 when optimal)."""
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
-    Q = (y[:, None] * y[None, :]) * K
-    G = Q @ alpha - 1.0
-    neg_yG = -(y * G)
-    up = ((y > 0) & (alpha < C - _EPS)) | ((y < 0) & (alpha > _EPS))
-    low = ((y < 0) & (alpha < C - _EPS)) | ((y > 0) & (alpha > _EPS))
-    if not up.any() or not low.any():
-        return 0.0
-    return float(neg_yG[up].max() - neg_yG[low].min())
-
-
-def dual_objective(K, y, alpha):
-    """0.5 a'Qa - e'a (the minimized dual objective)."""
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
-    Q = (y[:, None] * y[None, :]) * K
-    return float(0.5 * alpha @ Q @ alpha - alpha.sum())
-
-
 @dataclass
 class SvmModel:
     w: np.ndarray
     b: float
-    alpha: np.ndarray
-    support_X: np.ndarray   # scaled training points
-    support_y: np.ndarray
     C: float
     mins: np.ndarray
     maxs: np.ndarray
@@ -171,7 +146,7 @@ class SvmModel:
     iterations: int = 0     # SMO iterations run; max_iter means it may have stopped at its cap
 
 
-def _encode_labels(labels):
+def _label_signs(labels):
     classes = sorted(set(labels))
     if len(classes) != 2:
         raise ValueError(f"need exactly two classes, got {classes}")
@@ -185,7 +160,7 @@ def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 2000
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature values")
-    y, pos, neg = _encode_labels(labels)
+    y, pos, neg = _label_signs(labels)
     if (y > 0).sum() == 0 or (y < 0).sum() == 0:
         raise ValueError("need at least one instance per class")
     mins, maxs = scale_fit(X)
@@ -193,7 +168,7 @@ def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 2000
     K = Xs @ Xs.T
     alpha, b, iterations = smo_solve(K, y, C, tol, max_iter)
     w = (alpha * y) @ Xs
-    return SvmModel(w, b, alpha, Xs, y, C, mins, maxs, pos, neg, iterations)
+    return SvmModel(w, b, C, mins, maxs, pos, neg, iterations)
 
 
 def predict(model: SvmModel, x):

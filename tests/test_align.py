@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter, defaultdict
 
@@ -22,6 +23,66 @@ from traitmt.align import (
 )
 
 CANONICAL = [(("a", "b"), ("x", "y")), (("a",), ("x",))]
+
+
+def reference_ibm1_em(pairs, iterations, use_null):
+    """IBM1 EM over dicts keyed by (source word, target word), summed in
+    corpus order; returns (probs, history)."""
+    pairs = [(tuple(s), tuple(t)) for s, t in pairs if s and t]
+    nt = len({w for _, t in pairs for w in t})
+    uniform = 1.0 / nt
+    t: dict[tuple[str, str], float] = {}
+    history = []
+    for it in range(iterations):
+        counts: dict[tuple[str, str], float] = defaultdict(float)
+        totals: dict[str, float] = defaultdict(float)
+        ll = 0.0
+        for s, tgt in pairs:
+            s_all = ((NULL_TOKEN,) if use_null else ()) + s
+            for w in tgt:
+                if it == 0:
+                    denom = uniform * len(s_all)
+                else:
+                    denom = sum(t.get((sw, w), 0.0) for sw in s_all)
+                ll += math.log(denom) - math.log(len(s_all))
+                for sw in s_all:
+                    p = uniform if it == 0 else t.get((sw, w), 0.0)
+                    share = p / denom
+                    counts[(sw, w)] += share
+                    totals[sw] += share
+        history.append(ll)
+        t = {k: v / totals[k[0]] for k, v in counts.items() if totals[k[0]] > 0}
+    probs: dict[str, dict[str, float]] = defaultdict(dict)
+    for (sw, w), p in t.items():
+        if p > 0:
+            probs[sw][w] = p
+    return dict(probs), history
+
+
+def assert_matches_reference_em(pairs, iterations, use_null):
+    """ibm1_em agrees with reference_ibm1_em to 1e-12 relative, and lists
+    sources, then each source's targets, in order of first occurrence.
+
+    A log-likelihood is a sum of log denominators minus the alignment
+    prior's sum of target length x log source length, and the two can
+    cancel to 0, so history values are compared to 1e-12 of the prior."""
+    table, history = ibm1_em(pairs, iterations=iterations, use_null=use_null)
+    ref_probs, ref_history = reference_ibm1_em(pairs, iterations, use_null)
+    assert len(history) == len(ref_history) == iterations
+    prior = sum(len(t) * math.log(len(s) + use_null) for s, t in pairs)
+    for got, want in zip(history, ref_history):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * prior), (got, want)
+    src_order = list(dict.fromkeys(([NULL_TOKEN] if use_null else [])
+                                   + [w for s, _ in pairs for w in s]))
+    tgt_index = {w: k for k, w in enumerate(dict.fromkeys(w for _, t in pairs for w in t))}
+    assert list(table.probs) == src_order
+    assert table.probs.keys() == ref_probs.keys()
+    for source, dist in table.probs.items():
+        assert list(dist) == sorted(dist, key=tgt_index.__getitem__)
+        assert dist.keys() == ref_probs[source].keys()
+        for target, p in dist.items():
+            assert math.isclose(p, ref_probs[source][target], rel_tol=1e-12), (source, target)
+    return table
 
 
 class TestIbm1:
@@ -61,23 +122,43 @@ class TestIbm1:
         for source, dist in table.probs.items():
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9), source
 
-    def test_dense_and_sparse_paths_agree(self, monkeypatch):
+    def test_matches_reference_em(self):
         rng = random.Random(1)
+        for case in range(100):
+            use_null = case % 2 == 0
+            # small vocabularies repeat words within a sentence on both sides
+            src_words = [f"s{i}" for i in range(rng.randint(1, 6))]
+            tgt_words = [f"t{i}" for i in range(rng.randint(1, 6))]
+            max_len = rng.choice((1, 3, 8))
+            pairs = [
+                (
+                    tuple(rng.choice(src_words) for _ in range(rng.randint(1, max_len))),
+                    tuple(rng.choice(tgt_words) for _ in range(rng.randint(1, max_len))),
+                )
+                for _ in range(rng.randint(1, 30))
+            ]
+            assert_matches_reference_em(pairs, rng.randint(1, 8), use_null)
+
+    def test_matches_reference_em_on_large_vocabularies(self):
+        # |Vs|.|Vt| beyond what a dense (source, target) table would hold
+        rng = random.Random(2)
+        src_words = [f"s{i}" for i in range(2100)]
+        tgt_words = [f"t{i}" for i in range(2100)]
         pairs = [
             (
-                tuple(rng.choice("abcde") for _ in range(rng.randint(1, 5))),
-                tuple(rng.choice("vwxyz") for _ in range(rng.randint(1, 5))),
+                tuple(rng.choice(src_words) for _ in range(rng.randint(1, 8))),
+                tuple(rng.choice(tgt_words) for _ in range(rng.randint(1, 8))),
             )
-            for _ in range(30)
+            for _ in range(3000)
         ]
-        dense_table, dense_hist = ibm1_em(pairs, iterations=6)
-        monkeypatch.setattr(align_mod, "_DENSE_LIMIT", 0)
-        sparse_table, sparse_hist = ibm1_em(pairs, iterations=6)
-        for a, b in zip(dense_hist, sparse_hist):
-            assert a == pytest.approx(b, abs=1e-9)
-        for source, dist in dense_table.probs.items():
-            for target, p in dist.items():
-                assert sparse_table.prob(target, source) == pytest.approx(p, abs=1e-9)
+        table = assert_matches_reference_em(pairs, 2, True)
+        n_targets = len({w for dist in table.probs.values() for w in dist})
+        assert len(table.probs) * n_targets > 4_000_000
+
+    def test_iterations_below_one_rejected(self):
+        for iterations in (0, -1):
+            with pytest.raises(ValueError):
+                ibm1_em(CANONICAL, iterations=iterations)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

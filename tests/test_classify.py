@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from traitmt.classify import (
+    _EPS,
     balance_classes,
     cross_validate,
-    dual_objective,
-    kkt_violation,
     predict,
     scale_apply,
     scale_fit,
@@ -18,6 +17,28 @@ from traitmt.classify import (
     vectors_to_matrix,
 )
 from traitmt.stylometry import FeatureVector
+
+
+def kkt_violation(K, y, alpha, C):
+    """m(a) - M(a), the maximal violating pair gap (0 when optimal)."""
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Q = (y[:, None] * y[None, :]) * K
+    G = Q @ alpha - 1.0
+    neg_yG = -(y * G)
+    up = ((y > 0) & (alpha < C - _EPS)) | ((y < 0) & (alpha > _EPS))
+    low = ((y < 0) & (alpha < C - _EPS)) | ((y > 0) & (alpha > _EPS))
+    if not up.any() or not low.any():
+        return 0.0
+    return float(neg_yG[up].max() - neg_yG[low].min())
+
+
+def dual_objective(K, y, alpha):
+    """0.5 a'Qa - e'a (the minimized dual objective)."""
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Q = (y[:, None] * y[None, :]) * K
+    return float(0.5 * alpha @ Q @ alpha - alpha.sum())
 
 
 def qp_oracle(K, y, C):
@@ -171,9 +192,13 @@ class TestPredict:
         X = np.vstack([rng.normal(2, 1.0, (30, 2)), rng.normal(-2, 1.0, (30, 2))])
         labels = ["A"] * 30 + ["B"] * 30
         model = train_svm(X, labels, C=1.0, tol=1e-6)
-        free = (model.alpha > 1e-8) & (model.alpha < 1.0 - 1e-8)
+        Xs = scale_apply(X, model.mins, model.maxs)
+        y = np.where(np.array(labels) == model.pos_label, 1.0, -1.0)
+        alpha, _, _ = smo_solve(Xs @ Xs.T, y, C=1.0, tol=1e-6)
+        np.testing.assert_array_equal((alpha * y) @ Xs, model.w)
+        free = (alpha > 1e-8) & (alpha < 1.0 - 1e-8)
         assert free.any()
-        margins = model.support_X @ model.w + model.b
+        margins = Xs @ model.w + model.b
         np.testing.assert_allclose(np.abs(margins[free]), 1.0, atol=1e-3)
 
     def test_dimension_mismatch(self):
