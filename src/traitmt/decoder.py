@@ -6,11 +6,13 @@ block per phrase table (absent blocks filled with a floor constant) plus a
 presence indicator per block, one feature per language model, word and
 phrase penalties, and the distance-based distortion total.  Hypotheses are
 recombined on (coverage, last position, LM states); stacks are organized
-by covered-word count with histogram pruning.  Expansions that histogram
-pruning would drop are rejected before they are stored, exactly: the
-search gives the same n-best lists as sorting and cutting full stacks.
-The rejection test runs before any LM query only when every LM weight is
->= 0 and no LM stores a positive log10 probability or backoff weight.
+by covered-word count with histogram pruning.  A stack ranks on a strict
+total order, so which hypotheses survive a cut does not depend on the
+order in which they were reached.  Expansions that histogram pruning
+would drop are rejected before they are stored, exactly: the search gives
+the same n-best lists as sorting and cutting full stacks.  The rejection
+test runs before any LM query only when every LM weight is >= 0 and no LM
+stores a positive log10 probability or backoff weight.
 """
 
 from __future__ import annotations
@@ -89,14 +91,19 @@ def write_weights(weights, layout: FeatureLayout, path) -> None:
 
 
 def read_weights(path, layout: FeatureLayout) -> np.ndarray:
+    """Read `name value` lines; a malformed line raises ValueError naming
+    `path:line`."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            name, value = line.rsplit(" ", 1)
-            values[name] = float(value)
+            try:
+                name, value = line.rsplit(" ", 1)
+                values[name] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'name value', got {line!r}") from None
     names = layout.names()
     missing = [n for n in names if n not in values]
     if missing:
@@ -148,11 +155,13 @@ def build_options(sentence, tables, floor: float = DEFAULT_FLOOR,
             found = []
             for k, table in enumerate(tables):
                 for tgt, scores in table.lookup(phrase).items():
+                    tgt = tuple(tgt)
                     feats = _static_features(layout, span, tgt, k, scores, floor)
-                    found.append(TranslationOption(span, tuple(tgt), tuple(feats), k))
+                    found.append(((-float(weights @ feats), tgt),
+                                  TranslationOption(span, tgt, tuple(feats), k)))
             if found:
-                found.sort(key=lambda o: (-float(weights @ np.array(o.features)), o.tgt))
-                options[span] = found[:cap]
+                found.sort(key=lambda f: f[0])
+                options[span] = [opt for _, opt in found[:cap]]
     for i, word in enumerate(sentence):
         span = (i, i + 1)
         if span not in options:
@@ -232,7 +241,10 @@ _VALUE, _SCORE, _TARGET, _PARENT = 0, 1, 2, 6
 
 
 def _rank(hyp):
-    return (-hyp[_VALUE], hyp[_TARGET])
+    """Stack order: highest score + future cost first, then target string,
+    then the recombination key (coverage, last_end, lm_states), which is
+    unique within a stack."""
+    return (-hyp[_VALUE], hyp[_TARGET]) + hyp[3:6]
 
 
 def _reconstruct_features(hyp, layout: FeatureLayout) -> np.ndarray:
@@ -253,10 +265,11 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
     """Beam-stack decoding; returns the n-best list of DecodeResult.
 
     stack_size <= 0 disables pruning (exhaustive up to recombination).
-    A stack ranks its hypotheses on (score + future cost, target string),
-    then on the order in which their recombination keys were first
-    reached; the n-best list ranks on (score, target string).  Decoding is
-    deterministic.
+    A stack ranks its hypotheses on (score + future cost, target string,
+    coverage, last position, LM states).  The last three form the
+    recombination key, so the order is total and a cut does not depend on
+    the order of expansion.  The n-best list ranks on (score, target
+    string).  Decoding is deterministic.
 
     Expansions that histogram pruning would drop are rejected before a
     hypothesis is built, and the result is exactly that of storing every
@@ -270,9 +283,11 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
       backoff weight above 0, every LM term is <= 0, so the static part of
       the score is an upper bound and the same test runs before any LM
       query.  Otherwise it runs only after LM scoring.
-    - A rejected expansion may have been the first to reach its key.  So
-      where two hypotheses tie in a stack that rejected some, the first
-      expansion into each key is found again from the earlier stacks.
+    - Each span's options are tried highest static score first, so once
+      one fails the test before LM scoring, the rest of the span does too.
+      The sort is stable: options with equal static scores keep their
+      order, and where two of them from one parent recombine on equal
+      score and target, the first in `options` wins.
     """
     sentence = tuple(sentence)
     if not sentence:
@@ -288,22 +303,20 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
     fc = _future_costs(options, weighted, lm_weights, lms, n)
     lm_lowers = all(w >= 0 for w in lm_weights) and all(lm.log10_nonpositive for lm in lms)
 
-    # per last_end, the spans within the distortion limit in option order,
-    # each with its options, their static scores, and whether those scores
-    # never rise along the list
+    # per last_end, the spans within the distortion limit in the order of
+    # options, each with its (option, static score) pairs, highest static
+    # score first
     spans = []
     for (start, end), opts in options.items():
-        ws = weighted[(start, end)]
-        descending = all(a >= b for a, b in zip(ws, ws[1:]))
-        spans.append((start, end, ((1 << (end - start)) - 1) << start,
-                      list(zip(opts, ws)), descending))
+        choices = sorted(zip(opts, weighted[(start, end)]), key=lambda c: -c[1])
+        spans.append((start, end, ((1 << (end - start)) - 1) << start, choices))
     reachable = []
     for last_end in range(n + 1):
         row = []
-        for start, end, mask, choices, descending in spans:
+        for start, end, mask, choices in spans:
             jump = abs(start - last_end)
             if distortion_limit < 0 or jump <= distortion_limit:
-                row.append((mask, end, end - start, jump, dist_weight * jump, choices, descending))
+                row.append((mask, end, end - start, jump, dist_weight * jump, choices))
         reachable.append(row)
 
     futures: dict = {}
@@ -321,52 +334,21 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
     initial = (_coverage_future(fc, 0, n), 0.0, (), 0, 0, init_states, None, None, 0, ())
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, init_states)] = initial
-    kept: list[list] = []  # per expanded stack, its hypotheses in rank order
     # per pruned stack: a min-heap of the stack_size largest values its keys
     # had when first stored, and its least element once full (else -inf)
     floors = [-math.inf] * (n + 1)
     heaps: list[list] = [[] for _ in range(n)] if stack_size > 0 else []
 
-    def first_expansion(key, covered):
-        """Position, in expansion order, of the first expansion that
-        reaches key in stack covered: (stack, rank, span, option)."""
-        coverage, end, states = key
-        for source in range(covered):
-            for rank, parent in enumerate(kept[source]):
-                _, _, _, p_coverage, p_end, p_states, _, _, _, _ = parent
-                if p_coverage | coverage != coverage:
-                    continue
-                mask = coverage ^ p_coverage
-                for pos, (span_mask, span_end, _, _, _, choices, _) in enumerate(reachable[p_end]):
-                    if span_mask == mask and span_end == end:
-                        for i, (opt, _) in enumerate(choices):
-                            if states == tuple(phrase_lm(k, p_states[k], opt.tgt)[1]
-                                               for k in range(len(lms))):
-                                return (source, rank, pos, i)
-
-    def ranked(covered):
-        stack = stacks[covered]
-        if stack_size <= 0:
-            return sorted(stack.values(), key=_rank)
-        if floors[covered] == -math.inf:  # nothing was rejected
-            return heapq.nsmallest(stack_size, stack.values(), key=_rank)
-        hyps = heapq.nsmallest(stack_size + 1, stack.values(), key=_rank)
-        ranks = [_rank(h) for h in hyps]
-        tied = {a for a, b in zip(ranks, ranks[1:]) if a == b}
-        if not tied:
-            return hyps[:stack_size]
-        first = {key: first_expansion(key, covered)
-                 for key, hyp in stack.items() if _rank(hyp) in tied}
-        return [hyp for _, hyp in heapq.nsmallest(
-            stack_size, stack.items(), key=lambda kv: (_rank(kv[1]), first.get(kv[0], ())))]
-
     full_mask = (1 << n) - 1
     for covered in range(n):
-        hyps = ranked(covered)
-        kept.append(hyps)
+        stack = stacks[covered].values()
+        if stack_size <= 0:
+            hyps = sorted(stack, key=_rank)
+        else:
+            hyps = heapq.nsmallest(stack_size, stack, key=_rank)
         for hyp in hyps:
             _, h_score, h_target, h_coverage, h_end, h_states, _, _, _, _ = hyp
-            for mask, end, length, jump, dist_cost, choices, descending in reachable[h_end]:
+            for mask, end, length, jump, dist_cost, choices in reachable[h_end]:
                 if h_coverage & mask:
                     continue
                 coverage = h_coverage | mask
@@ -381,9 +363,7 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
                 for opt, w_static in choices:
                     score = base + w_static
                     if lm_lowers and score + future < floor:
-                        if descending:
-                            break
-                        continue
+                        break
                     new_states = []
                     lm_scores = []
                     for k in range(len(lms)):

@@ -228,44 +228,48 @@ def write_arpa(model: NgramLanguageModel, path) -> None:
 
 
 def read_arpa(path) -> NgramLanguageModel:
+    """Read an ARPA file; a malformed line raises ValueError naming
+    `path:line`."""
     probs: dict[int, dict] = {}
     bows: dict[tuple, float] = {}
     declared: dict[int, int] = {}
     order = 0
     with open(path, encoding="utf-8") as fh:
         section = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line or line == "\\data\\":
+            if not line.strip() or line == "\\data\\":
                 continue
             if line == "\\end\\":
                 break
-            if line.startswith("ngram "):
-                k_s, n_s = line[len("ngram "):].split("=")
-                declared[int(k_s)] = int(n_s)
-                order = max(order, int(k_s))
-                continue
-            if line.startswith("\\") and line.endswith("-grams:"):
-                section = int(line[1:].split("-")[0])
-                probs.setdefault(section, {})
-                continue
-            if section is None:
-                raise ValueError(f"{path}: entry outside any n-gram section: {line!r}")
-            fields = line.split("\t")
-            if len(fields) == 1:
-                fields = line.split()
-                gram = tuple(fields[1: 1 + section])
-                logp = float(fields[0])
-                bow = float(fields[1 + section]) if len(fields) > 1 + section else None
-            else:
-                logp = float(fields[0])
-                gram = tuple(fields[1].split(" "))
-                bow = float(fields[2]) if len(fields) > 2 else None
-            if len(gram) != section:
-                raise ValueError(f"{path}: bad {section}-gram line {line!r}")
-            probs[section][gram] = logp
-            if bow is not None:
-                bows[gram] = bow
+            try:
+                if line.startswith("ngram "):
+                    k_s, n_s = line[len("ngram "):].split("=")
+                    declared[int(k_s)] = int(n_s)
+                    order = max(order, int(k_s))
+                elif line.startswith("\\") and line.endswith("-grams:"):
+                    section = int(line[1:].split("-")[0])
+                    probs.setdefault(section, {})
+                elif section is None:
+                    raise ValueError(f"entry outside any n-gram section: {line!r}")
+                else:
+                    fields = line.split("\t")
+                    if len(fields) == 1:
+                        fields = line.split()
+                        gram = tuple(fields[1: 1 + section])
+                        logp = float(fields[0])
+                        bow = float(fields[1 + section]) if len(fields) > 1 + section else None
+                    else:
+                        logp = float(fields[0])
+                        gram = tuple(fields[1].split(" "))
+                        bow = float(fields[2]) if len(fields) > 2 else None
+                    if len(gram) != section:
+                        raise ValueError(f"bad {section}-gram line {line!r}")
+                    probs[section][gram] = logp
+                    if bow is not None:
+                        bows[gram] = bow
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     for k, n in declared.items():
         if len(probs.get(k, {})) != n:
             raise ValueError(f"{path}: declared {n} {k}-grams, found {len(probs.get(k, {}))}")

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -92,7 +93,10 @@ class RefHypothesis:
     lm_scores: tuple
 
     def sort_key(self):
-        return (-(self.score + self.future), self.target)
+        # a strict total order: (coverage, last_end, lm_states) is the
+        # recombination key, unique within a stack
+        return (-(self.score + self.future), self.target,
+                self.coverage, self.last_end, self.lm_states)
 
 
 def reference_beam_decode(sentence, options, weights, lms, stack_size=100,
@@ -222,6 +226,19 @@ def assert_same_nbest(got, want):
         assert np.array_equal(g.features, w.features)
 
 
+def assert_option_order_free(sentence, options, weights, lms, **kwargs):
+    """decode matches the reference beam on the options as given and with
+    every span's list reversed, and the reversal moves no n-best target or
+    score."""
+    flipped = {span: opts[::-1] for span, opts in options.items()}
+    got = decode(sentence, options, weights, lms, **kwargs)
+    assert_same_nbest(got, reference_beam_decode(sentence, options, weights, lms, **kwargs))
+    got_flipped = decode(sentence, flipped, weights, lms, **kwargs)
+    assert_same_nbest(got_flipped,
+                      reference_beam_decode(sentence, flipped, weights, lms, **kwargs))
+    assert [(r.target, r.score) for r in got_flipped] == [(r.target, r.score) for r in got]
+
+
 class TestBuildOptions:
     def test_indicator_block_placement(self):
         empty = table_from({})
@@ -326,9 +343,11 @@ class TestDecode:
         # sentences long enough to fill the stacks, so that expansions are
         # rejected against full stacks.  A negative LM weight or positive
         # backoff weights disable the rejection before LM scoring; uniform
-        # tables force exact ties, and zero LM weights ties at the rejection
-        # threshold; options built under other weights are not in
-        # static-score order.
+        # tables force exact ties, which the stacks break on the
+        # recombination key, and zero LM weights ties at the rejection
+        # threshold; options built under other weights, or reversed, reach
+        # decode out of static-score order, and decode must sort them
+        # before its rejection may stop a span early.
         rng = random.Random(1000 * stack_size + distortion_limit)
         src_words = ["a", "b", "c", "d"]
         tgt_words = ["w", "x", "y", "z"]
@@ -367,18 +386,19 @@ class TestDecode:
             kwargs = dict(stack_size=stack_size, distortion_limit=distortion_limit,
                           layout=layout, nbest_size=10)
             try:
-                want = reference_beam_decode(sentence, options, weights, lms, **kwargs)
+                reference_beam_decode(sentence, options, weights, lms, **kwargs)
             except RuntimeError:
                 with pytest.raises(RuntimeError):
                     decode(sentence, options, weights, lms, **kwargs)
                 continue
-            assert_same_nbest(decode(sentence, options, weights, lms, **kwargs), want)
+            assert_option_order_free(sentence, options, weights, lms, **kwargs)
 
-    def test_rejected_first_expansion_still_orders_ties(self):
+    def test_ties_rank_on_recombination_key(self):
         # only the unigram LM counts, so hypotheses over different "a"s tie
-        # on value and target; the stack must rank tied keys in the order
-        # they were first reached, also where the expansion that first
-        # reached a key was rejected against the full stack
+        # on value and target.  A stack ranks tied hypotheses on their
+        # recombination keys, so the cut does not depend on which
+        # expansion reached a key first, also where that expansion was
+        # rejected against the full stack
         u = (0.5,) * 4
         table = table_from({"a": {"w w": u, "z x": u}, "a a": {"x": u, "x w": u}})
         lms = [make_lm([("z", "w", "x")], order=2), make_lm([("w", "w", "w"), ("y",)], order=1)]
@@ -387,9 +407,26 @@ class TestDecode:
         weights[layout.lm_feature(1)] = 1.0
         sentence = ("a", "a", "a")
         options = build_options(sentence, [table], layout=layout, weights=weights)
-        kwargs = dict(stack_size=2, distortion_limit=3, layout=layout, nbest_size=5)
-        assert_same_nbest(decode(sentence, options, weights, lms, **kwargs),
-                          reference_beam_decode(sentence, options, weights, lms, **kwargs))
+        assert_option_order_free(sentence, options, weights, lms, stack_size=2,
+                                 distortion_limit=3, layout=layout, nbest_size=5)
+
+    def test_equal_static_scores_keep_option_order(self):
+        # the same pair in two tables scores the same under equal block
+        # weights, and both options recombine on equal score and target:
+        # the derivation through the first option in `options` is kept
+        t = table_from({"a": {"x": (1.0,) * 4}, "b": {"y": (1.0,) * 4}})
+        lm = make_lm()
+        layout = FeatureLayout(2, 1)
+        weights = layout.default_weights()
+        sentence = ("a", "b")
+        options = build_options(sentence, [t, t], layout=layout, weights=weights)
+        assert [o.table_id for o in options[(0, 1)]] == [0, 1]
+        for stack_size in (0, 1):
+            kwargs = dict(stack_size=stack_size, layout=layout, nbest_size=3)
+            got = decode(sentence, options, weights, [lm], **kwargs)
+            assert_same_nbest(got, reference_beam_decode(sentence, options, weights, [lm],
+                                                         **kwargs))
+            assert got[0].features[layout.indicator(0)] == 2.0
 
     def test_monotone_toy_grammar(self):
         # unique best path through a grammar with one option per word
@@ -473,6 +510,18 @@ class TestWeightsIo:
         path.write_text("pt0.phi_fwd 1.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_weights(path, layout)
+
+    def test_line_without_value_rejected(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("pt0.phi_fwd 1.0\n\npt0.lex_fwd\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: "):
+            read_weights(path, FeatureLayout(1, 1))
+
+    def test_value_not_a_float_rejected(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("pt0.phi_fwd 1.0\npt0.lex_fwd one\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "):
+            read_weights(path, FeatureLayout(1, 1))
 
     def test_nbest_format(self):
         layout = FeatureLayout(1, 1)

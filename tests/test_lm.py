@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -156,6 +157,34 @@ class TestArpaRoundTrip:
             "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3\ta\n\n\\end\\\n", encoding="utf-8"
         )
         with pytest.raises(ValueError):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("bad_line, lineno", [
+        ("xx\tb", 6),           # log-prob not a float
+        ("-0.2\tb\tyy", 6),     # backoff weight not a float
+        ("-0.2\tb c", 6),       # a 2-gram among the 1-grams
+        ("-0.2", 6),            # no word
+        ("ngram 2", 2),         # header without a count
+    ])
+    def test_malformed_line_named(self, tmp_path, bad_line, lineno):
+        lines = ["\\data\\", "ngram 1=2", "", "\\1-grams:", "-0.3\ta", "-0.2\tb", "",
+                 "\\end\\"]
+        lines[lineno - 1] = bad_line
+        path = tmp_path / "bad.arpa"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+            read_arpa(path)
+
+    def test_whitespace_only_line_is_blank(self, tmp_path):
+        path = tmp_path / "model.arpa"
+        path.write_text("\\data\\\nngram 1=1\n \t\n\\1-grams:\n-0.3\ta\n\\end\\\n",
+                        encoding="utf-8")
+        assert read_arpa(path).probs[1] == {("a",): -0.3}
+
+    def test_entry_outside_section_named(self, tmp_path):
+        path = tmp_path / "bad.arpa"
+        path.write_text("\\data\\\nngram 1=1\n-0.3\ta\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: entry outside"):
             read_arpa(path)
 
 
