@@ -1,11 +1,15 @@
 """Linear SVM trained by sequential minimal optimization, with stratified
 cross-validation and class balancing.
 
-The solver works on the dual problem
+The solver works on the SVM dual in signed variables beta = y * alpha
+(Bottou & Lin 2007, "Support Vector Machine Solvers"):
 
-    min 0.5 a'Qa - e'a   s.t.  y'a = 0,  0 <= a <= C,   Q_ij = y_i y_j x_i.x_j
+    max y'beta - 0.5 beta'K beta   s.t.  sum(beta) = 0,
+                                         min(0, C y_i) <= beta_i <= max(0, C y_i)
 
-using maximal-KKT-violating-pair working set selection.  Features are
+Each step moves the maximal KKT-violating pair (the working set selection
+of Fan, Chen & Lin 2005 / LIBSVM) along beta_i += t, beta_j -= t and clips
+to the box, so one update rule covers both label-sign cases.  Features are
 min-max scaled to [0,1] with statistics from the training set; the scaling
 is stored on the model and applied again at prediction time.
 """
@@ -39,99 +43,57 @@ def smo_solve(K, y, C: float, tol: float = 1e-3, max_iter: int = 200000):
     """Maximal-violating-pair SMO on a precomputed kernel matrix.
 
     Returns (alpha, b, iterations).  Convergence means the maximal KKT
-    violation m(a) - M(a) dropped to tol or below.
+    violation, the largest g = y - K beta over the variables that can rise
+    minus the smallest over those that can fall, dropped to tol or below.
     """
+    if not C > 0:
+        raise ValueError(f"C must be > 0, got {C}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    Q = (y[:, None] * y[None, :]) * K
-    alpha = np.zeros(n)
-    G = -np.ones(n)  # gradient of the dual objective at alpha = 0
-    iterations = 0
+    A = np.minimum(0.0, C * y)  # beta's box: A <= beta <= B
+    B = np.maximum(0.0, C * y)
+    can_rise, can_fall = B - _EPS, A + _EPS
+    beta = np.zeros(len(y))
+    g = y.copy()  # y - K beta
     for iterations in range(1, max_iter + 1):
-        yG = y * G
-        up = ((y > 0) & (alpha < C - _EPS)) | ((y < 0) & (alpha > _EPS))
-        low = ((y < 0) & (alpha < C - _EPS)) | ((y > 0) & (alpha > _EPS))
-        if not up.any() or not low.any():
+        g_up = np.where(beta < can_rise, g, -np.inf)
+        g_low = np.where(beta > can_fall, g, np.inf)
+        i = int(np.argmax(g_up))
+        j = int(np.argmin(g_low))
+        gap = g_up[i] - g_low[j]
+        if gap <= tol:
             break
-        neg_yG = -yG
-        i = int(np.flatnonzero(up)[np.argmax(neg_yG[up])])
-        j = int(np.flatnonzero(low)[np.argmin(neg_yG[low])])
-        if neg_yG[i] - neg_yG[j] <= tol:
-            break
-        old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            quad = Q[i, i] + Q[j, j] + 2 * Q[i, j]
-            if quad <= 0:
-                quad = _EPS
-            delta = (-G[i] - G[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
-            if diff > 0:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = C - diff
-            else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = C + diff
-        else:
-            quad = Q[i, i] + Q[j, j] - 2 * Q[i, j]
-            if quad <= 0:
-                quad = _EPS
-            delta = (G[i] - G[j]) / quad
-            total = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
-            if total > C:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = total - C
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = total - C
-            else:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
-        d_i, d_j = alpha[i] - old_i, alpha[j] - old_j
-        G += Q[:, i] * d_i + Q[:, j] * d_j
-    b = _bias(alpha, y, G, C)
-    return alpha, b, iterations
-
-
-def _bias(alpha, y, G, C):
-    yG = y * G
-    free = (alpha > _EPS) & (alpha < C - _EPS)
+        quad = K[i, i] + K[j, j] - 2 * K[i, j]
+        if quad <= 0:
+            quad = _EPS
+        step = gap / quad
+        old_i, old_j = beta[i], beta[j]
+        total = old_i + old_j
+        beta[i] = old_i + step
+        beta[j] = old_j - step
+        # Clip at the box edge that the line beta_i + beta_j = total meets
+        # first: i's upper bound or j's lower bound.  On the corner itself
+        # a rounded step can cross one bound and not the other; i is checked
+        # when B_i is 0 and j otherwise, as `reference_smo_solve` does.
+        corner = B[i] + A[j]
+        if total > corner or (total == corner and B[i] == 0):
+            if beta[i] > B[i]:
+                beta[i], beta[j] = B[i], total - B[i]
+        elif beta[j] < A[j]:
+            beta[i], beta[j] = total - A[j], A[j]
+        g -= K[:, i] * (beta[i] - old_i) + K[:, j] * (beta[j] - old_j)
+    up, low = beta < can_rise, beta > can_fall
+    free = up & low
     if free.any():
-        return -float(yG[free].mean())
-    ub, lb = np.inf, -np.inf
-    for t in range(len(y)):
-        if alpha[t] >= C - _EPS:
-            if y[t] < 0:
-                ub = min(ub, yG[t])
-            else:
-                lb = max(lb, yG[t])
-        else:
-            if y[t] > 0:
-                ub = min(ub, yG[t])
-            else:
-                lb = max(lb, yG[t])
-    if not np.isfinite(ub):
-        ub = lb
-    if not np.isfinite(lb):
-        lb = ub
-    return -float((ub + lb) / 2)
+        b = float(g[free].mean())
+    else:  # midpoint of the largest g at a lower bound and the smallest at an upper one
+        ends = np.array([g[~low].max(initial=-np.inf), g[~up].min(initial=np.inf)])
+        b = float(ends[np.isfinite(ends)].mean())
+    return y * beta, b, iterations
 
 
 @dataclass

@@ -91,8 +91,9 @@ def write_weights(weights, layout: FeatureLayout, path) -> None:
 
 
 def read_weights(path, layout: FeatureLayout) -> np.ndarray:
-    """Read `name value` lines; a malformed line raises ValueError naming
-    `path:line`."""
+    """Read `name value` lines; a malformed line, a name the layout does
+    not have or a repeated name raises ValueError naming `path:line`."""
+    names = layout.names()
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -101,10 +102,14 @@ def read_weights(path, layout: FeatureLayout) -> np.ndarray:
                 continue
             try:
                 name, value = line.rsplit(" ", 1)
-                values[name] = float(value)
+                value = float(value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'name value', got {line!r}") from None
-    names = layout.names()
+            if name not in names:
+                raise ValueError(f"{path}:{lineno}: unknown weight {name!r}")
+            if name in values:
+                raise ValueError(f"{path}:{lineno}: repeated weight {name!r}")
+            values[name] = value
     missing = [n for n in names if n not in values]
     if missing:
         raise ValueError(f"{path}: missing weights for {missing}")

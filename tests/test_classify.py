@@ -88,6 +88,103 @@ def qp_oracle(K, y, C):
     return best, best_alpha
 
 
+def reference_smo_solve(K, y, C: float, tol: float = 1e-3, max_iter: int = 200000):
+    """Maximal-violating-pair SMO in the unsigned variables alpha, with one
+    update per label-sign case; returns (alpha, b, iterations).  The
+    library's signed-variable solver must reproduce it bit for bit."""
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    Q = (y[:, None] * y[None, :]) * K
+    alpha = np.zeros(n)
+    G = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        yG = y * G
+        up = ((y > 0) & (alpha < C - _EPS)) | ((y < 0) & (alpha > _EPS))
+        low = ((y < 0) & (alpha < C - _EPS)) | ((y > 0) & (alpha > _EPS))
+        if not up.any() or not low.any():
+            break
+        neg_yG = -yG
+        i = int(np.flatnonzero(up)[np.argmax(neg_yG[up])])
+        j = int(np.flatnonzero(low)[np.argmin(neg_yG[low])])
+        if neg_yG[i] - neg_yG[j] <= tol:
+            break
+        old_i, old_j = alpha[i], alpha[j]
+        if y[i] != y[j]:
+            quad = Q[i, i] + Q[j, j] + 2 * Q[i, j]
+            if quad <= 0:
+                quad = _EPS
+            delta = (-G[i] - G[j]) / quad
+            diff = alpha[i] - alpha[j]
+            alpha[i] += delta
+            alpha[j] += delta
+            if diff > 0:
+                if alpha[j] < 0:
+                    alpha[j] = 0.0
+                    alpha[i] = diff
+                if alpha[i] > C:
+                    alpha[i] = C
+                    alpha[j] = C - diff
+            else:
+                if alpha[i] < 0:
+                    alpha[i] = 0.0
+                    alpha[j] = -diff
+                if alpha[j] > C:
+                    alpha[j] = C
+                    alpha[i] = C + diff
+        else:
+            quad = Q[i, i] + Q[j, j] - 2 * Q[i, j]
+            if quad <= 0:
+                quad = _EPS
+            delta = (G[i] - G[j]) / quad
+            total = alpha[i] + alpha[j]
+            alpha[i] -= delta
+            alpha[j] += delta
+            if total > C:
+                if alpha[i] > C:
+                    alpha[i] = C
+                    alpha[j] = total - C
+                if alpha[j] > C:
+                    alpha[j] = C
+                    alpha[i] = total - C
+            else:
+                if alpha[j] < 0:
+                    alpha[j] = 0.0
+                    alpha[i] = total
+                if alpha[i] < 0:
+                    alpha[i] = 0.0
+                    alpha[j] = total
+        d_i, d_j = alpha[i] - old_i, alpha[j] - old_j
+        G += Q[:, i] * d_i + Q[:, j] * d_j
+    b = reference_bias(alpha, y, G, C)
+    return alpha, b, iterations
+
+
+def reference_bias(alpha, y, G, C):
+    yG = y * G
+    free = (alpha > _EPS) & (alpha < C - _EPS)
+    if free.any():
+        return -float(yG[free].mean())
+    ub, lb = np.inf, -np.inf
+    for t in range(len(y)):
+        if alpha[t] >= C - _EPS:
+            if y[t] < 0:
+                ub = min(ub, yG[t])
+            else:
+                lb = max(lb, yG[t])
+        else:
+            if y[t] > 0:
+                ub = min(ub, yG[t])
+            else:
+                lb = max(lb, yG[t])
+    if not np.isfinite(ub):
+        ub = lb
+    if not np.isfinite(lb):
+        lb = ub
+    return -float((ub + lb) / 2)
+
+
 class TestSmoCore:
     def test_two_symmetric_points_analytic(self):
         X = np.array([[1.0], [-1.0]])
@@ -173,6 +270,82 @@ class TestSmoCore:
         assert 1 < full.iterations < 200000
         capped = train_svm(X, labels, C=1.0, max_iter=1)
         assert capped.iterations == 1
+
+    def test_matches_reference_smo(self):
+        rng = np.random.default_rng(31)
+        capped_without_free = 0
+        for case in range(1200):
+            max_iter = int(rng.choice([1, 2, 5, 50, 200000]))
+            asymmetric = case % 40 == 1
+            if asymmetric:
+                max_iter = min(max_iter, 50)
+            if max_iter < 200000:
+                C = float(rng.choice([0.01, 0.1, 1.0, 10.0, 1000.0]))
+                tol = float(rng.choice([0.0, 1e-8, 1e-3]))
+                n = int(rng.integers(2, 61))
+            else:
+                # solves to convergence: C = 1000 or tol = 0 can take the
+                # whole default cap, and C = 10 thousands of iterations
+                C = float(rng.choice([0.01, 0.1, 1.0, 10.0]))
+                tol = float(rng.choice([1e-8, 1e-3]))
+                n = int(rng.integers(2, 21 if C == 10.0 else 61))
+            X = rng.normal(size=(n, int(rng.integers(1, 6))))
+            if case % 3 == 0:
+                X = np.round(X)  # tied gradients and all-zero kernel rows
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            y[rng.choice(n, 2, replace=False)] = (1.0, -1.0)
+            K = X @ X.T
+            if asymmetric:
+                K += 0.1 * rng.normal(size=K.shape)
+            kwargs = {} if max_iter == 200000 else {"max_iter": max_iter}
+            alpha, b, iterations = smo_solve(K, y, C, tol, **kwargs)
+            ref_alpha, ref_b, ref_iterations = reference_smo_solve(K, y, C, tol, **kwargs)
+            assert np.array_equal(alpha, ref_alpha), case
+            assert b == ref_b, case
+            assert iterations == ref_iterations, case
+            if iterations == max_iter and not ((alpha > _EPS) & (alpha < C - _EPS)).any():
+                capped_without_free += 1
+        assert capped_without_free > 0
+
+    @pytest.mark.parametrize("K, y, C", [
+        # a step from the corner beta_i + beta_j = B_i + A_j whose rounding
+        # crosses one bound but not the other: y_i = y_j = +1 ...
+        ([[-0.25, 0.9999999999999991, -0.75],
+          [-2.0, -1.9999999999999973, -0.75],
+          [-1.75, 1.75, -0.2499999999999991]], [1.0, -1.0, 1.0], 2.0),
+        # ... and y_i = y_j = -1 (found by random search over such K)
+        ([[0.25, -0.7499999999999991, 1.0000000000000009, 1.25],
+          [-2.0, 0.5, -2.0, 1.25],
+          [1.4999999999999991, -2.0000000000000027, 1.5, 1.75],
+          [0.75, 0.75, -0.5, 0.75]], [1.0, -1.0, -1.0, 1.0], 2.0),
+    ])
+    def test_matches_reference_smo_on_box_corner(self, K, y, C):
+        K, y = np.array(K), np.array(y)
+        for max_iter in (3, 4, 8):
+            alpha, b, iterations = smo_solve(K, y, C, 0.0, max_iter)
+            ref_alpha, ref_b, ref_iterations = reference_smo_solve(K, y, C, 0.0, max_iter)
+            assert np.array_equal(alpha, ref_alpha)
+            assert (b, iterations) == (ref_b, ref_iterations)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_nonpositive_C_rejected(self, C):
+        X = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+        with pytest.raises(ValueError, match="C must be > 0"):
+            train_svm(X, ["A", "B", "A", "B"], C=C)
+        with pytest.raises(ValueError, match="C must be > 0"):
+            smo_solve(X @ X.T, np.array([1.0, -1.0, 1.0, -1.0]), C)
+
+    def test_negative_tol_rejected(self):
+        X = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            train_svm(X, ["A", "B", "A", "B"], tol=-1e-3)
+
+    def test_zero_max_iter_rejected(self):
+        X = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            train_svm(X, ["A", "B", "A", "B"], max_iter=0)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            smo_solve(X @ X.T, np.array([1.0, -1.0, 1.0, -1.0]), 1.0, max_iter=0)
 
 
 class TestPredict:

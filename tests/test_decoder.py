@@ -523,6 +523,22 @@ class TestWeightsIo:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "):
             read_weights(path, FeatureLayout(1, 1))
 
+    def test_unknown_weight_rejected(self, tmp_path):
+        # a two-table, two-LM file read with a one-table, one-LM layout
+        path = tmp_path / "weights.txt"
+        write_weights(np.ones(FeatureLayout(2, 2).dimension), FeatureLayout(2, 2), path)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:6: unknown weight 'pt1.phi_fwd'"):
+            read_weights(path, FeatureLayout(1, 1))
+
+    def test_repeated_weight_rejected(self, tmp_path):
+        layout = FeatureLayout(1, 1)
+        path = tmp_path / "weights.txt"
+        write_weights(np.ones(layout.dimension), layout, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("lm0 -2.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:10: repeated weight 'lm0'"):
+            read_weights(path, layout)
+
     def test_nbest_format(self):
         layout = FeatureLayout(1, 1)
         from traitmt.decoder import DecodeResult
