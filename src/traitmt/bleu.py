@@ -8,6 +8,7 @@ selections without re-counting n-grams.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,13 +22,19 @@ class BleuStats:
     cand_len: int
     ref_len: int
 
-    def __add__(self, other: "BleuStats") -> "BleuStats":
+    def _combine(self, other: "BleuStats", op) -> "BleuStats":
         return BleuStats(
-            tuple(a + b for a, b in zip(self.matches, other.matches)),
-            tuple(a + b for a, b in zip(self.totals, other.totals)),
-            self.cand_len + other.cand_len,
-            self.ref_len + other.ref_len,
+            tuple(map(op, self.matches, other.matches)),
+            tuple(map(op, self.totals, other.totals)),
+            op(self.cand_len, other.cand_len),
+            op(self.ref_len, other.ref_len),
         )
+
+    def __add__(self, other: "BleuStats") -> "BleuStats":
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "BleuStats") -> "BleuStats":
+        return self._combine(other, operator.sub)
 
 
 ZERO_STATS = BleuStats((0,) * MAX_ORDER, (0,) * MAX_ORDER, 0, 0)

@@ -26,6 +26,7 @@ import numpy as np
 from .lm import BOS, EOS, UNK
 
 DEFAULT_FLOOR = -7.0  # log10 score for absent table blocks and OOV options
+MAX_OPTIONS_PER_SPAN = 20  # build_options keeps the best-scoring ones
 
 
 @dataclass(frozen=True)
@@ -124,30 +125,27 @@ class TranslationOption:
     table_id: int | None  # None for OOV pass-through
 
 
-def _static_features(layout: FeatureLayout, span, tgt, table_id, scores, floor):
+def _static_features(layout: FeatureLayout, tgt, table_id, scores):
     feats = np.zeros(layout.dimension)
     for k in range(layout.n_tables):
-        feats[layout.table_block(k)] = floor
+        feats[layout.table_block(k)] = DEFAULT_FLOOR
     if table_id is not None:
         block = layout.table_block(table_id)
-        feats[block] = [math.log10(s) if s > 0 else floor for s in scores]
+        feats[block] = [math.log10(s) if s > 0 else DEFAULT_FLOOR for s in scores]
         feats[layout.indicator(table_id)] = 1.0
     feats[layout.word_penalty] = len(tgt)
     feats[layout.phrase_penalty] = 1.0
     return feats
 
 
-def build_options(sentence, tables, floor: float = DEFAULT_FLOOR,
-                  weights=None, cap: int = 20, layout: FeatureLayout | None = None,
-                  n_lms: int = 1):
+def build_options(sentence, tables, layout: FeatureLayout, weights=None):
     """Translation options per span: the union of matches across tables
-    (same phrase pair in two tables stays two options), capped per span by
-    weighted score, with verbatim pass-through for unknown words."""
+    (same phrase pair in two tables stays two options), the
+    MAX_OPTIONS_PER_SPAN best per span by weighted score, with verbatim
+    pass-through for unknown words."""
     if not tables:
         raise ValueError("need at least one phrase table")
     sentence = tuple(sentence)
-    if layout is None:
-        layout = FeatureLayout(len(tables), n_lms)
     if weights is None:
         weights = layout.default_weights()
     weights = np.asarray(weights, dtype=float)
@@ -161,16 +159,16 @@ def build_options(sentence, tables, floor: float = DEFAULT_FLOOR,
             for k, table in enumerate(tables):
                 for tgt, scores in table.lookup(phrase).items():
                     tgt = tuple(tgt)
-                    feats = _static_features(layout, span, tgt, k, scores, floor)
+                    feats = _static_features(layout, tgt, k, scores)
                     found.append(((-float(weights @ feats), tgt),
                                   TranslationOption(span, tgt, tuple(feats), k)))
             if found:
                 found.sort(key=lambda f: f[0])
-                options[span] = [opt for _, opt in found[:cap]]
+                options[span] = [opt for _, opt in found[:MAX_OPTIONS_PER_SPAN]]
     for i, word in enumerate(sentence):
         span = (i, i + 1)
         if span not in options:
-            feats = _static_features(layout, span, (word,), None, None, floor)
+            feats = _static_features(layout, (word,), None, None)
             options[span] = [TranslationOption(span, (word,), tuple(feats), None)]
     return options
 
@@ -264,17 +262,17 @@ def _reconstruct_features(hyp, layout: FeatureLayout) -> np.ndarray:
     return feats
 
 
-def decode(sentence, options, weights, lms, stack_size: int = 100,
-           distortion_limit: int = 6, layout: FeatureLayout | None = None,
-           nbest_size: int = 1):
+def decode(sentence, options, weights, lms, layout: FeatureLayout,
+           stack_size: int = 100, distortion_limit: int = 6, nbest_size: int = 1):
     """Beam-stack decoding; returns the n-best list of DecodeResult.
 
     stack_size <= 0 disables pruning (exhaustive up to recombination).
     A stack ranks its hypotheses on (score + future cost, target string,
     coverage, last position, LM states).  The last three form the
     recombination key, so the order is total and a cut does not depend on
-    the order of expansion.  The n-best list ranks on (score, target
-    string).  Decoding is deterministic.
+    the order of expansion.  The n-best list ranks the complete hypotheses
+    on the same order (value is score there), keeping the first of each
+    target.  Decoding is deterministic.
 
     Expansions that histogram pruning would drop are rejected before a
     hypothesis is built, and the result is exactly that of storing every
@@ -297,8 +295,6 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
     sentence = tuple(sentence)
     if not sentence:
         raise ValueError("cannot decode an empty sentence")
-    if layout is None:
-        layout = FeatureLayout(1, len(lms))
     weights = np.asarray(weights, dtype=float)
     n = len(sentence)
     weighted = {span: [float(weights @ np.asarray(o.features)) for o in opts]
@@ -405,10 +401,9 @@ def decode(sentence, options, weights, lms, stack_size: int = 100,
     final = stacks[n]
     if not final:
         raise RuntimeError("no complete hypothesis")
-    ranked_final = sorted(final.values(), key=lambda h: (-h[_SCORE], h[_TARGET]))
     results = []
     seen = set()
-    for hyp in ranked_final:
+    for hyp in sorted(final.values(), key=_rank):
         if hyp[_TARGET] in seen:
             continue
         seen.add(hyp[_TARGET])

@@ -1,8 +1,14 @@
 """Weight tuning by exact line search over n-best pools.
 
-Varying one weight turns every candidate's score into a line in that
-weight; the per-sentence upper envelope of those lines is computed exactly
-and corpus BLEU is evaluated once per envelope interval.  Tuning runs
+Each sentence's candidates are sorted by target and stacked into a feature
+matrix F, one row per candidate; their scores under weights w are the row
+sums of F * w.  Varying weight d turns the scores into lines with slopes
+F[:, d] and intercepts scores - w[d] * F[:, d]; the per-sentence upper
+envelope of those lines is computed exactly and corpus BLEU is evaluated
+once per envelope interval.  Ties go to the smallest target: the envelope
+keeps the first of equal lines, the argmax the first of equal scores, and
+the rows are in target order.  (Row sums score equal rows equally wherever
+they sit in F; a BLAS matrix-vector product may not.)  Tuning runs
 coordinate ascent over all dimensions on a growing n-best pool, with
 seeded random restarts, and only accepts steps that improve pool BLEU.
 """
@@ -17,6 +23,8 @@ import numpy as np
 
 from .bleu import ZERO_STATS, BleuStats, bleu_from_stats, sentence_stats
 
+MAX_SWEEPS = 20  # coordinate-ascent sweeps per start
+
 
 @dataclass(frozen=True)
 class PoolCandidate:
@@ -25,27 +33,32 @@ class PoolCandidate:
     stats: BleuStats
 
 
-def _upper_envelope(lines):
-    """Upper envelope of y = intercept + slope*x lines.
+def _sentence_matrices(pool):
+    """Per sentence: its candidates sorted by target and their feature
+    matrix, one row per candidate in the same order."""
+    if not pool or any(len(cands) == 0 for cands in pool):
+        raise ValueError("every sentence needs a non-empty candidate list")
+    out = []
+    for cands in pool:
+        cands = sorted(cands, key=lambda c: c.target)
+        out.append((cands, np.array([c.features for c in cands], dtype=float)))
+    return out
 
-    lines is a list of (slope, intercept, payload).  Returns a list of
-    (x_from, payload) segments in increasing x order; the first segment
-    starts at -inf.
+
+def _upper_envelope(slopes, intercepts):
+    """Upper envelope of the lines y = intercepts[i] + slopes[i]*x.
+
+    Returns a list of (x_from, i) segments in increasing x order; the
+    first segment starts at -inf.  Of equal lines the first is kept.
     """
-    # steepest-last order; for equal slopes only the highest intercept can
-    # appear on the envelope (ties keep the smallest payload)
+    # for equal slopes only the highest intercept can be on the envelope
     by_slope: dict = {}
-    for slope, intercept, payload in lines:
+    for i, (slope, intercept) in enumerate(zip(slopes, intercepts)):
         cur = by_slope.get(slope)
-        if (
-            cur is None
-            or intercept > cur[0]
-            or (intercept == cur[0] and _payload_key(payload) < _payload_key(cur[1]))
-        ):
-            by_slope[slope] = (intercept, payload)
-    ordered = sorted((s, ib[0], ib[1]) for s, ib in by_slope.items())
-    hull = []  # (slope, intercept, payload, x_from)
-    for slope, intercept, payload in ordered:
+        if cur is None or intercept > cur[0]:
+            by_slope[slope] = (intercept, i)
+    hull = []  # (slope, intercept, i, x_from), steepest last
+    for slope, (intercept, i) in sorted(by_slope.items()):
         x_from = -math.inf
         while hull:
             s0, i0, _, x0 = hull[-1]
@@ -57,12 +70,8 @@ def _upper_envelope(lines):
             break
         if not hull:
             x_from = -math.inf
-        hull.append((slope, intercept, payload, x_from))
-    return [(x_from, payload) for _, _, payload, x_from in hull]
-
-
-def _payload_key(payload):
-    return payload.target if isinstance(payload, PoolCandidate) else payload
+        hull.append((slope, intercept, i, x_from))
+    return [(x_from, i) for _, _, i, x_from in hull]
 
 
 def line_search(pool, weights, dim):
@@ -72,34 +81,23 @@ def line_search(pool, weights, dim):
     Returns (best_weight, best_bleu).  When no line crossing exists the
     current weight is returned with its BLEU.
     """
-    if not pool or any(len(cands) == 0 for cands in pool):
-        raise ValueError("every sentence needs a non-empty candidate list")
     weights = np.asarray(weights, dtype=float)
     current = float(weights[dim])
-    envelopes = []
-    for cands in pool:
-        lines = []
-        for cand in cands:
-            feats = np.asarray(cand.features)
-            slope = float(feats[dim])
-            intercept = float(weights @ feats) - weights[dim] * slope
-            lines.append((slope, intercept, cand))
-        envelopes.append(_upper_envelope(lines))
-
-    boundaries = sorted({x for env in envelopes for x, _ in env if math.isfinite(x)})
-    if not boundaries:
-        stats = ZERO_STATS
-        for env in envelopes:
-            stats = stats + env[0][1].stats
-        return current, bleu_from_stats(stats)
-
-    # sweep events: at boundary x the sentence's choice switches
-    events: dict[float, list] = {}
+    # stats of each sentence's choice at -inf, and sweep events: at
+    # boundary x a sentence's choice switches, and the corpus stats change
+    # by the difference of the two candidates' stats
     stats = ZERO_STATS
-    for sent, env in enumerate(envelopes):
-        stats = stats + env[0][1].stats
-        for (x, cand), (_, prev) in zip(env[1:], env):
-            events.setdefault(x, []).append((sent, prev, cand))
+    events: dict[float, list] = {}
+    for cands, F in _sentence_matrices(pool):
+        slopes = F[:, dim]
+        intercepts = (F * weights).sum(axis=1) - weights[dim] * slopes
+        env = _upper_envelope(slopes.tolist(), intercepts.tolist())
+        stats = stats + cands[env[0][1]].stats
+        for (x, i), (_, prev) in zip(env[1:], env):
+            events.setdefault(x, []).append(cands[i].stats - cands[prev].stats)
+    boundaries = sorted(events)
+    if not boundaries:
+        return current, bleu_from_stats(stats)
 
     points = [boundaries[0] - 1.0]
     for a, b in zip(boundaries, boundaries[1:]):
@@ -108,11 +106,11 @@ def line_search(pool, weights, dim):
 
     best_bleu, best_x = -1.0, current
     idx = 0
-    for k, x in enumerate(points):
+    for x in points:
         # apply all events up to this interval
         while idx < len(boundaries) and boundaries[idx] <= x:
-            for _, prev, cand in events.get(boundaries[idx], []):
-                stats = stats + _negate(prev.stats) + cand.stats
+            for delta in events[boundaries[idx]]:
+                stats = stats + delta
             idx += 1
         bleu = bleu_from_stats(stats)
         better = bleu > best_bleu + 1e-12
@@ -122,32 +120,22 @@ def line_search(pool, weights, dim):
     return best_x, best_bleu
 
 
-def _negate(stats: BleuStats) -> BleuStats:
-    return BleuStats(
-        tuple(-m for m in stats.matches),
-        tuple(-t for t in stats.totals),
-        -stats.cand_len,
-        -stats.ref_len,
-    )
-
-
 def pool_bleu(pool, weights):
     """Corpus BLEU of the per-sentence argmax candidates at the given
     weights (ties to the lexicographically smallest target)."""
     weights = np.asarray(weights, dtype=float)
     stats = ZERO_STATS
-    for cands in pool:
-        best = min(cands, key=lambda c: (-float(weights @ np.asarray(c.features)), c.target))
-        stats = stats + best.stats
+    for cands, F in _sentence_matrices(pool):
+        stats = stats + cands[int(np.argmax((F * weights).sum(axis=1)))].stats
     return bleu_from_stats(stats)
 
 
-def coordinate_ascent(pool, weights, max_sweeps: int = 20):
+def coordinate_ascent(pool, weights):
     """Line search over every dimension until a full sweep yields no BLEU
     gain; returns (weights, bleu).  Accepted steps never lower BLEU."""
     weights = np.asarray(weights, dtype=float).copy()
     best = pool_bleu(pool, weights)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         improved = False
         for dim in range(len(weights)):
             candidate, bleu = line_search(pool, weights, dim)
@@ -184,7 +172,7 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
                         tuple(target), tuple(features), sentence_stats(target, ref)
                     )
                     grew = True
-        pool_lists = [sorted(p.values(), key=lambda c: c.target) for p in pool]
+        pool_lists = [list(p.values()) for p in pool]
         candidates = [coordinate_ascent(pool_lists, weights)]
         for _ in range(max(0, restarts - 1)):
             start = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from traitmt.bleu import ZERO_STATS, bleu_from_stats, compute_bleu, sentence_stats
+from traitmt.bleu import ZERO_STATS, BleuStats, bleu_from_stats, compute_bleu, sentence_stats
 
 
 class TestComputeBleu:
@@ -73,6 +73,13 @@ class TestStats:
         combined = a + b
         assert combined.cand_len == 6
         assert combined.matches[0] == a.matches[0] + b.matches[0]
+
+    def test_stats_subtract_fieldwise(self):
+        a = sentence_stats("a b c d".split(), "a b c d".split())
+        b = sentence_stats("x y".split(), "x z".split())
+        assert (a + b) - b == a
+        assert b - a == BleuStats((-3, -3, -2, -1), (-2, -2, -2, -1), -2, -2)
+        assert a - a == ZERO_STATS
 
     def test_corpus_equals_pooled_stats(self):
         rng = random.Random(1)

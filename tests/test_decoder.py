@@ -10,6 +10,7 @@ import pytest
 from traitmt.align import PhraseTable
 from traitmt.decoder import (
     DEFAULT_FLOOR,
+    MAX_OPTIONS_PER_SPAN,
     DecodeResult,
     FeatureLayout,
     build_options,
@@ -99,13 +100,11 @@ class RefHypothesis:
                 self.coverage, self.last_end, self.lm_states)
 
 
-def reference_beam_decode(sentence, options, weights, lms, stack_size=100,
-                          distortion_limit=6, layout=None, nbest_size=1):
+def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=100,
+                          distortion_limit=6, nbest_size=1):
     """The beam decoder without early rejection: every expansion becomes a
     hypothesis, and each stack is sorted in full and cut at stack_size."""
     sentence = tuple(sentence)
-    if layout is None:
-        layout = FeatureLayout(1, len(lms))
     weights = np.asarray(weights, dtype=float)
     n = len(sentence)
     lm_weights = [float(weights[layout.lm_feature(k)]) for k in range(len(lms))]
@@ -201,7 +200,7 @@ def reference_beam_decode(sentence, options, weights, lms, stack_size=100,
     if not stacks[n]:
         raise RuntimeError("no complete hypothesis")
     results, seen = [], set()
-    for hyp in sorted(stacks[n].values(), key=lambda h: (-h.score, h.target)):
+    for hyp in sorted(stacks[n].values(), key=RefHypothesis.sort_key):
         if hyp.target in seen:
             continue
         seen.add(hyp.target)
@@ -228,15 +227,15 @@ def assert_same_nbest(got, want):
 
 def assert_option_order_free(sentence, options, weights, lms, **kwargs):
     """decode matches the reference beam on the options as given and with
-    every span's list reversed, and the reversal moves no n-best target or
-    score."""
+    every span's list reversed, and the reversal moves no n-best target,
+    score or feature vector."""
     flipped = {span: opts[::-1] for span, opts in options.items()}
     got = decode(sentence, options, weights, lms, **kwargs)
     assert_same_nbest(got, reference_beam_decode(sentence, options, weights, lms, **kwargs))
     got_flipped = decode(sentence, flipped, weights, lms, **kwargs)
     assert_same_nbest(got_flipped,
                       reference_beam_decode(sentence, flipped, weights, lms, **kwargs))
-    assert [(r.target, r.score) for r in got_flipped] == [(r.target, r.score) for r in got]
+    assert_same_nbest(got_flipped, got)
 
 
 class TestBuildOptions:
@@ -272,10 +271,12 @@ class TestBuildOptions:
         assert feats[layout.indicator(0)] == 0.0
 
     def test_per_span_cap(self):
-        row = {f"t{i}": (0.5 - i * 0.001, 0.5, 0.5, 0.5) for i in range(30)}
+        row = {f"t{i}": (0.5 - i * 0.001, 0.5, 0.5, 0.5)
+               for i in range(MAX_OPTIONS_PER_SPAN + 10)}
         t = table_from({"a": row})
-        options = build_options(("a",), [t], cap=20, layout=FeatureLayout(1, 1))
-        assert len(options[(0, 1)]) == 20
+        options = build_options(("a",), [t], layout=FeatureLayout(1, 1))
+        kept = [o.tgt for o in options[(0, 1)]]
+        assert kept == [(f"t{i}",) for i in range(MAX_OPTIONS_PER_SPAN)]
 
 
 class TestDecode:
@@ -427,6 +428,34 @@ class TestDecode:
             assert_same_nbest(got, reference_beam_decode(sentence, options, weights, [lm],
                                                          **kwargs))
             assert got[0].features[layout.indicator(0)] == 2.0
+
+    def test_final_ties_rank_on_recombination_key(self):
+        # "a b" -> "x x" in order (last position 2, no jump) or swapped (last
+        # position 1, jumps 1 + 2); at distortion weight 0 both complete
+        # hypotheses tie on score and target.  The n-best ranks them like a
+        # stack, so the smaller key, last position 1, gives the features,
+        # although the in-order derivation reaches the final stack first
+        u = (0.5,) * 4
+        table = table_from({"a": {"x": u}, "b": {"x": u}})
+        layout = FeatureLayout(1, 1)
+        weights = layout.default_weights()
+        weights[layout.distortion] = 0.0
+        sentence = ("a", "b")
+        options = build_options(sentence, [table], layout=layout, weights=weights)
+        for stack_size in (0, 2):
+            kwargs = dict(stack_size=stack_size, layout=layout, nbest_size=5)
+            got = decode(sentence, options, weights, [make_lm()], **kwargs)
+            assert [r.target for r in got] == [("x", "x")]
+            assert got[0].features[layout.distortion] == 3.0
+            assert_option_order_free(sentence, options, weights, [make_lm()], **kwargs)
+
+    def test_layout_required(self):
+        table, lm, layout = self.simple_system()
+        with pytest.raises(TypeError):
+            build_options(("a",), [table])
+        options = build_options(("a",), [table], layout=layout)
+        with pytest.raises(TypeError):
+            decode(("a",), options, layout.default_weights(), [lm])
 
     def test_monotone_toy_grammar(self):
         # unique best path through a grammar with one option per word

@@ -1,9 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from traitmt.bleu import ZERO_STATS, bleu_from_stats, sentence_stats
+from traitmt.bleu import ZERO_STATS, BleuStats, bleu_from_stats, sentence_stats
 from traitmt.mert import (
     PoolCandidate,
     _upper_envelope,
@@ -39,21 +40,166 @@ def grid_search_bleu(pool, weights, dim, lo=-20.0, hi=20.0, step=0.001):
     return best
 
 
+# The line search and argmax that scored each candidate on its own, one
+# line per candidate; the matrix form must choose exactly as they do.
+
+def _reference_upper_envelope(lines):
+    """Upper envelope of y = intercept + slope*x lines.
+
+    lines is a list of (slope, intercept, payload).  Returns a list of
+    (x_from, payload) segments in increasing x order; the first segment
+    starts at -inf.
+    """
+    # steepest-last order; for equal slopes only the highest intercept can
+    # appear on the envelope (ties keep the smallest payload)
+    by_slope: dict = {}
+    for slope, intercept, payload in lines:
+        cur = by_slope.get(slope)
+        if (
+            cur is None
+            or intercept > cur[0]
+            or (intercept == cur[0] and _payload_key(payload) < _payload_key(cur[1]))
+        ):
+            by_slope[slope] = (intercept, payload)
+    ordered = sorted((s, ib[0], ib[1]) for s, ib in by_slope.items())
+    hull = []  # (slope, intercept, payload, x_from)
+    for slope, intercept, payload in ordered:
+        x_from = -math.inf
+        while hull:
+            s0, i0, _, x0 = hull[-1]
+            # intersection with the current top line
+            x_from = (i0 - intercept) / (slope - s0)
+            if x_from <= x0:
+                hull.pop()
+                continue
+            break
+        if not hull:
+            x_from = -math.inf
+        hull.append((slope, intercept, payload, x_from))
+    return [(x_from, payload) for _, _, payload, x_from in hull]
+
+
+def _payload_key(payload):
+    return payload.target if isinstance(payload, PoolCandidate) else payload
+
+
+def reference_line_search(pool, weights, dim):
+    """Best value for one weight by exact envelope sweep.
+
+    pool is a list of per-sentence candidate lists (PoolCandidate).
+    Returns (best_weight, best_bleu).  When no line crossing exists the
+    current weight is returned with its BLEU.
+    """
+    if not pool or any(len(cands) == 0 for cands in pool):
+        raise ValueError("every sentence needs a non-empty candidate list")
+    weights = np.asarray(weights, dtype=float)
+    current = float(weights[dim])
+    envelopes = []
+    for cands in pool:
+        lines = []
+        for cand in cands:
+            feats = np.asarray(cand.features)
+            slope = float(feats[dim])
+            intercept = float(weights @ feats) - weights[dim] * slope
+            lines.append((slope, intercept, cand))
+        envelopes.append(_reference_upper_envelope(lines))
+
+    boundaries = sorted({x for env in envelopes for x, _ in env if math.isfinite(x)})
+    if not boundaries:
+        stats = ZERO_STATS
+        for env in envelopes:
+            stats = stats + env[0][1].stats
+        return current, bleu_from_stats(stats)
+
+    # sweep events: at boundary x the sentence's choice switches
+    events: dict[float, list] = {}
+    stats = ZERO_STATS
+    for sent, env in enumerate(envelopes):
+        stats = stats + env[0][1].stats
+        for (x, cand), (_, prev) in zip(env[1:], env):
+            events.setdefault(x, []).append((sent, prev, cand))
+
+    points = [boundaries[0] - 1.0]
+    for a, b in zip(boundaries, boundaries[1:]):
+        points.append((a + b) / 2.0)
+    points.append(boundaries[-1] + 1.0)
+
+    best_bleu, best_x = -1.0, current
+    idx = 0
+    for k, x in enumerate(points):
+        # apply all events up to this interval
+        while idx < len(boundaries) and boundaries[idx] <= x:
+            for _, prev, cand in events.get(boundaries[idx], []):
+                stats = stats + _negate(prev.stats) + cand.stats
+            idx += 1
+        bleu = bleu_from_stats(stats)
+        better = bleu > best_bleu + 1e-12
+        closer = abs(bleu - best_bleu) <= 1e-12 and abs(x - current) < abs(best_x - current)
+        if better or closer:
+            best_bleu, best_x = bleu, x
+    return best_x, best_bleu
+
+
+def _negate(stats: BleuStats) -> BleuStats:
+    return BleuStats(
+        tuple(-m for m in stats.matches),
+        tuple(-t for t in stats.totals),
+        -stats.cand_len,
+        -stats.ref_len,
+    )
+
+
+def reference_pool_bleu(pool, weights):
+    """Corpus BLEU of the per-sentence argmax candidates at the given
+    weights (ties to the lexicographically smallest target)."""
+    weights = np.asarray(weights, dtype=float)
+    stats = ZERO_STATS
+    for cands in pool:
+        best = min(cands, key=lambda c: (-float(weights @ np.asarray(c.features)), c.target))
+        stats = stats + best.stats
+    return bleu_from_stats(stats)
+
+
+def random_pool(rng, dim, integer):
+    """1-6 sentences of 1-8 candidates in random order; about one row in
+    five repeats an earlier row's features.  Integer pools use features in
+    -3..3, so that every score and crossing is exact."""
+    pool = []
+    for _ in range(rng.randint(1, 6)):
+        ref = " ".join(rng.choice("abcde") for _ in range(rng.randint(3, 7)))
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            if rows and rng.random() < 0.2:
+                rows.append(rng.choice(rows))
+            elif integer:
+                rows.append([rng.randint(-3, 3) for _ in range(dim)])
+            else:
+                rows.append([rng.uniform(-3, 3) for _ in range(dim)])
+        cands = [cand(" ".join(rng.choice("abcde") for _ in range(rng.randint(1, 6))), row, ref)
+                 for row in rows]
+        rng.shuffle(cands)
+        pool.append(cands)
+    return pool
+
+
 class TestEnvelope:
     def test_two_crossing_lines(self):
         # y = 0 + 1*x and y = 4 - 1*x cross at x = 2
-        env = _upper_envelope([(1.0, 0.0, "up"), (-1.0, 4.0, "down")])
-        assert [p for _, p in env] == ["down", "up"]
+        env = _upper_envelope([1.0, -1.0], [0.0, 4.0])
+        assert [i for _, i in env] == [1, 0]
         assert env[1][0] == pytest.approx(2.0)
 
     def test_dominated_line_dropped(self):
-        env = _upper_envelope([(0.0, 0.0, "low"), (0.0, 1.0, "high")])
-        assert [p for _, p in env] == ["high"]
+        env = _upper_envelope([0.0, 0.0], [0.0, 1.0])
+        assert [i for _, i in env] == [1]
 
     def test_middle_line_below_hull(self):
-        lines = [(-1.0, 0.0, "l"), (0.0, -5.0, "m"), (1.0, 0.0, "r")]
-        env = _upper_envelope(lines)
-        assert [p for _, p in env] == ["l", "r"]
+        env = _upper_envelope([-1.0, 0.0, 1.0], [0.0, -5.0, 0.0])
+        assert [i for _, i in env] == [0, 2]
+
+    def test_equal_lines_keep_first(self):
+        env = _upper_envelope([2.0, 0.0, 2.0, 0.0], [1.0, 3.0, 1.0, 3.0])
+        assert [i for _, i in env] == [1, 0]
 
 
 class TestLineSearch:
@@ -120,6 +266,42 @@ class TestLineSearch:
             _, envelope_bleu = line_search(pool, weights, dim=1)
             grid_bleu = grid_search_bleu(pool, weights, dim=1, lo=-10, hi=10, step=0.01)
             assert envelope_bleu >= grid_bleu - 1e-12
+
+    def test_matches_reference_on_random_pools(self):
+        rng = random.Random(11)
+        for trial in range(2100):
+            integer = trial % 3 == 0
+            dim = rng.randint(1, 10)
+            pool = random_pool(rng, dim, integer)
+            if integer:
+                weights = np.array([rng.randint(-8, 8) / 4 for _ in range(dim)])
+            else:
+                weights = np.array([rng.uniform(-2, 2) for _ in range(dim)])
+            d = rng.randrange(dim)
+            got_w, got_bleu = line_search(pool, weights, d)
+            want_w, want_bleu = reference_line_search(pool, weights, d)
+            assert got_bleu == want_bleu, trial
+            assert math.isclose(got_w, want_w, rel_tol=1e-9), trial
+            if integer:
+                assert got_w == want_w, trial
+            assert pool_bleu(pool, weights) == reference_pool_bleu(pool, weights), trial
+
+    def test_equal_rows_tie_to_smallest_target(self):
+        # seven candidates with one feature row of nine columns, as many
+        # as the tune system has: every candidate scores the same, so the
+        # exact reference (the smallest target) must win, wherever its row
+        # sits in the matrix and whatever order the pool lists it in
+        rng = random.Random(4)
+        ref = "a b c d e f g h"
+        words = ref.split()
+        targets = [" ".join(words[:8 - k] + ["z"] * k) for k in range(7)]
+        for _ in range(200):
+            row = [rng.uniform(-5, 5) for _ in range(9)]
+            cands = [cand(t, row, ref) for t in targets]
+            rng.shuffle(cands)
+            weights = np.array([rng.uniform(-2, 2) for _ in range(9)])
+            assert pool_bleu([cands], weights) == 1.0
+            assert line_search([cands], weights, rng.randrange(9))[1] == 1.0
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
