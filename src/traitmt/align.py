@@ -1,10 +1,9 @@
 """Word alignment and phrase-table construction.
 
 IBM Model 1 expectation maximization produces lexical translation tables
-in both directions; Viterbi alignments are symmetrized (intersection,
-union or grow-diag-final-and) and consistent phrase pairs are extracted
-and scored by relative frequency plus lexical weighting (Koehn, Och &
-Marcu 2003).
+in both directions; Viterbi alignments are symmetrized with
+grow-diag-final-and, and consistent phrase pairs are extracted and scored
+by relative frequency plus lexical weighting (Koehn, Och & Marcu 2003).
 
 IBM1 keeps t(target | source) as one vector over the (source, target)
 word pairs that co-occur in some sentence, so memory grows with the
@@ -17,16 +16,19 @@ source word's total.
 In a consistent phrase pair every link of every word in either span lies
 inside the pair, so a word's lexical factor does not depend on the phrase:
 the mean of its linked translation probabilities, or its NULL probability
-when it has no link.  Scoring computes these factors once per sentence,
-in both directions, and weighs each occurrence by their product over its
-span.
+when it has no link.  Extraction therefore returns bare index spans, and
+the occurrences stay grouped by the sentence they came from: scoring
+computes the factors once per sentence, in both directions, weighs each
+span by their product over it, and slices the words only to count the
+pair.  A table's max_len is its longest source phrase, derived from its
+entries, so a table read from a file offers every phrase it holds.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,26 +137,15 @@ def viterbi_align(table: LexicalTable, src, tgt) -> AlignmentMatrix:
     return AlignmentMatrix(frozenset(links), len(src), len(tgt))
 
 
-GROW_DIAG_FINAL_AND = "grow-diag-final-and"
-INTERSECTION = "intersection"
-UNION = "union"
-
 _NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def symmetrize(fwd: AlignmentMatrix, rev: AlignmentMatrix,
-               heuristic: str = GROW_DIAG_FINAL_AND) -> AlignmentMatrix:
+def symmetrize(fwd: AlignmentMatrix, rev: AlignmentMatrix) -> AlignmentMatrix:
+    """grow-diag-final-and over two directional alignments."""
     if (fwd.src_len, fwd.tgt_len) != (rev.src_len, rev.tgt_len):
         raise ValueError("alignment matrices cover different sentence lengths")
-    inter = fwd.links & rev.links
     union = fwd.links | rev.links
-    if heuristic == INTERSECTION:
-        return AlignmentMatrix(frozenset(inter), fwd.src_len, fwd.tgt_len)
-    if heuristic == UNION:
-        return AlignmentMatrix(frozenset(union), fwd.src_len, fwd.tgt_len)
-    if heuristic != GROW_DIAG_FINAL_AND:
-        raise ValueError(f"unknown symmetrization heuristic {heuristic!r}")
-    alignment = set(inter)
+    alignment = set(fwd.links & rev.links)
     aligned_src = {i for i, _ in alignment}
     aligned_tgt = {j for _, j in alignment}
     # grow-diag: absorb union neighbours of current points while one side
@@ -181,31 +172,6 @@ def symmetrize(fwd: AlignmentMatrix, rev: AlignmentMatrix,
     return AlignmentMatrix(frozenset(alignment), fwd.src_len, fwd.tgt_len)
 
 
-@dataclass(frozen=True, eq=False)
-class AlignedSentence:
-    """A sentence pair and its alignment, shared by every phrase pair
-    extracted from it."""
-
-    src: tuple
-    tgt: tuple
-    alignment: AlignmentMatrix
-
-
-@dataclass(frozen=True, slots=True)
-class PhrasePair:
-    """One extracted occurrence.  It keeps no links of its own: consistency
-    puts every link of every word of either span inside the pair, so its
-    internal alignment is the sentence's alignment within the spans, and
-    score_phrases reads each word's lexical factor from vectors computed
-    once per sentence."""
-
-    src: tuple
-    tgt: tuple
-    src_span: tuple  # (i1, i2) inclusive
-    tgt_span: tuple  # (j1, j2) inclusive
-    sentence: AlignedSentence
-
-
 def _position_links(alignment: AlignmentMatrix):
     """(per source position its linked target positions, per target
     position its linked source positions), each list ascending."""
@@ -217,17 +183,16 @@ def _position_links(alignment: AlignmentMatrix):
     return tgt_of, src_of
 
 
-def extract_phrases(src, tgt, alignment: AlignmentMatrix, max_len: int = 7):
-    """All phrase pairs consistent with the alignment, unaligned-boundary
-    extensions included, both sides at most max_len tokens.
+def extract_phrases(alignment: AlignmentMatrix, max_len: int = 7):
+    """Inclusive (i1, i2, j1, j2) spans of all phrase pairs consistent with
+    the alignment, unaligned-boundary extensions included, both sides at
+    most max_len tokens; ordered by source span, then target start
+    descending, then target end ascending.
 
     A source span's target bounds grow with its right end, and only the
     target positions inside them are checked for links leaving the span."""
-    sentence = AlignedSentence(tuple(src), tuple(tgt), alignment)
-    src, tgt = sentence.src, sentence.tgt
     tgt_of, src_of = _position_links(alignment)
-    n = len(src)
-    m = len(tgt)
+    n, m = alignment.src_len, alignment.tgt_len
     # each target position's least and greatest linked source position;
     # n and -1 when it has no link, so that it never blocks a span
     lo = [s[0] if s else n for s in src_of]
@@ -247,13 +212,11 @@ def extract_phrases(src, tgt, alignment: AlignmentMatrix, max_len: int = 7):
                 break  # that link stays inside the bounds for every wider span
             if max(hi[j1: j2 + 1]) > i2:
                 continue
-            src_phrase = src[i1: i2 + 1]
             js = j1
             while True:
                 je = j2
                 while je < m and je - js < max_len:
-                    out.append(PhrasePair(src_phrase, tgt[js: je + 1], (i1, i2), (js, je),
-                                          sentence))
+                    out.append((i1, i2, js, je))
                     je += 1
                     if je >= m or hi[je] >= 0:
                         break
@@ -266,8 +229,11 @@ def extract_phrases(src, tgt, alignment: AlignmentMatrix, max_len: int = 7):
 @dataclass
 class PhraseTable:
     entries: dict  # src tuple -> {tgt tuple: (phi_fwd, lex_fwd, phi_rev, lex_rev)}
-    max_len: int = 7
     dropped_pairs: int = 0  # empty sentence pairs build_phrase_table skipped
+    max_len: int = field(init=False)  # longest source phrase in entries, 0 when empty
+
+    def __post_init__(self):
+        self.max_len = max(map(len, self.entries), default=0)
 
     def lookup(self, src_phrase):
         return self.entries.get(tuple(src_phrase), {})
@@ -291,40 +257,33 @@ def _lexical_factors(words, other, links_of, table: LexicalTable) -> list:
     return factors
 
 
-def score_phrases(extracted, lex_fwd: LexicalTable, lex_rev: LexicalTable,
-                  max_len: int = 7) -> PhraseTable:
+def score_phrases(sentences, lex_fwd: LexicalTable, lex_rev: LexicalTable) -> PhraseTable:
     """Relative-frequency phrase scores in both directions plus lexical
     weights maximized over the occurrences of each pair.
 
-    An occurrence's lexical weight w(tgt | src, a) is the product over its
-    target span of the sentence's per-word factors (see _lexical_factors),
-    which are computed once per sentence; the reverse weight likewise over
-    its source span."""
-    extracted = list(extracted)
-    if not extracted:
-        raise ValueError("no phrase pairs extracted")
-    factors: dict[AlignedSentence, tuple] = {}
+    sentences holds one (src tuple, tgt tuple, alignment, spans) per
+    sentence, spans as extract_phrases returns them.  An occurrence's
+    lexical weight w(tgt | src, a) is the product over its target span of
+    the sentence's per-word factors (see _lexical_factors); the reverse
+    weight likewise over its source span."""
     stats: dict[tuple, list] = {}  # (src, tgt) -> [count, max lex_fwd, max lex_rev]
-    for pp in extracted:
-        sentence = pp.sentence
-        both = factors.get(sentence)
-        if both is None:
-            tgt_of, src_of = _position_links(sentence.alignment)
-            both = factors[sentence] = (
-                _lexical_factors(sentence.tgt, sentence.src, src_of, lex_fwd),
-                _lexical_factors(sentence.src, sentence.tgt, tgt_of, lex_rev),
-            )
-        (i1, i2), (j1, j2) = pp.src_span, pp.tgt_span
-        lex_f = math.prod(both[0][j1: j2 + 1])
-        lex_r = math.prod(both[1][i1: i2 + 1])
-        key = (pp.src, pp.tgt)
-        entry = stats.get(key)
-        if entry is None:
-            stats[key] = [1, lex_f, lex_r]
-        else:
-            entry[0] += 1
-            entry[1] = max(entry[1], lex_f)
-            entry[2] = max(entry[2], lex_r)
+    for src, tgt, alignment, spans in sentences:
+        tgt_of, src_of = _position_links(alignment)
+        fwd = _lexical_factors(tgt, src, src_of, lex_fwd)
+        rev = _lexical_factors(src, tgt, tgt_of, lex_rev)
+        for i1, i2, j1, j2 in spans:
+            lex_f = math.prod(fwd[j1: j2 + 1])
+            lex_r = math.prod(rev[i1: i2 + 1])
+            key = (src[i1: i2 + 1], tgt[j1: j2 + 1])
+            entry = stats.get(key)
+            if entry is None:
+                stats[key] = [1, lex_f, lex_r]
+            else:
+                entry[0] += 1
+                entry[1] = max(entry[1], lex_f)
+                entry[2] = max(entry[2], lex_r)
+    if not stats:
+        raise ValueError("no phrase pairs extracted")
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
     for (src, tgt), (count, _, _) in stats.items():
@@ -334,7 +293,7 @@ def score_phrases(extracted, lex_fwd: LexicalTable, lex_rev: LexicalTable,
     for (src, tgt), (count, lex_f, lex_r) in stats.items():
         entries[src][tgt] = (count / src_counts[src], max(lex_f, _LEX_FLOOR),
                              count / tgt_counts[tgt], max(lex_r, _LEX_FLOOR))
-    return PhraseTable(dict(entries), max_len)
+    return PhraseTable(dict(entries))
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:
@@ -350,7 +309,7 @@ def write_phrase_table(table: PhraseTable, path) -> None:
                 )
 
 
-def read_phrase_table(path, max_len: int = 7) -> PhraseTable:
+def read_phrase_table(path) -> PhraseTable:
     entries: dict[tuple, dict] = defaultdict(dict)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -362,31 +321,36 @@ def read_phrase_table(path, max_len: int = 7) -> PhraseTable:
                 raise ValueError(f"{path}:{lineno}: expected three ||| fields")
             src = tuple(fields[0].split())
             tgt = tuple(fields[1].split())
-            scores = tuple(float(x) for x in fields[2].split())
+            try:
+                scores = tuple(float(x) for x in fields[2].split())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad score: {exc}") from exc
             if len(scores) != 4:
                 raise ValueError(f"{path}:{lineno}: expected four scores")
+            if not all(map(math.isfinite, scores)):
+                raise ValueError(f"{path}:{lineno}: scores must be finite")
             entries[src][tgt] = scores
-    return PhraseTable(dict(entries), max_len)
+    return PhraseTable(dict(entries))
 
 
-def build_phrase_table(pairs, iterations: int = 5, max_len: int = 7,
-                       heuristic: str = GROW_DIAG_FINAL_AND):
-    """Full pipeline: bidirectional IBM1, symmetrization, extraction,
-    scoring.  Returns (PhraseTable, fwd LexicalTable, rev LexicalTable);
-    the table's dropped_pairs counts the pairs skipped for an empty side."""
+def build_phrase_table(pairs, iterations: int = 5, max_len: int = 7):
+    """Full pipeline: bidirectional IBM1, grow-diag-final-and
+    symmetrization, extraction, scoring.  Returns (PhraseTable, fwd
+    LexicalTable, rev LexicalTable); the table's dropped_pairs counts the
+    pairs skipped for an empty side."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
     lex_fwd = ibm1_em(kept, iterations)[0]
     lex_rev = ibm1_em([(t, s) for s, t in kept], iterations)[0]
-    extracted = []
+    sentences = []
     for s, t in kept:
         fwd = viterbi_align(lex_fwd, s, t)
         rev_swapped = viterbi_align(lex_rev, t, s)
         rev = AlignmentMatrix(
             frozenset((i, j) for j, i in rev_swapped.links), len(s), len(t)
         )
-        sym = symmetrize(fwd, rev, heuristic)
-        extracted.extend(extract_phrases(s, t, sym, max_len))
-    table = score_phrases(extracted, lex_fwd, lex_rev, max_len)
+        sym = symmetrize(fwd, rev)
+        sentences.append((s, t, sym, extract_phrases(sym, max_len)))
+    table = score_phrases(sentences, lex_fwd, lex_rev)
     table.dropped_pairs = len(pairs) - len(kept)
     return table, lex_fwd, lex_rev

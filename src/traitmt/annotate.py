@@ -197,7 +197,7 @@ def load_evidence_fixture(path) -> dict:
                 obj = json.loads(line)
                 ev = GenderEvidence(obj["source"], obj["label"], float(obj["confidence"]))
                 out.setdefault(str(obj["speaker_id"]), []).append(ev)
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad evidence record: {exc}") from exc
     return out
 

@@ -6,8 +6,6 @@ import pytest
 
 import traitmt.align as align_mod
 from traitmt.align import (
-    GROW_DIAG_FINAL_AND,
-    INTERSECTION,
     NULL_TOKEN,
     AlignmentMatrix,
     PhraseTable,
@@ -21,6 +19,7 @@ from traitmt.align import (
     write_phrase_table,
     LexicalTable,
 )
+from traitmt.decoder import FeatureLayout, build_options
 
 CANONICAL = [(("a", "b"), ("x", "y")), (("a",), ("x",))]
 
@@ -180,13 +179,7 @@ class TestViterbi:
 class TestSymmetrize:
     def test_identical_inputs(self):
         a = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
-        for heuristic in (INTERSECTION, GROW_DIAG_FINAL_AND):
-            assert symmetrize(a, a, heuristic).links == a.links
-
-    def test_disjoint_intersection_empty(self):
-        fwd = AlignmentMatrix(frozenset({(0, 0)}), 2, 2)
-        rev = AlignmentMatrix(frozenset({(1, 1)}), 2, 2)
-        assert symmetrize(fwd, rev, INTERSECTION).links == frozenset()
+        assert symmetrize(a, a).links == a.links
 
     def test_three_by_three_hand_trace(self):
         # intersection {(0,0),(1,1)}; grow-diag pulls in (2,1) (source 2
@@ -194,14 +187,14 @@ class TestSymmetrize:
         # unaligned, neighbour of (2,1)); final-and adds nothing
         fwd = AlignmentMatrix(frozenset({(0, 0), (1, 1), (2, 1)}), 3, 3)
         rev = AlignmentMatrix(frozenset({(0, 0), (1, 1), (2, 2)}), 3, 3)
-        result = symmetrize(fwd, rev, GROW_DIAG_FINAL_AND)
+        result = symmetrize(fwd, rev)
         assert result.links == frozenset({(0, 0), (1, 1), (2, 1), (2, 2)})
 
     def test_final_and_rescues_isolated_links(self):
         # no intersection; final-and adds links whose both ends are free
         fwd = AlignmentMatrix(frozenset({(0, 0)}), 2, 2)
         rev = AlignmentMatrix(frozenset({(1, 1)}), 2, 2)
-        result = symmetrize(fwd, rev, GROW_DIAG_FINAL_AND)
+        result = symmetrize(fwd, rev)
         assert result.links == frozenset({(0, 0), (1, 1)})
 
     def test_between_intersection_and_union(self):
@@ -213,7 +206,7 @@ class TestSymmetrize:
             )
             fwd = AlignmentMatrix(mk(), n, m)
             rev = AlignmentMatrix(mk(), n, m)
-            result = symmetrize(fwd, rev, GROW_DIAG_FINAL_AND)
+            result = symmetrize(fwd, rev)
             assert result.links >= (fwd.links & rev.links)
             assert result.links <= (fwd.links | rev.links)
 
@@ -242,13 +235,11 @@ def oracle_extract(n, m, links, max_len):
 
 
 class TestExtractPhrases:
-    def spans(self, phrase_pairs):
-        return {pp.src_span + pp.tgt_span for pp in phrase_pairs}
-
     def test_monotone_two_words(self):
         alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
-        pairs = extract_phrases(("w1", "w2"), ("v1", "v2"), alignment)
-        as_tokens = {(pp.src, pp.tgt) for pp in pairs}
+        src, tgt = ("w1", "w2"), ("v1", "v2")
+        as_tokens = {(src[i1: i2 + 1], tgt[j1: j2 + 1])
+                     for i1, i2, j1, j2 in extract_phrases(alignment)}
         assert as_tokens == {
             (("w1",), ("v1",)),
             (("w2",), ("v2",)),
@@ -257,15 +248,14 @@ class TestExtractPhrases:
 
     def test_crossing_link_blocks_span(self):
         alignment = AlignmentMatrix(frozenset({(0, 1), (1, 0)}), 2, 2)
-        pairs = extract_phrases(("w1", "w2"), ("v1", "v2"), alignment)
-        spans = self.spans(pairs)
+        spans = set(extract_phrases(alignment))
         assert (0, 0, 0, 0) not in spans
         assert spans == {(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1)}
 
     def test_max_len_one(self):
         alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
-        pairs = extract_phrases(("w1", "w2"), ("v1", "v2"), alignment, max_len=1)
-        assert all(len(pp.src) == 1 and len(pp.tgt) == 1 for pp in pairs)
+        spans = extract_phrases(alignment, max_len=1)
+        assert spans and all(i1 == i2 and j1 == j2 for i1, i2, j1, j2 in spans)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(3)
@@ -274,19 +264,13 @@ class TestExtractPhrases:
             links = frozenset(
                 (rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 8))
             )
-            alignment = AlignmentMatrix(links, n, m)
-            src = tuple(f"s{i}" for i in range(n))
-            tgt = tuple(f"t{j}" for j in range(m))
             max_len = rng.randint(1, 7)
-            pairs = extract_phrases(src, tgt, alignment, max_len=max_len)
-            assert self.spans(pairs) == oracle_extract(n, m, links, max_len)
-            for pp in pairs:
-                (i1, i2), (j1, j2) = pp.src_span, pp.tgt_span
-                assert pp.src == src[i1: i2 + 1] and pp.tgt == tgt[j1: j2 + 1]
+            spans = extract_phrases(AlignmentMatrix(links, n, m), max_len=max_len)
+            assert len(set(spans)) == len(spans)
+            assert set(spans) == oracle_extract(n, m, links, max_len)
             # the order scoring sees: source span, then target start
             # descending, then target end ascending
-            order = [(i1, i2, -j1, j2) for (i1, i2), (j1, j2) in
-                     ((pp.src_span, pp.tgt_span) for pp in pairs)]
+            order = [(i1, i2, -j1, j2) for i1, i2, j1, j2 in spans]
             assert order == sorted(order)
 
 
@@ -307,25 +291,26 @@ def reference_lexical_weight(src, tgt, links, table):
     return max(weight, align_mod._LEX_FLOOR)
 
 
-def internal_links(pp):
-    """The sentence alignment's links inside the pair, offset to its spans."""
-    (i1, i2), (j1, j2) = pp.src_span, pp.tgt_span
-    return frozenset((i - i1, j - j1) for i, j in pp.sentence.alignment.links
+def internal_links(alignment, span):
+    """The sentence alignment's links inside the span, offset to its start."""
+    i1, i2, j1, j2 = span
+    return frozenset((i - i1, j - j1) for i, j in alignment.links
                      if i1 <= i <= i2 and j1 <= j <= j2)
 
 
-def reference_score_phrases(extracted, lex_fwd, lex_rev):
+def reference_score_phrases(sentences, lex_fwd, lex_rev):
     """Relative frequencies, and lexical weights maximized over each pair's
     distinct internal alignments, each weighed on its own; returns the
     entries mapping."""
     pair_counts, src_counts, tgt_counts = Counter(), Counter(), Counter()
     alignments = defaultdict(set)
-    for pp in extracted:
-        key = (pp.src, pp.tgt)
-        pair_counts[key] += 1
-        src_counts[pp.src] += 1
-        tgt_counts[pp.tgt] += 1
-        alignments[key].add(internal_links(pp))
+    for src, tgt, alignment, spans in sentences:
+        for i1, i2, j1, j2 in spans:
+            key = (src[i1: i2 + 1], tgt[j1: j2 + 1])
+            pair_counts[key] += 1
+            src_counts[key[0]] += 1
+            tgt_counts[key[1]] += 1
+            alignments[key].add(internal_links(alignment, (i1, i2, j1, j2)))
     entries = defaultdict(dict)
     for (src, tgt), count in pair_counts.items():
         forward = alignments[(src, tgt)]
@@ -343,27 +328,28 @@ def random_lexical_table(rng, given, conditioned, use_null):
     return LexicalTable(probs, NULL_TOKEN if use_null else None)
 
 
+def sentence(src, tgt, links, max_len=7):
+    """One score_phrases input: the pair, its alignment and its spans."""
+    alignment = AlignmentMatrix(frozenset(links), len(src), len(tgt))
+    return src, tgt, alignment, extract_phrases(alignment, max_len)
+
+
 class TestScorePhrases:
     def uniform_table(self, words):
         return LexicalTable({w: {v: 0.5 for v in words} for w in [NULL_TOKEN] + list(words)})
 
     def test_relative_frequency(self):
-        alignment = AlignmentMatrix(frozenset({(0, 0)}), 1, 1)
-        extracted = []
-        for tgt in ("x", "x", "x", "y"):
-            extracted.extend(extract_phrases(("s",), (tgt,), alignment))
+        sentences = [sentence(("s",), (tgt,), {(0, 0)}) for tgt in ("x", "x", "x", "y")]
         lex = LexicalTable({"s": {"x": 0.7, "y": 0.3}, NULL_TOKEN: {"x": 0.5, "y": 0.5}})
         lex_rev = LexicalTable({"x": {"s": 1.0}, "y": {"s": 1.0}, NULL_TOKEN: {"s": 1.0}})
-        table = score_phrases(extracted, lex, lex_rev)
+        table = score_phrases(sentences, lex, lex_rev)
         phi_fwd = table.entries[("s",)][("x",)][0]
         assert phi_fwd == pytest.approx(0.75)
 
     def test_unique_pair_scores_one(self):
-        alignment = AlignmentMatrix(frozenset({(0, 0)}), 1, 1)
-        extracted = extract_phrases(("a",), ("x",), alignment)
         lex = LexicalTable({"a": {"x": 0.8}, NULL_TOKEN: {"x": 0.2}})
         lex_rev = LexicalTable({"x": {"a": 0.9}, NULL_TOKEN: {"a": 0.1}})
-        table = score_phrases(extracted, lex, lex_rev)
+        table = score_phrases([sentence(("a",), ("x",), {(0, 0)})], lex, lex_rev)
         phi_fwd, lex_f, phi_rev, lex_r = table.entries[("a",)][("x",)]
         assert phi_fwd == 1.0 and phi_rev == 1.0
         # single 1:1 link: lexical weight equals the table probability
@@ -372,14 +358,10 @@ class TestScorePhrases:
 
     def test_conditional_normalization_both_directions(self):
         rng = random.Random(4)
-        extracted = []
-        alignment = AlignmentMatrix(frozenset({(0, 0)}), 1, 1)
-        for _ in range(200):
-            s = rng.choice(("s1", "s2", "s3"))
-            t = rng.choice(("t1", "t2"))
-            extracted.extend(extract_phrases((s,), (t,), alignment))
+        sentences = [sentence((rng.choice(("s1", "s2", "s3")),), (rng.choice(("t1", "t2")),),
+                              {(0, 0)}) for _ in range(200)]
         words = ("s1", "s2", "s3", "t1", "t2")
-        table = score_phrases(extracted, self.uniform_table(words), self.uniform_table(words))
+        table = score_phrases(sentences, self.uniform_table(words), self.uniform_table(words))
         by_src = {}
         by_tgt = {}
         for src, row in table.entries.items():
@@ -409,28 +391,27 @@ class TestScorePhrases:
             lex_fwd = random_lexical_table(rng, tgt_words, src_words, use_null)
             lex_rev = random_lexical_table(rng, src_words, tgt_words, use_null)
             max_len = rng.randint(1, 7)
-            extracted = []
+            sentences = []
             for _ in range(rng.randint(1, 12)):
                 n, m = rng.randint(1, 7), rng.randint(1, 7)
                 src = tuple(rng.choice(src_words) for _ in range(n))
                 tgt = tuple(rng.choice(tgt_words) for _ in range(m))
                 # dense enough that some words get three or more links,
                 # sparse enough that some boundary words stay unaligned
-                links = frozenset((rng.randrange(n), rng.randrange(m))
-                                  for _ in range(rng.randint(0, n * m // 2 + 1)))
-                extracted.extend(
-                    extract_phrases(src, tgt, AlignmentMatrix(links, n, m), max_len))
-            if not extracted:
+                links = {(rng.randrange(n), rng.randrange(m))
+                         for _ in range(rng.randint(0, n * m // 2 + 1))}
+                sentences.append(sentence(src, tgt, links, max_len))
+            if not any(spans for _, _, _, spans in sentences):
                 continue
-            table = score_phrases(extracted, lex_fwd, lex_rev, max_len)
-            assert table.entries == reference_score_phrases(extracted, lex_fwd, lex_rev)
+            table = score_phrases(sentences, lex_fwd, lex_rev)
+            assert table.entries == reference_score_phrases(sentences, lex_fwd, lex_rev)
 
     def test_build_phrase_table_matches_reference_scorer(self, monkeypatch):
         seen = []
 
-        def recording(extracted, lex_fwd, lex_rev, max_len=7):
-            seen.append((list(extracted), lex_fwd, lex_rev))
-            return score_phrases(extracted, lex_fwd, lex_rev, max_len)
+        def recording(sentences, lex_fwd, lex_rev):
+            seen.append((sentences, lex_fwd, lex_rev))
+            return score_phrases(sentences, lex_fwd, lex_rev)
 
         monkeypatch.setattr(align_mod, "score_phrases", recording)
         rng = random.Random(6)
@@ -442,13 +423,16 @@ class TestScorePhrases:
                 tgt = tuple(rng.choice("uvwxyz") for _ in range(max(1, n + rng.randint(-2, 2))))
                 pairs.append((src, tgt))
             table, _, _ = build_phrase_table(pairs, iterations=4, max_len=rng.randint(2, 7))
-            extracted, lex_fwd, lex_rev = seen.pop()
-            assert table.entries == reference_score_phrases(extracted, lex_fwd, lex_rev)
+            sentences, lex_fwd, lex_rev = seen.pop()
+            assert table.entries == reference_score_phrases(sentences, lex_fwd, lex_rev)
 
     def test_empty_extraction_rejected(self):
         lex = LexicalTable({})
         with pytest.raises(ValueError):
             score_phrases([], lex, lex)
+        unaligned = AlignmentMatrix(frozenset(), 1, 1)
+        with pytest.raises(ValueError):
+            score_phrases([(("a",), ("x",), unaligned, [])], lex, lex)
 
 
 class TestBuildPhraseTable:
@@ -488,9 +472,32 @@ class TestPhraseTableIo:
             for tgt, scores in table.entries[src].items():
                 for a, b in zip(loaded.entries[src][tgt], scores):
                     assert a == pytest.approx(b, abs=1e-12)
+        assert loaded.max_len == table.max_len == 2
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "pt.txt"
         path.write_text("a ||| x\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_phrase_table(path)
+
+    @pytest.mark.parametrize("scores", ["0.5 oops 0.5 0.5", "0.5 nan 0.5 0.5",
+                                        "inf 0.5 0.5 0.5", "0.5 0.5 0.5 -inf"])
+    def test_bad_score_names_line(self, tmp_path, scores):
+        path = tmp_path / "pt.txt"
+        path.write_text(f"a ||| x ||| 0.5 0.5 0.5 0.5\nb ||| y ||| {scores}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pt\.txt:2: "):
+            read_phrase_table(path)
+
+    def test_max_len_is_longest_source_phrase(self, tmp_path):
+        assert PhraseTable({}).max_len == 0
+        # a phrase longer than extraction's default limit still reaches the
+        # decoder's options
+        sentence = tuple(f"w{i}" for i in range(9))
+        path = tmp_path / "pt.txt"
+        path.write_text(" ".join(sentence[:8]) + " ||| x ||| 0.5 0.5 0.5 0.5\n",
+                        encoding="utf-8")
+        table = read_phrase_table(path)
+        assert table.max_len == 8
+        options = build_options(sentence, [table], FeatureLayout(1, 0))
+        assert [opt.tgt for opt in options[(0, 8)]] == [("x",)]

@@ -214,6 +214,17 @@ class TestFixtures:
         with pytest.raises(ValueError):
             load_evidence_fixture(p)
 
+    @pytest.mark.parametrize("record", [
+        "[1, 2]",
+        '{"speaker_id": "s1", "source": "knowledge_base", "label": "F", "confidence": null}',
+    ])
+    def test_bad_record_names_line(self, tmp_path, record):
+        p = tmp_path / "ev.jsonl"
+        good = '{"speaker_id": "s1", "source": "knowledge_base", "label": "F", "confidence": 1.0}'
+        p.write_text(f"{good}\n{record}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"ev\.jsonl:2: bad evidence record"):
+            load_evidence_fixture(p)
+
     def test_speaker_csv_round_trip(self, tmp_path):
         records = [
             SpeakerRecord("s1", "Jane Doe", "FR", datetime.date(1960, 2, 29), "F", KNOWLEDGE_BASE),

@@ -28,10 +28,9 @@ def make_lm(sentences=None, order=2):
     return train_kn_lm(sentences, order=order, unk_threshold=0)
 
 
-def table_from(entries, max_len=7):
+def table_from(entries):
     return PhraseTable(
-        {tuple(s.split()): {tuple(t.split()): sc for t, sc in row.items()} for s, row in entries.items()},
-        max_len,
+        {tuple(s.split()): {tuple(t.split()): sc for t, sc in row.items()} for s, row in entries.items()}
     )
 
 
