@@ -310,6 +310,9 @@ def write_phrase_table(table: PhraseTable, path) -> None:
 
 
 def read_phrase_table(path) -> PhraseTable:
+    """Inverse of write_phrase_table.  A malformed line, a score outside
+    (0, 1] or a repeated `source ||| target` pair raises ValueError naming
+    `path:line`."""
     entries: dict[tuple, dict] = defaultdict(dict)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -327,8 +330,10 @@ def read_phrase_table(path) -> PhraseTable:
                 raise ValueError(f"{path}:{lineno}: bad score: {exc}") from exc
             if len(scores) != 4:
                 raise ValueError(f"{path}:{lineno}: expected four scores")
-            if not all(map(math.isfinite, scores)):
-                raise ValueError(f"{path}:{lineno}: scores must be finite")
+            if not all(0.0 < x <= 1.0 for x in scores):
+                raise ValueError(f"{path}:{lineno}: scores must lie in (0, 1]")
+            if tgt in entries[src]:
+                raise ValueError(f"{path}:{lineno}: repeated pair {' '.join(src)} ||| {' '.join(tgt)}")
             entries[src][tgt] = scores
     return PhraseTable(dict(entries))
 

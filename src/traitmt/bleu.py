@@ -22,19 +22,13 @@ class BleuStats:
     cand_len: int
     ref_len: int
 
-    def _combine(self, other: "BleuStats", op) -> "BleuStats":
-        return BleuStats(
-            tuple(map(op, self.matches, other.matches)),
-            tuple(map(op, self.totals, other.totals)),
-            op(self.cand_len, other.cand_len),
-            op(self.ref_len, other.ref_len),
-        )
-
     def __add__(self, other: "BleuStats") -> "BleuStats":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "BleuStats") -> "BleuStats":
-        return self._combine(other, operator.sub)
+        return BleuStats(
+            tuple(map(operator.add, self.matches, other.matches)),
+            tuple(map(operator.add, self.totals, other.totals)),
+            self.cand_len + other.cand_len,
+            self.ref_len + other.ref_len,
+        )
 
 
 ZERO_STATS = BleuStats((0,) * MAX_ORDER, (0,) * MAX_ORDER, 0, 0)

@@ -1,16 +1,23 @@
 """Weight tuning by exact line search over n-best pools.
 
-Each sentence's candidates are sorted by target and stacked into a feature
-matrix F, one row per candidate; their scores under weights w are the row
-sums of F * w.  Varying weight d turns the scores into lines with slopes
-F[:, d] and intercepts scores - w[d] * F[:, d]; the per-sentence upper
-envelope of those lines is computed exactly and corpus BLEU is evaluated
-once per envelope interval.  Ties go to the smallest target: the envelope
-keeps the first of equal lines, the argmax the first of equal scores, and
-the rows are in target order.  (Row sums score equal rows equally wherever
-they sit in F; a BLAS matrix-vector product may not.)  Tuning runs
-coordinate ascent over all dimensions on a growing n-best pool, with
-seeded random restarts, and only accepts steps that improve pool BLEU.
+A round of tuning stacks its pool once (_StackedPool): every sentence's
+candidates, sorted by target within the sentence, as rows of one feature
+matrix F and one int64 matrix S of BLEU statistics (4 clipped matches, 4
+totals, candidate and reference length), with each sentence's row
+offsets.  Scores under weights w are the row sums of F * w.  Varying
+weight d turns the scores into lines with slopes F[:, d] and intercepts
+scores - w[d] * F[:, d]; each sentence's upper envelope of those lines is
+computed exactly, and its crossings are sweep events that swap one row of
+S for another.  The corpus statistics of every envelope interval are one
+integer cumulative sum over the sorted events, and corpus BLEU is
+evaluated once per interval.  Ties go to the smallest target: the
+envelope keeps the first of equal lines, the argmax the first of equal
+scores, and the rows are in target order.  (Row sums score equal rows
+equally wherever they sit in F; a BLAS matrix-vector product may not.)
+Tuning runs coordinate ascent over all dimensions on a growing n-best
+pool, with seeded random restarts, and only accepts steps that improve
+pool BLEU.  line_search, pool_bleu and coordinate_ascent also take the
+pool as per-sentence lists of PoolCandidate and stack it on entry.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .bleu import ZERO_STATS, BleuStats, bleu_from_stats, sentence_stats
+from .bleu import MAX_ORDER, BleuStats, bleu_from_stats, sentence_stats
 
 MAX_SWEEPS = 20  # coordinate-ascent sweeps per start
 
@@ -33,16 +41,34 @@ class PoolCandidate:
     stats: BleuStats
 
 
-def _sentence_matrices(pool):
-    """Per sentence: its candidates sorted by target and their feature
-    matrix, one row per candidate in the same order."""
-    if not pool or any(len(cands) == 0 for cands in pool):
-        raise ValueError("every sentence needs a non-empty candidate list")
-    out = []
-    for cands in pool:
-        cands = sorted(cands, key=lambda c: c.target)
-        out.append((cands, np.array([c.features for c in cands], dtype=float)))
-    return out
+class _StackedPool:
+    """Candidate lists stacked for the line search: F (features) and S
+    (BLEU statistics) have one row per candidate, sorted by target within
+    each sentence; sentence k owns rows offsets[k]:offsets[k + 1]."""
+
+    __slots__ = ("F", "S", "offsets")
+
+    def __init__(self, pool):
+        if not pool or any(len(cands) == 0 for cands in pool):
+            raise ValueError("every sentence needs a non-empty candidate list")
+        rows = [c for cands in pool for c in sorted(cands, key=lambda c: c.target)]
+        self.F = np.array([c.features for c in rows], dtype=float)
+        self.S = np.array([(*c.stats.matches, *c.stats.totals, c.stats.cand_len, c.stats.ref_len)
+                           for c in rows], dtype=np.int64)
+        self.offsets = list(accumulate(map(len, pool), initial=0))
+
+    @classmethod
+    def of(cls, pool):
+        return pool if isinstance(pool, cls) else cls(pool)
+
+    def spans(self):
+        return zip(self.offsets, self.offsets[1:])
+
+
+def _bleu(row):
+    """Corpus BLEU of one row of summed statistics (a list of ints)."""
+    return bleu_from_stats(BleuStats(tuple(row[:MAX_ORDER]), tuple(row[MAX_ORDER:2 * MAX_ORDER]),
+                                     row[-2], row[-1]))
 
 
 def _upper_envelope(slopes, intercepts):
@@ -77,42 +103,47 @@ def _upper_envelope(slopes, intercepts):
 def line_search(pool, weights, dim):
     """Best value for one weight by exact envelope sweep.
 
-    pool is a list of per-sentence candidate lists (PoolCandidate).
-    Returns (best_weight, best_bleu).  When no line crossing exists the
-    current weight is returned with its BLEU.
+    pool is a list of per-sentence candidate lists (PoolCandidate) or a
+    _StackedPool.  Returns (best_weight, best_bleu).  When no line
+    crossing exists the current weight is returned with its BLEU.
     """
+    pool = _StackedPool.of(pool)
     weights = np.asarray(weights, dtype=float)
     current = float(weights[dim])
-    # stats of each sentence's choice at -inf, and sweep events: at
-    # boundary x a sentence's choice switches, and the corpus stats change
-    # by the difference of the two candidates' stats
-    stats = ZERO_STATS
-    events: dict[float, list] = {}
-    for cands, F in _sentence_matrices(pool):
-        slopes = F[:, dim]
-        intercepts = (F * weights).sum(axis=1) - weights[dim] * slopes
-        env = _upper_envelope(slopes.tolist(), intercepts.tolist())
-        stats = stats + cands[env[0][1]].stats
+    slopes = pool.F[:, dim]
+    intercepts = ((pool.F * weights).sum(axis=1) - weights[dim] * slopes).tolist()
+    slopes = slopes.tolist()
+    # each sentence's row at -inf, and sweep events: at x the sentence's
+    # choice switches from row old to row new
+    start, xs, old, new = [], [], [], []
+    for a, b in pool.spans():
+        env = _upper_envelope(slopes[a:b], intercepts[a:b])
+        start.append(a + env[0][1])
         for (x, i), (_, prev) in zip(env[1:], env):
-            events.setdefault(x, []).append(cands[i].stats - cands[prev].stats)
-    boundaries = sorted(events)
-    if not boundaries:
-        return current, bleu_from_stats(stats)
+            xs.append(x)
+            old.append(a + prev)
+            new.append(a + i)
+    stats = pool.S[start].sum(axis=0)
+    if not xs:
+        return current, _bleu(stats.tolist())
 
+    boundaries = sorted(set(xs))
     points = [boundaries[0] - 1.0]
     for a, b in zip(boundaries, boundaries[1:]):
         points.append((a + b) / 2.0)
     points.append(boundaries[-1] + 1.0)
+    # swept[k]: the change in corpus stats after the first k events in x
+    # order; each point has seen every event at or below it
+    order = np.argsort(xs)
+    swept = np.zeros((len(xs) + 1, pool.S.shape[1]), dtype=np.int64)
+    swept[1:] = pool.S[np.take(new, order)] - pool.S[np.take(old, order)]
+    np.cumsum(swept, axis=0, out=swept)
+    seen = np.searchsorted(np.take(xs, order), points, side="right")
+    totals = (stats + swept[seen]).tolist()
 
     best_bleu, best_x = -1.0, current
-    idx = 0
-    for x in points:
-        # apply all events up to this interval
-        while idx < len(boundaries) and boundaries[idx] <= x:
-            for delta in events[boundaries[idx]]:
-                stats = stats + delta
-            idx += 1
-        bleu = bleu_from_stats(stats)
+    for x, row in zip(points, totals):
+        bleu = _bleu(row)
         better = bleu > best_bleu + 1e-12
         closer = abs(bleu - best_bleu) <= 1e-12 and abs(x - current) < abs(best_x - current)
         if better or closer:
@@ -123,16 +154,16 @@ def line_search(pool, weights, dim):
 def pool_bleu(pool, weights):
     """Corpus BLEU of the per-sentence argmax candidates at the given
     weights (ties to the lexicographically smallest target)."""
-    weights = np.asarray(weights, dtype=float)
-    stats = ZERO_STATS
-    for cands, F in _sentence_matrices(pool):
-        stats = stats + cands[int(np.argmax((F * weights).sum(axis=1)))].stats
-    return bleu_from_stats(stats)
+    pool = _StackedPool.of(pool)
+    scores = (pool.F * np.asarray(weights, dtype=float)).sum(axis=1)
+    chosen = [a + int(np.argmax(scores[a:b])) for a, b in pool.spans()]
+    return _bleu(pool.S[chosen].sum(axis=0).tolist())
 
 
 def coordinate_ascent(pool, weights):
     """Line search over every dimension until a full sweep yields no BLEU
     gain; returns (weights, bleu).  Accepted steps never lower BLEU."""
+    pool = _StackedPool.of(pool)
     weights = np.asarray(weights, dtype=float).copy()
     best = pool_bleu(pool, weights)
     for _ in range(MAX_SWEEPS):
@@ -172,11 +203,11 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
                         tuple(target), tuple(features), sentence_stats(target, ref)
                     )
                     grew = True
-        pool_lists = [list(p.values()) for p in pool]
-        candidates = [coordinate_ascent(pool_lists, weights)]
+        stacked = _StackedPool([list(p.values()) for p in pool])
+        candidates = [coordinate_ascent(stacked, weights)]
         for _ in range(max(0, restarts - 1)):
             start = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
-            candidates.append(coordinate_ascent(pool_lists, start))
+            candidates.append(coordinate_ascent(stacked, start))
         candidates.sort(key=lambda wb: -wb[1])
         new_weights, new_bleu = candidates[0]
         if new_bleu > best_bleu + 1e-12:

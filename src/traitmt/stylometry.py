@@ -153,6 +153,13 @@ class Chunk:
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
 
+    @cached_property
+    def pos_trigrams(self) -> Counter:
+        """Counts of the padded POS trigrams of every sentence, made once
+        per chunk for the feature space and the chunk's vector; the
+        sentences must not change after the first read."""
+        return Counter(chain.from_iterable(_padded_trigrams(s.tags) for s in self.sentences))
+
 
 def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
                  label: str = "U", status: str = ORIGINAL, language: str = "en"):
@@ -229,8 +236,9 @@ def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
         if lw not in seen:
             seen.add(lw)
             fw_seen.append(lw)
-    counts = Counter(chain.from_iterable(
-        _padded_trigrams(s.tags) for chunk in chunks for s in chunk.sentences))
+    counts = Counter()
+    for chunk in chunks:
+        counts.update(chunk.pos_trigrams)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     trigrams = tuple(t for t, _ in ranked[:k])
     return FeatureSpace(tuple(fw_seen), trigrams)
@@ -246,18 +254,16 @@ class FeatureVector:
 def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     """Raw feature counts divided by the chunk's token count.
 
-    Function-word matching is case-insensitive; trigram counting uses the
-    same per-sentence boundary padding as build_feature_space.
+    Function-word matching is case-insensitive; the trigram counts are the
+    chunk's pos_trigrams, the same counts build_feature_space sums.
     """
     n = chunk.token_count
     if n == 0:
         raise ValueError("cannot vectorize an empty chunk")
-    sents = chunk.sentences
-    words = Counter(map(str.lower, chain.from_iterable(s.tokens for s in sents)))
-    trigrams = Counter(chain.from_iterable(_padded_trigrams(s.tags) for s in sents))
+    words = Counter(map(str.lower, chain.from_iterable(s.tokens for s in chunk.sentences)))
     fw_index, tri_index = space.fw_index, space.trigram_index
     values = {fw_index[w]: c / n for w, c in words.items() if w in fw_index}
-    values.update((tri_index[t], c / n) for t, c in trigrams.items() if t in tri_index)
+    values.update((tri_index[t], c / n) for t, c in chunk.pos_trigrams.items() if t in tri_index)
     return FeatureVector(values, chunk.label, chunk.status)
 
 

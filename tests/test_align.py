@@ -489,6 +489,22 @@ class TestPhraseTableIo:
         with pytest.raises(ValueError, match=r"pt\.txt:2: "):
             read_phrase_table(path)
 
+    @pytest.mark.parametrize("scores", ["0.5 0.5 0 0.5", "-1 0.5 0.5 0.5",
+                                        "0.5 2 0.5 0.5", "0.5 0.5 0.5 1.0000001"])
+    def test_score_outside_unit_interval_names_line(self, tmp_path, scores):
+        path = tmp_path / "pt.txt"
+        path.write_text(f"a ||| x ||| 1 1 1 1\nb ||| y ||| {scores}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pt\.txt:2: scores must lie in \(0, 1\]"):
+            read_phrase_table(path)
+
+    def test_repeated_pair_names_line(self, tmp_path):
+        path = tmp_path / "pt.txt"
+        path.write_text("a b ||| x ||| 0.5 0.5 0.5 0.5\n"
+                        "a b ||| y ||| 0.5 0.5 0.5 0.5\n"
+                        "a  b ||| x ||| 0.25 0.5 0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pt\.txt:3: repeated pair a b \|\|\| x"):
+            read_phrase_table(path)
+
     def test_max_len_is_longest_source_phrase(self, tmp_path):
         assert PhraseTable({}).max_len == 0
         # a phrase longer than extraction's default limit still reaches the

@@ -74,12 +74,11 @@ class TestStats:
         assert combined.cand_len == 6
         assert combined.matches[0] == a.matches[0] + b.matches[0]
 
-    def test_stats_subtract_fieldwise(self):
+    def test_stats_add_fieldwise(self):
         a = sentence_stats("a b c d".split(), "a b c d".split())
         b = sentence_stats("x y".split(), "x z".split())
-        assert (a + b) - b == a
-        assert b - a == BleuStats((-3, -3, -2, -1), (-2, -2, -2, -1), -2, -2)
-        assert a - a == ZERO_STATS
+        assert a + b == BleuStats((5, 3, 2, 1), (6, 4, 2, 1), 6, 6)
+        assert a + ZERO_STATS == a
 
     def test_corpus_equals_pooled_stats(self):
         rng = random.Random(1)

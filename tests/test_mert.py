@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from traitmt import mert
 from traitmt.bleu import ZERO_STATS, BleuStats, bleu_from_stats, sentence_stats
 from traitmt.mert import (
     PoolCandidate,
+    _StackedPool,
     _upper_envelope,
     coordinate_ascent,
     line_search,
@@ -277,14 +279,18 @@ class TestLineSearch:
                 weights = np.array([rng.randint(-8, 8) / 4 for _ in range(dim)])
             else:
                 weights = np.array([rng.uniform(-2, 2) for _ in range(dim)])
-            d = rng.randrange(dim)
-            got_w, got_bleu = line_search(pool, weights, d)
-            want_w, want_bleu = reference_line_search(pool, weights, d)
-            assert got_bleu == want_bleu, trial
-            assert math.isclose(got_w, want_w, rel_tol=1e-9), trial
-            if integer:
-                assert got_w == want_w, trial
+            stacked = _StackedPool(pool)
+            for d in rng.sample(range(dim), min(dim, 2)):
+                got_w, got_bleu = line_search(pool, weights, d)
+                want_w, want_bleu = reference_line_search(pool, weights, d)
+                assert got_bleu == want_bleu, trial
+                assert math.isclose(got_w, want_w, rel_tol=1e-9), trial
+                if integer:
+                    assert got_w == want_w, trial
+                # one stacked pool serves every dimension, as in coordinate_ascent
+                assert line_search(stacked, weights, d) == (got_w, got_bleu), trial
             assert pool_bleu(pool, weights) == reference_pool_bleu(pool, weights), trial
+            assert pool_bleu(stacked, weights) == pool_bleu(pool, weights), trial
 
     def test_equal_rows_tie_to_smallest_target(self):
         # seven candidates with one feature row of nine columns, as many
@@ -306,6 +312,84 @@ class TestLineSearch:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             line_search([[]], np.array([1.0]), 0)
+        with pytest.raises(ValueError):
+            pool_bleu([], np.array([1.0]))
+
+
+def assert_matches_reference(pool, weights, dims):
+    """The list pool, one stacked pool and the per-candidate reference give
+    bit-identical line searches and pool BLEU."""
+    weights = np.asarray(weights, dtype=float)
+    stacked = _StackedPool(pool)
+    for d in dims:
+        want = reference_line_search(pool, weights, d)
+        assert line_search(pool, weights, d) == want
+        assert line_search(stacked, weights, d) == want
+    want = reference_pool_bleu(pool, weights)
+    assert pool_bleu(pool, weights) == pool_bleu(stacked, weights) == want
+
+
+class TestStackedPool:
+    def test_rows_sorted_by_target_within_sentence(self):
+        pool = [[cand("c", [1, 0], "a"), cand("a", [2, 0], "a")],
+                [cand("b b", [3, 1], "b c"), cand("a b", [4, 1], "b c"), cand("z", [5, 1], "b c")]]
+        stacked = _StackedPool(pool)
+        assert stacked.offsets == [0, 2, 5]
+        assert stacked.F[:, 0].tolist() == [2.0, 1.0, 4.0, 3.0, 5.0]
+        assert stacked.S.dtype == np.int64
+        # matches 1-4, totals 1-4, cand_len, ref_len
+        assert stacked.S[3].tolist() == [1, 0, 0, 0, 2, 1, 0, 0, 2, 2]
+
+    def test_crossings_of_different_sentences_at_one_x(self):
+        # along weight 0 the references score x, x and 2x against 1: two
+        # sentences switch to their reference at x = 1, the third at 1/2,
+        # so only past x = 1 does every sentence read its reference
+        pool = [
+            [cand("a b c d", [1, 0], "a b c d"), cand("q q q q", [0, 1], "a b c d")],
+            [cand("e f g h", [1, 0], "e f g h"), cand("r r r r", [0, 1], "e f g h")],
+            [cand("i j k l", [2, 0], "i j k l"), cand("s s s s", [0, 1], "i j k l")],
+        ]
+        assert_matches_reference(pool, [5.0, 1.0], [0, 1])
+        best_w, best_bleu = line_search(pool, [5.0, 1.0], 0)
+        assert best_bleu == 1.0 and best_w > 1.0
+        # boundaries 1/2 and 1: the interval past the last is probed at 2
+        assert line_search(pool, [0.0, 1.0], 0) == (2.0, 1.0)
+
+    def test_probe_point_rounding_onto_a_boundary(self):
+        # the reference overtakes at x = 2**60, where the boundary -/+ 1
+        # rounds back onto the boundary: both probe points have seen the
+        # switch, because a point sees every event at or below it
+        pool = [[cand("a b c d", [0, 1], "a b c d"), cand("a b x d", [2.0 ** 60, 0], "a b c d")]]
+        assert_matches_reference(pool, [1.0, 0.0], [1])
+        assert line_search(pool, [1.0, 0.0], 1) == (2.0 ** 60, 1.0)
+
+    def test_single_candidate_sentences(self):
+        pool = [[cand("a b c d", [1, 2], "a b c d")],
+                [cand("e f g h", [0, 1], "e f x h")],
+                [cand("i j k l", [3, -1], "i j k l"), cand("i j k x", [-1, 3], "i j k l")]]
+        assert_matches_reference(pool, [0.5, 0.25], [0, 1])
+        # only the last sentence has a crossing
+        assert_matches_reference(pool[:2], [0.5, 0.25], [0, 1])
+        assert line_search(pool[:2], [0.5, 0.25], 1)[0] == 0.25
+
+    def test_pool_without_crossings(self):
+        # equal slopes in the searched dimension: no line ever crosses
+        pool = [[cand("a b c d", [1, 0], "a b c d"), cand("a b x d", [1, 2], "a b c d")],
+                [cand("e f", [2, 3], "e f"), cand("e g", [2, 1], "e f")]]
+        for weights in ([1.0, -1.0], [1.0, 1.0], [-2.0, 0.5]):
+            assert_matches_reference(pool, weights, [0])
+            assert line_search(pool, weights, 1) == reference_line_search(pool, weights, 1)
+            assert line_search(pool, weights, 0)[0] == weights[0]
+
+    def test_equal_rows_tie_to_smallest_target(self):
+        ref = "a b c d"
+        row = [0.5, -1.25, 3.0]
+        pool = [[cand("a b x d", row, ref), cand("a b c d", row, ref), cand("b b c d", row, ref)],
+                [cand("z", [1, 1, 1], "z"), cand("y", [1, 1, 1], "z")]]
+        for weights in ([1.0, 1.0, 1.0], [-0.5, 2.0, 0.0]):
+            assert_matches_reference(pool, weights, [0, 1, 2])
+            assert pool_bleu(pool, weights) == reference_pool_bleu([[pool[0][1]], [pool[1][1]]],
+                                                                   weights)
 
 
 class TestTuning:
@@ -366,6 +450,26 @@ class TestTuning:
                          nbest_size=10, restarts=4, seed=7)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
+
+    def test_pool_stacked_once_per_round(self, monkeypatch):
+        decode_nbest, sentences, refs = self.toy_system()
+        decoded, stacked = [], []
+
+        def counting_decode(sentence, weights, nbest_size):
+            decoded.append(sentence)
+            return decode_nbest(sentence, weights, nbest_size)
+
+        class CountingPool(_StackedPool):
+            def __init__(self, pool):
+                stacked.append(len(pool))
+                super().__init__(pool)
+
+        monkeypatch.setattr(mert, "_StackedPool", CountingPool)
+        tune_weights(counting_decode, sentences, refs, np.array([1.0, -2.0]), iterations=3,
+                     nbest_size=1, restarts=4, seed=0)
+        rounds = len(decoded) // len(sentences)
+        assert rounds >= 2
+        assert stacked == [len(sentences)] * rounds
 
     def test_coordinate_ascent_never_decreases(self):
         rng = random.Random(3)

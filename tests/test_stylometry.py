@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from traitmt import stylometry
 from traitmt.stylometry import (
     Chunk,
     FeatureSpace,
@@ -49,6 +50,18 @@ def reference_vectorize_values(chunk, space):
             if idx is not None:
                 counts[idx] = counts.get(idx, 0.0) + 1.0
     return {i: c / n for i, c in counts.items()}
+
+
+def reference_pos_trigrams(chunks, k):
+    """Top-k padded POS trigrams by one count over every sentence of every
+    chunk, ties in lexicographic order."""
+    counts = {}
+    for chunk in chunks:
+        for s in chunk.sentences:
+            padded = ("<S>", "<S>") + s.tags + ("</S>", "</S>")
+            for i in range(len(padded) - 2):
+                counts[padded[i: i + 3]] = counts.get(padded[i: i + 3], 0) + 1
+    return tuple(sorted(counts, key=lambda t: (-counts[t], t))[:k])
 
 
 class TestTagger:
@@ -254,9 +267,23 @@ class TestVectorize:
                     sents.append(TaggedSentence(tuple(rng.choice(words) for _ in range(n)),
                                                 tuple(rng.choice(tags) for _ in range(n))))
                 chunks.append(Chunk(sents, "M", "original", "en"))
-            fs = build_feature_space(chunks, ["the", "of", "and", "but"], k=rng.randint(1, 40))
+            k = rng.randint(1, 40)
+            fs = build_feature_space(chunks, ["the", "of", "and", "but"], k=k)
+            assert fs.pos_trigrams == reference_pos_trigrams(chunks, k)
             for chunk in chunks:
                 assert vectorize_chunk(chunk, fs).values == reference_vectorize_values(chunk, fs)
+
+    def test_trigrams_counted_once_per_chunk(self, monkeypatch):
+        calls = []
+        padded = stylometry._padded_trigrams
+        monkeypatch.setattr(stylometry, "_padded_trigrams",
+                            lambda tags: calls.append(tags) or padded(tags))
+        chunks = [Chunk([sent("a b c", "D N V"), sent("d e", "D N")], "M", "original", "en"),
+                  Chunk([sent("f g", "N V")], "F", "original", "en")]
+        fs = build_feature_space(chunks, ["a"], k=10)
+        for chunk in chunks:
+            vectorize_chunk(chunk, fs)
+        assert len(calls) == 3
 
     def test_empty_chunk_rejected(self):
         fs = FeatureSpace(("the",), ())
