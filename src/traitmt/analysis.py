@@ -10,7 +10,6 @@ the markers of an original text through its translation variants.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +23,6 @@ def _count_entropy(counts, n: int) -> float:
             p = count / n
             ent -= p * math.log2(p)
     return ent
-
-
-def entropy(labels) -> float:
-    """Shannon entropy of a label sequence in bits."""
-    counts = Counter(labels)
-    return _count_entropy(counts.values(), sum(counts.values()))
 
 
 def discretize_feature(values, labels):

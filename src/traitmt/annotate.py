@@ -67,28 +67,6 @@ class SpeakerRecord:
             raise ValueError("resolved gender requires a provenance")
 
 
-@dataclass
-class AuditReport:
-    total: int
-    class_counts: dict          # label -> count over resolved records
-    provenance_counts: dict     # provenance -> count (includes "none")
-    coverage: dict              # provenance -> percent of total
-    accuracy: dict              # provenance -> percent vs gold, or None if no overlap
-
-    def as_text(self) -> str:
-        lines = [f"speakers total  {self.total}"]
-        for label in ("M", "F"):
-            lines.append(f"class {label}         {self.class_counts.get(label, 0)}")
-        for prov in sorted(self.provenance_counts):
-            acc = self.accuracy.get(prov)
-            acc_s = "N/A" if acc is None else f"{acc:.1f}"
-            lines.append(
-                f"{prov:<15} n={self.provenance_counts[prov]:<6}"
-                f" coverage={self.coverage[prov]:.1f} accuracy={acc_s}"
-            )
-        return "\n".join(lines) + "\n"
-
-
 def filter_evidence(evidence, threshold: float = DEFAULT_CONFIDENCE_THRESHOLD):
     """Keep evidence with confidence >= threshold, order preserved."""
     if not 0.0 <= threshold <= 1.0:
@@ -136,49 +114,6 @@ def resolve_gender(evidence) -> tuple[str, str]:
     if MANUAL in by_source:
         return by_source[MANUAL], MANUAL
     return "U", NO_PROVENANCE
-
-
-def compute_age(birth: datetime.date, session: datetime.date) -> int:
-    """Whole completed years between birth and session date."""
-    if session < birth:
-        raise ValueError(f"session date {session} precedes birth date {birth}")
-    years = session.year - birth.year
-    if (session.month, session.day) < (birth.month, birth.day):
-        years -= 1
-    return years
-
-
-def audit_resource(records, gold: dict) -> AuditReport:
-    """Coverage / accuracy / class balance over resolved speaker records.
-
-    Coverage groups records by winning provenance; accuracy compares the
-    resolved label with the gold label over records present in gold.
-    Provenances with no gold overlap get accuracy None (reported N/A).
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("record list must be non-empty")
-    if not gold:
-        raise ValueError("gold map must be non-empty")
-    total = len(records)
-    class_counts: dict[str, int] = {}
-    prov_counts: dict[str, int] = {}
-    agree: dict[str, int] = {}
-    overlap: dict[str, int] = {}
-    for r in records:
-        prov_counts[r.provenance] = prov_counts.get(r.provenance, 0) + 1
-        if r.resolved_gender != "U":
-            class_counts[r.resolved_gender] = class_counts.get(r.resolved_gender, 0) + 1
-            if r.speaker_id in gold:
-                overlap[r.provenance] = overlap.get(r.provenance, 0) + 1
-                if gold[r.speaker_id] == r.resolved_gender:
-                    agree[r.provenance] = agree.get(r.provenance, 0) + 1
-    coverage = {p: 100.0 * n / total for p, n in prov_counts.items()}
-    accuracy = {
-        p: (100.0 * agree.get(p, 0) / overlap[p]) if p in overlap else None
-        for p in prov_counts
-    }
-    return AuditReport(total, class_counts, prov_counts, coverage, accuracy)
 
 
 def load_evidence_fixture(path) -> dict:

@@ -2,15 +2,15 @@
 
 A corpus is an ordered list of sentence pairs, each carrying speaker id,
 gender, age, original language and session date.  Preprocessing covers
-punctuation normalization, rule-based tokenization and the usual cleaning
-pass (empty / over-long / badly misaligned pairs).
+rule-based tokenization and the usual cleaning pass (empty / over-long /
+badly misaligned pairs).
 """
 
 from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 GENDERS = ("M", "F", "U")
 
@@ -83,7 +83,6 @@ class CleanReport:
     removed_empty: int = 0
     removed_long: int = 0
     removed_ratio: int = 0
-    removals: dict = field(default_factory=dict)
 
     def as_text(self) -> str:
         lines = [
@@ -96,14 +95,12 @@ class CleanReport:
         return "\n".join(lines) + "\n"
 
 
-def load_corpus(path, fmt: str = "tsv") -> tuple[Corpus, list[RowError]]:
+def load_corpus(path) -> tuple[Corpus, list[RowError]]:
     """Parse an annotated-corpus TSV file.
 
     Malformed rows are collected as RowError values (with the 1-based line
     number) rather than silently dropped.  Returns (corpus, errors).
     """
-    if fmt != "tsv":
-        raise CorpusFormatError(f"unknown corpus format {fmt!r}")
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -163,28 +160,30 @@ def load_corpus(path, fmt: str = "tsv") -> tuple[Corpus, list[RowError]]:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus back to the TSV layout read by load_corpus."""
+    """Write a corpus back to the TSV layout read by load_corpus.
+
+    Raises CorpusFormatError, naming the field, when a value holds a tab or
+    newline, since load_corpus could not split that row back.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(TSV_COLUMNS) + "\n")
         for p in corpus.pairs:
-            for text in (p.source_text, p.target_text):
-                if "\t" in text or "\n" in text:
-                    raise CorpusFormatError("text fields must not contain tab or newline")
-            fh.write(
-                "\t".join(
-                    [
-                        corpus.source_lang,
-                        corpus.target_lang,
-                        p.speaker_id,
-                        p.gender,
-                        "" if p.age is None else str(p.age),
-                        p.session_date.isoformat(),
-                        p.source_text,
-                        p.target_text,
-                    ]
-                )
-                + "\n"
-            )
+            row = [
+                corpus.source_lang,
+                corpus.target_lang,
+                p.speaker_id,
+                p.gender,
+                "" if p.age is None else str(p.age),
+                p.session_date.isoformat(),
+                p.source_text,
+                p.target_text,
+            ]
+            line = "\t".join(row)
+            # one scan of the joined row checks every field it holds
+            if "\n" in line or line.count("\t") != len(row) - 1:
+                name = next(n for n, v in zip(TSV_COLUMNS, row) if "\t" in v or "\n" in v)
+                raise CorpusFormatError(f"{name} must not contain tab or newline")
+            fh.write(line + "\n")
 
 
 def clean_corpus(corpus: Corpus, max_len: int = 80, max_ratio: float = 9.0) -> tuple[Corpus, CleanReport]:
@@ -211,28 +210,6 @@ def clean_corpus(corpus: Corpus, max_len: int = 80, max_ratio: float = 9.0) -> t
             kept.append(p)
     report.kept = len(kept)
     return Corpus(kept, corpus.source_lang, corpus.target_lang), report
-
-
-# Punctuation normalization: curly quotes, dashes, ellipsis, nbsp.
-_PUNCT_MAP = {
-    "“": '"',
-    "”": '"',
-    "„": '"',
-    "«": '"',
-    "»": '"',
-    "‘": "'",
-    "’": "'",
-    "‚": "'",
-    "–": "-",
-    "—": "-",
-    "…": "...",
-    " ": " ",
-}
-_PUNCT_RE = re.compile("|".join(re.escape(k) for k in _PUNCT_MAP))
-
-
-def normalize_punctuation(s: str) -> str:
-    return _PUNCT_RE.sub(lambda m: _PUNCT_MAP[m.group(0)], s)
 
 
 # Characters split off word boundaries by the tokenizer.  The apostrophe is
@@ -302,19 +279,3 @@ def tokenize(s: str, lang: str = "en") -> TokenizedSentence:
             tokens.append(rest)
         tokens.extend(tail)
     return TokenizedSentence(tuple(tokens))
-
-
-def find_duplicate_sources(corpus: Corpus) -> list[int]:
-    """Indices of pairs whose source text already occurred earlier.
-
-    The TSV layout only carries one-to-one alignments; repeated source lines
-    are the symptom of a one-to-many alignment that slipped through.
-    """
-    seen: dict[str, int] = {}
-    dups = []
-    for i, p in enumerate(corpus.pairs):
-        if p.source_text in seen:
-            dups.append(i)
-        else:
-            seen[p.source_text] = i
-    return dups

@@ -295,6 +295,8 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     sentence = tuple(sentence)
     if not sentence:
         raise ValueError("cannot decode an empty sentence")
+    if nbest_size < 1:
+        raise ValueError(f"nbest_size must be >= 1, got {nbest_size}")
     weights = np.asarray(weights, dtype=float)
     n = len(sentence)
     weighted = {span: [float(weights @ np.asarray(o.features)) for o in opts]

@@ -189,6 +189,9 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
     best pool BLEU reached; the pool converges to true dev BLEU as it
     saturates.
     """
+    if len(dev_sentences) != len(dev_references):
+        raise ValueError(f"{len(dev_sentences)} dev sentences but "
+                         f"{len(dev_references)} references")
     rng = random.Random(seed)
     weights = np.asarray(initial_weights, dtype=float).copy()
     dim = len(weights)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import random
 import re
@@ -12,9 +13,7 @@ from traitmt.corpus import (
     Corpus,
     CorpusFormatError,
     clean_corpus,
-    find_duplicate_sources,
     load_corpus,
-    normalize_punctuation,
     save_corpus,
     tokenize,
 )
@@ -151,6 +150,21 @@ class TestLoadCorpus:
         assert loaded.pairs == corpus.pairs
         assert (loaded.source_lang, loaded.target_lang) == ("en", "fr")
 
+    @pytest.mark.parametrize("field", ["speaker_id", "source_text", "target_text"])
+    @pytest.mark.parametrize("bad", ["\t", "\n"], ids=["tab", "newline"])
+    def test_save_rejects_separator_in_pair_field(self, tmp_path, field, bad):
+        pair = make_pair()
+        broken = dataclasses.replace(pair, **{field: "x" + bad + getattr(pair, field)})
+        corpus = Corpus([pair, broken], "en", "fr")
+        with pytest.raises(CorpusFormatError, match=field):
+            save_corpus(corpus, tmp_path / "c.tsv")
+
+    @pytest.mark.parametrize("column", ["src_lang", "tgt_lang"])
+    def test_save_rejects_separator_in_language(self, tmp_path, column):
+        langs = ("e\tn", "fr") if column == "src_lang" else ("en", "f\nr")
+        with pytest.raises(CorpusFormatError, match=column):
+            save_corpus(Corpus([make_pair()], *langs), tmp_path / "c.tsv")
+
 
 class TestCleanCorpus:
     def test_empty_target_removed(self):
@@ -187,29 +201,6 @@ class TestCleanCorpus:
         twice, report = clean_corpus(once)
         assert twice.pairs == once.pairs
         assert report.removed_empty == report.removed_long == report.removed_ratio == 0
-
-
-class TestNormalizePunctuation:
-    def test_curly_quotes(self):
-        assert normalize_punctuation("“a”") == '"a"'
-
-    def test_ascii_unchanged(self):
-        s = 'plain "ascii" text - with hyphen...'
-        assert normalize_punctuation(s) == s
-
-    def test_ellipsis(self):
-        assert normalize_punctuation("x… y") == "x... y"
-
-    def test_dashes_and_nbsp(self):
-        assert normalize_punctuation("a–b—c d") == "a-b-c d"
-
-    def test_idempotent(self):
-        rng = random.Random(3)
-        chars = 'ab "\'-“”‘’–—… .,'
-        for _ in range(100):
-            s = "".join(rng.choice(chars) for _ in range(30))
-            once = normalize_punctuation(s)
-            assert normalize_punctuation(once) == once
 
 
 class TestTokenize:
@@ -249,8 +240,3 @@ class TestTokenize:
                 s = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
                 assert tokenize(s, lang).tokens == reference_tokenize(s, lang), s
 
-
-class TestDuplicateSources:
-    def test_flags_repeated_source(self):
-        c = Corpus([make_pair("same src"), make_pair("other"), make_pair("same src")], "en", "fr")
-        assert find_duplicate_sources(c) == [2]

@@ -521,6 +521,14 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode((), {}, layout.default_weights(), [lm], layout=layout)
 
+    @pytest.mark.parametrize("nbest_size", [0, -3])
+    def test_nbest_size_below_one_rejected(self, nbest_size):
+        table, lm, layout = self.simple_system()
+        weights = layout.default_weights()
+        options = build_options(("a",), [table], layout=layout, weights=weights)
+        with pytest.raises(ValueError, match="nbest_size"):
+            decode(("a",), options, weights, [lm], layout=layout, nbest_size=nbest_size)
+
 
 class TestWeightsIo:
     def test_round_trip(self, tmp_path):

@@ -451,6 +451,20 @@ class TestTuning:
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
+    @pytest.mark.parametrize("n_sentences, n_refs", [(1, 3), (3, 1)])
+    def test_dev_set_lengths_must_match(self, n_sentences, n_refs):
+        decode_nbest, sentences, refs = self.toy_system()
+        decoded = []
+
+        def counting_decode(sentence, weights, nbest_size):
+            decoded.append(sentence)
+            return decode_nbest(sentence, weights, nbest_size)
+
+        with pytest.raises(ValueError, match="dev sentences"):
+            tune_weights(counting_decode, sentences[:n_sentences], refs[:n_refs],
+                         np.array([1.0, -2.0]), iterations=3, nbest_size=10, restarts=1)
+        assert decoded == []
+
     def test_pool_stacked_once_per_round(self, monkeypatch):
         decode_nbest, sentences, refs = self.toy_system()
         decoded, stacked = [], []
