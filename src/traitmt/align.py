@@ -37,18 +37,16 @@ NULL_TOKEN = "<null>"
 
 @dataclass
 class LexicalTable:
-    """t(target_word | source_word); sums to 1 per source word."""
+    """t(target_word | source_word); sums to 1 per source word.  The
+    NULL_TOKEN row, when present, holds the NULL word's probabilities."""
 
     probs: dict  # source word -> {target word: probability}
-    null_token: str | None = NULL_TOKEN
 
     def prob(self, target: str, source: str) -> float:
         return self.probs.get(source, {}).get(target, 0.0)
 
     def null_prob(self, target: str) -> float:
-        if self.null_token is None:
-            return 0.0
-        return self.probs.get(self.null_token, {}).get(target, 0.0)
+        return self.probs.get(NULL_TOKEN, {}).get(target, 0.0)
 
 
 def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
@@ -64,6 +62,8 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
     pairs = [(s, t) for s, t in pairs if s and t]
     if not pairs:
         raise ValueError("corpus has no non-empty sentence pairs")
+    if any(NULL_TOKEN in s for s, _ in pairs):
+        raise ValueError(f"source word {NULL_TOKEN!r} is reserved for the NULL word")
     src_vocab: dict[str, int] = {}
     tgt_vocab: dict[str, int] = {}
     if use_null:
@@ -104,7 +104,7 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
     for key, p in zip(keys.tolist(), t.tolist()):
         if p > 0.0:
             probs[src_words[key // nt]][tgt_words[key % nt]] = p
-    return LexicalTable(probs, NULL_TOKEN if use_null else None), history
+    return LexicalTable(probs), history
 
 
 @dataclass(frozen=True)

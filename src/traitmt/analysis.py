@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+WEAK_GAIN = 0.01  # markers with less information gain are flagged weak
+
 
 def _count_entropy(counts, n: int) -> float:
     """Entropy in bits of n labels with the given per-class counts."""
@@ -75,7 +77,7 @@ class MarkerWeight:
     weak: bool
 
 
-def info_gain_rank(X, labels, feature_names, weak_threshold: float = 0.01):
+def info_gain_rank(X, labels, feature_names):
     """Rank features by information gain of their best binary split.
 
     Returns MarkerWeight entries sorted by descending gain (ties broken by
@@ -96,36 +98,36 @@ def info_gain_rank(X, labels, feature_names, weak_threshold: float = 0.01):
         _, gain = discretize_feature(column, labels)
         means = {c: by_class[c][j].mean() for c in classes}
         direction = max(sorted(means), key=lambda c: means[c])
-        out.append(MarkerWeight(name, gain, direction, gain < weak_threshold))
+        out.append(MarkerWeight(name, gain, direction, gain < WEAK_GAIN))
     out.sort(key=lambda m: (-m.info_gain, m.feature))
     return out
 
 
 @dataclass
 class Projection2D:
-    coordinates: np.ndarray     # (n, dims)
+    coordinates: np.ndarray     # (n, 2)
     genders: list
     statuses: list
-    components: np.ndarray      # (dims, d) orthonormal rows
+    components: np.ndarray      # (2, d) orthonormal rows
     explained_variance: np.ndarray
     mean: np.ndarray
 
 
-def pca_project(X, genders, statuses, dims: int = 2) -> Projection2D:
-    """Mean-centred PCA onto the leading eigenvectors of the sample
+def pca_project(X, genders, statuses) -> Projection2D:
+    """Mean-centred PCA onto the two leading eigenvectors of the sample
     covariance.  Sign convention: the largest-magnitude entry of each
     component is positive."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    if dims > d:
-        raise ValueError(f"dims {dims} exceeds feature dimension {d}")
-    if n < dims + 1:
-        raise ValueError("need at least dims+1 vectors")
+    if d < 2:
+        raise ValueError(f"need at least 2 features, got {d}")
+    if n < 3:
+        raise ValueError("need at least 3 vectors")
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:dims]
+    order = np.argsort(eigvals)[::-1][:2]
     components = eigvecs[:, order].T.copy()
     for k in range(components.shape[0]):
         pivot = np.argmax(np.abs(components[k]))
@@ -145,7 +147,7 @@ def pca_project(X, genders, statuses, dims: int = 2) -> Projection2D:
 def projection_csv(projection: Projection2D) -> str:
     lines = ["pc1,pc2,gender,status"]
     for (pc1, pc2), g, s in zip(
-        projection.coordinates[:, :2], projection.genders, projection.statuses
+        projection.coordinates, projection.genders, projection.statuses
     ):
         lines.append(f"{pc1:.10g},{pc2:.10g},{g},{s}")
     return "\n".join(lines) + "\n"
@@ -193,7 +195,6 @@ class PersistenceReport:
 
 
 def marker_persistence_report(rankings: dict, original: str, lexicon: dict | None = None,
-                              weak_threshold: float = 0.01,
                               cross_language: bool = False) -> PersistenceReport:
     """Follow each original-language marker through translation variants.
 
@@ -221,13 +222,12 @@ def marker_persistence_report(rankings: dict, original: str, lexicon: dict | Non
                         marker.feature, variant, aligned, marker.info_gain, None,
                         marker.class_direction, None,
                         carried_over=False,
-                        lost=marker.info_gain >= weak_threshold,
+                        lost=not marker.weak,
                         direction_flip=False,
                     )
                 )
                 continue
-            strong_orig = marker.info_gain >= weak_threshold
-            strong_var = counterpart.info_gain >= weak_threshold
+            strong_orig, strong_var = not marker.weak, not counterpart.weak
             same_dir = counterpart.class_direction == marker.class_direction
             comparisons.append(
                 MarkerComparison(

@@ -33,7 +33,7 @@ EVIDENCE_SOURCES = (KNOWLEDGE_BASE, NAME_SERVICE, IMAGE_SERVICE, MANUAL)
 AGREEMENT = "agreement"
 NO_PROVENANCE = "none"
 
-DEFAULT_CONFIDENCE_THRESHOLD = 0.9
+CONFIDENCE_THRESHOLD = 0.9  # evidence below this confidence is dropped
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,10 @@ class SpeakerRecord:
             raise ValueError("resolved gender requires a provenance")
 
 
-def filter_evidence(evidence, threshold: float = DEFAULT_CONFIDENCE_THRESHOLD):
-    """Keep evidence with confidence >= threshold, order preserved."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0,1]")
-    return [e for e in evidence if e.confidence >= threshold]
+def filter_evidence(evidence):
+    """Keep evidence with confidence >= CONFIDENCE_THRESHOLD, order
+    preserved."""
+    return [e for e in evidence if e.confidence >= CONFIDENCE_THRESHOLD]
 
 
 def _label_by_source(evidence) -> dict:
@@ -137,29 +136,12 @@ def load_evidence_fixture(path) -> dict:
     return out
 
 
-def annotate_speakers(evidence_by_speaker: dict, threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
-                      metadata: dict | None = None):
-    """Resolve every speaker in an evidence map into a SpeakerRecord.
-
-    metadata optionally maps speaker_id -> (name, country, birth_date).
-    """
+def annotate_speakers(evidence_by_speaker: dict):
+    """Resolve every speaker in an evidence map into a SpeakerRecord."""
     records = []
     for speaker_id in sorted(evidence_by_speaker):
-        kept = filter_evidence(evidence_by_speaker[speaker_id], threshold)
-        label, provenance = resolve_gender(kept)
-        name, country, birth = "", "", None
-        if metadata and speaker_id in metadata:
-            name, country, birth = metadata[speaker_id]
-        records.append(
-            SpeakerRecord(
-                speaker_id=speaker_id,
-                name=name,
-                country=country,
-                birth_date=birth,
-                resolved_gender=label,
-                provenance=provenance,
-            )
-        )
+        label, provenance = resolve_gender(filter_evidence(evidence_by_speaker[speaker_id]))
+        records.append(SpeakerRecord(speaker_id, resolved_gender=label, provenance=provenance))
     return records
 
 

@@ -7,11 +7,12 @@ The solver works on the SVM dual in signed variables beta = y * alpha
     max y'beta - 0.5 beta'K beta   s.t.  sum(beta) = 0,
                                          min(0, C y_i) <= beta_i <= max(0, C y_i)
 
-Each step moves the maximal KKT-violating pair (the working set selection
-of Fan, Chen & Lin 2005 / LIBSVM) along beta_i += t, beta_j -= t and clips
-to the box, so one update rule covers both label-sign cases.  Features are
-min-max scaled to [0,1] with statistics from the training set; the scaling
-is stored on the model and applied again at prediction time.
+Each step moves the maximal KKT-violating pair (the first-order working
+set selection of Keerthi et al. 2001, WSS1 in Fan, Chen & Lin 2005) along
+beta_i += t, beta_j -= t and clips to the box, so one update rule covers
+both label-sign cases.  Features are min-max scaled to [0,1] with
+statistics from the training set; the scaling is stored on the model and
+applied again at prediction time.
 """
 
 from __future__ import annotations
@@ -133,15 +134,15 @@ def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 2000
     return SvmModel(w, b, C, mins, maxs, pos, neg, iterations)
 
 
-def predict(model: SvmModel, x):
-    """(label, margin) for one raw feature vector; margin 0 goes to the
-    +1 class."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.w.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {model.w.shape}")
-    xs = scale_apply(x[None, :], model.mins, model.maxs)[0]
-    margin = float(model.w @ xs + model.b)
-    return (model.pos_label if margin >= 0 else model.neg_label), margin
+def predict(model: SvmModel, X):
+    """(labels, margins) for a matrix of raw feature rows; a margin of 0
+    goes to the +1 class."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1:] != model.w.shape:
+        raise ValueError(f"dimension mismatch: rows of {X.shape} vs {model.w.shape}")
+    margins = scale_apply(X, model.mins, model.maxs) @ model.w + model.b
+    labels = [model.pos_label if m >= 0 else model.neg_label for m in margins.tolist()]
+    return labels, margins
 
 
 @dataclass
@@ -225,10 +226,9 @@ def stratified_folds(labels, folds: int, seed: int):
     return assignment
 
 
-def cross_validate(X, labels, folds: int = 10, seed: int = 0,
-                   C: float = 1.0, tol: float = 1e-3) -> EvalReport:
-    """Stratified k-fold CV; scaling is fitted per training fold; the
-    confusion matrix is pooled over folds."""
+def cross_validate(X, labels, folds: int = 10, seed: int = 0) -> EvalReport:
+    """Stratified k-fold CV of `train_svm` at its defaults; scaling is
+    fitted per training fold; the confusion matrix is pooled over folds."""
     X = np.asarray(X, dtype=float)
     labels = list(labels)
     classes = sorted(set(labels))
@@ -238,11 +238,9 @@ def cross_validate(X, labels, folds: int = 10, seed: int = 0,
     for fold in range(folds):
         train_mask = assignment != fold
         test_mask = ~train_mask
-        model = train_svm(
-            X[train_mask], [l for l, m in zip(labels, train_mask) if m], C=C, tol=tol
-        )
-        for x, true in zip(X[test_mask], (l for l, m in zip(labels, test_mask) if m)):
-            pred, _ = predict(model, x)
+        model = train_svm(X[train_mask], [l for l, m in zip(labels, train_mask) if m])
+        predicted, _ = predict(model, X[test_mask])
+        for true, pred in zip((l for l, m in zip(labels, test_mask) if m), predicted):
             confusion[class_index[true], class_index[pred]] += 1
     return _report_from_confusion(classes, confusion)
 

@@ -186,25 +186,26 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(line + "\n")
 
 
-def clean_corpus(corpus: Corpus, max_len: int = 80, max_ratio: float = 9.0) -> tuple[Corpus, CleanReport]:
+MAX_LEN = 80      # longest side a kept pair may have, in whitespace tokens
+MAX_RATIO = 9.0   # largest ratio of the longer side to the shorter one
+
+
+def clean_corpus(corpus: Corpus) -> tuple[Corpus, CleanReport]:
     """Drop empty, over-long and badly misaligned pairs.
 
-    Length is counted in whitespace tokens.  A pair is misaligned when the
-    longer side exceeds max_ratio times the shorter one.  Idempotent.
+    Length is counted in whitespace tokens.  A pair is over-long when a
+    side exceeds MAX_LEN, and misaligned when the longer side exceeds
+    MAX_RATIO times the shorter one.  Idempotent.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if max_ratio <= 1:
-        raise ValueError("max_ratio must be > 1")
     report = CleanReport(total=len(corpus.pairs))
     kept = []
     for p in corpus.pairs:
         ns, nt = len(p.source_text.split()), len(p.target_text.split())
         if ns == 0 or nt == 0:
             report.removed_empty += 1
-        elif ns > max_len or nt > max_len:
+        elif ns > MAX_LEN or nt > MAX_LEN:
             report.removed_long += 1
-        elif max(ns, nt) > max_ratio * min(ns, nt):
+        elif max(ns, nt) > MAX_RATIO * min(ns, nt):
             report.removed_ratio += 1
         else:
             kept.append(p)

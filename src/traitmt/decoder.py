@@ -92,8 +92,9 @@ def write_weights(weights, layout: FeatureLayout, path) -> None:
 
 
 def read_weights(path, layout: FeatureLayout) -> np.ndarray:
-    """Read `name value` lines; a malformed line, a name the layout does
-    not have or a repeated name raises ValueError naming `path:line`."""
+    """Read `name value` lines; a malformed line, a non-finite value, a
+    name the layout does not have or a repeated name raises ValueError
+    naming `path:line`."""
     names = layout.names()
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -106,6 +107,8 @@ def read_weights(path, layout: FeatureLayout) -> np.ndarray:
                 value = float(value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'name value', got {line!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: weight {name!r} is not finite: {value}")
             if name not in names:
                 raise ValueError(f"{path}:{lineno}: unknown weight {name!r}")
             if name in values:

@@ -189,6 +189,10 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
     best pool BLEU reached; the pool converges to true dev BLEU as it
     saturates.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if len(dev_sentences) == 0:
+        raise ValueError("the dev set is empty")
     if len(dev_sentences) != len(dev_references):
         raise ValueError(f"{len(dev_sentences)} dev sentences but "
                          f"{len(dev_references)} references")

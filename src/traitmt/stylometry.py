@@ -25,6 +25,8 @@ def machine_translated(system_id: str) -> str:
 BOUNDARY_START = "<S>"
 BOUNDARY_END = "</S>"
 
+MAX_SUFFIX = 3  # longest suffix the tagger falls back on
+
 
 @dataclass(frozen=True)
 class TaggedSentence:
@@ -46,15 +48,14 @@ class TaggerModel:
 
     Each token gets the tag it carried most often in training; unseen tokens
     fall back to the majority tag of the longest matching training suffix
-    (length 3, then 2, then 1), then to the global majority tag.  All
+    (length MAX_SUFFIX, then shorter), then to the global majority tag.  All
     tie-breaks are lexicographic on the tag, so tagging is deterministic.
 
     tag_token is the rule; tag memoizes its answer per token, and train
     clears the memo, so more training changes later answers.
     """
 
-    def __init__(self, max_suffix: int = 3):
-        self.max_suffix = max_suffix
+    def __init__(self):
         self.token_tags: dict[str, Counter] = {}
         self.suffix_tags: dict[str, Counter] = {}
         self.global_tags: Counter = Counter()
@@ -70,7 +71,7 @@ class TaggerModel:
             for token, tag in zip(sent.tokens, sent.tags):
                 self.token_tags.setdefault(token, Counter())[tag] += 1
                 self.global_tags[tag] += 1
-                for n in range(1, self.max_suffix + 1):
+                for n in range(1, MAX_SUFFIX + 1):
                     if len(token) > n:
                         self.suffix_tags.setdefault(token[-n:], Counter())[tag] += 1
         return self
@@ -82,7 +83,7 @@ class TaggerModel:
     def tag_token(self, token: str) -> str:
         if token in self.token_tags:
             return self._argmax(self.token_tags[token])
-        for n in range(self.max_suffix, 0, -1):
+        for n in range(MAX_SUFFIX, 0, -1):
             suffix = token[-n:]
             if len(token) > n and suffix in self.suffix_tags:
                 return self._argmax(self.suffix_tags[suffix])
@@ -102,12 +103,10 @@ class TaggerModel:
         return TaggedSentence(toks, tuple(tags))
 
 
-def tag_sentence(sentence, model: TaggerModel | None = None) -> TaggedSentence:
+def tag_sentence(sentence, model: TaggerModel) -> TaggedSentence:
     """Tag a tokenized sentence; pre-tagged input passes through unchanged."""
     if isinstance(sentence, TaggedSentence):
         return sentence
-    if model is None:
-        raise RuntimeError("untagged input needs a trained tagger model")
     tokens = getattr(sentence, "tokens", sentence)
     return model.tag(tokens)
 

@@ -163,6 +163,13 @@ class TestIbm1:
         with pytest.raises(ValueError):
             ibm1_em([])
 
+    @pytest.mark.parametrize("use_null", [True, False])
+    def test_null_token_as_source_word_rejected(self, use_null):
+        # the NULL row would hold the word's probabilities, and null_prob
+        # would read them
+        with pytest.raises(ValueError, match="reserved for the NULL word"):
+            ibm1_em([(("a",), ("x",)), ((NULL_TOKEN, "a"), ("x", "y"))], use_null=use_null)
+
 
 class TestViterbi:
     def test_obvious_alignment(self):
@@ -325,7 +332,7 @@ def random_lexical_table(rng, given, conditioned, use_null):
     """Random t(given | conditioned), some pairs missing (probability 0)."""
     sources = list(conditioned) + ([NULL_TOKEN] if use_null else [])
     probs = {w: {v: rng.random() for v in given if rng.random() < 0.95} for w in sources}
-    return LexicalTable(probs, NULL_TOKEN if use_null else None)
+    return LexicalTable(probs)
 
 
 def sentence(src, tgt, links, max_len=7):

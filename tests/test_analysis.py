@@ -167,14 +167,14 @@ class TestInfoGain:
 class TestPca:
     def test_collinear_points(self):
         X = np.array([[t, 2 * t] for t in np.linspace(-1, 1, 9)])
-        proj = pca_project(X, ["M"] * 9, ["original"] * 9, dims=2)
+        proj = pca_project(X, ["M"] * 9, ["original"] * 9)
         assert proj.explained_variance[0] > 0
         assert proj.explained_variance[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_analytic_2x2_eigendecomposition(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(200, 2)) @ np.array([[2.0, 0.7], [0.0, 0.5]])
-        proj = pca_project(X, ["M"] * 200, ["original"] * 200, dims=2)
+        proj = pca_project(X, ["M"] * 200, ["original"] * 200)
         centered = X - X.mean(axis=0)
         cov = centered.T @ centered / (len(X) - 1)
         # closed-form eigenvalues of a symmetric 2x2 matrix
@@ -195,20 +195,20 @@ class TestPca:
         basis = rng.normal(size=(2, 5))
         coords = rng.normal(size=(30, 2))
         X = coords @ basis
-        proj = pca_project(X, ["M"] * 30, ["original"] * 30, dims=2)
+        proj = pca_project(X, ["M"] * 30, ["original"] * 30)
         reconstructed = proj.coordinates @ proj.components + proj.mean
         np.testing.assert_allclose(reconstructed, X, atol=1e-8)
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(50, 6))
-        proj = pca_project(X, ["M"] * 50, ["original"] * 50, dims=2)
+        proj = pca_project(X, ["M"] * 50, ["original"] * 50)
         np.testing.assert_allclose(proj.components @ proj.components.T, np.eye(2), atol=1e-10)
 
     def test_variance_conservation_full_dims(self):
         rng = np.random.default_rng(8)
-        X = rng.normal(size=(40, 4))
-        proj = pca_project(X, ["M"] * 40, ["original"] * 40, dims=4)
+        X = rng.normal(size=(40, 2))
+        proj = pca_project(X, ["M"] * 40, ["original"] * 40)
         centered = X - X.mean(axis=0)
         total = np.trace(centered.T @ centered / 39)
         assert proj.explained_variance.sum() == pytest.approx(total, abs=1e-8)
@@ -216,18 +216,20 @@ class TestPca:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(25, 3))
-        proj_a = pca_project(X, ["M"] * 25, ["o"] * 25, dims=2)
+        proj_a = pca_project(X, ["M"] * 25, ["o"] * 25)
         perm = rng.permutation(25)
-        proj_b = pca_project(X[perm], ["M"] * 25, ["o"] * 25, dims=2)
+        proj_b = pca_project(X[perm], ["M"] * 25, ["o"] * 25)
         np.testing.assert_allclose(proj_a.components, proj_b.components, atol=1e-10)
 
     def test_dims_validation(self):
-        with pytest.raises(ValueError):
-            pca_project(np.zeros((5, 2)), ["M"] * 5, ["o"] * 5, dims=3)
+        with pytest.raises(ValueError, match="2 features"):
+            pca_project(np.zeros((5, 1)), ["M"] * 5, ["o"] * 5)
+        with pytest.raises(ValueError, match="3 vectors"):
+            pca_project(np.zeros((2, 2)), ["M"] * 2, ["o"] * 2)
 
     def test_csv_export(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        proj = pca_project(X, ["M", "F", "M"], ["o", "o", "t"], dims=2)
+        proj = pca_project(X, ["M", "F", "M"], ["o", "o", "t"])
         csv = projection_csv(proj)
         assert csv.splitlines()[0] == "pc1,pc2,gender,status"
         assert len(csv.splitlines()) == 4

@@ -29,23 +29,15 @@ def ev(source, label, confidence=1.0):
 
 class TestFilterEvidence:
     def test_below_threshold_dropped(self):
-        assert filter_evidence([ev(NAME_SERVICE, "M", 0.85)], 0.9) == []
+        assert filter_evidence([ev(NAME_SERVICE, "M", 0.85)]) == []
 
     def test_knowledge_base_kept(self):
         e = [ev(KNOWLEDGE_BASE, "F", 1.0)]
         assert filter_evidence(e) == e
 
     def test_threshold_comparison(self):
-        kept = filter_evidence([ev(IMAGE_SERVICE, "M", 0.95), ev(NAME_SERVICE, "F", 0.89)], 0.9)
+        kept = filter_evidence([ev(IMAGE_SERVICE, "M", 0.95), ev(NAME_SERVICE, "F", 0.89)])
         assert kept == [ev(IMAGE_SERVICE, "M", 0.95)]
-
-    def test_threshold_zero_is_identity(self):
-        e = [ev(NAME_SERVICE, "M", 0.0), ev(IMAGE_SERVICE, "F", 0.5)]
-        assert filter_evidence(e, 0.0) == e
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            filter_evidence([], 1.5)
 
 
 class TestResolveGender:

@@ -6,6 +6,7 @@ import pytest
 
 from traitmt.classify import (
     _EPS,
+    SvmModel,
     balance_classes,
     cross_validate,
     predict,
@@ -201,7 +202,7 @@ class TestSmoCore:
         X = np.vstack([rng.normal(3, 0.5, (20, 2)), rng.normal(-3, 0.5, (20, 2))])
         labels = ["A"] * 20 + ["B"] * 20
         model = train_svm(X, labels, C=10.0)
-        preds = [predict(model, x)[0] for x in X]
+        preds, _ = predict(model, X)
         assert preds == labels
 
     def test_xor_converges_with_error(self):
@@ -355,10 +356,26 @@ class TestPredict:
         model = train_svm(X, labels, C=100.0)
         # model.pos_label is the lexicographically first class
         assert model.pos_label == "A"
-        mid = np.array([(model.mins[0] + model.maxs[0]) / 2])
-        label, margin = predict(model, mid)
+        mid = np.array([[(model.mins[0] + model.maxs[0]) / 2]])
+        [label], [margin] = predict(model, mid)
         assert abs(margin) < 1e-6
         assert label == "A"
+        # scaled rows 0.5 and 0.25 sit exactly on and below w.x + b = 0
+        exact = SvmModel(np.array([2.0]), -1.0, 1.0, np.array([0.0]), np.array([4.0]), "A", "B")
+        labels, margins = predict(exact, np.array([[2.0], [1.0]]))
+        assert margins.tolist() == [0.0, -0.5]
+        assert labels == ["A", "B"]
+
+    def test_batched_labels_match_per_row_rule(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        labels = ["A" if x[0] - 0.5 * x[2] > 0 else "B" for x in X]
+        model = train_svm(X, labels, C=10.0)
+        predicted, margins = predict(model, X)
+        for x, label, margin in zip(X, predicted, margins):
+            row = float(model.w @ scale_apply(x[None, :], model.mins, model.maxs)[0] + model.b)
+            assert margin == pytest.approx(row, abs=1e-12)
+            assert label == ("A" if row >= 0 else "B")
 
     def test_free_support_vectors_sit_on_margin(self):
         rng = np.random.default_rng(5)
@@ -376,8 +393,10 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         model = train_svm(np.array([[1.0], [-1.0]]), ["A", "B"])
-        with pytest.raises(ValueError):
-            predict(model, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            predict(model, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            predict(model, np.array([1.0]))
 
     def test_sign_invariance_under_rescaling(self):
         rng = np.random.default_rng(11)

@@ -175,7 +175,7 @@ class TestCleanCorpus:
 
     def test_long_side_removed(self):
         c = Corpus([make_pair(src=" ".join(["w"] * 81), tgt=" ".join(["w"] * 10))], "en", "fr")
-        cleaned, report = clean_corpus(c, max_len=80)
+        cleaned, report = clean_corpus(c)
         assert len(cleaned) == 0
         assert report.removed_long == 1
 
@@ -186,7 +186,7 @@ class TestCleanCorpus:
 
     def test_ratio_removal(self):
         c = Corpus([make_pair(src=" ".join(["w"] * 30), tgt="v w x")], "en", "fr")
-        cleaned, report = clean_corpus(c, max_ratio=9.0)
+        cleaned, report = clean_corpus(c)
         assert len(cleaned) == 0 and report.removed_ratio == 1
 
     def test_idempotent(self):

@@ -559,6 +559,17 @@ class TestWeightsIo:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "):
             read_weights(path, FeatureLayout(1, 1))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        layout = FeatureLayout(1, 1)
+        path = tmp_path / "weights.txt"
+        write_weights(np.ones(layout.dimension), layout, path)
+        text = path.read_text(encoding="utf-8").replace("lm0 1\n", f"lm0 {value}\n")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}:\d+: weight 'lm0' is not finite"):
+            read_weights(path, layout)
+
     def test_unknown_weight_rejected(self, tmp_path):
         # a two-table, two-LM file read with a one-table, one-LM layout
         path = tmp_path / "weights.txt"

@@ -465,6 +465,23 @@ class TestTuning:
                          np.array([1.0, -2.0]), iterations=3, nbest_size=10, restarts=1)
         assert decoded == []
 
+    @pytest.mark.parametrize("n_sentences, iterations, message", [
+        (3, 0, "iterations must be >= 1"),
+        (0, 3, "the dev set is empty"),
+    ])
+    def test_bad_run_rejected_before_decoding(self, n_sentences, iterations, message):
+        decode_nbest, sentences, refs = self.toy_system()
+        decoded = []
+
+        def counting_decode(sentence, weights, nbest_size):
+            decoded.append(sentence)
+            return decode_nbest(sentence, weights, nbest_size)
+
+        with pytest.raises(ValueError, match=message):
+            tune_weights(counting_decode, sentences[:n_sentences], refs[:n_sentences],
+                         np.array([1.0, -2.0]), iterations=iterations, nbest_size=10)
+        assert decoded == []
+
     def test_pool_stacked_once_per_round(self, monkeypatch):
         decode_nbest, sentences, refs = self.toy_system()
         decoded, stacked = [], []

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of traitmt has a caller.
+"""Every public top-level function and class of traitmt has a caller, and
+so does every option of one.
 
 A name defined at the top of a module under src/traitmt/ counts as reached
 when a Name, Attribute or import alias in src/traitmt/ or perfbench/*.py
@@ -7,6 +8,13 @@ classmethod building its class) do not count, nor do references from
 unreached code, so a class only a dead function uses is dead too.  Tests
 do not count either: code that only its own tests call should go, and its
 tests with it.  ALLOWED lists the few names kept until a caller lands.
+
+An option is a defaulted parameter of a public function or method (of
+`__init__`, for a class).  It counts as set when some call in src/traitmt/
+or perfbench/*.py to a function of that name passes it, by position or by
+keyword; what a call passes through `*args` or `**kwargs` does not count,
+since the scan cannot see it.  An option no such call sets should be a
+constant.  OPTIONS_ALLOWED lists the few kept, each with its reason.
 """
 
 import ast
@@ -33,6 +41,23 @@ ALLOWED = {
     "decoder.read_weights": _PIPELINE,
     "align.read_phrase_table": _PIPELINE,
     "stylometry.machine_translated": "names experiment (a)'s MT variants, ROADMAP item 3",
+}
+
+_TOY = "tests run it at toy sizes"
+_ORACLE = "the SMO tests sweep it against the exact QP"
+OPTIONS_ALLOWED = {
+    "align.build_phrase_table(iterations)": _TOY,
+    "align.build_phrase_table(max_len)": _TOY,
+    "stylometry.chunk_corpus(target)": _TOY,
+    "stylometry.chunk_corpus(min_fraction)": _TOY,
+    "stylometry.build_feature_space(k)": _TOY,
+    "classify.train_svm(C)": _ORACLE,
+    "classify.train_svm(tol)": _ORACLE,
+    "classify.train_svm(max_iter)": _ORACLE,
+    "align.ibm1_em(use_null)": "the textbook EM walk-through runs without the NULL word",
+    "lm.train_kn_lm(unk_threshold)": "the gender-LM vocabulary rework, ROADMAP item 1",
+    "decoder.decode(stack_size)": "the beam tests sweep it against the exhaustive search",
+    "decoder.decode(nbest_size)": "perfbench's tune passes it as **kwargs; its hook reads it",
 }
 
 
@@ -95,3 +120,67 @@ def test_every_public_name_is_reached():
 def test_allowlist_names_only_unreached_definitions():
     stale = sorted(set(ALLOWED) - _unreached())
     assert not stale, f"{stale} are reached or no longer defined: drop them from ALLOWED"
+
+
+def _public_defs(tree):
+    """(qualified name, callee name, def, takes self) for each public
+    function and public method of a public class; a class's `__init__` is
+    called by the class name."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt.name, stmt, False
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for fn in stmt.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    yield stmt.name, stmt.name, fn, True
+                elif not fn.name.startswith("_"):
+                    yield f"{stmt.name}.{fn.name}", fn.name, fn, not static
+
+
+def _options():
+    """Options as (key, callee name, position or None, parameter name)."""
+    options = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for qualname, callee, fn, takes_self in _public_defs(tree):
+            key = f"{path.stem}.{qualname}"
+            params = (fn.args.posonlyargs + fn.args.args)[takes_self:]
+            first = len(params) - len(fn.args.defaults)
+            options += [(f"{key}({p.arg})", callee, k, p.arg)
+                        for k, p in enumerate(params) if k >= first]
+            options += [(f"{key}({p.arg})", callee, None, p.arg)
+                        for p, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                        if default is not None]
+    return options
+
+
+def _unset_options() -> set:
+    """Keys of the options no call in src/traitmt/ or perfbench/ passes."""
+    passed = defaultdict(set)   # callee name -> positions and keywords passed
+    for path in LIBRARY + BENCH:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed[callee].update(
+                    k for k, a in enumerate(node.args) if not isinstance(a, ast.Starred))
+                passed[callee].update(k.arg for k in node.keywords if k.arg)
+    return {
+        key for key, callee, position, name in _options()
+        if not {position, name} & passed[callee]
+    }
+
+
+def test_every_option_has_a_caller():
+    unset = sorted(_unset_options() - set(OPTIONS_ALLOWED))
+    assert not unset, (
+        f"no call in src/traitmt/ or perfbench/ sets {unset}: "
+        "make them constants, or pass them where a caller needs another value"
+    )
+
+
+def test_options_allowlist_names_only_unset_options():
+    stale = sorted(set(OPTIONS_ALLOWED) - _unset_options())
+    assert not stale, f"{stale} are set by a caller or no longer exist: drop them from OPTIONS_ALLOWED"

@@ -93,7 +93,7 @@ class TestTagger:
 
     def test_passthrough(self):
         tagged = sent("a b", "X Y")
-        assert tag_sentence(tagged) is tagged
+        assert tag_sentence(tagged, self.train_model()) is tagged
 
     def test_tag_agrees_with_tag_token(self):
         model = self.train_model()
