@@ -123,6 +123,8 @@ def pca_project(X, genders, statuses) -> Projection2D:
         raise ValueError(f"need at least 2 features, got {d}")
     if n < 3:
         raise ValueError("need at least 3 vectors")
+    if len(genders) != n or len(statuses) != n:
+        raise ValueError(f"{n} vectors but {len(genders)} genders and {len(statuses)} statuses")
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / (n - 1)

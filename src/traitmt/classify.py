@@ -190,6 +190,8 @@ def _report_from_confusion(classes, confusion) -> EvalReport:
 def balance_classes(items, labels, seed: int):
     """Downsample the majority class to the minority count (uniform,
     seeded) and shuffle deterministically."""
+    if len(items) != len(labels):
+        raise ValueError(f"{len(items)} items but {len(labels)} labels")
     rng = random.Random(seed)
     by_class: dict = {}
     for item, label in zip(items, labels):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import re
+import sys
 from dataclasses import dataclass
 
 GENDERS = ("M", "F", "U")
@@ -31,7 +32,7 @@ class CorpusFormatError(Exception):
     bad header); row-level problems are reported as RowError values instead."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentencePair:
     source_text: str
     target_text: str
@@ -59,7 +60,7 @@ class Corpus:
         return iter(self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenizedSentence:
     tokens: tuple[str, ...]
 
@@ -224,59 +225,29 @@ _FR_ELISION_RE = re.compile(
 )
 
 
-_LEADING_DOTS_RE = re.compile(r"^\.{2,}")
-_TRAILING_DOTS_RE = re.compile(r"\.{2,}$")
-
-
-def _split_leading(chunk: str) -> tuple[list[str], str]:
-    out = []
-    while chunk:
-        m = _LEADING_DOTS_RE.match(chunk)
-        if m:
-            out.append(m.group(0))
-            chunk = chunk[m.end():]
-        elif chunk[0] in _SPLIT_PUNCT:
-            out.append(chunk[0])
-            chunk = chunk[1:]
-        else:
-            break
-    return out, chunk
-
-
-def _split_trailing(chunk: str) -> tuple[str, list[str]]:
-    tail = []
-    while chunk:
-        m = _TRAILING_DOTS_RE.search(chunk)
-        if m:
-            tail.append(m.group(0))
-            chunk = chunk[: m.start()]
-        elif chunk[-1] in _SPLIT_PUNCT:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        else:
-            break
-    tail.reverse()
-    return chunk, tail
+_PUNCT = re.escape("".join(sorted(_SPLIT_PUNCT)))
+# A token is a run of two or more dots, one other split character, or a
+# whitespace chunk's core: from its first to its last character not split off.
+_TOKEN_RE = re.compile(rf"\.{{2,}}|[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
 
 
 def tokenize(s: str, lang: str = "en") -> TokenizedSentence:
-    """Rule-based tokenizer: whitespace split, then leading/trailing
-    punctuation split off (dot runs kept together), then French elision."""
-    elide = lang == "fr"
-    tokens: list[str] = []
-    for chunk in s.split():
-        if chunk[0] in _SPLIT_PUNCT or chunk[-1] in _SPLIT_PUNCT:
-            head, rest = _split_leading(chunk)
-            tokens.extend(head)
-            rest, tail = _split_trailing(rest)
-        else:
-            # nothing to split off: every dot run starts and ends with "."
-            rest, tail = chunk, ()
-        m = _FR_ELISION_RE.match(rest) if elide and "'" in rest else None
-        if m:
-            tokens.append(m.group(1) + "'")
-            tokens.append(m.group(2))
-        elif rest:
-            tokens.append(rest)
-        tokens.extend(tail)
-    return TokenizedSentence(tuple(tokens))
+    """Rule-based tokenizer, one regex pass over the sentence.
+
+    Each whitespace chunk yields its leading punctuation, its core and its
+    trailing punctuation; a run of two or more dots is one token, any other
+    _SPLIT_PUNCT character is a token of its own.  For French, a core such
+    as "l'homme" is split after its elided prefix.  Every token is
+    interned, so a corpus holds one string per distinct token.
+    """
+    tokens = _TOKEN_RE.findall(s)
+    if lang == "fr" and "'" in s:
+        elided = []
+        for tok in tokens:  # "'" is never split off, so only a core holds one
+            m = _FR_ELISION_RE.match(tok) if "'" in tok else None
+            if m:
+                elided += (m.group(1) + "'", m.group(2))
+            else:
+                elided.append(tok)
+        tokens = elided
+    return TokenizedSentence(tuple(map(sys.intern, tokens)))

@@ -28,7 +28,7 @@ BOUNDARY_END = "</S>"
 MAX_SUFFIX = 3  # longest suffix the tagger falls back on
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedSentence:
     tokens: tuple[str, ...]
     tags: tuple[str, ...]
@@ -94,13 +94,14 @@ class TaggerModel:
             raise RuntimeError("tagger model is untrained")
         toks = tuple(tokens)
         memo = self._memo
-        tags = []
-        for token in toks:
-            tag = memo.get(token)
-            if tag is None:
-                tag = memo[token] = self.tag_token(token)
-            tags.append(tag)
-        return TaggedSentence(toks, tuple(tags))
+        try:
+            tags = tuple(map(memo.__getitem__, toks))
+        except KeyError:
+            for token in toks:
+                if token not in memo:
+                    memo[token] = self.tag_token(token)
+            tags = tuple(map(memo.__getitem__, toks))
+        return TaggedSentence(toks, tags)
 
 
 def tag_sentence(sentence, model: TaggerModel) -> TaggedSentence:

@@ -227,6 +227,13 @@ class TestPca:
         with pytest.raises(ValueError, match="3 vectors"):
             pca_project(np.zeros((2, 2)), ["M"] * 2, ["o"] * 2)
 
+    def test_label_length_mismatch_rejected(self):
+        X = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ValueError, match="5 vectors but 2 genders and 1 statuses"):
+            pca_project(X, ["M", "F"], ["o"])
+        with pytest.raises(ValueError, match="5 vectors but 5 genders and 6 statuses"):
+            pca_project(X, ["M"] * 5, ["o"] * 6)
+
     def test_csv_export(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         proj = pca_project(X, ["M", "F", "M"], ["o", "o", "t"])

@@ -440,6 +440,10 @@ class TestBalance:
         with pytest.raises(ValueError):
             balance_classes([1, 2], ["M", "M"], seed=0)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="5 items but 3 labels"):
+            balance_classes([1, 2, 3, 4, 5], ["M", "F", "M"], seed=0)
+
 
 class TestCrossValidate:
     def test_perfectly_separable_is_100(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import pickle
 import random
 import re
 
@@ -12,6 +13,7 @@ from traitmt.corpus import (
     AnnotatedSentencePair,
     Corpus,
     CorpusFormatError,
+    TokenizedSentence,
     clean_corpus,
     load_corpus,
     save_corpus,
@@ -233,10 +235,38 @@ class TestTokenize:
     def test_matches_reference_tokenizer(self):
         rng = random.Random(12)
         prefixes = [p + "'" for p in _FR_ELISION] + [p.upper() + "'" for p in _FR_ELISION]
-        pieces = (list("abzAQZé") + ["homme", "Est", ".", "..", "...", "....", "'", "''", " ", "  "]
+        pieces = (list("abzAQZé") + ["homme", "Est", ".", "..", "...", "....", "'", "''", " ", "  ",
+                                     "\t", "\n", "\u00a0", "\u2003", "\x1c"]
                   + sorted(_SPLIT_PUNCT) + prefixes)
         for lang in ("en", "fr"):
             for _ in range(3000):
                 s = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
                 assert tokenize(s, lang).tokens == reference_tokenize(s, lang), s
 
+    def test_one_string_per_distinct_token(self):
+        texts = {
+            "en": ["Hello, world.", "(Hello) world... again!", "the world's end; the end?"],
+            "fr": ["l'homme, l'air.", "L'homme qu'il voit... jusqu'ici!", "d'accord (d'accord)."],
+        }
+        for lang, sentences in texts.items():
+            tokens = [t for s in sentences for t in tokenize(s, lang).tokens]
+            assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
+class TestRecords:
+    def records(self):
+        return [make_pair(), TokenizedSentence(("l'", "homme"))]
+
+    def test_no_instance_dict(self):
+        for record in self.records():
+            assert not hasattr(record, "__dict__")
+
+    def test_pickle_round_trip(self):
+        for record in self.records():
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_replace_still_validates_gender(self):
+        with pytest.raises(ValueError, match="gender"):
+            dataclasses.replace(make_pair(), gender="X")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make_pair().gender = "F"

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 
@@ -100,6 +101,16 @@ class TestTagger:
         tokens = "the dog runs slowly zzz the dog".split()
         for _ in range(2):  # the second pass reads the memo
             assert model.tag(tokens).tags == tuple(model.tag_token(t) for t in tokens)
+
+    def test_tag_keeps_the_token_tuple(self):
+        model = self.train_model()
+        tokens = ("the", "dog", "zzz")
+        assert model.tag(tokens).tokens is tokens
+
+    def test_tagged_sentence_is_slotted_and_pickles(self):
+        tagged = sent("the dog", "D N")
+        assert not hasattr(tagged, "__dict__")
+        assert pickle.loads(pickle.dumps(tagged)) == tagged
 
     def test_training_after_tagging_changes_tags(self):
         model = self.train_model()
