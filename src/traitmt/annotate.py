@@ -32,6 +32,7 @@ EVIDENCE_SOURCES = (KNOWLEDGE_BASE, NAME_SERVICE, IMAGE_SERVICE, MANUAL)
 # provenance values additionally include the two-source agreement case
 AGREEMENT = "agreement"
 NO_PROVENANCE = "none"
+PROVENANCES = EVIDENCE_SOURCES + (AGREEMENT, NO_PROVENANCE)
 
 CONFIDENCE_THRESHOLD = 0.9  # evidence below this confidence is dropped
 
@@ -63,6 +64,10 @@ class SpeakerRecord:
     provenance: str = NO_PROVENANCE
 
     def __post_init__(self):
+        if self.resolved_gender not in ("M", "F", "U"):
+            raise ValueError(f"gender must be M, F or U, got {self.resolved_gender!r}")
+        if self.provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.resolved_gender != "U" and self.provenance == NO_PROVENANCE:
             raise ValueError("resolved gender requires a provenance")
 
@@ -166,23 +171,19 @@ def save_speaker_records(records, path) -> None:
 
 
 def load_speaker_records(path):
+    """Inverse of save_speaker_records; a bad header or row raises
+    ValueError naming `path:line`."""
     records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != SPEAKER_CSV_COLUMNS:
-            raise ValueError(f"{path}: bad speaker CSV header {header}")
+            raise ValueError(f"{path}:1: bad speaker CSV header {header}")
         for row in reader:
-            speaker_id, name, country, birth_s, gender, provenance = row
-            birth = datetime.date.fromisoformat(birth_s) if birth_s else None
-            records.append(
-                SpeakerRecord(
-                    speaker_id=speaker_id,
-                    name=name,
-                    country=country,
-                    birth_date=birth,
-                    resolved_gender=gender,
-                    provenance=provenance,
-                )
-            )
+            try:
+                speaker_id, name, country, birth_s, gender, provenance = row
+                birth = datetime.date.fromisoformat(birth_s) if birth_s else None
+                records.append(SpeakerRecord(speaker_id, name, country, birth, gender, provenance))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad speaker row: {exc}") from None
     return records

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lm import BOS, EOS, UNK
+from .lm import EOS
 
 DEFAULT_FLOOR = -7.0  # log10 score for absent table blocks and OOV options
 MAX_OPTIONS_PER_SPAN = 20  # build_options keeps the best-scoring ones
@@ -183,22 +183,6 @@ class DecodeResult:
     score: float
 
 
-def _lm_extend(lm, state, words, memo):
-    """Score words given an LM state; returns (log10 sum, new state).
-    memo caches lm.log10_prob per (state, word)."""
-    total = 0.0
-    for word in words:
-        mapped = word if word in lm.vocab else UNK
-        key = (state, mapped)
-        logp = memo.get(key)
-        if logp is None:
-            logp = memo[key] = lm.log10_prob(mapped, state)
-        total += logp
-        if lm.order > 1:
-            state = (state + (mapped,))[-(lm.order - 1):]
-    return total, state
-
-
 def _future_costs(options, weighted, lm_weights, lms, n):
     """Per-span best weighted option score (LM part estimated by unigram
     scores), combined over splits by dynamic programming.  weighted holds
@@ -330,13 +314,22 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     word_memos = [{} for _ in lms]
 
     def phrase_lm(k, state, words):
+        """lms[k].extend(state, words), memoized per phrase and per
+        (state, word)."""
         key = (k, state, words)
         hit = phrase_memo.get(key)
         if hit is None:
-            hit = phrase_memo[key] = _lm_extend(lms[k], state, words, word_memos[k])
+            memo, total = word_memos[k], 0.0
+            for word in words:
+                step = memo.get((state, word))
+                if step is None:
+                    step = memo[state, word] = lms[k].extend(state, (word,))
+                logp, state = step
+                total += logp
+            hit = phrase_memo[key] = (total, state)
         return hit
 
-    init_states = tuple((BOS,) if lm.order > 1 else () for lm in lms)
+    init_states = tuple(lm.start_state for lm in lms)
     initial = (_coverage_future(fc, 0, n), 0.0, (), 0, 0, init_states, None, None, 0, ())
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, init_states)] = initial

@@ -5,11 +5,20 @@ D = n1/(n1+2*n2) per order, continuation counts for the lower orders
 (raw counts are kept for n-grams starting with the sentence-start symbol,
 whose preceding context genuinely does not exist), and interpolation down
 to a uniform distribution over the prediction vocabulary.  Tokens at or
-below a count threshold are replaced by <unk> before counting.
+below a count threshold are replaced by <unk> before counting.  One pass
+over the padded sentences counts every order; since every n-gram not
+starting with <s> has a word before it, the continuation count of a
+lower-order n-gram is its number of distinct left extensions one order up.
 
 The trained model is stored directly in backoff form (log10 probabilities
 for observed n-grams plus log10 backoff weights per context), which makes
 the in-memory scorer and an ARPA-round-tripped model bit-compatible.
+
+A caller scoring word by word holds a state: start_state before the first
+word, then whatever extend(state, words) returns with the words' log10
+sum.  extend is the one place that maps words outside the vocabulary to
+<unk> and trims the state to the last order - 1 words; callers treat the
+state as an opaque, hashable key.
 """
 
 from __future__ import annotations
@@ -50,8 +59,7 @@ class NgramLanguageModel:
             if stored is not None:
                 return total_bow + stored
             if not context:
-                # word is always in the unigram table after <unk> mapping
-                return total_bow + self.probs[1].get((word,), LOG10_FLOOR)
+                return total_bow + LOG10_FLOOR
             total_bow += self.bows.get(context, 0.0)
             context = context[1:]
 
@@ -64,16 +72,26 @@ class NgramLanguageModel:
             logp <= 0.0 for table in self.probs.values() for logp in table.values()
         ) and all(bow <= 0.0 for bow in self.bows.values())
 
+    @property
+    def start_state(self) -> tuple:
+        """The state before a sentence's first word."""
+        return (BOS,) if self.order > 1 else ()
+
+    def extend(self, state, words):
+        """Score words left to right after state; returns (log10 sum, new
+        state).  A word outside the vocabulary is scored, and kept in the
+        state, as <unk>."""
+        total = 0.0
+        for word in words:
+            if word not in self.vocab:
+                word = UNK
+            total += self.log10_prob(word, state)
+            state = (state + (word,))[-(self.order - 1):] if self.order > 1 else ()
+        return total, state
+
     def score_sentence(self, tokens) -> float:
         """Sum of conditional log10 probabilities including </s>."""
-        context = (BOS,)
-        total = 0.0
-        for token in tokens:
-            word = token if token in self.vocab else UNK
-            total += self.log10_prob(word, context)
-            context = (context + (word,))[-(self.order - 1):] if self.order > 1 else ()
-        total += self.log10_prob(EOS, context)
-        return total
+        return self.extend(self.start_state, tuple(tokens) + (EOS,))[0]
 
     def unigram_log10(self, word: str) -> float:
         if word not in self.vocab:
@@ -81,45 +99,8 @@ class NgramLanguageModel:
         return self.probs[1].get((word,), LOG10_FLOOR)
 
 
-def _count_windows(sentences, order: int):
-    """Raw sliding-window counts for every order 1..n over padded
-    sentences."""
-    raw = {k: Counter() for k in range(1, order + 1)}
-    longest = 0
-    for sent in sentences:
-        padded = (BOS,) + tuple(sent) + (EOS,)
-        longest = max(longest, len(padded))
-        for k in range(1, order + 1):
-            for i in range(len(padded) - k + 1):
-                raw[k][padded[i: i + k]] += 1
-    return raw, longest
-
-
-def _adjusted_counts(raw, order: int):
-    """Continuation counts below the top order; n-grams starting with <s>
-    keep their raw counts (nothing can precede <s>)."""
-    adjusted = {order: dict(raw[order])}
-    for k in range(order - 1, 0, -1):
-        cont = Counter()
-        for gram in adjusted[k + 1]:
-            suffix = gram[1:]
-            cont[suffix] += 1
-        table = {}
-        for gram, count in raw[k].items():
-            if gram[0] == BOS:
-                table[gram] = count
-            elif cont[gram] > 0:
-                table[gram] = cont[gram]
-        adjusted[k] = table
-    return adjusted
-
-
-def _estimate_discount(counts) -> float:
-    n1 = sum(1 for c in counts if c == 1)
-    n2 = sum(1 for c in counts if c == 2)
-    if n1 + 2 * n2 == 0:
-        return 0.0
-    return n1 / (n1 + 2 * n2)
+def _log10_floor(p: float) -> float:
+    return math.log10(p) if p > 0 else LOG10_FLOOR
 
 
 def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageModel:
@@ -131,80 +112,58 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
     if order < 1:
         raise ValueError("order must be >= 1")
     sentences = [tuple(s) for s in sentences]
-    if not sentences or all(len(s) == 0 for s in sentences):
+    if not any(sentences):
         raise ValueError("corpus must contain at least one token")
     freq = Counter(tok for sent in sentences for tok in sent)
-    replaced = [
-        tuple(tok if freq[tok] > unk_threshold else UNK for tok in sent)
-        for sent in sentences
-    ]
-    raw, longest = _count_windows(replaced, order)
-    if longest < order:
+    raw = {k: Counter() for k in range(1, order + 1)}
+    for sent in sentences:
+        padded = (BOS,) + tuple(tok if freq[tok] > unk_threshold else UNK for tok in sent) + (EOS,)
+        for k in range(1, order + 1):
+            for i in range(len(padded) - k + 1):
+                raw[k][padded[i: i + k]] += 1
+    if not raw[order]:
         warnings.warn(
-            f"order {order} exceeds the longest padded sentence ({longest} tokens); "
-            "top-order table will be empty"
+            f"order {order} exceeds the longest padded sentence "
+            f"({max(map(len, sentences)) + 2} tokens); top-order table will be empty"
         )
-    adjusted = _adjusted_counts(raw, order)
 
-    vocab = set(w for (w,) in adjusted[1]) - {BOS}
-    vocab.add(UNK)
-    vocab = frozenset(vocab)
+    # Kneser-Ney counts: raw at the top order and for n-grams starting with
+    # <s>, else the number of distinct words seen before the n-gram
+    counts = {order: raw[order]}
+    for k in range(1, order):
+        left = Counter(gram[1:] for gram in raw[k + 1])
+        counts[k] = {gram: c if gram[0] == BOS else left[gram] for gram, c in raw[k].items()}
+    del counts[1][(BOS,)]
 
-    discounts = {}
-    for k in range(1, order + 1):
-        if k == 1:
-            counts = [c for (w,), c in adjusted[1].items() if w != BOS]
-        else:
-            counts = list(adjusted[k].values())
-        discounts[k] = _estimate_discount(counts)
-
-    # context sums and distinct-continuation counts per order
-    sums = {k: Counter() for k in range(1, order + 1)}
-    types = {k: Counter() for k in range(1, order + 1)}
-    for k in range(1, order + 1):
-        for gram, c in adjusted[k].items():
-            if k == 1 and gram[0] == BOS:
-                continue
-            sums[k][gram[:-1]] += c
-            types[k][gram[:-1]] += 1
-
-    probs: dict[int, dict] = {k: {} for k in range(1, order + 1)}
+    vocab = frozenset(w for (w,) in counts[1]) | {UNK}
+    probs: dict[int, dict] = {}
     bows: dict[tuple, float] = {}
-
-    def log10_floor(p: float) -> float:
-        return math.log10(p) if p > 0 else LOG10_FLOOR
-
-    # unigrams, interpolated with the uniform distribution
-    d1 = discounts[1]
-    s1 = sums[1][()]
-    n_types = types[1][()]
-    v = len(vocab)
-    uni_prob = {}
-    for w in vocab:
-        count = adjusted[1].get((w,), 0)
-        p = (max(count - d1, 0.0) + d1 * n_types / v) / s1
-        uni_prob[w] = p
-        probs[1][(w,)] = log10_floor(p)
+    discounts: dict[int, float] = {}
+    lower: dict[tuple, float] = {}  # probabilities one order down
+    for k in range(1, order + 1):
+        level = counts[k]
+        n1 = sum(c == 1 for c in level.values())
+        n2 = sum(c == 2 for c in level.values())
+        d = discounts[k] = n1 / (n1 + 2 * n2) if n1 + 2 * n2 else 0.0
+        sums = Counter()   # context -> count total
+        types = Counter()  # context -> distinct continuations
+        for gram, c in level.items():
+            sums[gram[:-1]] += c
+            types[gram[:-1]] += 1
+        if k == 1:
+            # interpolated with the uniform distribution over the vocabulary
+            s1, n_types, v = sums[()], types[()], len(vocab)
+            cur = {(w,): (max(level.get((w,), 0) - d, 0.0) + d * n_types / v) / s1
+                   for w in vocab}
+        else:
+            lams = {h: d * types[h] / s for h, s in sums.items()}
+            cur = {gram: max(c - d, 0.0) / sums[gram[:-1]]
+                   + lams[gram[:-1]] * lower.get(gram[1:], 0.0)
+                   for gram, c in level.items()}
+            bows.update((h, _log10_floor(lam)) for h, lam in lams.items())
+        probs[k] = {gram: _log10_floor(p) for gram, p in cur.items()}
+        lower = cur
     probs[1][(BOS,)] = LOG10_FLOOR
-
-    # higher orders, bottom-up so the suffix probability is already stored
-    prev_prob = {(w,): p for w, p in uni_prob.items()}
-    for k in range(2, order + 1):
-        dk = discounts[k]
-        cur_prob = {}
-        for gram, count in sorted(adjusted[k].items()):
-            h = gram[:-1]
-            s = sums[k][h]
-            lam = dk * types[k][h] / s
-            lower = prev_prob.get(gram[1:], 0.0)
-            p = max(count - dk, 0.0) / s + lam * lower
-            cur_prob[gram] = p
-            probs[k][gram] = log10_floor(p)
-        for h in sums[k]:
-            lam = discounts[k] * types[k][h] / sums[k][h]
-            bows[h] = log10_floor(lam) if lam > 0 else LOG10_FLOOR
-        prev_prob = cur_prob
-
     return NgramLanguageModel(order, probs, bows, vocab, discounts)
 
 
@@ -228,12 +187,13 @@ def write_arpa(model: NgramLanguageModel, path) -> None:
 
 
 def read_arpa(path) -> NgramLanguageModel:
-    """Read an ARPA file; a malformed line raises ValueError naming
-    `path:line`."""
+    """Read an ARPA file, fields separated by any whitespace.  A malformed
+    line, a section without its `ngram k=` header, a NaN or +inf value and
+    a repeated n-gram raise ValueError naming `path:line`; a file without
+    unigrams raises one naming `path`."""
     probs: dict[int, dict] = {}
     bows: dict[tuple, float] = {}
     declared: dict[int, int] = {}
-    order = 0
     with open(path, encoding="utf-8") as fh:
         section = None
         for lineno, line in enumerate(fh, 1):
@@ -246,32 +206,32 @@ def read_arpa(path) -> NgramLanguageModel:
                 if line.startswith("ngram "):
                     k_s, n_s = line[len("ngram "):].split("=")
                     declared[int(k_s)] = int(n_s)
-                    order = max(order, int(k_s))
                 elif line.startswith("\\") and line.endswith("-grams:"):
                     section = int(line[1:].split("-")[0])
+                    if section not in declared:
+                        raise ValueError(f"{line!r} has no 'ngram {section}=' header")
                     probs.setdefault(section, {})
                 elif section is None:
                     raise ValueError(f"entry outside any n-gram section: {line!r}")
                 else:
-                    fields = line.split("\t")
-                    if len(fields) == 1:
-                        fields = line.split()
-                        gram = tuple(fields[1: 1 + section])
-                        logp = float(fields[0])
-                        bow = float(fields[1 + section]) if len(fields) > 1 + section else None
-                    else:
-                        logp = float(fields[0])
-                        gram = tuple(fields[1].split(" "))
-                        bow = float(fields[2]) if len(fields) > 2 else None
-                    if len(gram) != section:
+                    fields = line.split()
+                    if len(fields) not in (1 + section, 2 + section):
                         raise ValueError(f"bad {section}-gram line {line!r}")
-                    probs[section][gram] = logp
-                    if bow is not None:
-                        bows[gram] = bow
+                    gram = tuple(fields[1: 1 + section])
+                    values = [float(f) for f in fields[:1] + fields[1 + section:]]
+                    if any(math.isnan(x) or x == math.inf for x in values):
+                        raise ValueError(f"NaN or +inf in {section}-gram line {line!r}")
+                    if gram in probs[section]:
+                        raise ValueError(f"repeated {section}-gram {' '.join(gram)!r}")
+                    probs[section][gram] = values[0]
+                    if len(values) > 1:
+                        bows[gram] = values[1]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     for k, n in declared.items():
         if len(probs.get(k, {})) != n:
             raise ValueError(f"{path}: declared {n} {k}-grams, found {len(probs.get(k, {}))}")
-    vocab = frozenset(w for (w,) in probs.get(1, {})) - {BOS}
-    return NgramLanguageModel(order, probs, bows, vocab | {UNK}, {})
+    if not probs.get(1):
+        raise ValueError(f"{path}: no unigrams")
+    vocab = frozenset(w for (w,) in probs[1]) - {BOS}
+    return NgramLanguageModel(max(declared), probs, bows, vocab | {UNK}, {})

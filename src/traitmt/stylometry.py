@@ -304,25 +304,37 @@ def write_vectors(vectors, space: FeatureSpace, path) -> None:
 
 
 def read_vectors(path):
-    """Inverse of write_vectors; returns (vectors, names)."""
+    """Inverse of write_vectors; returns (vectors, names).  A malformed
+    line, or a feature index outside the header's names, raises ValueError
+    naming `path:line`."""
     names: list[str] = []
     vectors: list[FeatureVector] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                idx_s, name = line[1:].split("\t")
-                if int(idx_s) != len(names):
-                    raise ValueError(f"out-of-order feature header at index {idx_s}")
-                names.append(name)
-                continue
-            label, status, cells = line.split("\t")
-            values = {}
-            if cells:
-                for cell in cells.split(" "):
-                    i_s, v_s = cell.split(":")
-                    values[int(i_s)] = float(v_s)
-            vectors.append(FeatureVector(values, label, status))
+            try:
+                if line.startswith("#"):
+                    fields = line[1:].split("\t")
+                    if len(fields) != 2 or fields[0] != str(len(names)):
+                        raise ValueError(
+                            f"expected feature header #{len(names)}<TAB>name, got {line!r}")
+                    names.append(fields[1])
+                else:
+                    vectors.append(_parse_vector_line(line, len(names)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return vectors, names
+
+
+def _parse_vector_line(line, dimension):
+    label, status, cells = line.split("\t")
+    values = {}
+    for cell in cells.split(" ") if cells else ():
+        i_s, _, v_s = cell.partition(":")
+        i = int(i_s)
+        if not 0 <= i < dimension:
+            raise ValueError(f"feature index {i} outside the {dimension} header names")
+        values[i] = float(v_s)
+    return FeatureVector(values, label, status)

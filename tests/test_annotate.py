@@ -1,6 +1,7 @@
 import datetime
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -163,3 +164,23 @@ class TestFixtures:
         p = tmp_path / "speakers.csv"
         save_speaker_records(records, p)
         assert load_speaker_records(p) == records
+
+    @pytest.mark.parametrize("row, message", [
+        ("s3,Y,FR", "not enough values"),
+        ("s3,Y,FR,1960-02-30,F,manual", ""),  # the message varies by Python version
+        ("s3,Y,FR,,Q,manual", "gender must be M, F or U, got 'Q'"),
+        ("s3,Y,FR,,F,rumour", "unknown provenance 'rumour'"),
+    ])
+    def test_bad_speaker_row_named(self, tmp_path, row, message):
+        p = tmp_path / "speakers.csv"
+        save_speaker_records([SpeakerRecord("s1", resolved_gender="F", provenance=MANUAL)], p)
+        p.write_text(p.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        pattern = rf"^{re.escape(str(p))}:3: bad speaker row: .*{message}"
+        with pytest.raises(ValueError, match=pattern):
+            load_speaker_records(p)
+
+    def test_empty_speaker_file_named(self, tmp_path):
+        p = tmp_path / "speakers.csv"
+        p.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:1: bad speaker CSV header"):
+            load_speaker_records(p)

@@ -1,18 +1,118 @@
 import math
 import random
 import re
+import warnings
+from collections import Counter
 
 import pytest
 
 from traitmt.lm import (
     BOS,
     EOS,
+    LOG10_FLOOR,
     UNK,
     NgramLanguageModel,
     read_arpa,
     train_kn_lm,
     write_arpa,
 )
+
+
+def reference_train_kn_lm(sentences, order, unk_threshold=1):
+    """The estimator as first written, in stages: raw counts per order,
+    continuation counts derived top-down from the order above, one
+    discount per order, backoff weights computed a second time.  Kept as
+    an oracle for the one-pass train_kn_lm."""
+    sentences = [tuple(s) for s in sentences]
+    freq = Counter(tok for sent in sentences for tok in sent)
+    replaced = [
+        tuple(tok if freq[tok] > unk_threshold else UNK for tok in sent)
+        for sent in sentences
+    ]
+    raw = {k: Counter() for k in range(1, order + 1)}
+    for sent in replaced:
+        padded = (BOS,) + tuple(sent) + (EOS,)
+        for k in range(1, order + 1):
+            for i in range(len(padded) - k + 1):
+                raw[k][padded[i: i + k]] += 1
+
+    adjusted = {order: dict(raw[order])}
+    for k in range(order - 1, 0, -1):
+        cont = Counter()
+        for gram in adjusted[k + 1]:
+            cont[gram[1:]] += 1
+        table = {}
+        for gram, count in raw[k].items():
+            if gram[0] == BOS:
+                table[gram] = count
+            elif cont[gram] > 0:
+                table[gram] = cont[gram]
+        adjusted[k] = table
+
+    vocab = set(w for (w,) in adjusted[1]) - {BOS}
+    vocab.add(UNK)
+    vocab = frozenset(vocab)
+
+    def estimate_discount(counts):
+        n1 = sum(1 for c in counts if c == 1)
+        n2 = sum(1 for c in counts if c == 2)
+        if n1 + 2 * n2 == 0:
+            return 0.0
+        return n1 / (n1 + 2 * n2)
+
+    discounts = {}
+    for k in range(1, order + 1):
+        if k == 1:
+            counts = [c for (w,), c in adjusted[1].items() if w != BOS]
+        else:
+            counts = list(adjusted[k].values())
+        discounts[k] = estimate_discount(counts)
+
+    sums = {k: Counter() for k in range(1, order + 1)}
+    types = {k: Counter() for k in range(1, order + 1)}
+    for k in range(1, order + 1):
+        for gram, c in adjusted[k].items():
+            if k == 1 and gram[0] == BOS:
+                continue
+            sums[k][gram[:-1]] += c
+            types[k][gram[:-1]] += 1
+
+    probs = {k: {} for k in range(1, order + 1)}
+    bows = {}
+
+    def log10_floor(p):
+        return math.log10(p) if p > 0 else LOG10_FLOOR
+
+    d1 = discounts[1]
+    s1 = sums[1][()]
+    n_types = types[1][()]
+    v = len(vocab)
+    uni_prob = {}
+    for w in vocab:
+        count = adjusted[1].get((w,), 0)
+        p = (max(count - d1, 0.0) + d1 * n_types / v) / s1
+        uni_prob[w] = p
+        probs[1][(w,)] = log10_floor(p)
+    probs[1][(BOS,)] = LOG10_FLOOR
+
+    prev_prob = {(w,): p for w, p in uni_prob.items()}
+    for k in range(2, order + 1):
+        dk = discounts[k]
+        cur_prob = {}
+        for gram, count in sorted(adjusted[k].items()):
+            h = gram[:-1]
+            s = sums[k][h]
+            lam = dk * types[k][h] / s
+            lower = prev_prob.get(gram[1:], 0.0)
+            p = max(count - dk, 0.0) / s + lam * lower
+            cur_prob[gram] = p
+            probs[k][gram] = log10_floor(p)
+        for h in sums[k]:
+            lam = discounts[k] * types[k][h] / sums[k][h]
+            bows[h] = log10_floor(lam) if lam > 0 else LOG10_FLOOR
+        prev_prob = cur_prob
+
+    return NgramLanguageModel(order, probs, bows, vocab, discounts)
 
 # Ten-token hand corpus used throughout; token counts a:5 b:3 c:2, so no
 # <unk> replacement at threshold 1.
@@ -127,6 +227,59 @@ class TestScoring:
         assert not raised.log10_nonpositive
 
 
+class TestReferenceEstimator:
+    def test_equal_to_reference_on_random_corpora(self):
+        """Exact equality, not closeness: the one-pass estimator does the
+        same float operations in the same order as the staged one."""
+        checked = short = 0
+        for seed in range(480):
+            rng = random.Random(seed)
+            words = [f"w{i}" for i in range(rng.randint(1, 8))]
+            longest = rng.choice((1, 2, 6))  # 1 or 2 leave orders 4 and 5 short
+            corpus = [tuple(rng.choice(words) for _ in range(rng.randint(0, longest)))
+                      for _ in range(rng.randint(1, 12))]
+            if not any(corpus):
+                continue
+            order, threshold = seed % 5 + 1, seed // 5 % 3
+            longest = max(map(len, corpus)) + 2
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = train_kn_lm(corpus, order, threshold)
+            assert len(caught) == (longest < order), seed
+            short += longest < order
+            want = reference_train_kn_lm(corpus, order, threshold)
+            assert got.order == want.order
+            assert got.probs == want.probs, seed
+            assert got.bows == want.bows, seed
+            assert got.vocab == want.vocab, seed
+            assert got.discounts == want.discounts, seed
+            checked += 1
+        assert checked >= 400 and short >= 20
+
+
+class TestExtend:
+    def test_matches_word_by_word_queries(self, model):
+        state = model.start_state
+        total, words = 0.0, ("a", "zebra", "b", EOS)
+        for word in words:
+            mapped = word if word in model.vocab else UNK
+            total += model.log10_prob(mapped, state)
+            state = (state + (mapped,))[-1:]
+        assert model.extend(model.start_state, words) == (total, (EOS,))
+
+    def test_state_is_trimmed_and_oov_mapped(self):
+        model = train_kn_lm([("a", "b", "c", "a")] * 2, order=3, unk_threshold=0)
+        assert model.start_state == (BOS,)
+        assert model.extend((BOS,), ("a", "zebra", "c"))[1] == (UNK, "c")
+
+    def test_unigram_state_is_empty(self):
+        model = train_kn_lm([("a", "a", "b")], order=1)
+        assert model.start_state == ()
+        logp, state = model.extend((), ("a", "zebra"))
+        assert state == ()
+        assert logp == model.unigram_log10("a") + model.unigram_log10(UNK)
+
+
 class TestArpaRoundTrip:
     def test_scores_identical_after_round_trip(self, tmp_path):
         rng = random.Random(1)
@@ -173,6 +326,53 @@ class TestArpaRoundTrip:
         path = tmp_path / "bad.arpa"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+            read_arpa(path)
+
+    def test_space_separated_reads_as_tab_separated(self, tmp_path):
+        rng = random.Random(2)
+        words = [f"w{i}" for i in range(6)]
+        corpus = [tuple(rng.choice(words) for _ in range(rng.randint(1, 6))) for _ in range(30)]
+        tabbed = tmp_path / "tab.arpa"
+        write_arpa(train_kn_lm(corpus, order=3), tabbed)
+        spaced = tmp_path / "space.arpa"
+        spaced.write_text(tabbed.read_text(encoding="utf-8").replace("\t", " "), encoding="utf-8")
+        assert "\t" not in spaced.read_text(encoding="utf-8")
+        a, b = read_arpa(tabbed), read_arpa(spaced)
+        assert (a.order, a.probs, a.bows, a.vocab) == (b.order, b.probs, b.bows, b.vocab)
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("nan\tb", "NaN or \\+inf"),
+        ("inf\tb", "NaN or \\+inf"),
+        ("-0.2\tb\tnan", "NaN or \\+inf"),
+        ("-0.2\tb\t+inf", "NaN or \\+inf"),
+        ("-0.2\ta", "repeated 1-gram 'a'"),
+    ])
+    def test_bad_value_or_repeat_named(self, tmp_path, bad_line, message):
+        path = tmp_path / "bad.arpa"
+        path.write_text(f"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3\ta\n{bad_line}\n\\end\\\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:6: {message}"):
+            read_arpa(path)
+
+    def test_negative_infinity_accepted(self, tmp_path):
+        path = tmp_path / "model.arpa"
+        path.write_text("\\data\\\nngram 1=2\n\\1-grams:\n-0.3\ta\n-inf\tb\t-inf\n\\end\\\n",
+                        encoding="utf-8")
+        model = read_arpa(path)
+        assert model.probs[1][("b",)] == -math.inf and model.bows[("b",)] == -math.inf
+
+    def test_section_without_header_named(self, tmp_path):
+        path = tmp_path / "bad.arpa"
+        path.write_text("\\data\\\nngram 1=1\n\\1-grams:\n-0.3\ta\n\\2-grams:\n-0.1\ta a\n"
+                        "\\end\\\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:5: .*'ngram 2=' header"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("text", ["", "\\data\\\nngram 0=0\n\\end\\\n"])
+    def test_no_unigrams_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.arpa"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no unigrams"):
             read_arpa(path)
 
     def test_whitespace_only_line_is_blank(self, tmp_path):

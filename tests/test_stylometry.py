@@ -321,6 +321,21 @@ class TestIo:
             for i in orig.values:
                 assert back.values[i] == pytest.approx(orig.values[i], abs=1e-12)
 
+    @pytest.mark.parametrize("line, message", [
+        ("M\toriginal", "not enough values"),
+        ("M\toriginal\t0:x", "could not convert"),
+        ("M\toriginal\tx:0.5", "invalid literal"),
+        ("M\toriginal\t2:0.5", "feature index 2 outside the 2 header names"),
+        ("M\toriginal\t-1:0.5", "feature index -1 outside"),
+        ("#2", "expected feature header #2"),
+        ("#x\tthe", "expected feature header #2"),
+    ])
+    def test_vector_file_error_names_line(self, tmp_path, line, message):
+        p = tmp_path / "v.fv"
+        p.write_text(f"#0\tthe\n#1\ta\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: .*{message}"):
+            read_vectors(p)
+
     def test_tagged_file_error_names_line(self, tmp_path):
         p = tmp_path / "bank.txt"
         p.write_text("the_D dog_N\n\nthe_D dog\n", encoding="utf-8")
