@@ -11,23 +11,28 @@ co-occurrences, not with the product of the vocabularies.  Every
 (source position incl. NULL, target position) cell of the corpus is
 enumerated once, and an EM iteration is three weighted `np.bincount`s:
 each target token's denominator, each pair's expected count, and each
-source word's total.
+source word's total.  Viterbi alignment fetches each source word's row
+of t once per sentence and looks every target word up in those rows.
 
 In a consistent phrase pair every link of every word in either span lies
 inside the pair, so a word's lexical factor does not depend on the phrase:
 the mean of its linked translation probabilities, or its NULL probability
 when it has no link.  Extraction therefore returns bare index spans, and
 the occurrences stay grouped by the sentence they came from: scoring
-computes the factors once per sentence, in both directions, weighs each
-span by their product over it, and slices the words only to count the
-pair.  A table's max_len is its longest source phrase, derived from its
+computes the factors once per sentence, in both directions, and slices
+each distinct source or target span of the sentence and takes its
+factors' product once.  Each occurrence is counted straight into the
+table that scoring returns, one row per source phrase holding each
+target's count and greatest weight in either direction, and each row is
+turned into its scores in place at the end, so no phrase pair is held
+twice.  A table's max_len is its longest source phrase, derived from its
 entries, so a table read from a file offers every phrase it holds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,15 +126,18 @@ class AlignmentMatrix:
 
 def viterbi_align(table: LexicalTable, src, tgt) -> AlignmentMatrix:
     """Best source link per target word; the NULL token absorbs words it
-    explains better than any real position.  Ties go to the leftmost
-    source position."""
+    explains better than any real position.  Ties go to NULL, then to the
+    leftmost source position."""
     src = tuple(src)
     tgt = tuple(tgt)
+    probs = table.probs
+    rows = [probs.get(sw, {}) for sw in src]
+    null_row = probs.get(NULL_TOKEN, {})
     links = set()
     for j, w in enumerate(tgt):
-        best_i, best_p = None, table.null_prob(w)
-        for i, sw in enumerate(src):
-            p = table.prob(w, sw)
+        best_i, best_p = None, null_row.get(w, 0.0)
+        for i, row in enumerate(rows):
+            p = row.get(w, 0.0)
             if p > best_p:
                 best_i, best_p = i, p
         if best_i is not None:
@@ -266,34 +274,46 @@ def score_phrases(sentences, lex_fwd: LexicalTable, lex_rev: LexicalTable) -> Ph
     lexical weight w(tgt | src, a) is the product over its target span of
     the sentence's per-word factors (see _lexical_factors); the reverse
     weight likewise over its source span."""
-    stats: dict[tuple, list] = {}  # (src, tgt) -> [count, max lex_fwd, max lex_rev]
+    # src -> {tgt: [count, max lex_fwd, max lex_rev]}, scored in place below
+    entries: dict[tuple, dict] = {}
+    tgt_counts: dict[tuple, int] = {}
     for src, tgt, alignment, spans in sentences:
         tgt_of, src_of = _position_links(alignment)
         fwd = _lexical_factors(tgt, src, src_of, lex_fwd)
         rev = _lexical_factors(src, tgt, tgt_of, lex_rev)
+        # per span of this sentence: (its row of entries, reverse weight)
+        # and (its target phrase, forward weight)
+        src_spans: dict[tuple, tuple] = {}
+        tgt_spans: dict[tuple, tuple] = {}
         for i1, i2, j1, j2 in spans:
-            lex_f = math.prod(fwd[j1: j2 + 1])
-            lex_r = math.prod(rev[i1: i2 + 1])
-            key = (src[i1: i2 + 1], tgt[j1: j2 + 1])
-            entry = stats.get(key)
+            row_lex = src_spans.get((i1, i2))
+            if row_lex is None:
+                phrase = src[i1: i2 + 1]
+                row = entries.get(phrase)
+                if row is None:
+                    row = entries[phrase] = {}
+                row_lex = src_spans[i1, i2] = (row, math.prod(rev[i1: i2 + 1]))
+            phrase_lex = tgt_spans.get((j1, j2))
+            if phrase_lex is None:
+                phrase_lex = tgt_spans[j1, j2] = (tgt[j1: j2 + 1], math.prod(fwd[j1: j2 + 1]))
+            row, lex_r = row_lex
+            phrase, lex_f = phrase_lex
+            tgt_counts[phrase] = tgt_counts.get(phrase, 0) + 1
+            entry = row.get(phrase)
             if entry is None:
-                stats[key] = [1, lex_f, lex_r]
+                row[phrase] = [1, lex_f, lex_r]
             else:
                 entry[0] += 1
                 entry[1] = max(entry[1], lex_f)
                 entry[2] = max(entry[2], lex_r)
-    if not stats:
+    if not entries:
         raise ValueError("no phrase pairs extracted")
-    src_counts: Counter = Counter()
-    tgt_counts: Counter = Counter()
-    for (src, tgt), (count, _, _) in stats.items():
-        src_counts[src] += count
-        tgt_counts[tgt] += count
-    entries: dict[tuple, dict] = defaultdict(dict)
-    for (src, tgt), (count, lex_f, lex_r) in stats.items():
-        entries[src][tgt] = (count / src_counts[src], max(lex_f, _LEX_FLOOR),
-                             count / tgt_counts[tgt], max(lex_r, _LEX_FLOOR))
-    return PhraseTable(dict(entries))
+    for row in entries.values():
+        src_count = sum(entry[0] for entry in row.values())
+        for phrase, (count, lex_f, lex_r) in row.items():
+            row[phrase] = (count / src_count, max(lex_f, _LEX_FLOOR),
+                           count / tgt_counts[phrase], max(lex_r, _LEX_FLOOR))
+    return PhraseTable(entries)
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:

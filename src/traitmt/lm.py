@@ -188,8 +188,9 @@ def write_arpa(model: NgramLanguageModel, path) -> None:
 
 def read_arpa(path) -> NgramLanguageModel:
     """Read an ARPA file, fields separated by any whitespace.  A malformed
-    line, a section without its `ngram k=` header, a NaN or +inf value and
-    a repeated n-gram raise ValueError naming `path:line`; a file without
+    line, a section without its `ngram k=` header, a NaN or +inf value, a
+    repeated n-gram and a higher-order n-gram with a word that no earlier
+    1-gram line lists raise ValueError naming `path:line`; a file without
     unigrams raises one naming `path`."""
     probs: dict[int, dict] = {}
     bows: dict[tuple, float] = {}
@@ -223,6 +224,11 @@ def read_arpa(path) -> NgramLanguageModel:
                         raise ValueError(f"NaN or +inf in {section}-gram line {line!r}")
                     if gram in probs[section]:
                         raise ValueError(f"repeated {section}-gram {' '.join(gram)!r}")
+                    if section > 1:
+                        unknown = [w for w in gram if (w,) not in probs.get(1, {})]
+                        if unknown:
+                            raise ValueError(f"{section}-gram {' '.join(gram)!r} has words "
+                                             f"that are not 1-grams: {' '.join(unknown)!r}")
                     probs[section][gram] = values[0]
                     if len(values) > 1:
                         bows[gram] = values[1]

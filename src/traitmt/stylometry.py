@@ -305,8 +305,8 @@ def write_vectors(vectors, space: FeatureSpace, path) -> None:
 
 def read_vectors(path):
     """Inverse of write_vectors; returns (vectors, names).  A malformed
-    line, or a feature index outside the header's names, raises ValueError
-    naming `path:line`."""
+    line, a feature index outside the header's names, or one repeated
+    within a line, raises ValueError naming `path:line`."""
     names: list[str] = []
     vectors: list[FeatureVector] = []
     with open(path, encoding="utf-8") as fh:
@@ -336,5 +336,7 @@ def _parse_vector_line(line, dimension):
         i = int(i_s)
         if not 0 <= i < dimension:
             raise ValueError(f"feature index {i} outside the {dimension} header names")
+        if i in values:
+            raise ValueError(f"repeated feature index {i}")
         values[i] = float(v_s)
     return FeatureVector(values, label, status)

@@ -171,7 +171,45 @@ class TestIbm1:
             ibm1_em([(("a",), ("x",)), ((NULL_TOKEN, "a"), ("x", "y"))], use_null=use_null)
 
 
+def reference_viterbi_align(table, src, tgt):
+    """Best source link per target word, read through table.prob and
+    table.null_prob; ties go to NULL, then to the leftmost source."""
+    links = set()
+    for j, w in enumerate(tgt):
+        best_i, best_p = None, table.null_prob(w)
+        for i, sw in enumerate(src):
+            p = table.prob(w, sw)
+            if p > best_p:
+                best_i, best_p = i, p
+        if best_i is not None:
+            links.add((best_i, j))
+    return frozenset(links)
+
+
 class TestViterbi:
+    def test_matches_reference_viterbi(self):
+        rng = random.Random(9)
+        seen = Counter()
+        for case in range(400):
+            use_null = case % 2 == 0
+            # "e" has no row at all, and each row misses some targets; the
+            # few distinct values make sources tie with one another and
+            # with NULL
+            sources = list("abcd") + ([NULL_TOKEN] if use_null else [])
+            probs = {w: {v: rng.choice((0.25, 0.5)) for v in "wxyz" if rng.random() < 0.6}
+                     for w in sources}
+            table = LexicalTable(probs)
+            src = tuple(rng.choice("abcde") for _ in range(rng.randint(0, 6)))
+            tgt = tuple(rng.choice("wxyz") for _ in range(rng.randint(0, 6)))
+            assert viterbi_align(table, src, tgt).links == reference_viterbi_align(table, src, tgt)
+            for w in tgt:
+                ps = [table.prob(w, sw) for sw in src]
+                best = max(ps, default=0.0)
+                seen["missing"] += 0.0 in ps
+                seen["tie_sources"] += best > 0.0 and ps.count(best) > 1
+                seen["tie_null"] += use_null and best > 0.0 and best == table.null_prob(w)
+        assert min(seen.values()) >= 50, seen
+
     def test_obvious_alignment(self):
         pairs = [(("der", "hund"), ("the", "dog")), (("der",), ("the",)), (("hund",), ("dog",))]
         table, _ = ibm1_em(pairs, iterations=10)
@@ -388,9 +426,10 @@ class TestScorePhrases:
                 for s in scores:
                     assert 0.0 < s <= 1.0
 
-    def test_matches_reference_scorer(self):
-        rng = random.Random(5)
-        for case in range(120):
+    def random_cases(self, seed, count):
+        """(sentences, lex_fwd, lex_rev) per case that extracts some pair."""
+        rng = random.Random(seed)
+        for case in range(count):
             # small vocabularies repeat pairs under different alignments
             k = rng.randint(2, 4)
             src_words, tgt_words = "abcd"[:k], "wxyz"[:k]
@@ -408,9 +447,24 @@ class TestScorePhrases:
                 links = {(rng.randrange(n), rng.randrange(m))
                          for _ in range(rng.randint(0, n * m // 2 + 1))}
                 sentences.append(sentence(src, tgt, links, max_len))
-            if not any(spans for _, _, _, spans in sentences):
-                continue
+            if any(spans for _, _, _, spans in sentences):
+                yield sentences, lex_fwd, lex_rev
+
+    def test_matches_reference_scorer(self):
+        for sentences, lex_fwd, lex_rev in self.random_cases(5, 120):
             table = score_phrases(sentences, lex_fwd, lex_rev)
+            reference = reference_score_phrases(sentences, lex_fwd, lex_rev)
+            assert table.entries == reference
+            # rows and their targets in order of first occurrence
+            assert [(src, list(row)) for src, row in table.entries.items()] == \
+                [(src, list(row)) for src, row in reference.items()]
+
+    def test_span_order_does_not_matter(self):
+        rng = random.Random(10)
+        for sentences, lex_fwd, lex_rev in self.random_cases(11, 120):
+            shuffled = [(src, tgt, alignment, rng.sample(spans, len(spans)))
+                        for src, tgt, alignment, spans in sentences]
+            table = score_phrases(shuffled, lex_fwd, lex_rev)
             assert table.entries == reference_score_phrases(sentences, lex_fwd, lex_rev)
 
     def test_build_phrase_table_matches_reference_scorer(self, monkeypatch):

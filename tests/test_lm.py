@@ -381,6 +381,24 @@ class TestArpaRoundTrip:
                         encoding="utf-8")
         assert read_arpa(path).probs[1] == {("a",): -0.3}
 
+    @pytest.mark.parametrize("order, gram, unknown", [
+        (2, "a zz", "zz"),
+        (2, "zz a", "zz"),
+        (2, "zz yy", "zz yy"),
+        (3, "a b zz", "zz"),
+    ])
+    def test_ngram_with_word_outside_unigrams_named(self, tmp_path, order, gram, unknown):
+        # log10_prob maps such a word to <unk> first, so the entry could
+        # never be queried
+        path = tmp_path / "bad.arpa"
+        path.write_text(f"\\data\\\nngram 1=2\nngram {order}=1\n\\1-grams:\n-0.3\ta\t-0.2\n"
+                        f"-0.5\tb\t-0.1\n\\{order}-grams:\n-0.1\t{gram}\n\\end\\\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:8: {order}-gram "
+                                             rf"'{gram}' has words that are not 1-grams: "
+                                             rf"'{unknown}'$"):
+            read_arpa(path)
+
     def test_entry_outside_section_named(self, tmp_path):
         path = tmp_path / "bad.arpa"
         path.write_text("\\data\\\nngram 1=1\n-0.3\ta\n", encoding="utf-8")

@@ -327,6 +327,8 @@ class TestIo:
         ("M\toriginal\tx:0.5", "invalid literal"),
         ("M\toriginal\t2:0.5", "feature index 2 outside the 2 header names"),
         ("M\toriginal\t-1:0.5", "feature index -1 outside"),
+        ("M\toriginal\t0:0.5 0:0.7", "repeated feature index 0"),
+        ("M\toriginal\t1:0.5 0:0.2 1:0.5", "repeated feature index 1"),
         ("#2", "expected feature header #2"),
         ("#x\tthe", "expected feature header #2"),
     ])
