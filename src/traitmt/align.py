@@ -330,9 +330,9 @@ def write_phrase_table(table: PhraseTable, path) -> None:
 
 
 def read_phrase_table(path) -> PhraseTable:
-    """Inverse of write_phrase_table.  A malformed line, a score outside
-    (0, 1] or a repeated `source ||| target` pair raises ValueError naming
-    `path:line`."""
+    """Inverse of write_phrase_table.  A malformed line, an empty source or
+    target phrase, a score outside (0, 1] or a repeated `source ||| target`
+    pair raises ValueError naming `path:line`."""
     entries: dict[tuple, dict] = defaultdict(dict)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -344,6 +344,8 @@ def read_phrase_table(path) -> PhraseTable:
                 raise ValueError(f"{path}:{lineno}: expected three ||| fields")
             src = tuple(fields[0].split())
             tgt = tuple(fields[1].split())
+            if not src or not tgt:
+                raise ValueError(f"{path}:{lineno}: empty {'target' if src else 'source'} phrase")
             try:
                 scores = tuple(float(x) for x in fields[2].split())
             except ValueError as exc:

@@ -174,15 +174,6 @@ class PersistenceReport:
     original: str
     comparisons: list
 
-    def lost(self):
-        return [c for c in self.comparisons if c.lost]
-
-    def carried_over(self):
-        return [c for c in self.comparisons if c.carried_over]
-
-    def flips(self):
-        return [c for c in self.comparisons if c.direction_flip]
-
     def as_csv(self) -> str:
         lines = ["feature,variant,variant_feature,orig_ig,var_ig,orig_dir,var_dir,carried,lost,flip"]
         for c in self.comparisons:

@@ -153,27 +153,6 @@ class EvalReport:
     recall: dict
     accuracy: float
 
-    def as_text(self) -> str:
-        a, b = self.classes
-        lines = [
-            f"{'':10}{'precision':>20}{'recall':>16}{'acc.':>8}",
-            f"{'':10}{a:>10}{b:>10}{a:>8}{b:>8}",
-            (
-                f"{'':10}{self.precision[a]:>10.1f}{self.precision[b]:>10.1f}"
-                f"{self.recall[a]:>8.1f}{self.recall[b]:>8.1f}{self.accuracy:>8.1f}"
-            ),
-        ]
-        return "\n".join(lines) + "\n"
-
-    def as_csv(self) -> str:
-        a, b = self.classes
-        header = f"precision_{a},precision_{b},recall_{a},recall_{b},accuracy"
-        row = (
-            f"{self.precision[a]:.2f},{self.precision[b]:.2f},"
-            f"{self.recall[a]:.2f},{self.recall[b]:.2f},{self.accuracy:.2f}"
-        )
-        return header + "\n" + row + "\n"
-
 
 def _report_from_confusion(classes, confusion) -> EvalReport:
     confusion = np.asarray(confusion, dtype=float)

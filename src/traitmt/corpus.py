@@ -64,10 +64,6 @@ class Corpus:
 class TokenizedSentence:
     tokens: tuple[str, ...]
 
-    @property
-    def token_count(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass(frozen=True)
 class RowError:
@@ -84,16 +80,6 @@ class CleanReport:
     removed_empty: int = 0
     removed_long: int = 0
     removed_ratio: int = 0
-
-    def as_text(self) -> str:
-        lines = [
-            f"pairs total     {self.total}",
-            f"pairs kept      {self.kept}",
-            f"removed empty   {self.removed_empty}",
-            f"removed long    {self.removed_long}",
-            f"removed ratio   {self.removed_ratio}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def load_corpus(path) -> tuple[Corpus, list[RowError]]:
@@ -163,8 +149,10 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back to the TSV layout read by load_corpus.
 
-    Raises CorpusFormatError, naming the field, when a value holds a tab or
-    newline, since load_corpus could not split that row back.
+    Raises CorpusFormatError, naming the field, when a value holds a tab,
+    newline or carriage return, since load_corpus could not split that row
+    back: it reads with universal newlines, so a carriage return ends a
+    line too.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(TSV_COLUMNS) + "\n")
@@ -181,9 +169,9 @@ def save_corpus(corpus: Corpus, path) -> None:
             ]
             line = "\t".join(row)
             # one scan of the joined row checks every field it holds
-            if "\n" in line or line.count("\t") != len(row) - 1:
-                name = next(n for n, v in zip(TSV_COLUMNS, row) if "\t" in v or "\n" in v)
-                raise CorpusFormatError(f"{name} must not contain tab or newline")
+            if "\n" in line or "\r" in line or line.count("\t") != len(row) - 1:
+                name = next(n for n, v in zip(TSV_COLUMNS, row) if any(c in v for c in "\t\n\r"))
+                raise CorpusFormatError(f"{name} must not contain tab, newline or carriage return")
             fh.write(line + "\n")
 
 

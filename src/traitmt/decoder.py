@@ -86,6 +86,10 @@ class FeatureLayout:
 
 
 def write_weights(weights, layout: FeatureLayout, path) -> None:
+    """One `name value` line per feature of the layout; weights of another
+    length raise ValueError before the file is opened."""
+    if len(weights) != layout.dimension:
+        raise ValueError(f"{len(weights)} weights for a layout of {layout.dimension} features")
     with open(path, "w", encoding="utf-8") as fh:
         for name, value in zip(layout.names(), weights):
             fh.write(f"{name} {value:.17g}\n")

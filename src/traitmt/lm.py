@@ -45,7 +45,6 @@ class NgramLanguageModel:
     probs: dict     # k -> {k-gram tuple: log10 prob}
     bows: dict      # context tuple -> log10 backoff weight
     vocab: frozenset  # prediction vocabulary: words + </s> + <unk>, no <s>
-    discounts: dict   # k -> discount used at order k
 
     def log10_prob(self, word: str, context=()) -> float:
         """Backoff query P(word | context) in log10, OOV mapped to <unk>."""
@@ -88,10 +87,6 @@ class NgramLanguageModel:
             total += self.log10_prob(word, state)
             state = (state + (word,))[-(self.order - 1):] if self.order > 1 else ()
         return total, state
-
-    def score_sentence(self, tokens) -> float:
-        """Sum of conditional log10 probabilities including </s>."""
-        return self.extend(self.start_state, tuple(tokens) + (EOS,))[0]
 
     def unigram_log10(self, word: str) -> float:
         if word not in self.vocab:
@@ -138,13 +133,12 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
     vocab = frozenset(w for (w,) in counts[1]) | {UNK}
     probs: dict[int, dict] = {}
     bows: dict[tuple, float] = {}
-    discounts: dict[int, float] = {}
     lower: dict[tuple, float] = {}  # probabilities one order down
     for k in range(1, order + 1):
         level = counts[k]
         n1 = sum(c == 1 for c in level.values())
         n2 = sum(c == 2 for c in level.values())
-        d = discounts[k] = n1 / (n1 + 2 * n2) if n1 + 2 * n2 else 0.0
+        d = n1 / (n1 + 2 * n2) if n1 + 2 * n2 else 0.0
         sums = Counter()   # context -> count total
         types = Counter()  # context -> distinct continuations
         for gram, c in level.items():
@@ -164,7 +158,7 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
         probs[k] = {gram: _log10_floor(p) for gram, p in cur.items()}
         lower = cur
     probs[1][(BOS,)] = LOG10_FLOOR
-    return NgramLanguageModel(order, probs, bows, vocab, discounts)
+    return NgramLanguageModel(order, probs, bows, vocab)
 
 
 def write_arpa(model: NgramLanguageModel, path) -> None:
@@ -240,4 +234,4 @@ def read_arpa(path) -> NgramLanguageModel:
     if not probs.get(1):
         raise ValueError(f"{path}: no unigrams")
     vocab = frozenset(w for (w,) in probs[1]) - {BOS}
-    return NgramLanguageModel(max(declared), probs, bows, vocab | {UNK}, {})
+    return NgramLanguageModel(max(declared), probs, bows, vocab | {UNK})

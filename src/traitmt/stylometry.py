@@ -2,8 +2,7 @@
 and POS-trigram features normalized by chunk length.
 
 The tagger is a deliberately simple baseline (per-token majority tag with a
-suffix fallback); pre-tagged input in the one-sentence-per-line token_TAG
-format is accepted everywhere a tagger would run.
+suffix fallback).
 """
 
 from __future__ import annotations
@@ -102,44 +101,6 @@ class TaggerModel:
                     memo[token] = self.tag_token(token)
             tags = tuple(map(memo.__getitem__, toks))
         return TaggedSentence(toks, tags)
-
-
-def tag_sentence(sentence, model: TaggerModel) -> TaggedSentence:
-    """Tag a tokenized sentence; pre-tagged input passes through unchanged."""
-    if isinstance(sentence, TaggedSentence):
-        return sentence
-    tokens = getattr(sentence, "tokens", sentence)
-    return model.tag(tokens)
-
-
-def parse_tagged_line(line: str) -> TaggedSentence:
-    """Parse one `token_TAG token_TAG ...` line (tag after the last '_')."""
-    tokens, tags = [], []
-    for item in line.split():
-        word, sep, tag = item.rpartition("_")
-        if not sep or not word or not tag:
-            raise ValueError(f"bad token_TAG item {item!r}")
-        tokens.append(word)
-        tags.append(tag)
-    return TaggedSentence(tuple(tokens), tuple(tags))
-
-
-def format_tagged_line(sent: TaggedSentence) -> str:
-    return " ".join(f"{tok}_{tag}" for tok, tag in zip(sent.tokens, sent.tags))
-
-
-def read_tagged_file(path):
-    """Parse a token_TAG file, skipping blank lines; a bad line raises
-    ValueError naming `path:line`."""
-    sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    sentences.append(parse_tagged_line(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return sentences
 
 
 @dataclass

@@ -558,6 +558,15 @@ class TestPhraseTableIo:
         with pytest.raises(ValueError, match=r"pt\.txt:2: scores must lie in \(0, 1\]"):
             read_phrase_table(path)
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_empty_phrase_names_line(self, tmp_path, side):
+        line = " ||| x" if side == "source" else "a ||| "
+        path = tmp_path / "pt.txt"
+        path.write_text(f"a ||| x ||| 0.5 0.5 0.5 0.5\n{line} ||| 0.5 0.5 0.5 0.5\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"pt\.txt:2: empty {side} phrase"):
+            read_phrase_table(path)
+
     def test_repeated_pair_names_line(self, tmp_path):
         path = tmp_path / "pt.txt"
         path.write_text("a b ||| x ||| 0.5 0.5 0.5 0.5\n"

@@ -252,8 +252,8 @@ class TestPersistence:
             "mt": [self.mk("fw:also", 0.002, "F")],
         }
         report = marker_persistence_report(rankings, "orig")
-        assert len(report.lost()) == 1
-        assert not report.carried_over()
+        assert [c.lost for c in report.comparisons] == [True]
+        assert not any(c.carried_over for c in report.comparisons)
 
     def test_carried_over_via_lexicon(self):
         rankings = {
@@ -263,14 +263,14 @@ class TestPersistence:
         report = marker_persistence_report(
             rankings, "orig_fr", lexicon={"fw:je": "fw:i"}, cross_language=True
         )
-        assert len(report.carried_over()) == 1
-        assert not report.flips()
+        assert [c.carried_over for c in report.comparisons] == [True]
+        assert not any(c.direction_flip for c in report.comparisons)
 
     def test_identity_comparison_no_flags(self):
         ranking = [self.mk("fw:also", 0.05, "F"), self.mk("fw:you", 0.02, "M")]
         report = marker_persistence_report({"orig": ranking, "same": ranking}, "orig")
-        assert not report.lost() and not report.flips()
-        assert len(report.carried_over()) == 2
+        assert not any(c.lost or c.direction_flip for c in report.comparisons)
+        assert [c.carried_over for c in report.comparisons] == [True, True]
 
     def test_direction_flip_detected(self):
         rankings = {
@@ -278,7 +278,7 @@ class TestPersistence:
             "mt": [self.mk("fw:must", 0.03, "M")],
         }
         report = marker_persistence_report(rankings, "orig")
-        assert len(report.flips()) == 1
+        assert [c.direction_flip for c in report.comparisons] == [True]
 
     def test_cross_language_requires_lexicon(self):
         rankings = {"orig": [self.mk("fw:je", 0.04, "M")], "mt": []}

@@ -501,16 +501,6 @@ class TestCrossValidate:
 
 
 class TestReportsAndHelpers:
-    def test_report_text_and_csv(self):
-        rng = np.random.default_rng(23)
-        X = np.vstack([rng.normal(2, 1, (20, 2)), rng.normal(-2, 1, (20, 2))])
-        labels = ["M"] * 20 + ["F"] * 20
-        report = cross_validate(X, labels, folds=5, seed=0)
-        text = report.as_text()
-        assert "precision" in text and "acc." in text
-        csv = report.as_csv()
-        assert csv.splitlines()[0] == "precision_F,precision_M,recall_F,recall_M,accuracy"
-
     def test_vectors_to_matrix(self):
         vecs = [
             FeatureVector({0: 0.5, 2: 0.25}, "M", "original"),

@@ -153,7 +153,7 @@ class TestLoadCorpus:
         assert (loaded.source_lang, loaded.target_lang) == ("en", "fr")
 
     @pytest.mark.parametrize("field", ["speaker_id", "source_text", "target_text"])
-    @pytest.mark.parametrize("bad", ["\t", "\n"], ids=["tab", "newline"])
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\r"], ids=["tab", "newline", "carriage_return"])
     def test_save_rejects_separator_in_pair_field(self, tmp_path, field, bad):
         pair = make_pair()
         broken = dataclasses.replace(pair, **{field: "x" + bad + getattr(pair, field)})

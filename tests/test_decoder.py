@@ -55,7 +55,7 @@ def oracle_decode(sentence, options, weights, lms, layout, distortion_limit):
             target.extend(opt.tgt)
         feats[layout.distortion] = dist
         for k, lm in enumerate(lms):
-            feats[layout.lm_feature(k)] = lm.score_sentence(target)
+            feats[layout.lm_feature(k)] = lm.extend(lm.start_state, tuple(target) + (EOS,))[0]
         score = float(weights @ feats)
         key = (-score, tuple(target))
         if best is None or key < best[0]:
@@ -539,6 +539,13 @@ class TestWeightsIo:
         write_weights(weights, layout, path)
         loaded = read_weights(path, layout)
         np.testing.assert_allclose(loaded, weights, atol=0)
+
+    def test_write_rejects_wrong_length(self, tmp_path):
+        layout = FeatureLayout(2, 1)
+        path = tmp_path / "weights.txt"
+        with pytest.raises(ValueError, match=rf"^3 weights for a layout of {layout.dimension} features"):
+            write_weights(np.ones(3), layout, path)
+        assert not path.exists()
 
     def test_missing_weight_rejected(self, tmp_path):
         layout = FeatureLayout(1, 1)

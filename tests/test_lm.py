@@ -112,7 +112,12 @@ def reference_train_kn_lm(sentences, order, unk_threshold=1):
             bows[h] = log10_floor(lam) if lam > 0 else LOG10_FLOOR
         prev_prob = cur_prob
 
-    return NgramLanguageModel(order, probs, bows, vocab, discounts)
+    return NgramLanguageModel(order, probs, bows, vocab)
+
+
+def sentence_log10(model, tokens):
+    """Sum of the conditional log10 probabilities of tokens and </s>."""
+    return model.extend(model.start_state, tuple(tokens) + (EOS,))[0]
 
 # Ten-token hand corpus used throughout; token counts a:5 b:3 c:2, so no
 # <unk> replacement at threshold 1.
@@ -131,11 +136,9 @@ class TestHandComputedBigramModel:
     (b,a)=2 (a,c)=1 (c,</s>)=1 (a,a)=1 (a,</s>)=1 (c,a)=1 (b,</s>)=1,
     so D2 = 9/(9+2*2) = 9/13.  Unigram continuation counts: a=4 b=2 c=2
     </s>=3 (S1=11), D1 = 0 because no continuation count equals 1.
+    The model keeps no discounts; the frozen probabilities below, and the
+    exact reference_train_kn_lm oracle, pin them through probs.
     """
-
-    def test_discounts(self, model):
-        assert model.discounts[2] == pytest.approx(9 / 13)
-        assert model.discounts[1] == pytest.approx(0.0)
 
     def test_unigram_continuation_distribution(self, model):
         assert 10 ** model.unigram_log10("a") == pytest.approx(4 / 11, abs=1e-12)
@@ -205,17 +208,17 @@ class TestNormalizationLaw:
 class TestScoring:
     def test_empty_sentence_is_eos_given_bos(self):
         model = train_kn_lm(HAND_CORPUS, order=2)
-        assert model.score_sentence(()) == pytest.approx(model.log10_prob(EOS, (BOS,)))
+        assert sentence_log10(model, ()) == pytest.approx(model.log10_prob(EOS, (BOS,)))
 
     def test_training_sentence_beats_shuffle(self):
         sent = ("the", "cat", "sat", "on", "the", "mat")
         model = train_kn_lm([sent, sent], order=3, unk_threshold=0)
         shuffled = ("mat", "the", "on", "sat", "cat", "the")
-        assert model.score_sentence(sent) > model.score_sentence(shuffled)
+        assert sentence_log10(model, sent) > sentence_log10(model, shuffled)
 
     def test_oov_scores_finite(self):
         model = train_kn_lm(HAND_CORPUS, order=2)
-        score = model.score_sentence(("quux", "a", "zzz"))
+        score = sentence_log10(model, ("quux", "a", "zzz"))
         assert math.isfinite(score)
 
 
@@ -223,7 +226,7 @@ class TestScoring:
         assert model.log10_nonpositive
         context = next(iter(model.bows))
         raised = NgramLanguageModel(
-            model.order, model.probs, {**model.bows, context: 0.5}, model.vocab, model.discounts)
+            model.order, model.probs, {**model.bows, context: 0.5}, model.vocab)
         assert not raised.log10_nonpositive
 
 
@@ -252,7 +255,6 @@ class TestReferenceEstimator:
             assert got.probs == want.probs, seed
             assert got.bows == want.bows, seed
             assert got.vocab == want.vocab, seed
-            assert got.discounts == want.discounts, seed
             checked += 1
         assert checked >= 400 and short >= 20
 
@@ -302,7 +304,7 @@ class TestArpaRoundTrip:
         test_sentences = [tuple(rng.choice(words) for _ in range(6)) for _ in range(20)]
         test_sentences.append(("oov-token", "w1"))
         for sent in test_sentences:
-            assert abs(loaded.score_sentence(sent) - model.score_sentence(sent)) <= 1e-9
+            assert abs(sentence_log10(loaded, sent) - sentence_log10(model, sent)) <= 1e-9
 
     def test_declared_counts_checked(self, tmp_path):
         path = tmp_path / "bad.arpa"

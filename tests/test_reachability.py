@@ -1,5 +1,5 @@
 """Every public top-level function and class of traitmt has a caller, and
-so does every option of one.
+so does every option of one and every public member of a public class.
 
 A name defined at the top of a module under src/traitmt/ counts as reached
 when a Name, Attribute or import alias in src/traitmt/ or perfbench/*.py
@@ -15,23 +15,35 @@ or perfbench/*.py to a function of that name passes it, by position or by
 keyword; what a call passes through `*args` or `**kwargs` does not count,
 since the scan cannot see it.  An option no such call sets should be a
 constant.  OPTIONS_ALLOWED lists the few kept, each with its reason.
+
+A member is a public method, property or cached_property of a public
+class.  It counts as read when an Attribute of its name appears in
+src/traitmt/ or perfbench/*.py outside its own def.  The scan matches on
+the name alone, so a member that shares its name with another attribute
+(a dataclass field, another class's method) passes unread.
+MEMBERS_ALLOWED lists the members kept without a reader, each with its
+reason.
 """
 
 import ast
-from collections import defaultdict
+import functools
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "traitmt").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
+
+@functools.cache
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 _PIPELINE = "pipeline artifact, ROADMAP item 3"
 ALLOWED = {
     "annotate.save_speaker_records": _PIPELINE,
     "annotate.load_speaker_records": _PIPELINE,
-    "stylometry.tag_sentence": _PIPELINE,
-    "stylometry.format_tagged_line": _PIPELINE,
-    "stylometry.read_tagged_file": _PIPELINE,
     "stylometry.load_function_words": _PIPELINE,
     "stylometry.write_vectors": _PIPELINE,
     "stylometry.read_vectors": _PIPELINE,
@@ -60,6 +72,8 @@ OPTIONS_ALLOWED = {
     "decoder.decode(nbest_size)": "perfbench's tune passes it as **kwargs; its hook reads it",
 }
 
+MEMBERS_ALLOWED: dict[str, str] = {}
+
 
 def _referenced(node) -> set:
     names = set()
@@ -82,7 +96,7 @@ def _scan():
     definitions = []
     referrers = defaultdict(set)
     for path in LIBRARY + BENCH:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tree = _tree(path)
         for stmt in tree.body:
             owner = getattr(stmt, "name", None)
             if path in LIBRARY and owner and not owner.startswith("_"):
@@ -144,7 +158,7 @@ def _options():
     """Options as (key, callee name, position or None, parameter name)."""
     options = []
     for path in LIBRARY:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tree = _tree(path)
         for qualname, callee, fn, takes_self in _public_defs(tree):
             key = f"{path.stem}.{qualname}"
             params = (fn.args.posonlyargs + fn.args.args)[takes_self:]
@@ -161,7 +175,7 @@ def _unset_options() -> set:
     """Keys of the options no call in src/traitmt/ or perfbench/ passes."""
     passed = defaultdict(set)   # callee name -> positions and keywords passed
     for path in LIBRARY + BENCH:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 passed[callee].update(
@@ -184,3 +198,32 @@ def test_every_option_has_a_caller():
 def test_options_allowlist_names_only_unset_options():
     stale = sorted(set(OPTIONS_ALLOWED) - _unset_options())
     assert not stale, f"{stale} are set by a caller or no longer exist: drop them from OPTIONS_ALLOWED"
+
+
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _unread_members() -> set:
+    """Public members of public classes named by no Attribute outside
+    their own def."""
+    everywhere = sum((_attributes(_tree(path)) for path in LIBRARY + BENCH), Counter())
+    return {
+        f"{path.stem}.{qualname}"
+        for path in LIBRARY
+        for qualname, name, fn, _ in _public_defs(_tree(path))
+        if "." in qualname and everywhere[name] == _attributes(fn)[name]
+    }
+
+
+def test_every_public_member_is_read():
+    unread = sorted(_unread_members() - set(MEMBERS_ALLOWED))
+    assert not unread, (
+        f"nothing in src/traitmt/ or perfbench/ reads {unread}: "
+        "delete them with their tests, or give them a reader"
+    )
+
+
+def test_members_allowlist_names_only_unread_members():
+    stale = sorted(set(MEMBERS_ALLOWED) - _unread_members())
+    assert not stale, f"{stale} are read or no longer defined: drop them from MEMBERS_ALLOWED"

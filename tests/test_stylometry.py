@@ -13,12 +13,8 @@ from traitmt.stylometry import (
     build_feature_space,
     chunk_corpus,
     default_function_words,
-    format_tagged_line,
     load_function_words,
-    parse_tagged_line,
-    read_tagged_file,
     read_vectors,
-    tag_sentence,
     vectorize_chunk,
     write_vectors,
 )
@@ -92,10 +88,6 @@ class TestTagger:
         counts = model.global_tags
         assert counts[tag] == max(counts.values())
 
-    def test_passthrough(self):
-        tagged = sent("a b", "X Y")
-        assert tag_sentence(tagged, self.train_model()) is tagged
-
     def test_tag_agrees_with_tag_token(self):
         model = self.train_model()
         tokens = "the dog runs slowly zzz the dog".split()
@@ -121,11 +113,6 @@ class TestTagger:
     def test_untrained_model_rejected(self):
         with pytest.raises(RuntimeError):
             TaggerModel().tag(["word"])
-
-    def test_tagged_line_round_trip(self):
-        s = sent("the under_score word", "D N X")
-        line = format_tagged_line(s)
-        assert parse_tagged_line(line) == s
 
 
 class TestChunking:
@@ -337,17 +324,6 @@ class TestIo:
         p.write_text(f"#0\tthe\n#1\ta\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: .*{message}"):
             read_vectors(p)
-
-    def test_tagged_file_error_names_line(self, tmp_path):
-        p = tmp_path / "bank.txt"
-        p.write_text("the_D dog_N\n\nthe_D dog\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: bad token_TAG item 'dog'"):
-            read_tagged_file(p)
-
-    def test_tagged_file_round_trip(self, tmp_path):
-        p = tmp_path / "bank.txt"
-        p.write_text("the_D dog_N\n\nruns_V\n", encoding="utf-8")
-        assert read_tagged_file(p) == [sent("the dog", "D N"), sent("runs", "V")]
 
     def test_fw_file_loading(self, tmp_path):
         p = tmp_path / "fw.txt"
