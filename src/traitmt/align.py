@@ -317,7 +317,15 @@ def score_phrases(sentences, lex_fwd: LexicalTable, lex_rev: LexicalTable) -> Ph
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:
-    """`source ||| target ||| phi_fwd lex_fwd phi_rev lex_rev` per line."""
+    """`source ||| target ||| phi_fwd lex_fwd phi_rev lex_rev` per line.
+    An entry read_phrase_table would reject (an empty source or target
+    phrase, other than four scores, a score outside (0, 1]) raises
+    ValueError naming its pair before the file is opened."""
+    for src, row in table.entries.items():
+        for tgt, scores in row.items():
+            if not src or not tgt or len(scores) != 4 or not all(0.0 < x <= 1.0 for x in scores):
+                raise ValueError(f"pair {' '.join(src)!r} ||| {' '.join(tgt)!r}: phrases must "
+                                 f"be non-empty and the four scores in (0, 1], got {scores}")
     with open(path, "w", encoding="utf-8") as fh:
         for src in sorted(table.entries):
             for tgt in sorted(table.entries[src]):

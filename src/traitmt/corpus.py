@@ -152,8 +152,14 @@ def save_corpus(corpus: Corpus, path) -> None:
     Raises CorpusFormatError, naming the field, when a value holds a tab,
     newline or carriage return, since load_corpus could not split that row
     back: it reads with universal newlines, so a carriage return ends a
-    line too.
+    line too.  An empty corpus raises CorpusFormatError before the file is
+    opened: the language pair is stored only in data rows, so it could not
+    be read back.
     """
+    if not corpus.pairs:
+        raise CorpusFormatError(f"cannot save an empty corpus: its language pair "
+                                f"{corpus.source_lang}-{corpus.target_lang} is stored only "
+                                f"in data rows")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(TSV_COLUMNS) + "\n")
         for p in corpus.pairs:

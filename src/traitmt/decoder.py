@@ -5,14 +5,26 @@ Every translation option carries a full feature vector: one four-score
 block per phrase table (absent blocks filled with a floor constant) plus a
 presence indicator per block, one feature per language model, word and
 phrase penalties, and the distance-based distortion total.  Hypotheses are
-recombined on (coverage, last position, LM states); stacks are organized
-by covered-word count with histogram pruning.  A stack ranks on a strict
-total order, so which hypotheses survive a cut does not depend on the
-order in which they were reached.  Expansions that histogram pruning
+recombined on (coverage, last position, LM states).  The LM states are the
+minimized ones NgramLanguageModel.extend returns, so two histories that
+differ only in words no later score can see share one stack entry.
+Stacks are organized by covered-word count with histogram pruning.  A
+stack ranks on a strict total order, so which hypotheses survive a cut
+does not depend on the order in which they were reached.  Expansions that histogram pruning
 would drop are rejected before they are stored, exactly: the search gives
 the same n-best lists as sorting and cutting full stacks.  The rejection
 test runs before any LM query only when every LM weight is >= 0 and no LM
 stores a positive log10 probability or backoff weight.
+
+LM scores are memoized per decode in two layers.  Each distinct target
+phrase gets an id, kept beside its option.  A hypothesis fetches one pair
+of memo rows for its LM states, one for expansions that leave words
+uncovered and one for those that complete the sentence.  Both are indexed
+by target id.  An entry holds the per-LM weighted terms, the new states
+and the per-LM deltas; a completing entry's deltas include </s>, but its
+states are those before it.  A row miss is scored word by word through a
+per-LM (state, word) memo.  The score adds the weighted terms in LM order,
+exactly the floats that w_k * delta_k added inline.
 """
 
 from __future__ import annotations
@@ -87,9 +99,13 @@ class FeatureLayout:
 
 def write_weights(weights, layout: FeatureLayout, path) -> None:
     """One `name value` line per feature of the layout; weights of another
-    length raise ValueError before the file is opened."""
+    length, or a non-finite weight, raise ValueError before the file is
+    opened."""
     if len(weights) != layout.dimension:
         raise ValueError(f"{len(weights)} weights for a layout of {layout.dimension} features")
+    for name, value in zip(layout.names(), weights):
+        if not math.isfinite(value):
+            raise ValueError(f"weight {name!r} is not finite: {value}")
     with open(path, "w", encoding="utf-8") as fh:
         for name, value in zip(layout.names(), weights):
             fh.write(f"{name} {value:.17g}\n")
@@ -259,7 +275,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
 
     stack_size <= 0 disables pruning (exhaustive up to recombination).
     A stack ranks its hypotheses on (score + future cost, target string,
-    coverage, last position, LM states).  The last three form the
+    coverage, last position, minimized LM states).  The last three form the
     recombination key, so the order is total and a cut does not depend on
     the order of expansion.  The n-best list ranks the complete hypotheses
     on the same order (value is score there), keeping the first of each
@@ -298,40 +314,53 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     lm_lowers = all(w >= 0 for w in lm_weights) and all(lm.log10_nonpositive for lm in lms)
 
     # per last_end, the spans within the distortion limit in the order of
-    # options, each with its (option, static score) pairs, highest static
-    # score first
+    # options, each with its (option, static score, target id) triples,
+    # highest static score first; a target id numbers the distinct target
+    # phrases of this decode
+    target_ids: dict = {}
     spans = []
     for (start, end), opts in options.items():
-        choices = sorted(zip(opts, weighted[(start, end)]), key=lambda c: -c[1])
+        choices = sorted(((o, w, target_ids.setdefault(o.tgt, len(target_ids)))
+                          for o, w in zip(opts, weighted[(start, end)])),
+                         key=lambda c: -c[1])
         spans.append((start, end, ((1 << (end - start)) - 1) << start, choices))
     reachable = []
     for last_end in range(n + 1):
-        row = []
+        within = []
         for start, end, mask, choices in spans:
             jump = abs(start - last_end)
             if distortion_limit < 0 or jump <= distortion_limit:
-                row.append((mask, end, end - start, jump, dist_weight * jump, choices))
-        reachable.append(row)
+                within.append((mask, end, end - start, jump, dist_weight * jump, choices))
+        reachable.append(within)
 
     futures: dict = {}
-    phrase_memo: dict = {}
     word_memos = [{} for _ in lms]
+    # LM states -> [memo row, memo row on completing]; a row is indexed by
+    # target id and holds None until the target is first scored after those
+    # states, then (per-LM weighted terms, new states, per-LM deltas).  On
+    # completing, the deltas add </s> but the states are those before it
+    rows: dict = {}
+    n_targets = len(target_ids)
 
-    def phrase_lm(k, state, words):
-        """lms[k].extend(state, words), memoized per phrase and per
-        (state, word)."""
-        key = (k, state, words)
-        hit = phrase_memo.get(key)
-        if hit is None:
-            memo, total = word_memos[k], 0.0
+    def lm_entry(states, complete, words):
+        terms, new_states, deltas = [], [], []
+        for lm, memo, w_lm, state in zip(lms, word_memos, lm_weights, states):
+            delta = 0.0
             for word in words:
                 step = memo.get((state, word))
                 if step is None:
-                    step = memo[state, word] = lms[k].extend(state, (word,))
-                logp, state = step
-                total += logp
-            hit = phrase_memo[key] = (total, state)
-        return hit
+                    step = memo[state, word] = lm.extend(state, (word,))
+                delta += step[0]
+                state = step[1]
+            if complete:
+                step = memo.get((state, EOS))
+                if step is None:
+                    step = memo[state, EOS] = lm.extend(state, (EOS,))
+                delta += step[0]
+            terms.append(w_lm * delta)
+            new_states.append(state)
+            deltas.append(delta)
+        return tuple(terms), tuple(new_states), tuple(deltas)
 
     init_states = tuple(lm.start_state for lm in lms)
     initial = (_coverage_future(fc, 0, n), 0.0, (), 0, 0, init_states, None, None, 0, ())
@@ -351,11 +380,17 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
             hyps = heapq.nsmallest(stack_size, stack, key=_rank)
         for hyp in hyps:
             _, h_score, h_target, h_coverage, h_end, h_states, _, _, _, _ = hyp
+            h_rows = rows.get(h_states)
+            if h_rows is None:
+                h_rows = rows[h_states] = [None, None]
             for mask, end, length, jump, dist_cost, choices in reachable[h_end]:
                 if h_coverage & mask:
                     continue
                 coverage = h_coverage | mask
                 complete = coverage == full_mask
+                row = h_rows[complete]
+                if row is None:
+                    row = h_rows[complete] = [None] * n_targets
                 count = covered + length
                 future = futures.get(coverage)
                 if future is None:
@@ -363,24 +398,19 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                 floor = floors[count]
                 base = h_score + dist_cost
                 target_stack = stacks[count]
-                for opt, w_static in choices:
+                for opt, w_static, tid in choices:
                     score = base + w_static
                     if lm_lowers and score + future < floor:
                         break
-                    new_states = []
-                    lm_scores = []
-                    for k in range(len(lms)):
-                        lm_delta, state = phrase_lm(k, h_states[k], opt.tgt)
-                        if complete:
-                            end_delta, _ = phrase_lm(k, state, (EOS,))
-                            lm_delta += end_delta
-                        lm_scores.append(lm_delta)
-                        new_states.append(state)
-                        score += lm_weights[k] * lm_delta
+                    entry = row[tid]
+                    if entry is None:
+                        entry = row[tid] = lm_entry(h_states, complete, opt.tgt)
+                    terms, new_states, lm_scores = entry
+                    for term in terms:
+                        score += term
                     value = score + future
                     if value < floor:
                         continue
-                    new_states = tuple(new_states)
                     key = (coverage, end, new_states)
                     incumbent = target_stack.get(key)
                     if incumbent is not None and incumbent[_SCORE] > score:
@@ -399,7 +429,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                               or (score == incumbent[_SCORE] and target < incumbent[_TARGET])):
                         continue
                     target_stack[key] = (value, score, target, coverage, end, new_states,
-                                         hyp, opt, jump, tuple(lm_scores))
+                                         hyp, opt, jump, lm_scores)
     final = stacks[n]
     if not final:
         raise RuntimeError("no complete hypothesis")

@@ -17,8 +17,11 @@ the in-memory scorer and an ARPA-round-tripped model bit-compatible.
 A caller scoring word by word holds a state: start_state before the first
 word, then whatever extend(state, words) returns with the words' log10
 sum.  extend is the one place that maps words outside the vocabulary to
-<unk> and trims the state to the last order - 1 words; callers treat the
-state as an opaque, hashable key.
+<unk> and trims the state: to the last order - 1 words, and then to the
+longest suffix that can still change a score (right-state minimization,
+Li & Khudanpur 2008; Heafield 2011).  Callers treat the state as an
+opaque, hashable key; two histories with equal states score every
+continuation identically, so a decoder may recombine on the state.
 """
 
 from __future__ import annotations
@@ -71,6 +74,23 @@ class NgramLanguageModel:
             logp <= 0.0 for table in self.probs.values() for logp in table.values()
         ) and all(bow <= 0.0 for bow in self.bows.values())
 
+    @functools.cached_property
+    def live_states(self) -> frozenset:
+        """The states whose leading word can still change a score: every
+        proper prefix of a stored n-gram, and every prefix of a context
+        with a nonzero backoff weight.  A backoff query from a state outside
+        the set finds no stored n-gram that starts with it and adds no
+        backoff weight before it reaches the state's suffix, now or after
+        any further words, so extend drops the leading word.  The test
+        reads the tables, not how they were made: an ARPA file may list an
+        n-gram without its prefixes, or a backoff weight for an n-gram
+        with no extensions.  Computed once, like log10_nonpositive."""
+        live = {gram[:i] for table in self.probs.values() for gram in table
+                for i in range(1, len(gram))}
+        live.update(context[:i] for context, bow in self.bows.items() if bow != 0.0
+                    for i in range(1, len(context) + 1))
+        return frozenset(live)
+
     @property
     def start_state(self) -> tuple:
         """The state before a sentence's first word."""
@@ -79,13 +99,18 @@ class NgramLanguageModel:
     def extend(self, state, words):
         """Score words left to right after state; returns (log10 sum, new
         state).  A word outside the vocabulary is scored, and kept in the
-        state, as <unk>."""
-        total = 0.0
+        state, as <unk>.  The new state is the longest suffix of the last
+        order - 1 words that is in live_states, so it is () after </s> and
+        for a history no stored n-gram extends.  Every later score is the
+        same, to the bit, as from the untrimmed history."""
+        live, total = self.live_states, 0.0
         for word in words:
             if word not in self.vocab:
                 word = UNK
             total += self.log10_prob(word, state)
             state = (state + (word,))[-(self.order - 1):] if self.order > 1 else ()
+            while state and state not in live:
+                state = state[1:]
         return total, state
 
     def unigram_log10(self, word: str) -> float:

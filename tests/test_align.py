@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter, defaultdict
 
 import pytest
@@ -534,6 +535,22 @@ class TestPhraseTableIo:
                 for a, b in zip(loaded.entries[src][tgt], scores):
                     assert a == pytest.approx(b, abs=1e-12)
         assert loaded.max_len == table.max_len == 2
+
+    @pytest.mark.parametrize("src, tgt, scores", [
+        ((), ("x",), (0.5,) * 4),
+        (("b",), (), (0.5,) * 4),
+        (("b",), ("y",), (0.5, 0.0, 0.5, 0.5)),
+        (("b",), ("y",), (0.5, 0.5, 1.0000001, 0.5)),
+        (("b",), ("y",), (0.5, 0.5, 0.5, math.nan)),
+        (("b",), ("y",), (0.5,) * 3),
+    ])
+    def test_write_rejects_what_read_rejects(self, tmp_path, src, tgt, scores):
+        table = PhraseTable({("a",): {("x",): (1.0,) * 4}, src: {tgt: scores}})
+        path = tmp_path / "pt.txt"
+        pair = re.escape(f"pair {' '.join(src)!r} ||| {' '.join(tgt)!r}")
+        with pytest.raises(ValueError, match=rf"^{pair}: "):
+            write_phrase_table(table, path)
+        assert not path.exists()
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "pt.txt"

@@ -161,6 +161,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=field):
             save_corpus(corpus, tmp_path / "c.tsv")
 
+    def test_save_rejects_empty_corpus(self, tmp_path):
+        # the language pair lives only in data rows, so an empty file would
+        # read back as und-und
+        path = tmp_path / "c.tsv"
+        with pytest.raises(CorpusFormatError, match="empty corpus"):
+            save_corpus(Corpus([], "en", "fr"), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("column", ["src_lang", "tgt_lang"])
     def test_save_rejects_separator_in_language(self, tmp_path, column):
         langs = ("e\tn", "fr") if column == "src_lang" else ("en", "f\nr")

@@ -19,7 +19,7 @@ from traitmt.decoder import (
     read_weights,
     write_weights,
 )
-from traitmt.lm import BOS, EOS, UNK, train_kn_lm
+from traitmt.lm import BOS, EOS, train_kn_lm
 
 
 def make_lm(sentences=None, order=2):
@@ -142,21 +142,12 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
             i = j
         return total
 
-    def lm_extend(lm, state, words):
-        total = 0.0
-        for word in words:
-            mapped = word if word in lm.vocab else UNK
-            total += lm.log10_prob(mapped, state)
-            if lm.order > 1:
-                state = (state + (mapped,))[-(lm.order - 1):]
-        return total, state
-
     plan = []
     for (start, end), opts in options.items():
         mask = ((1 << (end - start)) - 1) << start
         plan.append((start, end, mask, opts, [float(weights @ np.asarray(o.features)) for o in opts]))
 
-    init_states = tuple((BOS,) if lm.order > 1 else () for lm in lms)
+    init_states = tuple(lm.start_state for lm in lms)
     stacks = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, init_states)] = RefHypothesis(
         0, 0, init_states, 0.0, coverage_future(0), (), None, None, 0, ())
@@ -179,9 +170,9 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
                     score = hyp.score + dist_weight * jump + w_static
                     new_states, lm_scores = [], []
                     for k, lm in enumerate(lms):
-                        lm_delta, state = lm_extend(lm, hyp.lm_states[k], opt.tgt)
+                        lm_delta, state = lm.extend(hyp.lm_states[k], opt.tgt)
                         if complete:
-                            lm_delta += lm_extend(lm, state, (EOS,))[0]
+                            lm_delta += lm.extend(state, (EOS,))[0]
                         lm_scores.append(lm_delta)
                         new_states.append(state)
                         score += lm_weights[k] * lm_delta
@@ -448,6 +439,30 @@ class TestDecode:
             assert got[0].features[layout.distortion] == 3.0
             assert_option_order_free(sentence, options, weights, [make_lm()], **kwargs)
 
+    def test_states_differing_in_a_dead_leading_word_recombine(self):
+        # "s t" -> "a c" or "b c", monotone.  No stored 3-gram starts with
+        # (a, c) or (b, c), and neither has a backoff weight, so both
+        # complete hypotheses end in the LM state (c,) at the same position
+        # and share one entry of the final stack: the n-best list keeps the
+        # better one only
+        u = (0.5,) * 4
+        table = table_from({"s": {"a": u, "b": (0.25,) * 4}, "t": {"c": u}})
+        lm = make_lm([("a", "x"), ("b", "x"), ("x", "c"), ("c", "y")], order=3)
+        assert ("a", "c") not in lm.live_states and ("b", "c") not in lm.live_states
+        assert ("c",) in lm.live_states
+        assert lm.extend((BOS,), ("a", "c"))[1] == lm.extend((BOS,), ("b", "c"))[1] == ("c",)
+        layout = FeatureLayout(1, 1)
+        weights = layout.default_weights()
+        sentence = ("s", "t")
+        options = build_options(sentence, [table], layout=layout, weights=weights)
+        for stack_size in (0, 2):
+            kwargs = dict(stack_size=stack_size, distortion_limit=0, layout=layout,
+                          nbest_size=5)
+            got = decode(sentence, options, weights, [lm], **kwargs)
+            assert [r.target for r in got] == [("a", "c")]
+            assert_same_nbest(got, reference_beam_decode(sentence, options, weights, [lm],
+                                                         **kwargs))
+
     def test_layout_required(self):
         table, lm, layout = self.simple_system()
         with pytest.raises(TypeError):
@@ -545,6 +560,16 @@ class TestWeightsIo:
         path = tmp_path / "weights.txt"
         with pytest.raises(ValueError, match=rf"^3 weights for a layout of {layout.dimension} features"):
             write_weights(np.ones(3), layout, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_rejects_non_finite_weight(self, tmp_path, value):
+        layout = FeatureLayout(1, 1)
+        weights = layout.default_weights()
+        weights[layout.lm_feature(0)] = value
+        path = tmp_path / "weights.txt"
+        with pytest.raises(ValueError, match=r"^weight 'lm0' is not finite"):
+            write_weights(weights, layout, path)
         assert not path.exists()
 
     def test_missing_weight_rejected(self, tmp_path):

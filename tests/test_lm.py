@@ -267,12 +267,16 @@ class TestExtend:
             mapped = word if word in model.vocab else UNK
             total += model.log10_prob(mapped, state)
             state = (state + (mapped,))[-1:]
-        assert model.extend(model.start_state, words) == (total, (EOS,))
+        # no stored n-gram follows </s>, so the state after it is empty
+        assert model.extend(model.start_state, words) == (total, ())
 
     def test_state_is_trimmed_and_oov_mapped(self):
+        # "zebra" is scored as <unk>, which starts no stored n-gram and has
+        # no backoff weight, so the state drops it and keeps "c"
         model = train_kn_lm([("a", "b", "c", "a")] * 2, order=3, unk_threshold=0)
         assert model.start_state == (BOS,)
-        assert model.extend((BOS,), ("a", "zebra", "c"))[1] == (UNK, "c")
+        assert model.extend((BOS,), ("a", "zebra"))[1] == ()
+        assert model.extend((BOS,), ("a", "zebra", "c"))[1] == ("c",)
 
     def test_unigram_state_is_empty(self):
         model = train_kn_lm([("a", "a", "b")], order=1)
@@ -280,6 +284,95 @@ class TestExtend:
         logp, state = model.extend((), ("a", "zebra"))
         assert state == ()
         assert logp == model.unigram_log10("a") + model.unigram_log10(UNK)
+
+
+def unminimized_walk(model, state, words):
+    """extend without minimization: the state keeps the last order - 1
+    words whatever the tables hold."""
+    total = 0.0
+    for word in words:
+        word = word if word in model.vocab else UNK
+        total += model.log10_prob(word, state)
+        state = (state + (word,))[-(model.order - 1):] if model.order > 1 else ()
+    return total, state
+
+
+def random_kn_model(rng, order, unk_threshold):
+    words = [f"w{i}" for i in range(rng.randint(2, 6))]
+    corpus = [tuple(rng.choices(words, k=rng.randint(1, 8))) for _ in range(rng.randint(2, 14))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return train_kn_lm(corpus, order, unk_threshold)
+
+
+def assert_minimized_states_exact(model, rng, histories=25, continuations=12):
+    """From every state extend reaches, each continuation scores `==` to
+    the walk over the unminimized history, and the state is a suffix of
+    that history.  Returns how many states were shorter than it."""
+    words = sorted(model.vocab - {EOS}) + ["oov"]
+    shorter = 0
+    for _ in range(histories):
+        history = tuple(rng.choices(words, k=rng.randint(0, 6)))
+        _, state = model.extend(model.start_state, history)
+        _, full = unminimized_walk(model, model.start_state, history)
+        assert full[len(full) - len(state):] == state, (history, state, full)
+        shorter += len(state) < len(full)
+        for _ in range(continuations):
+            tail = tuple(rng.choices(words + [EOS], k=rng.randint(1, model.order + 1)))
+            got_score, got_state = model.extend(state, tail)
+            want_score, want_state = unminimized_walk(model, full, tail)
+            assert got_score == want_score, (history, tail)
+            assert want_state[len(want_state) - len(got_state):] == got_state
+    return shorter
+
+
+class TestMinimizedState:
+    def test_trained_models(self):
+        shorter = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            model = random_kn_model(rng, order=seed % 5 + 1, unk_threshold=seed // 5 % 3)
+            shorter += assert_minimized_states_exact(model, rng)
+        assert shorter >= 200
+
+    @pytest.mark.parametrize("edit", ["bow_left_out", "bow_without_extension",
+                                      "ngram_without_prefix"])
+    def test_edited_arpa_models(self, tmp_path, edit):
+        """Three files train_kn_lm never writes: a context that has
+        extensions but no backoff field, an n-gram with no extensions but
+        a nonzero backoff weight, and 3-grams whose leading word starts no
+        2-gram and has no backoff weight."""
+        edited = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            model = random_kn_model(rng, order=seed % 3 + 3, unk_threshold=seed % 2)
+            probs = {k: dict(table) for k, table in model.probs.items()}
+            bows = dict(model.bows)
+            contexts = {gram[:-1] for k in range(2, model.order + 1) for gram in probs[k]}
+            if edit == "bow_left_out":
+                picked = sorted(c for c in contexts if bows.get(c, 0.0) != 0.0)
+                for context in rng.sample(picked, min(3, len(picked))):
+                    del bows[context]
+            elif edit == "bow_without_extension":
+                picked = sorted(g for k in range(1, model.order) for g in probs[k]
+                                if g not in contexts)
+                for gram in rng.sample(picked, min(3, len(picked))):
+                    bows[gram] = -0.25
+            else:
+                picked = sorted({g[0] for g in probs[3]} - {BOS})
+                for word in rng.sample(picked, min(2, len(picked))):
+                    probs[2] = {g: p for g, p in probs[2].items() if g[0] != word}
+                    bows.pop((word,), None)
+                    bows = {c: b for c, b in bows.items() if c[:1] != (word,) or len(c) != 2}
+            if not picked:
+                continue
+            path = tmp_path / f"{seed}.arpa"
+            write_arpa(NgramLanguageModel(model.order, probs, bows, model.vocab), path)
+            loaded = read_arpa(path)
+            assert (loaded.probs, loaded.bows) == (probs, bows)
+            assert_minimized_states_exact(loaded, rng)
+            edited += 1
+        assert edited >= 20
 
 
 class TestArpaRoundTrip:
