@@ -1,72 +1,57 @@
 """Corpus-level BLEU-4 against a single reference.
 
-Sufficient statistics (clipped n-gram matches, totals, lengths) are kept
-separate from the final score so that tuning can re-score candidate
+A sentence's sufficient statistics are one row of 10 ints, in this order:
+clipped n-gram matches for n = 1..4, candidate n-gram counts for n = 1..4,
+candidate length, reference length.  Rows add column by column, and the
+score is computed from the summed row, so tuning can re-score candidate
 selections without re-counting n-grams.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
-from dataclasses import dataclass
+from itertools import chain
 
 MAX_ORDER = 4
 
 
-@dataclass(frozen=True)
-class BleuStats:
-    matches: tuple  # clipped n-gram matches, n = 1..4
-    totals: tuple   # candidate n-gram counts, n = 1..4
-    cand_len: int
-    ref_len: int
-
-    def __add__(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats(
-            tuple(map(operator.add, self.matches, other.matches)),
-            tuple(map(operator.add, self.totals, other.totals)),
-            self.cand_len + other.cand_len,
-            self.ref_len + other.ref_len,
-        )
+def _ngram_counts(tokens):
+    """Counts of every n-gram of orders 1..MAX_ORDER, keyed by its tuple;
+    zipping n shifted copies of the tokens gives the n-grams of order n."""
+    return Counter(chain.from_iterable(zip(*(tokens[k:] for k in range(n)))
+                                       for n in range(1, MAX_ORDER + 1)))
 
 
-ZERO_STATS = BleuStats((0,) * MAX_ORDER, (0,) * MAX_ORDER, 0, 0)
+def sentence_stats(candidate, reference) -> tuple:
+    """The statistics row of one candidate/reference pair."""
+    candidate = tuple(candidate)
+    reference = tuple(reference)
+    ref_counts = _ngram_counts(reference)
+    matches = [0] * MAX_ORDER
+    for gram, count in _ngram_counts(candidate).items():
+        matches[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
+    size = len(candidate)
+    totals = [max(size - n + 1, 0) for n in range(1, MAX_ORDER + 1)]
+    return (*matches, *totals, size, len(reference))
 
 
-def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
-
-
-def sentence_stats(candidate, reference) -> BleuStats:
-    """Clipped matches and totals for one candidate/reference pair."""
-    candidate = list(candidate)
-    reference = list(reference)
-    matches, totals = [], []
-    for n in range(1, MAX_ORDER + 1):
-        cand_counts = _ngrams(candidate, n)
-        ref_counts = _ngrams(reference, n)
-        clipped = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-        matches.append(clipped)
-        totals.append(sum(cand_counts.values()))
-    return BleuStats(tuple(matches), tuple(totals), len(candidate), len(reference))
-
-
-def bleu_from_stats(stats: BleuStats) -> float:
+def bleu_from_stats(stats) -> float:
     """Geometric mean of modified precisions times the brevity penalty;
-    zero when any n-gram precision is zero."""
-    if stats.cand_len == 0:
+    zero when any n-gram precision is zero.  stats is a (summed) row."""
+    cand_len, ref_len = stats[2 * MAX_ORDER], stats[2 * MAX_ORDER + 1]
+    if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for clipped, total in zip(stats.matches, stats.totals):
+    for clipped, total in zip(stats[:MAX_ORDER], stats[MAX_ORDER:2 * MAX_ORDER]):
         if clipped == 0 or total == 0:
             return 0.0
         log_sum += math.log(clipped / total)
     precision = math.exp(log_sum / MAX_ORDER)
-    if stats.cand_len > stats.ref_len:
+    if cand_len > ref_len:
         bp = 1.0
     else:
-        bp = math.exp(1.0 - stats.ref_len / stats.cand_len)
+        bp = math.exp(1.0 - ref_len / cand_len)
     return bp * precision
 
 
@@ -80,7 +65,5 @@ def compute_bleu(candidates, references) -> float:
         raise ValueError(
             f"candidate/reference count mismatch: {len(candidates)} vs {len(references)}"
         )
-    total = ZERO_STATS
-    for cand, ref in zip(candidates, references):
-        total = total + sentence_stats(cand, ref)
-    return bleu_from_stats(total)
+    rows = [sentence_stats(cand, ref) for cand, ref in zip(candidates, references)]
+    return bleu_from_stats([sum(column) for column in zip(*rows)])

@@ -152,33 +152,34 @@ def save_corpus(corpus: Corpus, path) -> None:
     Raises CorpusFormatError, naming the field, when a value holds a tab,
     newline or carriage return, since load_corpus could not split that row
     back: it reads with universal newlines, so a carriage return ends a
-    line too.  An empty corpus raises CorpusFormatError before the file is
-    opened: the language pair is stored only in data rows, so it could not
-    be read back.
+    line too.  An empty corpus raises CorpusFormatError too: the language
+    pair is stored only in data rows, so it could not be read back.  Every
+    row is checked before the file is opened.
     """
     if not corpus.pairs:
         raise CorpusFormatError(f"cannot save an empty corpus: its language pair "
                                 f"{corpus.source_lang}-{corpus.target_lang} is stored only "
                                 f"in data rows")
+    lines = ["\t".join(TSV_COLUMNS) + "\n"]
+    for p in corpus.pairs:
+        row = [
+            corpus.source_lang,
+            corpus.target_lang,
+            p.speaker_id,
+            p.gender,
+            "" if p.age is None else str(p.age),
+            p.session_date.isoformat(),
+            p.source_text,
+            p.target_text,
+        ]
+        line = "\t".join(row)
+        # one scan of the joined row checks every field it holds
+        if "\n" in line or "\r" in line or line.count("\t") != len(row) - 1:
+            name = next(n for n, v in zip(TSV_COLUMNS, row) if any(c in v for c in "\t\n\r"))
+            raise CorpusFormatError(f"{name} must not contain tab, newline or carriage return")
+        lines.append(line + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(TSV_COLUMNS) + "\n")
-        for p in corpus.pairs:
-            row = [
-                corpus.source_lang,
-                corpus.target_lang,
-                p.speaker_id,
-                p.gender,
-                "" if p.age is None else str(p.age),
-                p.session_date.isoformat(),
-                p.source_text,
-                p.target_text,
-            ]
-            line = "\t".join(row)
-            # one scan of the joined row checks every field it holds
-            if "\n" in line or "\r" in line or line.count("\t") != len(row) - 1:
-                name = next(n for n, v in zip(TSV_COLUMNS, row) if any(c in v for c in "\t\n\r"))
-                raise CorpusFormatError(f"{name} must not contain tab, newline or carriage return")
-            fh.write(line + "\n")
+        fh.writelines(lines)
 
 
 MAX_LEN = 80      # longest side a kept pair may have, in whitespace tokens

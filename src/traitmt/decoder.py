@@ -273,7 +273,10 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
            stack_size: int = 100, distortion_limit: int = 6, nbest_size: int = 1):
     """Beam-stack decoding; returns the n-best list of DecodeResult.
 
-    stack_size <= 0 disables pruning (exhaustive up to recombination).
+    stack_size (>= 1) caps every stack but the final one, and
+    distortion_limit (>= 0) every jump; a stack_size that no stack reaches
+    gives exhaustive search up to recombination, and a distortion_limit of
+    len(sentence) allows every jump.
     A stack ranks its hypotheses on (score + future cost, target string,
     coverage, last position, minimized LM states).  The last three form the
     recombination key, so the order is total and a cut does not depend on
@@ -304,6 +307,10 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
         raise ValueError("cannot decode an empty sentence")
     if nbest_size < 1:
         raise ValueError(f"nbest_size must be >= 1, got {nbest_size}")
+    if stack_size < 1:
+        raise ValueError(f"stack_size must be >= 1, got {stack_size}")
+    if distortion_limit < 0:
+        raise ValueError(f"distortion_limit must be >= 0, got {distortion_limit}")
     weights = np.asarray(weights, dtype=float)
     n = len(sentence)
     weighted = {span: [float(weights @ np.asarray(o.features)) for o in opts]
@@ -329,7 +336,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
         within = []
         for start, end, mask, choices in spans:
             jump = abs(start - last_end)
-            if distortion_limit < 0 or jump <= distortion_limit:
+            if jump <= distortion_limit:
                 within.append((mask, end, end - start, jump, dist_weight * jump, choices))
         reachable.append(within)
 
@@ -366,19 +373,15 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     initial = (_coverage_future(fc, 0, n), 0.0, (), 0, 0, init_states, None, None, 0, ())
     stacks: list[dict] = [dict() for _ in range(n + 1)]
     stacks[0][(0, 0, init_states)] = initial
-    # per pruned stack: a min-heap of the stack_size largest values its keys
-    # had when first stored, and its least element once full (else -inf)
+    # per stack but the final one: a min-heap of the stack_size largest
+    # values its keys had when first stored, and its least element once
+    # full (else -inf)
     floors = [-math.inf] * (n + 1)
-    heaps: list[list] = [[] for _ in range(n)] if stack_size > 0 else []
+    heaps: list[list] = [[] for _ in range(n)]
 
     full_mask = (1 << n) - 1
     for covered in range(n):
-        stack = stacks[covered].values()
-        if stack_size <= 0:
-            hyps = sorted(stack, key=_rank)
-        else:
-            hyps = heapq.nsmallest(stack_size, stack, key=_rank)
-        for hyp in hyps:
+        for hyp in heapq.nsmallest(stack_size, stacks[covered].values(), key=_rank):
             _, h_score, h_target, h_coverage, h_end, h_states, _, _, _, _ = hyp
             h_rows = rows.get(h_states)
             if h_rows is None:
@@ -417,7 +420,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                         continue
                     target = h_target + opt.tgt
                     if incumbent is None:
-                        if heaps and count < n:
+                        if count < n:
                             heap = heaps[count]
                             if len(heap) < stack_size:
                                 heapq.heappush(heap, value)

@@ -2,10 +2,11 @@
 
 A round of tuning stacks its pool once (_StackedPool): every sentence's
 candidates, sorted by target within the sentence, as rows of one feature
-matrix F and one int64 matrix S of BLEU statistics (4 clipped matches, 4
-totals, candidate and reference length), with each sentence's row
-offsets.  Scores under weights w are the row sums of F * w.  Varying
-weight d turns the scores into lines with slopes F[:, d] and intercepts
+matrix F and one int64 matrix S of BLEU statistics, with each sentence's
+row offsets.  A row of S is the candidate's sentence_stats row, whose
+column order bleu.py owns; bleu_from_stats reads a summed row as it is.
+Scores under weights w are the row sums of F * w.  Varying weight d
+turns the scores into lines with slopes F[:, d] and intercepts
 scores - w[d] * F[:, d]; each sentence's upper envelope of those lines is
 computed exactly, and its crossings are sweep events that swap one row of
 S for another.  The corpus statistics of every envelope interval are one
@@ -29,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bleu import MAX_ORDER, BleuStats, bleu_from_stats, sentence_stats
+from .bleu import bleu_from_stats, sentence_stats
 
 MAX_SWEEPS = 20  # coordinate-ascent sweeps per start
 
@@ -38,7 +39,7 @@ MAX_SWEEPS = 20  # coordinate-ascent sweeps per start
 class PoolCandidate:
     target: tuple
     features: tuple
-    stats: BleuStats
+    stats: tuple  # sentence_stats row
 
 
 class _StackedPool:
@@ -53,8 +54,7 @@ class _StackedPool:
             raise ValueError("every sentence needs a non-empty candidate list")
         rows = [c for cands in pool for c in sorted(cands, key=lambda c: c.target)]
         self.F = np.array([c.features for c in rows], dtype=float)
-        self.S = np.array([(*c.stats.matches, *c.stats.totals, c.stats.cand_len, c.stats.ref_len)
-                           for c in rows], dtype=np.int64)
+        self.S = np.array([c.stats for c in rows], dtype=np.int64)
         self.offsets = list(accumulate(map(len, pool), initial=0))
 
     @classmethod
@@ -63,12 +63,6 @@ class _StackedPool:
 
     def spans(self):
         return zip(self.offsets, self.offsets[1:])
-
-
-def _bleu(row):
-    """Corpus BLEU of one row of summed statistics (a list of ints)."""
-    return bleu_from_stats(BleuStats(tuple(row[:MAX_ORDER]), tuple(row[MAX_ORDER:2 * MAX_ORDER]),
-                                     row[-2], row[-1]))
 
 
 def _upper_envelope(slopes, intercepts):
@@ -125,7 +119,7 @@ def line_search(pool, weights, dim):
             new.append(a + i)
     stats = pool.S[start].sum(axis=0)
     if not xs:
-        return current, _bleu(stats.tolist())
+        return current, bleu_from_stats(stats.tolist())
 
     boundaries = sorted(set(xs))
     points = [boundaries[0] - 1.0]
@@ -143,7 +137,7 @@ def line_search(pool, weights, dim):
 
     best_bleu, best_x = -1.0, current
     for x, row in zip(points, totals):
-        bleu = _bleu(row)
+        bleu = bleu_from_stats(row)
         better = bleu > best_bleu + 1e-12
         closer = abs(bleu - best_bleu) <= 1e-12 and abs(x - current) < abs(best_x - current)
         if better or closer:
@@ -157,7 +151,7 @@ def pool_bleu(pool, weights):
     pool = _StackedPool.of(pool)
     scores = (pool.F * np.asarray(weights, dtype=float)).sum(axis=1)
     chosen = [a + int(np.argmax(scores[a:b])) for a, b in pool.spans()]
-    return _bleu(pool.S[chosen].sum(axis=0).tolist())
+    return bleu_from_stats(pool.S[chosen].sum(axis=0).tolist())
 
 
 def coordinate_ascent(pool, weights):

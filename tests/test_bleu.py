@@ -1,9 +1,36 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from traitmt.bleu import ZERO_STATS, BleuStats, bleu_from_stats, compute_bleu, sentence_stats
+from traitmt.bleu import MAX_ORDER, bleu_from_stats, compute_bleu, sentence_stats
+
+# the columns of a statistics row
+MATCHES = slice(0, MAX_ORDER)
+TOTALS = slice(MAX_ORDER, 2 * MAX_ORDER)
+CAND_LEN, REF_LEN = 2 * MAX_ORDER, 2 * MAX_ORDER + 1
+
+
+def _ngrams(tokens, n):
+    return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_sentence_stats(candidate, reference):
+    """One Counter per order and side, clipped and totalled order by order."""
+    candidate = list(candidate)
+    reference = list(reference)
+    matches, totals = [], []
+    for n in range(1, MAX_ORDER + 1):
+        cand_counts = _ngrams(candidate, n)
+        ref_counts = _ngrams(reference, n)
+        matches.append(sum(min(c, ref_counts[g]) for g, c in cand_counts.items()))
+        totals.append(sum(cand_counts.values()))
+    return (*matches, *totals, len(candidate), len(reference))
+
+
+def add_rows(rows):
+    return [sum(column) for column in zip(*rows)]
 
 
 class TestComputeBleu:
@@ -20,16 +47,16 @@ class TestComputeBleu:
         reference = "the cat is on the mat".split()
         stats = sentence_stats(candidate, reference)
         # reference contains "the" twice; 7 candidate unigrams clip to 2
-        assert stats.matches[0] == 2
-        assert stats.totals[0] == 7
-        assert stats.matches[0] / stats.totals[0] == pytest.approx(2 / 7)
+        assert stats[MATCHES][0] == 2
+        assert stats[TOTALS][0] == 7
+        assert stats[MATCHES][0] / stats[TOTALS][0] == pytest.approx(2 / 7)
 
     def test_brevity_penalty_applied(self):
         candidate = ["the cat is on".split()]
         reference = ["the cat is on the mat".split()]
         score = compute_bleu(candidate, reference)
         stats = sentence_stats(candidate[0], reference[0])
-        assert stats.cand_len < stats.ref_len
+        assert stats[CAND_LEN] < stats[REF_LEN]
         # candidate is a prefix: all precisions are 1, score is pure BP
         assert score == pytest.approx(math.exp(1 - 6 / 4))
 
@@ -37,10 +64,10 @@ class TestComputeBleu:
         candidate = ["a b c d e".split()]
         reference = ["a b c d".split()]
         stats = sentence_stats(candidate[0], reference[0])
-        assert stats.cand_len > stats.ref_len
+        assert stats[CAND_LEN] > stats[REF_LEN]
         score = compute_bleu(candidate, reference)
         expected = math.exp(
-            sum(math.log(m / t) for m, t in zip(stats.matches, stats.totals)) / 4
+            sum(math.log(m / t) for m, t in zip(stats[MATCHES], stats[TOTALS])) / 4
         )
         assert score == pytest.approx(expected)
 
@@ -70,24 +97,37 @@ class TestStats:
     def test_stats_additive(self):
         a = sentence_stats("a b c d".split(), "a b c d".split())
         b = sentence_stats("x y".split(), "x z".split())
-        combined = a + b
-        assert combined.cand_len == 6
-        assert combined.matches[0] == a.matches[0] + b.matches[0]
+        combined = add_rows([a, b])
+        assert combined[CAND_LEN] == 6
+        assert combined[MATCHES][0] == a[MATCHES][0] + b[MATCHES][0]
 
     def test_stats_add_fieldwise(self):
-        a = sentence_stats("a b c d".split(), "a b c d".split())
-        b = sentence_stats("x y".split(), "x z".split())
-        assert a + b == BleuStats((5, 3, 2, 1), (6, 4, 2, 1), 6, 6)
-        assert a + ZERO_STATS == a
+        # matches 1-4, totals 1-4, cand_len, ref_len; compute_bleu scores
+        # the column sums
+        cands, refs = ["a b c d".split(), "x y".split()], ["a b c d".split(), "x z".split()]
+        assert sentence_stats(cands[0], refs[0]) == (4, 3, 2, 1, 4, 3, 2, 1, 4, 4)
+        assert sentence_stats(cands[1], refs[1]) == (1, 0, 0, 0, 2, 1, 0, 0, 2, 2)
+        assert compute_bleu(cands, refs) == bleu_from_stats((5, 3, 2, 1, 6, 4, 2, 1, 6, 6))
+
+    def test_matches_reference_stats(self):
+        # small vocabularies repeat n-grams that clipping must cap; lengths
+        # from 0 cover the empty candidate and candidates under 4 tokens
+        rng = random.Random(2)
+        for trial in range(2000):
+            vocab = "abcdef"[:rng.randint(1, 6)]
+            cand = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            ref = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            assert sentence_stats(cand, ref) == reference_sentence_stats(cand, ref), trial
+        for cand, ref in [([], []), ([], ["a"]), (["a"], []), (["a", "a", "a"], ["a"]),
+                          ("a b a b a b".split(), "a b a b".split())]:
+            assert sentence_stats(cand, ref) == reference_sentence_stats(cand, ref)
 
     def test_corpus_equals_pooled_stats(self):
         rng = random.Random(1)
         cands = [[rng.choice("abc") for _ in range(6)] for _ in range(10)]
         refs = [[rng.choice("abc") for _ in range(6)] for _ in range(10)]
-        total = ZERO_STATS
-        for c, r in zip(cands, refs):
-            total = total + sentence_stats(c, r)
-        assert compute_bleu(cands, refs) == pytest.approx(bleu_from_stats(total))
+        total = add_rows(sentence_stats(c, r) for c, r in zip(cands, refs))
+        assert compute_bleu(cands, refs) == bleu_from_stats(total)
 
     def test_empty_candidate_scores_zero(self):
         assert bleu_from_stats(sentence_stats([], ["a"])) == 0.0

@@ -169,6 +169,16 @@ class TestLoadCorpus:
             save_corpus(Corpus([], "en", "fr"), path)
         assert not path.exists()
 
+    def test_save_checks_every_row_before_writing(self, tmp_path):
+        # a bad row after good ones leaves a file already at the path as it was
+        path = tmp_path / "c.tsv"
+        path.write_text("kept\n", encoding="utf-8")
+        pair = make_pair()
+        broken = dataclasses.replace(pair, target_text="x\ty")
+        with pytest.raises(CorpusFormatError, match="target_text"):
+            save_corpus(Corpus([pair, pair, broken], "en", "fr"), path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
     @pytest.mark.parametrize("column", ["src_lang", "tgt_lang"])
     def test_save_rejects_separator_in_language(self, tmp_path, column):
         langs = ("e\tn", "fr") if column == "src_lang" else ("en", "f\nr")

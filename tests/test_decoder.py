@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from traitmt.decoder import (
     write_weights,
 )
 from traitmt.lm import BOS, EOS, train_kn_lm
+
+
+# a stack size no stack reaches: the beam keeps every hypothesis
+UNPRUNED = sys.maxsize
 
 
 def make_lm(sentences=None, order=2):
@@ -70,7 +75,7 @@ def oracle_decode(sentence, options, weights, lms, layout, distortion_limit):
             mask = ((1 << (end - start)) - 1) << start
             if coverage & mask:
                 continue
-            if distortion_limit >= 0 and abs(start - last_end) > distortion_limit:
+            if abs(start - last_end) > distortion_limit:
                 continue
             for opt in opts:
                 rec(coverage | mask, end, chosen + [(span, opt)])
@@ -153,15 +158,13 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
         0, 0, init_states, 0.0, coverage_future(0), (), None, None, 0, ())
     full_mask = (1 << n) - 1
     for covered in range(n):
-        hyps = sorted(stacks[covered].values(), key=RefHypothesis.sort_key)
-        if stack_size > 0:
-            hyps = hyps[:stack_size]
+        hyps = sorted(stacks[covered].values(), key=RefHypothesis.sort_key)[:stack_size]
         for hyp in hyps:
             for start, end, mask, opts, weighted in plan:
                 if hyp.coverage & mask:
                     continue
                 jump = abs(start - hyp.last_end)
-                if distortion_limit >= 0 and jump > distortion_limit:
+                if jump > distortion_limit:
                     continue
                 coverage = hyp.coverage | mask
                 complete = coverage == full_mask
@@ -322,7 +325,7 @@ class TestDecode:
             options = build_options(sentence, tables, layout=layout, weights=weights)
             got = decode(
                 sentence, options, weights, [lm],
-                stack_size=0, distortion_limit=dlimit, layout=layout,
+                stack_size=UNPRUNED, distortion_limit=dlimit, layout=layout,
             )[0]
             best = oracle_decode(sentence, options, weights, [lm], layout, dlimit)
             assert got.target == best[1], (trial, sentence)
@@ -331,6 +334,7 @@ class TestDecode:
     @pytest.mark.parametrize("stack_size", [1, 2, 3, 5])
     @pytest.mark.parametrize("distortion_limit", [-1, 0, 1, 3])
     def test_pruned_search_matches_reference_beam(self, stack_size, distortion_limit):
+        # distortion_limit -1 stands for unlimited: the sentence length
         # sentences long enough to fill the stacks, so that expansions are
         # rejected against full stacks.  A negative LM weight or positive
         # backoff weights disable the rejection before LM scoring; uniform
@@ -374,8 +378,9 @@ class TestDecode:
             sentence = tuple(rng.choices(src_words, k=rng.randint(4, 8)))
             build_weights = weights if trial % 2 else layout.default_weights()
             options = build_options(sentence, tables, layout=layout, weights=build_weights)
-            kwargs = dict(stack_size=stack_size, distortion_limit=distortion_limit,
-                          layout=layout, nbest_size=10)
+            kwargs = dict(stack_size=stack_size, layout=layout, nbest_size=10,
+                          distortion_limit=len(sentence) if distortion_limit < 0
+                          else distortion_limit)
             try:
                 reference_beam_decode(sentence, options, weights, lms, **kwargs)
             except RuntimeError:
@@ -412,7 +417,7 @@ class TestDecode:
         sentence = ("a", "b")
         options = build_options(sentence, [t, t], layout=layout, weights=weights)
         assert [o.table_id for o in options[(0, 1)]] == [0, 1]
-        for stack_size in (0, 1):
+        for stack_size in (UNPRUNED, 1):
             kwargs = dict(stack_size=stack_size, layout=layout, nbest_size=3)
             got = decode(sentence, options, weights, [lm], **kwargs)
             assert_same_nbest(got, reference_beam_decode(sentence, options, weights, [lm],
@@ -432,7 +437,7 @@ class TestDecode:
         weights[layout.distortion] = 0.0
         sentence = ("a", "b")
         options = build_options(sentence, [table], layout=layout, weights=weights)
-        for stack_size in (0, 2):
+        for stack_size in (UNPRUNED, 2):
             kwargs = dict(stack_size=stack_size, layout=layout, nbest_size=5)
             got = decode(sentence, options, weights, [make_lm()], **kwargs)
             assert [r.target for r in got] == [("x", "x")]
@@ -455,7 +460,7 @@ class TestDecode:
         weights = layout.default_weights()
         sentence = ("s", "t")
         options = build_options(sentence, [table], layout=layout, weights=weights)
-        for stack_size in (0, 2):
+        for stack_size in (UNPRUNED, 2):
             kwargs = dict(stack_size=stack_size, distortion_limit=0, layout=layout,
                           nbest_size=5)
             got = decode(sentence, options, weights, [lm], **kwargs)
@@ -517,7 +522,8 @@ class TestDecode:
             n = rng.randint(1, 4)
             sentence = tuple(rng.choice(["a", "b"]) for _ in range(n))
             options = build_options(sentence, [table], layout=layout, weights=weights)
-            pruned = decode(sentence, options, weights, [lm], stack_size=0, layout=layout)[0]
+            pruned = decode(sentence, options, weights, [lm], stack_size=UNPRUNED,
+                            layout=layout)[0]
             oracle = oracle_decode(sentence, options, weights, [lm], layout, 6)
             assert pruned.score == pytest.approx(oracle[2], abs=1e-9)
 
@@ -543,6 +549,16 @@ class TestDecode:
         options = build_options(("a",), [table], layout=layout, weights=weights)
         with pytest.raises(ValueError, match="nbest_size"):
             decode(("a",), options, weights, [lm], layout=layout, nbest_size=nbest_size)
+
+    @pytest.mark.parametrize("option, value", [("stack_size", 0), ("distortion_limit", -1)])
+    def test_search_limits_out_of_range_rejected(self, option, value):
+        # neither takes a sentinel: pass a stack size no stack reaches, or a
+        # distortion limit of the sentence length, for an unlimited search
+        table, lm, layout = self.simple_system()
+        weights = layout.default_weights()
+        options = build_options(("a",), [table], layout=layout, weights=weights)
+        with pytest.raises(ValueError, match=option):
+            decode(("a",), options, weights, [lm], layout=layout, **{option: value})
 
 
 class TestWeightsIo:

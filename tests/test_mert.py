@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from traitmt import mert
-from traitmt.bleu import ZERO_STATS, BleuStats, bleu_from_stats, sentence_stats
+from traitmt.bleu import bleu_from_stats, sentence_stats
 from traitmt.mert import (
     PoolCandidate,
     _StackedPool,
@@ -23,6 +23,11 @@ def cand(target, features, reference):
     return PoolCandidate(target, tuple(features), sentence_stats(target, ref))
 
 
+def add_rows(rows):
+    """Statistics rows summed column by column."""
+    return [sum(column) for column in zip(*rows)]
+
+
 def grid_search_bleu(pool, weights, dim, lo=-20.0, hi=20.0, step=0.001):
     """Dense grid oracle over the varied weight."""
     weights = np.asarray(weights, dtype=float)
@@ -31,13 +36,11 @@ def grid_search_bleu(pool, weights, dim, lo=-20.0, hi=20.0, step=0.001):
     while x <= hi:
         w = weights.copy()
         w[dim] = x
-        stats = ZERO_STATS
-        for cands in pool:
-            chosen = min(
-                cands, key=lambda c: (-float(w @ np.asarray(c.features)), c.target)
-            )
-            stats = stats + chosen.stats
-        best = max(best, bleu_from_stats(stats))
+        chosen = [
+            min(cands, key=lambda c: (-float(w @ np.asarray(c.features)), c.target))
+            for cands in pool
+        ]
+        best = max(best, bleu_from_stats(add_rows(c.stats for c in chosen)))
         x += step
     return best
 
@@ -107,17 +110,13 @@ def reference_line_search(pool, weights, dim):
         envelopes.append(_reference_upper_envelope(lines))
 
     boundaries = sorted({x for env in envelopes for x, _ in env if math.isfinite(x)})
+    stats = add_rows(env[0][1].stats for env in envelopes)
     if not boundaries:
-        stats = ZERO_STATS
-        for env in envelopes:
-            stats = stats + env[0][1].stats
         return current, bleu_from_stats(stats)
 
     # sweep events: at boundary x the sentence's choice switches
     events: dict[float, list] = {}
-    stats = ZERO_STATS
     for sent, env in enumerate(envelopes):
-        stats = stats + env[0][1].stats
         for (x, cand), (_, prev) in zip(env[1:], env):
             events.setdefault(x, []).append((sent, prev, cand))
 
@@ -132,7 +131,7 @@ def reference_line_search(pool, weights, dim):
         # apply all events up to this interval
         while idx < len(boundaries) and boundaries[idx] <= x:
             for _, prev, cand in events.get(boundaries[idx], []):
-                stats = stats + _negate(prev.stats) + cand.stats
+                stats = [s - p + c for s, p, c in zip(stats, prev.stats, cand.stats)]
             idx += 1
         bleu = bleu_from_stats(stats)
         better = bleu > best_bleu + 1e-12
@@ -142,24 +141,13 @@ def reference_line_search(pool, weights, dim):
     return best_x, best_bleu
 
 
-def _negate(stats: BleuStats) -> BleuStats:
-    return BleuStats(
-        tuple(-m for m in stats.matches),
-        tuple(-t for t in stats.totals),
-        -stats.cand_len,
-        -stats.ref_len,
-    )
-
-
 def reference_pool_bleu(pool, weights):
     """Corpus BLEU of the per-sentence argmax candidates at the given
     weights (ties to the lexicographically smallest target)."""
     weights = np.asarray(weights, dtype=float)
-    stats = ZERO_STATS
-    for cands in pool:
-        best = min(cands, key=lambda c: (-float(weights @ np.asarray(c.features)), c.target))
-        stats = stats + best.stats
-    return bleu_from_stats(stats)
+    chosen = [min(cands, key=lambda c: (-float(weights @ np.asarray(c.features)), c.target))
+              for cands in pool]
+    return bleu_from_stats(add_rows(c.stats for c in chosen))
 
 
 def random_pool(rng, dim, integer):
