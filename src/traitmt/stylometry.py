@@ -3,15 +3,26 @@ and POS-trigram features normalized by chunk length.
 
 The tagger is a deliberately simple baseline (per-token majority tag with a
 suffix fallback).
+
+POS trigrams are counted as integer codes, never as tuples: over a sorted
+tag list of length W, the trigram (a, b, c) is (a*W + b)*W + c, each tag
+standing for its position in the list.  Since the list is sorted, the codes
+sort as the trigrams do.  Each chunk counts its own trigrams once
+(Chunk.pos_trigram_counts); build_feature_space moves every chunk's codes
+onto one tag list to sum them, and vectorize_chunk moves them onto the
+feature space's.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
+
+import numpy as np
 
 ORIGINAL = "original"
 HUMAN_TRANSLATED = "human"
@@ -25,6 +36,9 @@ BOUNDARY_START = "<S>"
 BOUNDARY_END = "</S>"
 
 MAX_SUFFIX = 3  # longest suffix the tagger falls back on
+
+_PAD_START = (BOUNDARY_START, BOUNDARY_START)
+_PAD_END = (BOUNDARY_END, BOUNDARY_END)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +119,12 @@ class TaggerModel:
 
 @dataclass
 class Chunk:
+    """Consecutive tagged sentences of one label and text variant.
+
+    For its POS trigrams each sentence is padded with two BOUNDARY_START
+    and two BOUNDARY_END tags; no trigram runs into the next sentence.
+    """
+
     sentences: list[TaggedSentence]
     label: str
     status: str
@@ -112,14 +132,32 @@ class Chunk:
 
     @property
     def token_count(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return sum(len(s.tokens) for s in self.sentences)
 
     @cached_property
-    def pos_trigrams(self) -> Counter:
-        """Counts of the padded POS trigrams of every sentence, made once
-        per chunk for the feature space and the chunk's vector; the
-        sentences must not change after the first read."""
-        return Counter(chain.from_iterable(_padded_trigrams(s.tags) for s in self.sentences))
+    def pos_trigram_counts(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """(tags, codes, counts) of the padded POS trigrams of every
+        sentence: the chunk's sorted tag set with both boundaries, the
+        distinct trigram codes over it in ascending order (int64), and how
+        often each occurs.  Made once per chunk for the feature space and
+        the chunk's vector; the sentences must not change after the first
+        read."""
+        tag_seqs = [s.tags for s in self.sentences]
+        tags = tuple(sorted({BOUNDARY_START, BOUNDARY_END}.union(*tag_seqs)))
+        index = {t: i for i, t in enumerate(tags)}
+        lengths = np.fromiter(map(len, tag_seqs), dtype=np.int64, count=len(tag_seqs)) + 4
+        padded = chain.from_iterable(chain.from_iterable(
+            zip(repeat(_PAD_START), tag_seqs, repeat(_PAD_END))))
+        ids = np.fromiter(map(index.__getitem__, padded), dtype=np.int64, count=int(lengths.sum()))
+        ends = np.cumsum(lengths)
+        width = len(tags)
+        codes = (ids[:-2] * width + ids[1:-1]) * width + ids[2:]
+        # the last two windows of each padded sentence but the last reach into the next
+        keep = np.ones(len(codes), dtype=bool)
+        keep[ends[:-1] - 2] = False
+        keep[ends[:-1] - 1] = False
+        codes, counts = np.unique(codes[keep], return_counts=True)
+        return tags, codes, counts
 
 
 def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
@@ -146,6 +184,10 @@ def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
 
 @dataclass(frozen=True)
 class FeatureSpace:
+    """Feature columns: one per function word (lowercased), then one per
+    POS trigram.  Column i < fw_dimension counts function_words[i], column
+    fw_dimension + j counts pos_trigrams[j]."""
+
     function_words: tuple[str, ...]
     pos_trigrams: tuple[tuple[str, str, str], ...]
 
@@ -158,6 +200,8 @@ class FeatureSpace:
         return len(self.function_words)
 
     def feature_name(self, index: int) -> str:
+        if not 0 <= index < self.dimension:
+            raise IndexError(f"feature index {index} outside [0, {self.dimension})")
         if index < len(self.function_words):
             return f"fw:{self.function_words[index]}"
         tri = self.pos_trigrams[index - len(self.function_words)]
@@ -171,14 +215,29 @@ class FeatureSpace:
         return {w: i for i, w in enumerate(self.function_words)}
 
     @cached_property
-    def trigram_index(self) -> dict[tuple[str, str, str], int]:
-        offset = len(self.function_words)
-        return {t: offset + i for i, t in enumerate(self.pos_trigrams)}
+    def _trigram_codes(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        """(index, codes, columns): each tag of pos_trigrams by its position
+        among them sorted, the trigrams' codes of width len(index) + 1 in
+        ascending order, and each code's column.  The spare digit
+        len(index) stands for every other tag, so no code here has it."""
+        index = {t: i for i, t in enumerate(sorted(set(chain.from_iterable(self.pos_trigrams))))}
+        width = len(index) + 1
+        codes = np.array([(index[a] * width + index[b]) * width + index[c]
+                          for a, b, c in self.pos_trigrams], dtype=np.int64)
+        order = np.argsort(codes)
+        return index, codes[order], order + len(self.function_words)
 
 
-def _padded_trigrams(tags):
-    padded = (BOUNDARY_START, BOUNDARY_START) + tuple(tags) + (BOUNDARY_END, BOUNDARY_END)
-    return zip(padded, padded[1:], padded[2:])
+def _digits(codes, width):
+    """The (a, b, c) tag positions of trigram codes of the given width."""
+    return codes // (width * width), codes // width % width, codes % width
+
+
+def _recode(codes, width, remap, new_width):
+    """Trigram codes over one tag list as codes over another, where old tag
+    i is new tag remap[i]."""
+    a, b, c = (remap[d] for d in _digits(codes, width))
+    return (a * new_width + b) * new_width + c
 
 
 def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
@@ -197,11 +256,19 @@ def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
         if lw not in seen:
             seen.add(lw)
             fw_seen.append(lw)
-    counts = Counter()
-    for chunk in chunks:
-        counts.update(chunk.pos_trigrams)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    trigrams = tuple(t for t, _ in ranked[:k])
+    counted = [chunk.pos_trigram_counts for chunk in chunks]
+    tags = sorted(set().union(*(chunk_tags for chunk_tags, _, _ in counted)))
+    index = {t: i for i, t in enumerate(tags)}
+    width = len(tags)
+    codes, inverse = np.unique(np.concatenate([
+        _recode(chunk_codes, len(chunk_tags),
+                np.array([index[t] for t in chunk_tags], dtype=np.int64), width)
+        for chunk_tags, chunk_codes, _ in counted]), return_inverse=True)
+    totals = np.bincount(inverse, weights=np.concatenate([counts for _, _, counts in counted]))
+    # the codes ascend as their trigrams do, so a stable sort on -count
+    # breaks ties in lexicographic order
+    top = codes[np.argsort(-totals, kind="stable")[:k]]
+    trigrams = tuple(zip(*(map(tags.__getitem__, d.tolist()) for d in _digits(top, width))))
     return FeatureSpace(tuple(fw_seen), trigrams)
 
 
@@ -216,15 +283,28 @@ def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     """Raw feature counts divided by the chunk's token count.
 
     Function-word matching is case-insensitive; the trigram counts are the
-    chunk's pos_trigrams, the same counts build_feature_space sums.
+    chunk's pos_trigram_counts, the same counts build_feature_space sums.
     """
     n = chunk.token_count
     if n == 0:
         raise ValueError("cannot vectorize an empty chunk")
-    words = Counter(map(str.lower, chain.from_iterable(s.tokens for s in chunk.sentences)))
-    fw_index, tri_index = space.fw_index, space.trigram_index
-    values = {fw_index[w]: c / n for w, c in words.items() if w in fw_index}
-    values.update((tri_index[t], c / n) for t, c in chunk.pos_trigrams.items() if t in tri_index)
+    fw_index = space.fw_index
+    fw_counts: dict[int, int] = {}
+    # each distinct token is lowercased once
+    for word, count in Counter(chain.from_iterable([s.tokens for s in chunk.sentences])).items():
+        i = fw_index.get(word.lower())
+        if i is not None:
+            fw_counts[i] = fw_counts.get(i, 0) + count
+    values = {i: c / n for i, c in fw_counts.items()}
+    chunk_tags, codes, counts = chunk.pos_trigram_counts
+    index, space_codes, columns = space._trigram_codes
+    spare = len(index)
+    remap = np.array([index.get(t, spare) for t in chunk_tags], dtype=np.int64)
+    codes = _recode(codes, len(chunk_tags), remap, spare + 1)
+    pos = np.searchsorted(space_codes, codes)
+    hit = pos < len(space_codes)
+    hit[hit] = space_codes[pos[hit]] == codes[hit]
+    values.update(zip(columns[pos[hit]].tolist(), (counts[hit] / n).tolist()))
     return FeatureVector(values, chunk.label, chunk.status)
 
 
@@ -255,19 +335,35 @@ def default_function_words(lang: str):
 
 def write_vectors(vectors, space: FeatureSpace, path) -> None:
     """Sparse text export: `#index<TAB>name` header, then one vector per
-    line as `label<TAB>status<TAB>idx:value ...` (indices ascending)."""
+    line as `label<TAB>status<TAB>idx:value ...` (indices ascending, values
+    exact).  A feature name, label or status holding a tab or line break,
+    a label starting with '#', an index outside the space or a non-finite
+    value raises ValueError before the file is opened."""
+    names = space.names()
+    vectors = list(vectors)
+    for field in chain(names, *((vec.label, vec.status) for vec in vectors)):
+        if any(ch in field for ch in "\t\n\r"):
+            raise ValueError(f"{field!r} holds a tab or line break")
+    for vec in vectors:
+        if vec.label.startswith("#"):
+            raise ValueError(f"label {vec.label!r} would read as a feature header")
+        for i, value in vec.values.items():
+            if not 0 <= i < len(names):
+                raise ValueError(f"feature index {i} outside the space's {len(names)}")
+            if not math.isfinite(value):
+                raise ValueError(f"feature {i} value is not finite: {value}")
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(space.dimension):
-            fh.write(f"#{i}\t{space.feature_name(i)}\n")
+        for i, name in enumerate(names):
+            fh.write(f"#{i}\t{name}\n")
         for vec in vectors:
-            cells = " ".join(f"{i}:{vec.values[i]:.12g}" for i in sorted(vec.values))
+            cells = " ".join(f"{i}:{vec.values[i]:.17g}" for i in sorted(vec.values))
             fh.write(f"{vec.label}\t{vec.status}\t{cells}\n")
 
 
 def read_vectors(path):
     """Inverse of write_vectors; returns (vectors, names).  A malformed
-    line, a feature index outside the header's names, or one repeated
-    within a line, raises ValueError naming `path:line`."""
+    line, a feature index outside the header's names or repeated within a
+    line, or a non-finite value, raises ValueError naming `path:line`."""
     names: list[str] = []
     vectors: list[FeatureVector] = []
     with open(path, encoding="utf-8") as fh:
@@ -299,5 +395,8 @@ def _parse_vector_line(line, dimension):
             raise ValueError(f"feature index {i} outside the {dimension} header names")
         if i in values:
             raise ValueError(f"repeated feature index {i}")
-        values[i] = float(v_s)
+        value = float(v_s)
+        if not math.isfinite(value):
+            raise ValueError(f"feature {i} value is not finite: {v_s}")
+        values[i] = value
     return FeatureVector(values, label, status)

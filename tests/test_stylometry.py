@@ -1,13 +1,15 @@
+import math
 import pickle
 import random
 import re
+from functools import cached_property
 
 import pytest
 
-from traitmt import stylometry
 from traitmt.stylometry import (
     Chunk,
     FeatureSpace,
+    FeatureVector,
     TaggedSentence,
     TaggerModel,
     build_feature_space,
@@ -184,6 +186,13 @@ class TestFeatureSpace:
         with pytest.raises(ValueError):
             build_feature_space(chunks, ["the"], k=0)
 
+    def test_feature_name_index_outside_dimension(self):
+        fs = FeatureSpace(("the", "of"), (("D", "N", "V"),))
+        assert fs.names() == ["fw:the", "fw:of", "pos:D+N+V"]
+        for index in (-1, -3, 3, 10):
+            with pytest.raises(IndexError, match=rf"feature index {index} outside \[0, 3\)"):
+                fs.feature_name(index)
+
     def test_deterministic(self):
         rng = random.Random(3)
         tags = ["D", "N", "V", "P"]
@@ -255,33 +264,61 @@ class TestVectorize:
     def test_matches_reference_loop(self):
         rng = random.Random(5)
         words = ["the", "The", "THE", "of", "Of", "and", "AND", "cat", "Dog", "x", "ran"]
-        tags = ["D", "N", "V", "ADV", "P"]
-        for _ in range(200):
-            chunks = []
-            for _ in range(rng.randint(1, 3)):
-                sents = []
-                for _ in range(rng.randint(1, 6)):
-                    n = rng.randint(1, 12)
-                    sents.append(TaggedSentence(tuple(rng.choice(words) for _ in range(n)),
-                                                tuple(rng.choice(tags) for _ in range(n))))
-                chunks.append(Chunk(sents, "M", "original", "en"))
-            k = rng.randint(1, 40)
-            fs = build_feature_space(chunks, ["the", "of", "and", "but"], k=k)
+        # real tags spelled like the boundaries, and tags whose sorted order
+        # differs from the order a chunk first meets them in
+        tags = ["D", "N", "V", "ADV", "P", "<S>", "</S>", "a", "Z", "é", "<"]
+        fw = ["the", "of", "and", "but"]
+
+        def random_chunk():
+            chunk_tags = rng.sample(tags, rng.randint(1, len(tags)))
+            sents = []
+            for _ in range(rng.randint(1, 6)):
+                n = rng.choice([0, 0] + list(range(1, 13)))  # empty sentences too
+                sents.append(TaggedSentence(tuple(rng.choice(words) for _ in range(n)),
+                                            tuple(rng.choice(chunk_tags) for _ in range(n))))
+            return Chunk(sents, "M", "original", "en")
+
+        for _ in range(300):
+            chunks = [random_chunk() for _ in range(rng.randint(1, 3))]
+            others = [random_chunk() for _ in range(2)]  # tags the space may never have seen
+            distinct = len(reference_pos_trigrams(chunks, 10**9))
+            k = rng.randint(1, distinct + 5)
+            fs = build_feature_space(chunks, fw, k=k)
             assert fs.pos_trigrams == reference_pos_trigrams(chunks, k)
-            for chunk in chunks:
-                assert vectorize_chunk(chunk, fs).values == reference_vectorize_values(chunk, fs)
+            for chunk in chunks + others:
+                if chunk.token_count:
+                    assert vectorize_chunk(chunk, fs).values == reference_vectorize_values(chunk, fs)
+
+        unseen = Chunk([sent("the cat", "NEW D"), TaggedSentence((), ())], "F", "original", "en")
+        fs = build_feature_space([Chunk([sent("the dog ran", "D N V")], "M", "original", "en")],
+                                 fw, k=50)
+        assert vectorize_chunk(unseen, fs).values == reference_vectorize_values(unseen, fs)
+
+        # 2,100 tags: trigram codes pass 2**31
+        many = [f"T{i:04d}" for i in range(2100)]
+        rng.shuffle(many)
+        chunks = [Chunk([TaggedSentence(("x",) * len(part), tuple(part))
+                         for part in (many[:1000], many[1000:], many[::-7])], "M", "original", "en"),
+                  Chunk([TaggedSentence(("of",) * 3, ("T2099", "T2098", "T0000"))],
+                        "F", "original", "en")]
+        assert chunks[0].pos_trigram_counts[1].max() > 2**31
+        fs = build_feature_space(chunks, fw, k=3000)
+        assert fs.pos_trigrams == reference_pos_trigrams(chunks, 3000)
+        for chunk in chunks:
+            assert vectorize_chunk(chunk, fs).values == reference_vectorize_values(chunk, fs)
 
     def test_trigrams_counted_once_per_chunk(self, monkeypatch):
         calls = []
-        padded = stylometry._padded_trigrams
-        monkeypatch.setattr(stylometry, "_padded_trigrams",
-                            lambda tags: calls.append(tags) or padded(tags))
+        count = Chunk.pos_trigram_counts.func
+        counting = cached_property(lambda chunk: calls.append(chunk) or count(chunk))
+        counting.__set_name__(Chunk, "pos_trigram_counts")
+        monkeypatch.setattr(Chunk, "pos_trigram_counts", counting)
         chunks = [Chunk([sent("a b c", "D N V"), sent("d e", "D N")], "M", "original", "en"),
                   Chunk([sent("f g", "N V")], "F", "original", "en")]
         fs = build_feature_space(chunks, ["a"], k=10)
         for chunk in chunks:
             vectorize_chunk(chunk, fs)
-        assert len(calls) == 3
+        assert calls == chunks
 
     def test_empty_chunk_rejected(self):
         fs = FeatureSpace(("the",), ())
@@ -302,11 +339,36 @@ class TestIo:
         loaded, names = read_vectors(path)
         assert names == fs.names()
         assert len(loaded) == 2
+        assert 1 / 3 in vectors[0].values.values()
         for orig, back in zip(vectors, loaded):
             assert back.label == orig.label and back.status == orig.status
-            assert set(back.values) == set(orig.values)
-            for i in orig.values:
-                assert back.values[i] == pytest.approx(orig.values[i], abs=1e-12)
+            assert back.values == orig.values
+
+    @pytest.mark.parametrize("label, status, values, message", [
+        ("M", "original", {0: math.nan}, "not finite"),
+        ("M", "original", {1: math.inf}, "not finite"),
+        ("M", "original", {0: -math.inf}, "not finite"),
+        ("M\tX", "original", {0: 0.5}, "tab or line break"),
+        ("M", "orig\ninal", {0: 0.5}, "tab or line break"),
+        ("M", "original\r", {0: 0.5}, "tab or line break"),
+        ("#M", "original", {0: 0.5}, "feature header"),
+        ("M", "original", {2: 0.5}, "feature index 2 outside"),
+        ("M", "original", {-1: 0.5}, "feature index -1 outside"),
+    ])
+    def test_vector_file_writer_refuses_before_opening(self, tmp_path, label, status,
+                                                       values, message):
+        fs = FeatureSpace(("the", "a"), ())
+        good = FeatureVector({0: 0.25}, "F", "original")
+        path = tmp_path / "v.fv"
+        with pytest.raises(ValueError, match=message):
+            write_vectors([good, FeatureVector(values, label, status)], fs, path)
+        assert not path.exists()
+
+    def test_vector_file_writer_refuses_unreadable_names(self, tmp_path):
+        path = tmp_path / "v.fv"
+        with pytest.raises(ValueError, match="tab or line break"):
+            write_vectors([], FeatureSpace(("the", "a\tb"), ()), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("M\toriginal", "not enough values"),
@@ -316,6 +378,9 @@ class TestIo:
         ("M\toriginal\t-1:0.5", "feature index -1 outside"),
         ("M\toriginal\t0:0.5 0:0.7", "repeated feature index 0"),
         ("M\toriginal\t1:0.5 0:0.2 1:0.5", "repeated feature index 1"),
+        ("M\toriginal\t0:nan", "feature 0 value is not finite: nan"),
+        ("M\toriginal\t1:0.5 0:inf", "feature 0 value is not finite: inf"),
+        ("M\toriginal\t1:-Infinity", "feature 1 value is not finite"),
         ("#2", "expected feature header #2"),
         ("#x\tthe", "expected feature header #2"),
     ])
