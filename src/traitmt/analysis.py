@@ -209,24 +209,16 @@ def marker_persistence_report(rankings: dict, original: str, lexicon: dict | Non
         for variant in variants:
             aligned = lexicon.get(marker.feature, marker.feature)
             counterpart = by_variant[variant].get(aligned)
-            if counterpart is None:
-                comparisons.append(
-                    MarkerComparison(
-                        marker.feature, variant, aligned, marker.info_gain, None,
-                        marker.class_direction, None,
-                        carried_over=False,
-                        lost=not marker.weak,
-                        direction_flip=False,
-                    )
-                )
-                continue
-            strong_orig, strong_var = not marker.weak, not counterpart.weak
-            same_dir = counterpart.class_direction == marker.class_direction
+            strong_orig = not marker.weak
+            strong_var = counterpart is not None and not counterpart.weak
+            same_dir = (counterpart is not None
+                        and counterpart.class_direction == marker.class_direction)
             comparisons.append(
                 MarkerComparison(
-                    marker.feature, variant, aligned,
-                    marker.info_gain, counterpart.info_gain,
-                    marker.class_direction, counterpart.class_direction,
+                    marker.feature, variant, aligned, marker.info_gain,
+                    None if counterpart is None else counterpart.info_gain,
+                    marker.class_direction,
+                    None if counterpart is None else counterpart.class_direction,
                     carried_over=strong_orig and strong_var and same_dir,
                     lost=strong_orig and not strong_var,
                     direction_flip=strong_orig and strong_var and not same_dir,

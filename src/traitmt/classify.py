@@ -124,8 +124,6 @@ def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 2000
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature values")
     y, pos, neg = _label_signs(labels)
-    if (y > 0).sum() == 0 or (y < 0).sum() == 0:
-        raise ValueError("need at least one instance per class")
     mins, maxs = scale_fit(X)
     Xs = scale_apply(X, mins, maxs)
     K = Xs @ Xs.T
@@ -148,22 +146,8 @@ def predict(model: SvmModel, X):
 @dataclass
 class EvalReport:
     classes: tuple
-    confusion: np.ndarray   # rows true class, columns predicted
-    precision: dict
-    recall: dict
-    accuracy: float
-
-
-def _report_from_confusion(classes, confusion) -> EvalReport:
-    confusion = np.asarray(confusion, dtype=float)
-    precision, recall = {}, {}
-    for k, cls in enumerate(classes):
-        col = confusion[:, k].sum()
-        row = confusion[k, :].sum()
-        precision[cls] = 100.0 * confusion[k, k] / col if col else 0.0
-        recall[cls] = 100.0 * confusion[k, k] / row if row else 0.0
-    accuracy = 100.0 * np.trace(confusion) / confusion.sum()
-    return EvalReport(tuple(classes), confusion, precision, recall, accuracy)
+    confusion: np.ndarray   # rows true class, columns predicted, pooled over folds
+    accuracy: float         # percent: trace over total
 
 
 def balance_classes(items, labels, seed: int):
@@ -175,7 +159,7 @@ def balance_classes(items, labels, seed: int):
     by_class: dict = {}
     for item, label in zip(items, labels):
         by_class.setdefault(label, []).append(item)
-    if len(by_class) < 2 or any(len(v) == 0 for v in by_class.values()):
+    if len(by_class) < 2:
         raise ValueError("both classes must be present")
     n = min(len(v) for v in by_class.values())
     out = []
@@ -223,15 +207,15 @@ def cross_validate(X, labels, folds: int = 10, seed: int = 0) -> EvalReport:
         predicted, _ = predict(model, X[test_mask])
         for true, pred in zip((l for l, m in zip(labels, test_mask) if m), predicted):
             confusion[class_index[true], class_index[pred]] += 1
-    return _report_from_confusion(classes, confusion)
+    accuracy = 100.0 * np.trace(confusion) / confusion.sum()
+    return EvalReport(tuple(classes), confusion, accuracy)
 
 
 def vectors_to_matrix(vectors, dimension: int):
-    """Dense (X, labels) from sparse FeatureVector values."""
-    X = np.zeros((len(vectors), dimension))
-    labels = []
-    for r, vec in enumerate(vectors):
-        for i, v in vec.values.items():
-            X[r, i] = v
-        labels.append(vec.label)
-    return X, labels
+    """(X, labels): the vectors' rows stacked in order, and their labels.
+    A row whose shape is not (dimension,) raises ValueError."""
+    for vec in vectors:
+        if np.shape(vec.values) != (dimension,):
+            raise ValueError(f"feature row of shape {np.shape(vec.values)}, expected ({dimension},)")
+    X = np.array([vec.values for vec in vectors], dtype=float).reshape(len(vectors), dimension)
+    return X, [vec.label for vec in vectors]

@@ -142,7 +142,6 @@ def read_weights(path, layout: FeatureLayout) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TranslationOption:
-    span: tuple        # (start, end), end exclusive
     tgt: tuple
     features: tuple    # static features: table blocks, indicators, penalties
     table_id: int | None  # None for OOV pass-through
@@ -184,7 +183,7 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
                     tgt = tuple(tgt)
                     feats = _static_features(layout, tgt, k, scores)
                     found.append(((-float(weights @ feats), tgt),
-                                  TranslationOption(span, tgt, tuple(feats), k)))
+                                  TranslationOption(tgt, tuple(feats), k)))
             if found:
                 found.sort(key=lambda f: f[0])
                 options[span] = [opt for _, opt in found[:MAX_OPTIONS_PER_SPAN]]
@@ -192,7 +191,7 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
         span = (i, i + 1)
         if span not in options:
             feats = _static_features(layout, (word,), None, None)
-            options[span] = [TranslationOption(span, (word,), tuple(feats), None)]
+            options[span] = [TranslationOption((word,), tuple(feats), None)]
     return options
 
 

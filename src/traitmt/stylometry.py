@@ -274,13 +274,13 @@ def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
 
 @dataclass
 class FeatureVector:
-    values: dict  # feature index -> count / token_count
+    values: np.ndarray  # float64 row over the space's columns: count / token_count
     label: str
     status: str
 
 
 def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
-    """Raw feature counts divided by the chunk's token count.
+    """Raw feature counts divided by the chunk's token count, as one row.
 
     Function-word matching is case-insensitive; the trigram counts are the
     chunk's pos_trigram_counts, the same counts build_feature_space sums.
@@ -289,13 +289,12 @@ def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     if n == 0:
         raise ValueError("cannot vectorize an empty chunk")
     fw_index = space.fw_index
-    fw_counts: dict[int, int] = {}
+    row = np.zeros(space.dimension)
     # each distinct token is lowercased once
     for word, count in Counter(chain.from_iterable([s.tokens for s in chunk.sentences])).items():
         i = fw_index.get(word.lower())
         if i is not None:
-            fw_counts[i] = fw_counts.get(i, 0) + count
-    values = {i: c / n for i, c in fw_counts.items()}
+            row[i] += count
     chunk_tags, codes, counts = chunk.pos_trigram_counts
     index, space_codes, columns = space._trigram_codes
     spare = len(index)
@@ -304,8 +303,9 @@ def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     pos = np.searchsorted(space_codes, codes)
     hit = pos < len(space_codes)
     hit[hit] = space_codes[pos[hit]] == codes[hit]
-    values.update(zip(columns[pos[hit]].tolist(), (counts[hit] / n).tolist()))
-    return FeatureVector(values, chunk.label, chunk.status)
+    row[columns[pos[hit]]] = counts[hit]
+    row /= n
+    return FeatureVector(row, chunk.label, chunk.status)
 
 
 def _parse_function_words(text: str) -> list[str]:
@@ -335,10 +335,11 @@ def default_function_words(lang: str):
 
 def write_vectors(vectors, space: FeatureSpace, path) -> None:
     """Sparse text export: `#index<TAB>name` header, then one vector per
-    line as `label<TAB>status<TAB>idx:value ...` (indices ascending, values
-    exact).  A feature name, label or status holding a tab or line break,
-    a label starting with '#', an index outside the space or a non-finite
-    value raises ValueError before the file is opened."""
+    line as `label<TAB>status<TAB>idx:value ...`, the row's nonzero entries
+    with indices ascending and values exact.  A feature name, label or
+    status holding a tab or line break, a label starting with '#', a row
+    whose shape is not (dimension,) or a non-finite value raises ValueError
+    before the file is opened."""
     names = space.names()
     vectors = list(vectors)
     for field in chain(names, *((vec.label, vec.status) for vec in vectors)):
@@ -347,23 +348,27 @@ def write_vectors(vectors, space: FeatureSpace, path) -> None:
     for vec in vectors:
         if vec.label.startswith("#"):
             raise ValueError(f"label {vec.label!r} would read as a feature header")
-        for i, value in vec.values.items():
-            if not 0 <= i < len(names):
-                raise ValueError(f"feature index {i} outside the space's {len(names)}")
-            if not math.isfinite(value):
-                raise ValueError(f"feature {i} value is not finite: {value}")
+        if np.shape(vec.values) != (len(names),):
+            raise ValueError(f"feature row of shape {np.shape(vec.values)}, "
+                             f"expected ({len(names)},)")
+        bad = np.flatnonzero(~np.isfinite(vec.values))
+        if len(bad):
+            raise ValueError(f"feature {bad[0]} value is not finite: {vec.values[bad[0]]}")
     with open(path, "w", encoding="utf-8") as fh:
         for i, name in enumerate(names):
             fh.write(f"#{i}\t{name}\n")
         for vec in vectors:
-            cells = " ".join(f"{i}:{vec.values[i]:.17g}" for i in sorted(vec.values))
+            cells = " ".join(f"{i}:{vec.values[i]:.17g}"
+                             for i in np.flatnonzero(vec.values).tolist())
             fh.write(f"{vec.label}\t{vec.status}\t{cells}\n")
 
 
 def read_vectors(path):
-    """Inverse of write_vectors; returns (vectors, names).  A malformed
-    line, a feature index outside the header's names or repeated within a
-    line, or a non-finite value, raises ValueError naming `path:line`."""
+    """Inverse of write_vectors; returns (vectors, names), each vector's
+    values a row over the header's names.  A malformed line, a feature
+    header after a vector line, a feature index outside the header's names
+    or repeated within a line, or a non-finite value, raises ValueError
+    naming `path:line`."""
     names: list[str] = []
     vectors: list[FeatureVector] = []
     with open(path, encoding="utf-8") as fh:
@@ -373,6 +378,8 @@ def read_vectors(path):
                 continue
             try:
                 if line.startswith("#"):
+                    if vectors:
+                        raise ValueError("feature header after a vector line")
                     fields = line[1:].split("\t")
                     if len(fields) != 2 or fields[0] != str(len(names)):
                         raise ValueError(
@@ -387,16 +394,18 @@ def read_vectors(path):
 
 def _parse_vector_line(line, dimension):
     label, status, cells = line.split("\t")
-    values = {}
+    row = np.zeros(dimension)
+    seen = set()
     for cell in cells.split(" ") if cells else ():
         i_s, _, v_s = cell.partition(":")
         i = int(i_s)
         if not 0 <= i < dimension:
             raise ValueError(f"feature index {i} outside the {dimension} header names")
-        if i in values:
+        if i in seen:
             raise ValueError(f"repeated feature index {i}")
         value = float(v_s)
         if not math.isfinite(value):
             raise ValueError(f"feature {i} value is not finite: {v_s}")
-        values[i] = value
-    return FeatureVector(values, label, status)
+        seen.add(i)
+        row[i] = value
+    return FeatureVector(row, label, status)

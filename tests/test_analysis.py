@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from traitmt.analysis import (
+    MarkerComparison,
     MarkerWeight,
     discretize_feature,
     info_gain_rank,
@@ -254,6 +255,19 @@ class TestPersistence:
         report = marker_persistence_report(rankings, "orig")
         assert [c.lost for c in report.comparisons] == [True]
         assert not any(c.carried_over for c in report.comparisons)
+
+    def test_marker_absent_from_variant(self):
+        rankings = {
+            "orig": [self.mk("fw:also", 0.05, "F"), self.mk("fw:so", 0.002, "M")],
+            "mt": [],
+        }
+        report = marker_persistence_report(rankings, "orig")
+        assert report.comparisons == [
+            MarkerComparison("fw:also", "mt", "fw:also", 0.05, None, "F", None,
+                             carried_over=False, lost=True, direction_flip=False),
+            MarkerComparison("fw:so", "mt", "fw:so", 0.002, None, "M", None,
+                             carried_over=False, lost=False, direction_flip=False),
+        ]
 
     def test_carried_over_via_lexicon(self):
         rankings = {

@@ -503,12 +503,20 @@ class TestCrossValidate:
 class TestReportsAndHelpers:
     def test_vectors_to_matrix(self):
         vecs = [
-            FeatureVector({0: 0.5, 2: 0.25}, "M", "original"),
-            FeatureVector({1: 1.0}, "F", "original"),
+            FeatureVector(np.array([0.5, 0.0, 0.25]), "M", "original"),
+            FeatureVector(np.array([0.0, 1.0, 1 / 3]), "F", "original"),
         ]
         X, labels = vectors_to_matrix(vecs, 3)
-        np.testing.assert_allclose(X, [[0.5, 0.0, 0.25], [0.0, 1.0, 0.0]])
+        assert np.array_equal(X, [[0.5, 0.0, 0.25], [0.0, 1.0, 1 / 3]])
         assert labels == ["M", "F"]
+        X, labels = vectors_to_matrix([], 3)
+        assert X.shape == (0, 3) and labels == []
+
+    @pytest.mark.parametrize("row", [np.zeros(2), np.zeros(4), np.zeros((1, 3))])
+    def test_vectors_to_matrix_refuses_row_of_wrong_shape(self, row):
+        vecs = [FeatureVector(np.zeros(3), "M", "original"), FeatureVector(row, "F", "original")]
+        with pytest.raises(ValueError, match=r"feature row of shape .*expected \(3,\)"):
+            vectors_to_matrix(vecs, 3)
 
     def test_scaling_round_trip(self):
         rng = np.random.default_rng(29)

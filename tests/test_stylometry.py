@@ -4,6 +4,7 @@ import random
 import re
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from traitmt.stylometry import (
@@ -61,6 +62,13 @@ def reference_pos_trigrams(chunks, k):
             for i in range(len(padded) - 2):
                 counts[padded[i: i + 3]] = counts.get(padded[i: i + 3], 0) + 1
     return tuple(sorted(counts, key=lambda t: (-counts[t], t))[:k])
+
+
+def dense(values, space):
+    """A reference {index: value} dict as a row over the space's columns."""
+    row = np.zeros(space.dimension)
+    row[list(values)] = list(values.values())
+    return row
 
 
 class TestTagger:
@@ -218,7 +226,7 @@ class TestVectorize:
         chunk = Chunk([sent("x y z")], "M", "original", "en")
         fs = FeatureSpace(("the", "of"), ())
         vec = vectorize_chunk(chunk, fs)
-        assert vec.values == {}
+        assert np.array_equal(vec.values, [0.0, 0.0])
 
     def test_case_insensitive_fw(self):
         chunk = Chunk([sent("The THE the")], "M", "original", "en")
@@ -230,10 +238,11 @@ class TestVectorize:
         fs = build_feature_space(chunks, ["a"], k=10)
         vec = vectorize_chunk(chunks[0], fs)
         # each of the 5 padded trigrams occurs twice over 6 tokens
-        tri_indices = [i for i in vec.values if i >= fs.fw_dimension]
-        assert len(tri_indices) == 5
-        for i in tri_indices:
-            assert vec.values[i] == pytest.approx(2 / 6)
+        assert vec.values.shape == (fs.dimension,)
+        tri_values = vec.values[fs.fw_dimension:]
+        assert np.count_nonzero(tri_values) == 5
+        for value in tri_values[tri_values != 0]:
+            assert value == pytest.approx(2 / 6)
 
     def test_sentence_permutation_invariance(self):
         rng = random.Random(4)
@@ -249,7 +258,7 @@ class TestVectorize:
             shuffled = sents[:]
             rng.shuffle(shuffled)
             v = vectorize_chunk(Chunk(shuffled, "M", "original", "en"), fs).values
-            assert v == base
+            assert np.array_equal(v, base)
 
     def test_duplication_scale_invariance(self):
         sents = [sent("the cat sat", "D N V"), sent("dog ran", "N V")]
@@ -257,9 +266,8 @@ class TestVectorize:
         fs = build_feature_space(chunks, ["the"], k=50)
         once = vectorize_chunk(chunks[0], fs).values
         twice = vectorize_chunk(Chunk(sents * 2, "M", "original", "en"), fs).values
-        assert set(once) == set(twice)
-        for i in once:
-            assert twice[i] == pytest.approx(once[i])
+        assert np.array_equal(np.flatnonzero(once), np.flatnonzero(twice))
+        assert twice.tolist() == pytest.approx(once.tolist())
 
     def test_matches_reference_loop(self):
         rng = random.Random(5)
@@ -287,12 +295,14 @@ class TestVectorize:
             assert fs.pos_trigrams == reference_pos_trigrams(chunks, k)
             for chunk in chunks + others:
                 if chunk.token_count:
-                    assert vectorize_chunk(chunk, fs).values == reference_vectorize_values(chunk, fs)
+                    assert np.array_equal(vectorize_chunk(chunk, fs).values,
+                                          dense(reference_vectorize_values(chunk, fs), fs))
 
         unseen = Chunk([sent("the cat", "NEW D"), TaggedSentence((), ())], "F", "original", "en")
         fs = build_feature_space([Chunk([sent("the dog ran", "D N V")], "M", "original", "en")],
                                  fw, k=50)
-        assert vectorize_chunk(unseen, fs).values == reference_vectorize_values(unseen, fs)
+        assert np.array_equal(vectorize_chunk(unseen, fs).values,
+                              dense(reference_vectorize_values(unseen, fs), fs))
 
         # 2,100 tags: trigram codes pass 2**31
         many = [f"T{i:04d}" for i in range(2100)]
@@ -305,7 +315,8 @@ class TestVectorize:
         fs = build_feature_space(chunks, fw, k=3000)
         assert fs.pos_trigrams == reference_pos_trigrams(chunks, 3000)
         for chunk in chunks:
-            assert vectorize_chunk(chunk, fs).values == reference_vectorize_values(chunk, fs)
+            assert np.array_equal(vectorize_chunk(chunk, fs).values,
+                                  dense(reference_vectorize_values(chunk, fs), fs))
 
     def test_trigrams_counted_once_per_chunk(self, monkeypatch):
         calls = []
@@ -339,29 +350,29 @@ class TestIo:
         loaded, names = read_vectors(path)
         assert names == fs.names()
         assert len(loaded) == 2
-        assert 1 / 3 in vectors[0].values.values()
+        assert 1 / 3 in vectors[0].values.tolist()
         for orig, back in zip(vectors, loaded):
             assert back.label == orig.label and back.status == orig.status
-            assert back.values == orig.values
+            assert np.array_equal(back.values, orig.values)
 
     @pytest.mark.parametrize("label, status, values, message", [
-        ("M", "original", {0: math.nan}, "not finite"),
-        ("M", "original", {1: math.inf}, "not finite"),
-        ("M", "original", {0: -math.inf}, "not finite"),
-        ("M\tX", "original", {0: 0.5}, "tab or line break"),
-        ("M", "orig\ninal", {0: 0.5}, "tab or line break"),
-        ("M", "original\r", {0: 0.5}, "tab or line break"),
-        ("#M", "original", {0: 0.5}, "feature header"),
-        ("M", "original", {2: 0.5}, "feature index 2 outside"),
-        ("M", "original", {-1: 0.5}, "feature index -1 outside"),
+        ("M", "original", [math.nan, 0.0], "not finite"),
+        ("M", "original", [0.0, math.inf], "not finite"),
+        ("M", "original", [-math.inf, 0.0], "not finite"),
+        ("M\tX", "original", [0.5, 0.0], "tab or line break"),
+        ("M", "orig\ninal", [0.5, 0.0], "tab or line break"),
+        ("M", "original\r", [0.5, 0.0], "tab or line break"),
+        ("#M", "original", [0.5, 0.0], "feature header"),
+        ("M", "original", [0.0, 0.0, 0.5], r"feature row of shape \(3,\), expected \(2,\)"),
+        ("M", "original", [0.5], r"feature row of shape \(1,\), expected \(2,\)"),
     ])
     def test_vector_file_writer_refuses_before_opening(self, tmp_path, label, status,
                                                        values, message):
         fs = FeatureSpace(("the", "a"), ())
-        good = FeatureVector({0: 0.25}, "F", "original")
+        good = FeatureVector(np.array([0.25, 0.0]), "F", "original")
         path = tmp_path / "v.fv"
         with pytest.raises(ValueError, match=message):
-            write_vectors([good, FeatureVector(values, label, status)], fs, path)
+            write_vectors([good, FeatureVector(np.array(values), label, status)], fs, path)
         assert not path.exists()
 
     def test_vector_file_writer_refuses_unreadable_names(self, tmp_path):
@@ -388,6 +399,13 @@ class TestIo:
         p = tmp_path / "v.fv"
         p.write_text(f"#0\tthe\n#1\ta\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: .*{message}"):
+            read_vectors(p)
+
+    def test_vector_file_header_after_vector_names_line(self, tmp_path):
+        p = tmp_path / "v.fv"
+        p.write_text("#0\tthe\nM\toriginal\t0:0.5\n#1\ta\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(p))}:3: feature header after a vector line"):
             read_vectors(p)
 
     def test_fw_file_loading(self, tmp_path):
