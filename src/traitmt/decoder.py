@@ -20,10 +20,13 @@ LM scores are memoized per decode in two layers.  Each distinct target
 phrase gets an id, kept beside its option.  A hypothesis fetches one pair
 of memo rows for its LM states, one for expansions that leave words
 uncovered and one for those that complete the sentence.  Both are indexed
-by target id.  An entry holds the per-LM weighted terms, the new states
-and the per-LM deltas; a completing entry's deltas include </s>, but its
-states are those before it.  A row miss is scored word by word through a
-per-LM (state, word) memo.  The score adds the weighted terms in LM order,
+by target id.  An entry is one flat tuple: the new states, the int that
+keys them in a stack, the per-LM weighted terms w_k * delta_k, then the
+per-LM deltas; a completing entry's deltas include </s>, but its states
+are those before it.  Equal new states are one shared tuple.  A stored
+hypothesis keeps its last expansion's entry, from which the feature
+vector is rebuilt.  A row miss is scored word by word through a per-LM
+(state, word) memo.  The score adds the weighted terms in LM order,
 exactly the floats that w_k * delta_k added inline.
 """
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -143,7 +147,7 @@ def read_weights(path, layout: FeatureLayout) -> np.ndarray:
 @dataclass(frozen=True)
 class TranslationOption:
     tgt: tuple
-    features: tuple    # static features: table blocks, indicators, penalties
+    features: tuple    # static features as floats: table blocks, indicators, penalties
     table_id: int | None  # None for OOV pass-through
 
 
@@ -183,7 +187,7 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
                     tgt = tuple(tgt)
                     feats = _static_features(layout, tgt, k, scores)
                     found.append(((-float(weights @ feats), tgt),
-                                  TranslationOption(tgt, tuple(feats), k)))
+                                  TranslationOption(tgt, tuple(feats.tolist()), k)))
             if found:
                 found.sort(key=lambda f: f[0])
                 options[span] = [opt for _, opt in found[:MAX_OPTIONS_PER_SPAN]]
@@ -191,7 +195,7 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
         span = (i, i + 1)
         if span not in options:
             feats = _static_features(layout, (word,), None, None)
-            options[span] = [TranslationOption((word,), tuple(feats), None)]
+            options[span] = [TranslationOption((word,), tuple(feats.tolist()), None)]
     return options
 
 
@@ -228,44 +232,42 @@ def _future_costs(options, weighted, lm_weights, lms, n):
 
 
 def _coverage_future(fc, coverage, n):
-    """Sum of future costs over maximal uncovered runs."""
+    """Sum of future costs over maximal uncovered runs, left to right.
+    low is the lowest uncovered position's bit, and adding it to the gaps
+    carries through that position's run, so run is the run's bits."""
     total = 0.0
-    i = 0
-    while i < n:
-        if coverage & (1 << i):
-            i += 1
-            continue
-        j = i
-        while j < n and not (coverage & (1 << j)):
-            j += 1
-        total += fc[i][j]
-        i = j
+    gaps = ~coverage & ((1 << n) - 1)
+    while gaps:
+        low = gaps & -gaps
+        run = gaps & ~(gaps + low)
+        total += fc[low.bit_length() - 1][run.bit_length()]
+        gaps ^= run
     return total
 
 
-# A hypothesis is a tuple (value, score, target, coverage, last_end,
-# lm_states, parent, option, jump, lm_scores): value = score + future cost,
-# lm_scores the per-LM log10 contribution of its last expansion.
-_VALUE, _SCORE, _TARGET, _PARENT = 0, 1, 2, 6
-
-
-def _rank(hyp):
-    """Stack order: highest score + future cost first, then target string,
-    then the recombination key (coverage, last_end, lm_states), which is
-    unique within a stack."""
-    return (-hyp[_VALUE], hyp[_TARGET]) + hyp[3:6]
+# A hypothesis is a tuple (-value, target, coverage, last_end, lm_states,
+# score, parent, option, jump, lm_entry): value = score + future cost, and
+# lm_entry the LM memo entry of its last expansion.  The first five fields
+# are the stack order, and the last three of them the recombination key,
+# unique within a stack, so hypotheses of one stack compare as tuples
+# without reaching score.
+_TARGET, _SCORE, _PARENT = 1, 5, 6
 
 
 def _reconstruct_features(hyp, layout: FeatureLayout) -> np.ndarray:
-    feats = np.zeros(layout.dimension)
+    """The feature vector of hyp's derivation, summed from the last
+    expansion back as Python floats, in the order of element-wise numpy
+    adds: each expansion's static features, then its jump and its LM
+    deltas, the last n_lms of its memo entry's 2 + 2 * n_lms fields."""
+    feats = [0.0] * layout.dimension
     while hyp[_PARENT] is not None:
-        _, _, _, _, _, _, parent, option, jump, lm_scores = hyp
-        feats += np.asarray(option.features)
+        parent, option, jump, lm_entry = hyp[_PARENT:]
+        feats = list(map(add, feats, option.features))
         feats[layout.distortion] += jump
-        for k, s in enumerate(lm_scores):
-            feats[layout.lm_feature(k)] += s
+        for k, delta in enumerate(lm_entry[len(lm_entry) // 2 + 1:]):
+            feats[layout.lm_feature(k)] += delta
         hyp = parent
-    return feats
+    return np.array(feats)
 
 
 def decode(sentence, options, weights, lms, layout: FeatureLayout,
@@ -341,15 +343,23 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
 
     futures: dict = {}
     word_memos = [{} for _ in lms]
+    # distinct LM states -> (the states, their key base).  Equal states
+    # share one tuple, and a stack keys a hypothesis on one int, key base +
+    # (last_end << n | coverage), unique per recombination key
+    init_states = tuple(lm.start_state for lm in lms)
+    key_bases = {init_states: (init_states, 0)}
+    key_stride = (n + 1) << n
     # LM states -> [memo row, memo row on completing]; a row is indexed by
     # target id and holds None until the target is first scored after those
-    # states, then (per-LM weighted terms, new states, per-LM deltas).  On
-    # completing, the deltas add </s> but the states are those before it
+    # states, then its entry (new states, their key base, w_1 * delta_1, ...,
+    # w_L * delta_L, delta_1, ..., delta_L).  On completing, the deltas add
+    # </s> but the states are those before it
     rows: dict = {}
     n_targets = len(target_ids)
+    lm_terms = range(2, len(lms) + 2)
 
     def lm_entry(states, complete, words):
-        terms, new_states, deltas = [], [], []
+        new_states, terms, deltas = [], [], []
         for lm, memo, w_lm, state in zip(lms, word_memos, lm_weights, states):
             delta = 0.0
             for word in words:
@@ -363,15 +373,18 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                 if step is None:
                     step = memo[state, EOS] = lm.extend(state, (EOS,))
                 delta += step[0]
-            terms.append(w_lm * delta)
             new_states.append(state)
+            terms.append(w_lm * delta)
             deltas.append(delta)
-        return tuple(terms), tuple(new_states), tuple(deltas)
+        new_states = tuple(new_states)
+        known = key_bases.get(new_states)
+        if known is None:
+            known = key_bases[new_states] = (new_states, len(key_bases) * key_stride)
+        return (*known, *terms, *deltas)
 
-    init_states = tuple(lm.start_state for lm in lms)
-    initial = (_coverage_future(fc, 0, n), 0.0, (), 0, 0, init_states, None, None, 0, ())
+    initial = (-_coverage_future(fc, 0, n), (), 0, 0, init_states, 0.0, None, None, 0, None)
     stacks: list[dict] = [dict() for _ in range(n + 1)]
-    stacks[0][(0, 0, init_states)] = initial
+    stacks[0][0] = initial
     # per stack but the final one: a min-heap of the stack_size largest
     # values its keys had when first stored, and its least element once
     # full (else -inf)
@@ -380,8 +393,8 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
 
     full_mask = (1 << n) - 1
     for covered in range(n):
-        for hyp in heapq.nsmallest(stack_size, stacks[covered].values(), key=_rank):
-            _, h_score, h_target, h_coverage, h_end, h_states, _, _, _, _ = hyp
+        for hyp in heapq.nsmallest(stack_size, stacks[covered].values()):
+            _, h_target, h_coverage, h_end, h_states, h_score, _, _, _, _ = hyp
             h_rows = rows.get(h_states)
             if h_rows is None:
                 h_rows = rows[h_states] = [None, None]
@@ -400,6 +413,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                 floor = floors[count]
                 base = h_score + dist_cost
                 target_stack = stacks[count]
+                span_key = end << n | coverage
                 for opt, w_static, tid in choices:
                     score = base + w_static
                     if lm_lowers and score + future < floor:
@@ -407,13 +421,12 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                     entry = row[tid]
                     if entry is None:
                         entry = row[tid] = lm_entry(h_states, complete, opt.tgt)
-                    terms, new_states, lm_scores = entry
-                    for term in terms:
-                        score += term
+                    for k in lm_terms:
+                        score += entry[k]
                     value = score + future
                     if value < floor:
                         continue
-                    key = (coverage, end, new_states)
+                    key = entry[1] + span_key
                     incumbent = target_stack.get(key)
                     if incumbent is not None and incumbent[_SCORE] > score:
                         continue
@@ -430,14 +443,14 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                     elif not (score > incumbent[_SCORE]
                               or (score == incumbent[_SCORE] and target < incumbent[_TARGET])):
                         continue
-                    target_stack[key] = (value, score, target, coverage, end, new_states,
-                                         hyp, opt, jump, lm_scores)
+                    target_stack[key] = (-value, target, coverage, end, entry[0], score,
+                                         hyp, opt, jump, entry)
     final = stacks[n]
     if not final:
         raise RuntimeError("no complete hypothesis")
     results = []
     seen = set()
-    for hyp in sorted(final.values(), key=_rank):
+    for hyp in sorted(final.values()):
         if hyp[_TARGET] in seen:
             continue
         seen.add(hyp[_TARGET])

@@ -31,15 +31,12 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
 LOG10_FLOOR = -99.0
-
-_NO_GRAMS = MappingProxyType({})
 
 
 @dataclass
@@ -54,16 +51,21 @@ class NgramLanguageModel:
         if word not in self.vocab and word != BOS:
             word = UNK
         context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        total_bow = 0.0
+        grams, total_bow = self._grams, 0.0
         while True:
-            gram = context + (word,)
-            stored = self.probs.get(len(gram), _NO_GRAMS).get(gram)
+            stored = grams.get(context + (word,))
             if stored is not None:
                 return total_bow + stored
             if not context:
                 return total_bow + LOG10_FLOOR
             total_bow += self.bows.get(context, 0.0)
             context = context[1:]
+
+    @functools.cached_property
+    def _grams(self) -> dict:
+        """Every order's table in one, n-gram tuple -> log10 prob.  Built
+        once, like live_states."""
+        return {gram: logp for table in self.probs.values() for gram, logp in table.items()}
 
     @functools.cached_property
     def log10_nonpositive(self) -> bool:
@@ -187,19 +189,45 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
 
 
 def write_arpa(model: NgramLanguageModel, path) -> None:
-    """Standard ARPA text format, log10 domain, full float precision."""
+    """Standard ARPA text format, log10 domain, full float precision.  A
+    model that read_arpa would refuse raises ValueError before the file is
+    opened: an order in 1..order without its table, no 1-grams, an n-gram
+    filed under another order, a word that is empty or holds whitespace, a
+    word above order 1 that no 1-gram lists, or a NaN or +inf log10
+    probability or written backoff weight."""
+    unigrams = model.probs.get(1)
+    if not unigrams:
+        raise ValueError("the model has no 1-grams")
+    sections = []
+    for k in range(1, model.order + 1):
+        if k not in model.probs:
+            raise ValueError(f"the model has no {k}-gram table")
+        lines = []
+        for gram in sorted(model.probs[k]):
+            name = " ".join(gram)
+            if len(gram) != k:
+                raise ValueError(f"{len(gram)}-gram {name!r} is filed under order {k}")
+            if any(word.split() != [word] for word in gram):
+                raise ValueError(f"{k}-gram {gram!r} has a word that is empty or holds whitespace")
+            unknown = [w for w in gram if (w,) not in unigrams]
+            if unknown:
+                raise ValueError(f"{k}-gram {name!r} has words that are not 1-grams: "
+                                 f"{' '.join(unknown)!r}")
+            values = [model.probs[k][gram]]
+            if k < model.order and gram in model.bows:
+                values.append(model.bows[gram])
+            if any(math.isnan(x) or x == math.inf for x in values):
+                raise ValueError(f"NaN or +inf in {k}-gram {name!r}: {values}")
+            lines.append("\t".join([f"{values[0]:.17g}", name] + [f"{x:.17g}" for x in values[1:]]))
+        sections.append(lines)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
-        for k in range(1, model.order + 1):
-            fh.write(f"ngram {k}={len(model.probs[k])}\n")
+        for k, lines in enumerate(sections, 1):
+            fh.write(f"ngram {k}={len(lines)}\n")
         fh.write("\n")
-        for k in range(1, model.order + 1):
+        for k, lines in enumerate(sections, 1):
             fh.write(f"\\{k}-grams:\n")
-            for gram in sorted(model.probs[k]):
-                logp = model.probs[k][gram]
-                line = f"{logp:.17g}\t{' '.join(gram)}"
-                if k < model.order and gram in model.bows:
-                    line += f"\t{model.bows[gram]:.17g}"
+            for line in lines:
                 fh.write(line + "\n")
             fh.write("\n")
         fh.write("\\end\\\n")
@@ -207,13 +235,17 @@ def write_arpa(model: NgramLanguageModel, path) -> None:
 
 def read_arpa(path) -> NgramLanguageModel:
     """Read an ARPA file, fields separated by any whitespace.  A malformed
-    line, a section without its `ngram k=` header, a NaN or +inf value, a
-    repeated n-gram and a higher-order n-gram with a word that no earlier
-    1-gram line lists raise ValueError naming `path:line`; a file without
-    unigrams raises one naming `path`."""
+    line, a repeated `ngram k=` header, a section without its header, a NaN
+    or +inf value, a repeated n-gram and a higher-order n-gram with a word
+    that no earlier 1-gram line lists raise ValueError naming `path:line`;
+    a count that differs from its header and a file without unigrams raise
+    one naming `path`; then declared orders other than 1..N raise one
+    naming the first header out of place.  Every declared order gets its
+    table, empty when its count is 0."""
     probs: dict[int, dict] = {}
     bows: dict[tuple, float] = {}
     declared: dict[int, int] = {}
+    header_lines: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
         section = None
         for lineno, line in enumerate(fh, 1):
@@ -225,7 +257,11 @@ def read_arpa(path) -> NgramLanguageModel:
             try:
                 if line.startswith("ngram "):
                     k_s, n_s = line[len("ngram "):].split("=")
-                    declared[int(k_s)] = int(n_s)
+                    k = int(k_s)
+                    if k in declared:
+                        raise ValueError(f"repeated 'ngram {k}=' header")
+                    declared[k] = int(n_s)
+                    header_lines[k] = lineno
                 elif line.startswith("\\") and line.endswith("-grams:"):
                     section = int(line[1:].split("-")[0])
                     if section not in declared:
@@ -258,5 +294,13 @@ def read_arpa(path) -> NgramLanguageModel:
             raise ValueError(f"{path}: declared {n} {k}-grams, found {len(probs.get(k, {}))}")
     if not probs.get(1):
         raise ValueError(f"{path}: no unigrams")
+    for k, lineno in header_lines.items():
+        if k < 1:
+            raise ValueError(f"{path}:{lineno}: n-gram order {k} is below 1")
+        missing = [j for j in range(1, k) if j not in declared]
+        if missing:
+            raise ValueError(f"{path}:{lineno}: 'ngram {k}=' but no 'ngram {missing[0]}=' header")
+    order = max(declared)
+    probs = {k: probs.get(k, {}) for k in range(1, order + 1)}
     vocab = frozenset(w for (w,) in probs[1]) - {BOS}
-    return NgramLanguageModel(max(declared), probs, bows, vocab | {UNK})
+    return NgramLanguageModel(order, probs, bows, vocab | {UNK})

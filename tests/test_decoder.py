@@ -14,6 +14,7 @@ from traitmt.decoder import (
     MAX_OPTIONS_PER_SPAN,
     DecodeResult,
     FeatureLayout,
+    _coverage_future,
     build_options,
     decode,
     format_nbest,
@@ -229,6 +230,35 @@ def assert_option_order_free(sentence, options, weights, lms, **kwargs):
     assert_same_nbest(got_flipped,
                       reference_beam_decode(sentence, flipped, weights, lms, **kwargs))
     assert_same_nbest(got_flipped, got)
+
+
+def per_bit_coverage_future(fc, coverage, n):
+    """Walk the positions one bit at a time, adding fc[i][j] for each
+    maximal uncovered run i..j, left to right."""
+    total, i = 0.0, 0
+    while i < n:
+        if coverage & (1 << i):
+            i += 1
+            continue
+        j = i
+        while j < n and not (coverage & (1 << j)):
+            j += 1
+        total += fc[i][j]
+        i = j
+    return total
+
+
+class TestCoverageFuture:
+    def test_matches_per_bit_walk_on_every_coverage(self):
+        # magnitudes from 1e-6 to 1e6, so that adding the runs in another
+        # order would round differently
+        rng = random.Random(12)
+        for n in range(1, 13):
+            fc = [[rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-6, 6)
+                   for _ in range(n + 1)] for _ in range(n + 1)]
+            for coverage in range(1 << n):
+                assert _coverage_future(fc, coverage, n) == \
+                    per_bit_coverage_future(fc, coverage, n), (n, coverage)
 
 
 class TestBuildOptions:

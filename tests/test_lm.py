@@ -500,6 +500,75 @@ class TestArpaRoundTrip:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: entry outside"):
             read_arpa(path)
 
+    def test_order_gap_refused(self, tmp_path):
+        # write_arpa could not write this back: the model would have no
+        # 2-gram table
+        path = tmp_path / "bad.arpa"
+        path.write_text("\\data\\\nngram 1=2\nngram 3=1\n\\1-grams:\n-0.3\ta\n-0.5\tb\n"
+                        "\\3-grams:\n-0.1\ta b a\n\\end\\\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: 'ngram 3=' but no "
+                                             rf"'ngram 2=' header$"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("headers, lineno, message", [
+        ("ngram 1=1\nngram 1=1\n", 3, "repeated 'ngram 1=' header"),
+        ("ngram 1=1\nngram 0=0\n", 3, "n-gram order 0 is below 1"),
+        ("ngram -1=0\nngram 1=1\n", 2, "n-gram order -1 is below 1"),
+    ])
+    def test_bad_header_named(self, tmp_path, headers, lineno, message):
+        path = tmp_path / "bad.arpa"
+        path.write_text(f"\\data\\\n{headers}\\1-grams:\n-0.3\ta\n\\end\\\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: {message}$"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("section", ["", "\\2-grams:\n"])
+    def test_empty_order_round_trips(self, tmp_path, section):
+        path = tmp_path / "model.arpa"
+        path.write_text(f"\\data\\\nngram 1=2\nngram 2=0\n\\1-grams:\n-0.3\ta\t-0.1\n-0.5\tb\n"
+                        f"{section}\\end\\\n", encoding="utf-8")
+        model = read_arpa(path)
+        assert model.order == 2 and model.probs == {1: {("a",): -0.3, ("b",): -0.5}, 2: {}}
+        again = tmp_path / "again.arpa"
+        write_arpa(model, again)
+        loaded = read_arpa(again)
+        assert (loaded.order, loaded.probs, loaded.bows) == (model.order, model.probs, model.bows)
+
+
+def good_model():
+    return NgramLanguageModel(
+        2, {1: {("a",): -0.3, ("b",): -0.5}, 2: {("a", "b"): -0.1}}, {("a",): -0.2},
+        frozenset({"a", "b", UNK}))
+
+
+class TestWriteArpaRefusals:
+    """Each model would give a file that read_arpa refuses; write_arpa
+    raises before it opens the file."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda probs, bows: probs[1].update({("b",): math.nan}), "NaN or +inf in 1-gram 'b'"),
+        (lambda probs, bows: bows.update({("a",): math.inf}), "NaN or +inf in 1-gram 'a'"),
+        (lambda probs, bows: probs[2].update({("a", "zz"): -0.1}),
+         "2-gram 'a zz' has words that are not 1-grams: 'zz'"),
+        (lambda probs, bows: probs[2].update({("a",): -0.1}), "1-gram 'a' is filed under order 2"),
+        (lambda probs, bows: probs[1].update({("",): -0.1}),
+         "1-gram ('',) has a word that is empty or holds whitespace"),
+        (lambda probs, bows: probs[1].update({("x y",): -0.1}),
+         "1-gram ('x y',) has a word that is empty or holds whitespace"),
+        (lambda probs, bows: probs.pop(2), "the model has no 2-gram table"),
+        (lambda probs, bows: probs[1].clear(), "the model has no 1-grams"),
+    ], ids=["nan_logprob", "inf_backoff", "word_not_a_unigram", "wrong_order", "empty_word",
+            "whitespace_word", "missing_table", "no_unigrams"])
+    def test_refused_before_opening(self, tmp_path, edit, message):
+        model = good_model()
+        write_arpa(model, tmp_path / "good.arpa")
+        read_arpa(tmp_path / "good.arpa")
+        edit(model.probs, model.bows)
+        path = tmp_path / "model.arpa"
+        path.write_text("already here\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            write_arpa(model, path)
+        assert path.read_text(encoding="utf-8") == "already here\n"
+
 
 class TestValidation:
     def test_order_zero_rejected(self):
