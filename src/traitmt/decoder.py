@@ -148,7 +148,6 @@ def read_weights(path, layout: FeatureLayout) -> np.ndarray:
 class TranslationOption:
     tgt: tuple
     features: tuple    # static features as floats: table blocks, indicators, penalties
-    table_id: int | None  # None for OOV pass-through
 
 
 def _static_features(layout: FeatureLayout, tgt, table_id, scores):
@@ -168,9 +167,11 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
     """Translation options per span: the union of matches across tables
     (same phrase pair in two tables stays two options), the
     MAX_OPTIONS_PER_SPAN best per span by weighted score, with verbatim
-    pass-through for unknown words."""
+    pass-through for unknown words.  tables must number layout.n_tables."""
     if not tables:
         raise ValueError("need at least one phrase table")
+    if len(tables) != layout.n_tables:
+        raise ValueError(f"{len(tables)} phrase tables for a layout of {layout.n_tables}")
     sentence = tuple(sentence)
     if weights is None:
         weights = layout.default_weights()
@@ -187,7 +188,7 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
                     tgt = tuple(tgt)
                     feats = _static_features(layout, tgt, k, scores)
                     found.append(((-float(weights @ feats), tgt),
-                                  TranslationOption(tgt, tuple(feats.tolist()), k)))
+                                  TranslationOption(tgt, tuple(feats.tolist()))))
             if found:
                 found.sort(key=lambda f: f[0])
                 options[span] = [opt for _, opt in found[:MAX_OPTIONS_PER_SPAN]]
@@ -195,7 +196,7 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
         span = (i, i + 1)
         if span not in options:
             feats = _static_features(layout, (word,), None, None)
-            options[span] = [TranslationOption((word,), tuple(feats.tolist()), None)]
+            options[span] = [TranslationOption((word,), tuple(feats.tolist()))]
     return options
 
 
@@ -277,7 +278,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     stack_size (>= 1) caps every stack but the final one, and
     distortion_limit (>= 0) every jump; a stack_size that no stack reaches
     gives exhaustive search up to recombination, and a distortion_limit of
-    len(sentence) allows every jump.
+    len(sentence) allows every jump.  lms must number layout.n_lms.
     A stack ranks its hypotheses on (score + future cost, target string,
     coverage, last position, minimized LM states).  The last three form the
     recombination key, so the order is total and a cut does not depend on
@@ -312,6 +313,8 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
         raise ValueError(f"stack_size must be >= 1, got {stack_size}")
     if distortion_limit < 0:
         raise ValueError(f"distortion_limit must be >= 0, got {distortion_limit}")
+    if len(lms) != layout.n_lms:
+        raise ValueError(f"{len(lms)} language models for a layout of {layout.n_lms}")
     weights = np.asarray(weights, dtype=float)
     n = len(sentence)
     weighted = {span: [float(weights @ np.asarray(o.features)) for o in opts]

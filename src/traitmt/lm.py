@@ -10,9 +10,11 @@ over the padded sentences counts every order; since every n-gram not
 starting with <s> has a word before it, the continuation count of a
 lower-order n-gram is its number of distinct left extensions one order up.
 
-The trained model is stored directly in backoff form (log10 probabilities
-for observed n-grams plus log10 backoff weights per context), which makes
-the in-memory scorer and an ARPA-round-tripped model bit-compatible.
+The model is stored the way an ARPA file lists it: one table from each
+n-gram of 1..order words to its (log10 prob, log10 backoff weight), the
+weight 0.0 where the line has none.  The in-memory scorer and an
+ARPA-round-tripped model are therefore bit-compatible, and every model
+the table can hold has a file that reads back to it.
 
 A caller scoring word by word holds a state: start_state before the first
 word, then whatever extend(state, words) returns with the words' log10
@@ -37,61 +39,61 @@ EOS = "</s>"
 UNK = "<unk>"
 
 LOG10_FLOOR = -99.0
+# an n-gram without an entry: the floor as its probability, no backoff weight
+_UNSTORED = (LOG10_FLOOR, 0.0)
 
 
 @dataclass
 class NgramLanguageModel:
     order: int
-    probs: dict     # k -> {k-gram tuple: log10 prob}
-    bows: dict      # context tuple -> log10 backoff weight
-    vocab: frozenset  # prediction vocabulary: words + </s> + <unk>, no <s>
+    grams: dict  # n-gram tuple of 1..order words -> (log10 prob, log10 backoff weight)
+
+    @functools.cached_property
+    def vocab(self) -> frozenset:
+        """The prediction vocabulary: the 1-grams' words but <s>, and <unk>."""
+        return frozenset(gram[0] for gram in self.grams if len(gram) == 1) - {BOS} | {UNK}
+
+    @property
+    def probs(self) -> dict:
+        """order -> {n-gram: log10 prob}, a copy of grams split by order."""
+        return {k: {gram: entry[0] for gram, entry in self.grams.items() if len(gram) == k}
+                for k in range(1, self.order + 1)}
 
     def log10_prob(self, word: str, context=()) -> float:
         """Backoff query P(word | context) in log10, OOV mapped to <unk>."""
         if word not in self.vocab and word != BOS:
             word = UNK
         context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        grams, total_bow = self._grams, 0.0
+        grams, total_bow = self.grams, 0.0
         while True:
             stored = grams.get(context + (word,))
             if stored is not None:
-                return total_bow + stored
+                return total_bow + stored[0]
             if not context:
                 return total_bow + LOG10_FLOOR
-            total_bow += self.bows.get(context, 0.0)
+            total_bow += grams.get(context, _UNSTORED)[1]
             context = context[1:]
-
-    @functools.cached_property
-    def _grams(self) -> dict:
-        """Every order's table in one, n-gram tuple -> log10 prob.  Built
-        once, like live_states."""
-        return {gram: logp for table in self.probs.values() for gram, logp in table.items()}
 
     @functools.cached_property
     def log10_nonpositive(self) -> bool:
         """True when no stored log10 probability or backoff weight is above
         0, so that every query, and every sum of queries, is <= 0.  Computed
-        once; the tables are not expected to change after construction."""
-        return all(
-            logp <= 0.0 for table in self.probs.values() for logp in table.values()
-        ) and all(bow <= 0.0 for bow in self.bows.values())
+        once; the table is not expected to change after construction."""
+        return all(logp <= 0.0 and bow <= 0.0 for logp, bow in self.grams.values())
 
     @functools.cached_property
     def live_states(self) -> frozenset:
         """The states whose leading word can still change a score: every
-        proper prefix of a stored n-gram, and every prefix of a context
+        proper prefix of a stored n-gram, and every prefix of an n-gram
         with a nonzero backoff weight.  A backoff query from a state outside
         the set finds no stored n-gram that starts with it and adds no
         backoff weight before it reaches the state's suffix, now or after
         any further words, so extend drops the leading word.  The test
-        reads the tables, not how they were made: an ARPA file may list an
+        reads the table, not how it was made: an ARPA file may list an
         n-gram without its prefixes, or a backoff weight for an n-gram
         with no extensions.  Computed once, like log10_nonpositive."""
-        live = {gram[:i] for table in self.probs.values() for gram in table
-                for i in range(1, len(gram))}
-        live.update(context[:i] for context, bow in self.bows.items() if bow != 0.0
-                    for i in range(1, len(context) + 1))
-        return frozenset(live)
+        return frozenset(gram[:i] for gram, (_, bow) in self.grams.items()
+                         for i in range(1, len(gram) + (bow != 0.0)))
 
     @property
     def start_state(self) -> tuple:
@@ -118,7 +120,7 @@ class NgramLanguageModel:
     def unigram_log10(self, word: str) -> float:
         if word not in self.vocab:
             word = UNK
-        return self.probs[1].get((word,), LOG10_FLOOR)
+        return self.grams.get((word,), _UNSTORED)[0]
 
 
 def _log10_floor(p: float) -> float:
@@ -146,7 +148,7 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
     if not raw[order]:
         warnings.warn(
             f"order {order} exceeds the longest padded sentence "
-            f"({max(map(len, sentences)) + 2} tokens); top-order table will be empty"
+            f"({max(map(len, sentences)) + 2} tokens); the model will have no {order}-grams"
         )
 
     # Kneser-Ney counts: raw at the top order and for n-grams starting with
@@ -158,8 +160,7 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
     del counts[1][(BOS,)]
 
     vocab = frozenset(w for (w,) in counts[1]) | {UNK}
-    probs: dict[int, dict] = {}
-    bows: dict[tuple, float] = {}
+    grams: dict[tuple, tuple] = {(BOS,): (LOG10_FLOOR, 0.0)}
     lower: dict[tuple, float] = {}  # probabilities one order down
     for k in range(1, order + 1):
         level = counts[k]
@@ -181,51 +182,45 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
             cur = {gram: max(c - d, 0.0) / sums[gram[:-1]]
                    + lams[gram[:-1]] * lower.get(gram[1:], 0.0)
                    for gram, c in level.items()}
-            bows.update((h, _log10_floor(lam)) for h, lam in lams.items())
-        probs[k] = {gram: _log10_floor(p) for gram, p in cur.items()}
+            # every context is a stored (k-1)-gram: a substring of a sentence
+            grams.update({h: (grams[h][0], _log10_floor(lam)) for h, lam in lams.items()})
+        grams.update({gram: (_log10_floor(p), 0.0) for gram, p in cur.items()})
         lower = cur
-    probs[1][(BOS,)] = LOG10_FLOOR
-    return NgramLanguageModel(order, probs, bows, vocab)
+    return NgramLanguageModel(order, grams)
 
 
 def write_arpa(model: NgramLanguageModel, path) -> None:
-    """Standard ARPA text format, log10 domain, full float precision.  A
-    model that read_arpa would refuse raises ValueError before the file is
-    opened: an order in 1..order without its table, no 1-grams, an n-gram
-    filed under another order, a word that is empty or holds whitespace, a
-    word above order 1 that no 1-gram lists, or a NaN or +inf log10
-    probability or written backoff weight."""
-    unigrams = model.probs.get(1)
-    if not unigrams:
+    """Standard ARPA text format, log10 domain, full float precision: one
+    line per entry of model.grams, with its backoff weight when that is not
+    0.  A model that read_arpa would refuse raises ValueError before the
+    file is opened: no 1-grams, an n-gram of no words or of more than
+    order, a word that is empty or holds whitespace, a word above order 1
+    that no 1-gram lists, or a NaN or +inf log10 probability or backoff
+    weight."""
+    grams = model.grams
+    if not any(len(gram) == 1 for gram in grams):
         raise ValueError("the model has no 1-grams")
-    sections = []
-    for k in range(1, model.order + 1):
-        if k not in model.probs:
-            raise ValueError(f"the model has no {k}-gram table")
-        lines = []
-        for gram in sorted(model.probs[k]):
-            name = " ".join(gram)
-            if len(gram) != k:
-                raise ValueError(f"{len(gram)}-gram {name!r} is filed under order {k}")
-            if any(word.split() != [word] for word in gram):
-                raise ValueError(f"{k}-gram {gram!r} has a word that is empty or holds whitespace")
-            unknown = [w for w in gram if (w,) not in unigrams]
-            if unknown:
-                raise ValueError(f"{k}-gram {name!r} has words that are not 1-grams: "
-                                 f"{' '.join(unknown)!r}")
-            values = [model.probs[k][gram]]
-            if k < model.order and gram in model.bows:
-                values.append(model.bows[gram])
-            if any(math.isnan(x) or x == math.inf for x in values):
-                raise ValueError(f"NaN or +inf in {k}-gram {name!r}: {values}")
-            lines.append("\t".join([f"{values[0]:.17g}", name] + [f"{x:.17g}" for x in values[1:]]))
-        sections.append(lines)
+    sections = {k: [] for k in range(1, model.order + 1)}
+    for gram in sorted(grams):
+        k, name = len(gram), " ".join(gram)
+        if k not in sections:
+            raise ValueError(f"{k}-gram {name!r} is outside orders 1 to {model.order}")
+        if any(word.split() != [word] for word in gram):
+            raise ValueError(f"{k}-gram {gram!r} has a word that is empty or holds whitespace")
+        unknown = [w for w in gram if (w,) not in grams]
+        if unknown:
+            raise ValueError(f"{k}-gram {name!r} has words that are not 1-grams: "
+                             f"{' '.join(unknown)!r}")
+        logp, bow = grams[gram]
+        if any(math.isnan(x) or x == math.inf for x in (logp, bow)):
+            raise ValueError(f"NaN or +inf in {k}-gram {name!r}: {logp} {bow}")
+        sections[k].append(f"{logp:.17g}\t{name}" + (f"\t{bow:.17g}" if bow != 0.0 else ""))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
-        for k, lines in enumerate(sections, 1):
+        for k, lines in sections.items():
             fh.write(f"ngram {k}={len(lines)}\n")
         fh.write("\n")
-        for k, lines in enumerate(sections, 1):
+        for k, lines in sections.items():
             fh.write(f"\\{k}-grams:\n")
             for line in lines:
                 fh.write(line + "\n")
@@ -234,16 +229,16 @@ def write_arpa(model: NgramLanguageModel, path) -> None:
 
 
 def read_arpa(path) -> NgramLanguageModel:
-    """Read an ARPA file, fields separated by any whitespace.  A malformed
-    line, a repeated `ngram k=` header, a section without its header, a NaN
-    or +inf value, a repeated n-gram and a higher-order n-gram with a word
-    that no earlier 1-gram line lists raise ValueError naming `path:line`;
-    a count that differs from its header and a file without unigrams raise
-    one naming `path`; then declared orders other than 1..N raise one
-    naming the first header out of place.  Every declared order gets its
-    table, empty when its count is 0."""
-    probs: dict[int, dict] = {}
-    bows: dict[tuple, float] = {}
+    """Read an ARPA file, fields separated by any whitespace, into one
+    entry per line; a line without a backoff field gets weight 0.0.  A
+    malformed line, a repeated `ngram k=` header, a section without its
+    header, a NaN or +inf value, a repeated n-gram and a higher-order
+    n-gram with a word that no earlier 1-gram line lists raise ValueError
+    naming `path:line`; a count that differs from its header and a file
+    without unigrams raise one naming `path`; then declared orders other
+    than 1..N raise one naming the first header out of place.  The order is
+    the highest declared, also when its count is 0."""
+    grams: dict[tuple, tuple] = {}
     declared: dict[int, int] = {}
     header_lines: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -266,7 +261,6 @@ def read_arpa(path) -> NgramLanguageModel:
                     section = int(line[1:].split("-")[0])
                     if section not in declared:
                         raise ValueError(f"{line!r} has no 'ngram {section}=' header")
-                    probs.setdefault(section, {})
                 elif section is None:
                     raise ValueError(f"entry outside any n-gram section: {line!r}")
                 else:
@@ -277,22 +271,21 @@ def read_arpa(path) -> NgramLanguageModel:
                     values = [float(f) for f in fields[:1] + fields[1 + section:]]
                     if any(math.isnan(x) or x == math.inf for x in values):
                         raise ValueError(f"NaN or +inf in {section}-gram line {line!r}")
-                    if gram in probs[section]:
+                    if gram in grams:
                         raise ValueError(f"repeated {section}-gram {' '.join(gram)!r}")
                     if section > 1:
-                        unknown = [w for w in gram if (w,) not in probs.get(1, {})]
+                        unknown = [w for w in gram if (w,) not in grams]
                         if unknown:
                             raise ValueError(f"{section}-gram {' '.join(gram)!r} has words "
                                              f"that are not 1-grams: {' '.join(unknown)!r}")
-                    probs[section][gram] = values[0]
-                    if len(values) > 1:
-                        bows[gram] = values[1]
+                    grams[gram] = (values[0], values[1] if len(values) > 1 else 0.0)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    found = Counter(map(len, grams))
     for k, n in declared.items():
-        if len(probs.get(k, {})) != n:
-            raise ValueError(f"{path}: declared {n} {k}-grams, found {len(probs.get(k, {}))}")
-    if not probs.get(1):
+        if found[k] != n:
+            raise ValueError(f"{path}: declared {n} {k}-grams, found {found[k]}")
+    if not found[1]:
         raise ValueError(f"{path}: no unigrams")
     for k, lineno in header_lines.items():
         if k < 1:
@@ -300,7 +293,4 @@ def read_arpa(path) -> NgramLanguageModel:
         missing = [j for j in range(1, k) if j not in declared]
         if missing:
             raise ValueError(f"{path}:{lineno}: 'ngram {k}=' but no 'ngram {missing[0]}=' header")
-    order = max(declared)
-    probs = {k: probs.get(k, {}) for k in range(1, order + 1)}
-    vocab = frozenset(w for (w,) in probs[1]) - {BOS}
-    return NgramLanguageModel(order, probs, bows, vocab | {UNK})
+    return NgramLanguageModel(max(declared), grams)

@@ -268,7 +268,7 @@ class TestBuildOptions:
         layout = FeatureLayout(3, 1)
         options = build_options(("a",), [empty, empty, t2], layout=layout)
         opts = options[(0, 1)]
-        real = [o for o in opts if o.table_id is not None]
+        real = [o for o in opts if any(o.features[layout.indicator(k)] for k in range(3))]
         assert len(real) == 1
         feats = np.asarray(real[0].features)
         assert feats[layout.indicator(2)] == 1.0
@@ -279,8 +279,9 @@ class TestBuildOptions:
         t = table_from({"a": {"x": (0.5, 0.5, 0.5, 0.5)}})
         layout = FeatureLayout(2, 1)
         options = build_options(("a",), [t, t], layout=layout)
-        ids = sorted(o.table_id for o in options[(0, 1)])
-        assert ids == [0, 1]
+        indicators = sorted([o.features[layout.indicator(k)] for k in range(2)]
+                            for o in options[(0, 1)])
+        assert indicators == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_oov_passthrough(self):
         t = table_from({"a": {"x": (1.0, 1.0, 1.0, 1.0)}})
@@ -288,7 +289,6 @@ class TestBuildOptions:
         options = build_options(("a", "qux"), [t], layout=layout)
         opt = options[(1, 2)][0]
         assert opt.tgt == ("qux",)
-        assert opt.table_id is None
         feats = np.asarray(opt.features)
         np.testing.assert_allclose(feats[layout.table_block(0)], DEFAULT_FLOOR)
         assert feats[layout.indicator(0)] == 0.0
@@ -300,6 +300,13 @@ class TestBuildOptions:
         options = build_options(("a",), [t], layout=FeatureLayout(1, 1))
         kept = [o.tgt for o in options[(0, 1)]]
         assert kept == [(f"t{i}",) for i in range(MAX_OPTIONS_PER_SPAN)]
+
+    def test_table_count_must_match_layout(self):
+        # else the second table's scores would land in lm0, lm1 and the
+        # penalties, and its indicator in distortion
+        t = table_from({"a": {"x": (0.5,) * 4}})
+        with pytest.raises(ValueError, match="^2 phrase tables for a layout of 1$"):
+            build_options(("a",), [t, t], layout=FeatureLayout(1, 2))
 
 
 class TestDecode:
@@ -404,7 +411,10 @@ class TestDecode:
                 for k in range(len(lms)):
                     weights[layout.lm_feature(k)] = 0.0
             if trial % 6 == 4:
-                lms[0] = dataclasses.replace(lms[0], bows={c: 2.0 for c in lms[0].bows})
+                contexts = {gram[:-1] for gram in lms[0].grams}
+                lms[0] = dataclasses.replace(lms[0], grams={
+                    gram: (logp, 2.0 if gram in contexts else bow)
+                    for gram, (logp, bow) in lms[0].grams.items()})
             sentence = tuple(rng.choices(src_words, k=rng.randint(4, 8)))
             build_weights = weights if trial % 2 else layout.default_weights()
             options = build_options(sentence, tables, layout=layout, weights=build_weights)
@@ -446,7 +456,7 @@ class TestDecode:
         weights = layout.default_weights()
         sentence = ("a", "b")
         options = build_options(sentence, [t, t], layout=layout, weights=weights)
-        assert [o.table_id for o in options[(0, 1)]] == [0, 1]
+        assert [o.features[layout.indicator(0)] for o in options[(0, 1)]] == [1.0, 0.0]
         for stack_size in (UNPRUNED, 1):
             kwargs = dict(stack_size=stack_size, layout=layout, nbest_size=3)
             got = decode(sentence, options, weights, [lm], **kwargs)
@@ -589,6 +599,14 @@ class TestDecode:
         options = build_options(("a",), [table], layout=layout, weights=weights)
         with pytest.raises(ValueError, match=option):
             decode(("a",), options, weights, [lm], layout=layout, **{option: value})
+
+    def test_lm_count_must_match_layout(self):
+        # else the second LM's log10 sum would be added to word_penalty
+        table, lm, layout = self.simple_system()
+        weights = layout.default_weights()
+        options = build_options(("a",), [table], layout=layout, weights=weights)
+        with pytest.raises(ValueError, match="^2 language models for a layout of 1$"):
+            decode(("a",), options, weights, [lm, lm], layout=layout)
 
 
 class TestWeightsIo:

@@ -112,7 +112,11 @@ def reference_train_kn_lm(sentences, order, unk_threshold=1):
             bows[h] = log10_floor(lam) if lam > 0 else LOG10_FLOOR
         prev_prob = cur_prob
 
-    return NgramLanguageModel(order, probs, bows, vocab)
+    assert set(bows) <= {gram for k in probs for gram in probs[k]}
+    grams = {gram: (logp, bows.get(gram, 0.0)) for k in probs for gram, logp in probs[k].items()}
+    model = NgramLanguageModel(order, grams)
+    assert model.vocab == vocab
+    return model
 
 
 def sentence_log10(model, tokens):
@@ -137,7 +141,7 @@ class TestHandComputedBigramModel:
     so D2 = 9/(9+2*2) = 9/13.  Unigram continuation counts: a=4 b=2 c=2
     </s>=3 (S1=11), D1 = 0 because no continuation count equals 1.
     The model keeps no discounts; the frozen probabilities below, and the
-    exact reference_train_kn_lm oracle, pin them through probs.
+    exact reference_train_kn_lm oracle, pin them through grams.
     """
 
     def test_unigram_continuation_distribution(self, model):
@@ -188,8 +192,8 @@ class TestNormalizationLaw:
         ]
         model = train_kn_lm(corpus, order=3)
         vocab = list(model.vocab)
-        unigram_ctx = [g for g in model.probs[1] if g != (EOS,)]
-        bigram_ctx = list(model.probs[2])
+        unigram_ctx = [g for g in model.grams if len(g) == 1 and g != (EOS,)]
+        bigram_ctx = [g for g in model.grams if len(g) == 2]
         assert len(unigram_ctx) >= 10 and len(bigram_ctx) >= 100
         contexts = [()] + unigram_ctx + bigram_ctx[:150]
         # also unseen contexts must normalize through the backoff walk
@@ -224,9 +228,8 @@ class TestScoring:
 
     def test_log10_nonpositive(self, model):
         assert model.log10_nonpositive
-        context = next(iter(model.bows))
-        raised = NgramLanguageModel(
-            model.order, model.probs, {**model.bows, context: 0.5}, model.vocab)
+        context, (logp, _) = next((g, e) for g, e in model.grams.items() if e[1] != 0.0)
+        raised = NgramLanguageModel(model.order, {**model.grams, context: (logp, 0.5)})
         assert not raised.log10_nonpositive
 
 
@@ -252,8 +255,7 @@ class TestReferenceEstimator:
             short += longest < order
             want = reference_train_kn_lm(corpus, order, threshold)
             assert got.order == want.order
-            assert got.probs == want.probs, seed
-            assert got.bows == want.bows, seed
+            assert got.grams == want.grams, seed
             assert got.vocab == want.vocab, seed
             checked += 1
         assert checked >= 400 and short >= 20
@@ -346,30 +348,27 @@ class TestMinimizedState:
         for seed in range(40):
             rng = random.Random(seed)
             model = random_kn_model(rng, order=seed % 3 + 3, unk_threshold=seed % 2)
-            probs = {k: dict(table) for k, table in model.probs.items()}
-            bows = dict(model.bows)
-            contexts = {gram[:-1] for k in range(2, model.order + 1) for gram in probs[k]}
+            grams = dict(model.grams)
+            contexts = {gram[:-1] for gram in grams}
             if edit == "bow_left_out":
-                picked = sorted(c for c in contexts if bows.get(c, 0.0) != 0.0)
+                picked = sorted(c for c in contexts if c and grams[c][1] != 0.0)
                 for context in rng.sample(picked, min(3, len(picked))):
-                    del bows[context]
+                    grams[context] = (grams[context][0], 0.0)
             elif edit == "bow_without_extension":
-                picked = sorted(g for k in range(1, model.order) for g in probs[k]
-                                if g not in contexts)
+                picked = sorted(g for g in grams if len(g) < model.order and g not in contexts)
                 for gram in rng.sample(picked, min(3, len(picked))):
-                    bows[gram] = -0.25
+                    grams[gram] = (grams[gram][0], -0.25)
             else:
-                picked = sorted({g[0] for g in probs[3]} - {BOS})
+                picked = sorted({g[0] for g in grams if len(g) == 3} - {BOS})
                 for word in rng.sample(picked, min(2, len(picked))):
-                    probs[2] = {g: p for g, p in probs[2].items() if g[0] != word}
-                    bows.pop((word,), None)
-                    bows = {c: b for c, b in bows.items() if c[:1] != (word,) or len(c) != 2}
+                    grams = {g: e for g, e in grams.items() if len(g) != 2 or g[0] != word}
+                    grams[(word,)] = (grams[(word,)][0], 0.0)
             if not picked:
                 continue
             path = tmp_path / f"{seed}.arpa"
-            write_arpa(NgramLanguageModel(model.order, probs, bows, model.vocab), path)
+            write_arpa(NgramLanguageModel(model.order, grams), path)
             loaded = read_arpa(path)
-            assert (loaded.probs, loaded.bows) == (probs, bows)
+            assert loaded.grams == grams
             assert_minimized_states_exact(loaded, rng)
             edited += 1
         assert edited >= 20
@@ -388,12 +387,10 @@ class TestArpaRoundTrip:
         write_arpa(model, path)
         loaded = read_arpa(path)
         assert loaded.order == model.order
-        for k in range(1, 4):
-            assert loaded.probs[k].keys() == model.probs[k].keys()
-            for gram, logp in model.probs[k].items():
-                assert abs(loaded.probs[k][gram] - logp) <= 1e-9
-        for ctx, bow in model.bows.items():
-            assert abs(loaded.bows[ctx] - bow) <= 1e-9
+        assert loaded.grams.keys() == model.grams.keys()
+        for gram, (logp, bow) in model.grams.items():
+            assert abs(loaded.grams[gram][0] - logp) <= 1e-9
+            assert abs(loaded.grams[gram][1] - bow) <= 1e-9
         test_sentences = [tuple(rng.choice(words) for _ in range(6)) for _ in range(20)]
         test_sentences.append(("oov-token", "w1"))
         for sent in test_sentences:
@@ -433,7 +430,7 @@ class TestArpaRoundTrip:
         spaced.write_text(tabbed.read_text(encoding="utf-8").replace("\t", " "), encoding="utf-8")
         assert "\t" not in spaced.read_text(encoding="utf-8")
         a, b = read_arpa(tabbed), read_arpa(spaced)
-        assert (a.order, a.probs, a.bows, a.vocab) == (b.order, b.probs, b.bows, b.vocab)
+        assert (a.order, a.grams, a.vocab) == (b.order, b.grams, b.vocab)
 
     @pytest.mark.parametrize("bad_line, message", [
         ("nan\tb", "NaN or \\+inf"),
@@ -454,7 +451,7 @@ class TestArpaRoundTrip:
         path.write_text("\\data\\\nngram 1=2\n\\1-grams:\n-0.3\ta\n-inf\tb\t-inf\n\\end\\\n",
                         encoding="utf-8")
         model = read_arpa(path)
-        assert model.probs[1][("b",)] == -math.inf and model.bows[("b",)] == -math.inf
+        assert model.grams[("b",)] == (-math.inf, -math.inf)
 
     def test_section_without_header_named(self, tmp_path):
         path = tmp_path / "bad.arpa"
@@ -474,7 +471,7 @@ class TestArpaRoundTrip:
         path = tmp_path / "model.arpa"
         path.write_text("\\data\\\nngram 1=1\n \t\n\\1-grams:\n-0.3\ta\n\\end\\\n",
                         encoding="utf-8")
-        assert read_arpa(path).probs[1] == {("a",): -0.3}
+        assert read_arpa(path).grams == {("a",): (-0.3, 0.0)}
 
     @pytest.mark.parametrize("order, gram, unknown", [
         (2, "a zz", "zz"),
@@ -527,17 +524,49 @@ class TestArpaRoundTrip:
         path.write_text(f"\\data\\\nngram 1=2\nngram 2=0\n\\1-grams:\n-0.3\ta\t-0.1\n-0.5\tb\n"
                         f"{section}\\end\\\n", encoding="utf-8")
         model = read_arpa(path)
-        assert model.order == 2 and model.probs == {1: {("a",): -0.3, ("b",): -0.5}, 2: {}}
-        again = tmp_path / "again.arpa"
-        write_arpa(model, again)
-        loaded = read_arpa(again)
-        assert (loaded.order, loaded.probs, loaded.bows) == (model.order, model.probs, model.bows)
+        assert model.order == 2 and model.grams == {("a",): (-0.3, -0.1), ("b",): (-0.5, 0.0)}
+        assert_round_trips(model, tmp_path / "again.arpa")
+
+    def test_empty_top_order_written(self, tmp_path):
+        # the file declares the order with count 0, so it reads back as order 2
+        model = NgramLanguageModel(2, {("a",): (-0.3, -0.1), ("b",): (-0.5, 0.0)})
+        assert_round_trips(model, tmp_path / "model.arpa")
+        assert "ngram 2=0\n" in (tmp_path / "model.arpa").read_text(encoding="utf-8")
+
+    def test_trained_models_round_trip(self, tmp_path):
+        for seed in range(80):
+            rng = random.Random(seed)
+            model = random_kn_model(rng, order=seed % 4 + 1, unk_threshold=seed // 4 % 3)
+            assert_round_trips(model, tmp_path / f"{seed}.arpa")
+
+    @pytest.mark.parametrize("lines, entry, value", [
+        ("-0.1\ta b\t-0.4", ("a", "b"), (-0.1, -0.4)),
+        ("-0.1\ta b\t0", ("a", "b"), (-0.1, 0.0)),
+        ("-0.1\ta b", ("a", "b"), (-0.1, 0.0)),
+    ], ids=["top_order_backoff", "zero_backoff", "no_backoff"])
+    def test_hand_written_file_round_trips(self, tmp_path, lines, entry, value):
+        path = tmp_path / "model.arpa"
+        path.write_text(f"\\data\\\nngram 1=2\nngram 2=1\n\\1-grams:\n-0.3\ta\t-0.2\n"
+                        f"-0.5\tb\t0\n\\2-grams:\n{lines}\n\\end\\\n", encoding="utf-8")
+        model = read_arpa(path)
+        assert model.grams[entry] == value and model.grams[("b",)] == (-0.5, 0.0)
+        assert (entry in model.live_states) == (value[1] != 0.0)
+        assert_round_trips(model, tmp_path / "again.arpa")
+        # a backoff weight of 0 is written as no field at all
+        assert "\t0\n" not in (tmp_path / "again.arpa").read_text(encoding="utf-8")
+
+
+def assert_round_trips(model, path):
+    """read_arpa of what write_arpa wrote is the model itself."""
+    write_arpa(model, path)
+    loaded = read_arpa(path)
+    assert (loaded.order, loaded.grams, loaded.vocab, loaded.live_states) == \
+        (model.order, model.grams, model.vocab, model.live_states)
 
 
 def good_model():
-    return NgramLanguageModel(
-        2, {1: {("a",): -0.3, ("b",): -0.5}, 2: {("a", "b"): -0.1}}, {("a",): -0.2},
-        frozenset({"a", "b", UNK}))
+    return NgramLanguageModel(2, {("a",): (-0.3, -0.2), ("b",): (-0.5, 0.0),
+                                  ("a", "b"): (-0.1, 0.0)})
 
 
 class TestWriteArpaRefusals:
@@ -545,24 +574,24 @@ class TestWriteArpaRefusals:
     raises before it opens the file."""
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda probs, bows: probs[1].update({("b",): math.nan}), "NaN or +inf in 1-gram 'b'"),
-        (lambda probs, bows: bows.update({("a",): math.inf}), "NaN or +inf in 1-gram 'a'"),
-        (lambda probs, bows: probs[2].update({("a", "zz"): -0.1}),
-         "2-gram 'a zz' has words that are not 1-grams: 'zz'"),
-        (lambda probs, bows: probs[2].update({("a",): -0.1}), "1-gram 'a' is filed under order 2"),
-        (lambda probs, bows: probs[1].update({("",): -0.1}),
-         "1-gram ('',) has a word that is empty or holds whitespace"),
-        (lambda probs, bows: probs[1].update({("x y",): -0.1}),
-         "1-gram ('x y',) has a word that is empty or holds whitespace"),
-        (lambda probs, bows: probs.pop(2), "the model has no 2-gram table"),
-        (lambda probs, bows: probs[1].clear(), "the model has no 1-grams"),
-    ], ids=["nan_logprob", "inf_backoff", "word_not_a_unigram", "wrong_order", "empty_word",
-            "whitespace_word", "missing_table", "no_unigrams"])
+        ({("b",): (math.nan, 0.0)}, "NaN or +inf in 1-gram 'b'"),
+        ({("a",): (-0.3, math.inf)}, "NaN or +inf in 1-gram 'a'"),
+        ({("a", "zz"): (-0.1, 0.0)}, "2-gram 'a zz' has words that are not 1-grams: 'zz'"),
+        ({("a", "b", "a"): (-0.1, 0.0)}, "3-gram 'a b a' is outside orders 1 to 2"),
+        ({("",): (-0.1, 0.0)}, "1-gram ('',) has a word that is empty or holds whitespace"),
+        ({("x y",): (-0.1, 0.0)}, "1-gram ('x y',) has a word that is empty or holds whitespace"),
+        ({("a",): None, ("b",): None}, "the model has no 1-grams"),
+    ], ids=["nan_logprob", "inf_backoff", "word_not_a_unigram", "too_long", "empty_word",
+            "whitespace_word", "no_unigrams"])
     def test_refused_before_opening(self, tmp_path, edit, message):
         model = good_model()
         write_arpa(model, tmp_path / "good.arpa")
         read_arpa(tmp_path / "good.arpa")
-        edit(model.probs, model.bows)
+        for gram, entry in edit.items():
+            if entry is None:
+                del model.grams[gram]
+            else:
+                model.grams[gram] = entry
         path = tmp_path / "model.arpa"
         path.write_text("already here\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^" + re.escape(message)):
