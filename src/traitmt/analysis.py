@@ -17,56 +17,57 @@ import numpy as np
 WEAK_GAIN = 0.01  # markers with less information gain are flagged weak
 
 
-def _count_entropy(counts, n: int) -> float:
-    """Entropy in bits of n labels with the given per-class counts."""
-    ent = 0.0
-    for count in counts:
-        if count:
-            p = count / n
-            ent -= p * math.log2(p)
-    return ent
-
-
 def discretize_feature(values, labels):
     """Best binary-split threshold by information gain.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values; ties resolve to the smallest threshold.  A constant feature has
-    no threshold (None, gain 0).  One sort, then one sweep that keeps the
-    class counts left of the threshold: O(n log n).
+    values; a value goes left when it is <= the threshold.  A later
+    threshold wins only when its gain beats the best so far by more than
+    1e-15, so ties resolve to the smallest one.  A constant feature has no
+    threshold (None, gain 0).  Non-finite values, and a label count other
+    than the value count, raise ValueError.
+
+    One stable sort, thresholds placed with searchsorted, and the class
+    counts on each side of every threshold from one cumulative sum per
+    class: O(n log n).  An entropy in bits is 0.0 minus p log2 p per class
+    in sorted class order, p = count / size, with log2 from math.log2, so
+    gains do not depend on numpy's log2.
     """
-    values = list(values)
-    labels = list(labels)
-    if len(values) != len(labels):
-        raise ValueError("values and labels must align")
-    distinct = sorted(set(values))
-    if len(distinct) < 2:
+    column = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    n = len(labels)
+    if column.shape != (n,):
+        raise ValueError(f"{column.size} values but {n} labels")
+    if not np.isfinite(column).all():
+        raise ValueError("non-finite feature values")
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    edges = np.flatnonzero(ordered[1:] != ordered[:-1])
+    if not len(edges):
         return None, 0.0
-    n = len(values)
-    class_of = {c: k for k, c in enumerate(sorted(set(labels)))}
-    order = sorted(range(n), key=values.__getitem__)
-    sorted_classes = [class_of[labels[i]] for i in order]
-    sorted_values = [values[i] for i in order]
-    totals = [0] * len(class_of)
-    for k in sorted_classes:
-        totals[k] += 1
-    base = _count_entropy(totals, n)
-    left = [0] * len(class_of)
-    best_gain, best_threshold = -1.0, None
-    split_at = 0
-    for lo, hi in zip(distinct, distinct[1:]):
-        threshold = (lo + hi) / 2.0
-        while split_at < n and sorted_values[split_at] <= threshold:
-            left[sorted_classes[split_at]] += 1
-            split_at += 1
-        right = [t - l for t, l in zip(totals, left)]
-        n_right = n - split_at
-        cond = (split_at * _count_entropy(left, split_at)
-                + n_right * _count_entropy(right, n_right)) / n
-        gain = base - cond
+    thresholds = (ordered[edges] + ordered[edges + 1]) / 2.0
+    left_n = np.searchsorted(ordered, thresholds, side="right")
+    classes = np.array(sorted(set(labels.tolist())))
+    seen = np.zeros((len(classes), n + 1), dtype=np.intp)  # class k among the m smallest
+    np.cumsum(labels[order] == classes[:, None], axis=1, out=seen[:, 1:])
+    left, total = seen[:, left_n], seen[:, n:]
+    # columns: left of each threshold, right of each threshold, all n
+    sizes = np.concatenate([left_n, n - left_n, [n]])
+    counts = np.concatenate([left, total - left, total], axis=1)
+    present = counts > 0
+    p = np.divide(counts, sizes, out=np.zeros(counts.shape), where=present)
+    log2p = np.zeros(counts.shape)
+    log2p[present] = list(map(math.log2, p[present].tolist()))
+    entropy = np.zeros(len(sizes))
+    for terms in p * log2p:
+        entropy -= terms
+    cuts = len(edges)
+    gains = entropy[-1] - (left_n * entropy[:cuts] + (n - left_n) * entropy[cuts:-1]) / n
+    best_gain, best = -1.0, 0
+    for at, gain in enumerate(gains.tolist()):
         if gain > best_gain + 1e-15:
-            best_gain, best_threshold = gain, threshold
-    return best_threshold, max(best_gain, 0.0)
+            best_gain, best = gain, at
+    return float(thresholds[best]), max(best_gain, 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,8 @@ def info_gain_rank(X, labels, feature_names):
 
     Returns MarkerWeight entries sorted by descending gain (ties broken by
     feature name).  class_direction is the class with the higher mean.
+    Non-finite values, and a label count other than the row count, raise
+    ValueError.
     """
     X = np.asarray(X, dtype=float)
     labels = list(labels)
@@ -89,13 +92,15 @@ def info_gain_rank(X, labels, feature_names):
         raise ValueError("empty input")
     if X.shape[1] != len(feature_names):
         raise ValueError("feature_names must match matrix width")
+    if X.shape[0] != len(labels):
+        raise ValueError(f"{X.shape[0]} rows but {len(labels)} labels")
     classes = sorted(set(labels))
     out = []
     label_arr = np.array(labels)
     # contiguous rows, so each mean sums in the same order as X[label_arr == c, j].mean()
     by_class = {c: np.ascontiguousarray(X[label_arr == c].T) for c in classes}
-    for j, (column, name) in enumerate(zip(X.T.tolist(), feature_names)):
-        _, gain = discretize_feature(column, labels)
+    for j, (column, name) in enumerate(zip(np.ascontiguousarray(X.T), feature_names)):
+        _, gain = discretize_feature(column, label_arr)
         means = {c: by_class[c][j].mean() for c in classes}
         direction = max(sorted(means), key=lambda c: means[c])
         out.append(MarkerWeight(name, gain, direction, gain < WEAK_GAIN))

@@ -16,20 +16,23 @@ from itertools import chain
 MAX_ORDER = 4
 
 
-def _ngram_counts(tokens):
+def ngram_counts(tokens):
     """Counts of every n-gram of orders 1..MAX_ORDER, keyed by its tuple;
     zipping n shifted copies of the tokens gives the n-grams of order n."""
     return Counter(chain.from_iterable(zip(*(tokens[k:] for k in range(n)))
                                        for n in range(1, MAX_ORDER + 1)))
 
 
-def sentence_stats(candidate, reference) -> tuple:
-    """The statistics row of one candidate/reference pair."""
+def sentence_stats(candidate, reference, ref_counts=None) -> tuple:
+    """The statistics row of one candidate/reference pair.  ref_counts,
+    when given, must be `ngram_counts(reference)`: a caller scoring many
+    candidates against one reference counts it once."""
     candidate = tuple(candidate)
     reference = tuple(reference)
-    ref_counts = _ngram_counts(reference)
+    if ref_counts is None:
+        ref_counts = ngram_counts(reference)
     matches = [0] * MAX_ORDER
-    for gram, count in _ngram_counts(candidate).items():
+    for gram, count in ngram_counts(candidate).items():
         matches[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
     size = len(candidate)
     totals = [max(size - n + 1, 0) for n in range(1, MAX_ORDER + 1)]

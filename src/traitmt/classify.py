@@ -10,9 +10,14 @@ The solver works on the SVM dual in signed variables beta = y * alpha
 Each step moves the maximal KKT-violating pair (the first-order working
 set selection of Keerthi et al. 2001, WSS1 in Fan, Chen & Lin 2005) along
 beta_i += t, beta_j -= t and clips to the box, so one update rule covers
-both label-sign cases.  Features are min-max scaled to [0,1] with
-statistics from the training set; the scaling is stored on the model and
-applied again at prediction time.
+both label-sign cases.  A step costs one argmax, one argmin and one
+rank-2 update of the gradient over numpy rows; the pair's step and
+clipping are Python float arithmetic, which rounds as numpy's float64
+does.
+
+Features are min-max scaled to [0,1] with statistics from the training
+set; the scaling is stored on the model and applied again at prediction
+time.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ def smo_solve(K, y, C: float, tol: float = 1e-3, max_iter: int = 200000):
     Returns (alpha, b, iterations).  Convergence means the maximal KKT
     violation, the largest g = y - K beta over the variables that can rise
     minus the smallest over those that can fall, dropped to tol or below.
+
+    beta, its box and diag(K) are Python floats, and K's columns are
+    views, not copies.  Which variables can rise (fall) is a
+    penalty row of 0 and -inf (+inf) that changes only at i and j, so
+    g + penalty keeps g's bits where the variable is eligible.
     """
     if not C > 0:
         raise ValueError(f"C must be > 0, got {C}")
@@ -55,20 +65,25 @@ def smo_solve(K, y, C: float, tol: float = 1e-3, max_iter: int = 200000):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    A = np.minimum(0.0, C * y)  # beta's box: A <= beta <= B
-    B = np.maximum(0.0, C * y)
-    can_rise, can_fall = B - _EPS, A + _EPS
-    beta = np.zeros(len(y))
+    lower = np.minimum(0.0, C * y)  # beta's box: lower <= beta <= upper
+    upper = np.maximum(0.0, C * y)
+    can_rise, can_fall = upper - _EPS, lower + _EPS
+    A, B, rise, fall, diag = (v.tolist() for v in (lower, upper, can_rise, can_fall, K.diagonal()))
+    columns = list(K.T)  # columns[j][i] is K[i, j]
+    beta = [0.0] * len(y)
     g = y.copy()  # y - K beta
+    pen_up = np.where(0.0 < can_rise, 0.0, -np.inf)
+    pen_low = np.where(0.0 > can_fall, 0.0, np.inf)
+    g_up, g_low = np.empty(len(y)), np.empty(len(y))
     for iterations in range(1, max_iter + 1):
-        g_up = np.where(beta < can_rise, g, -np.inf)
-        g_low = np.where(beta > can_fall, g, np.inf)
-        i = int(np.argmax(g_up))
-        j = int(np.argmin(g_low))
-        gap = g_up[i] - g_low[j]
+        np.add(g, pen_up, out=g_up)
+        np.add(g, pen_low, out=g_low)
+        i = int(g_up.argmax())
+        j = int(g_low.argmin())
+        gap = g_up.item(i) - g_low.item(j)
         if gap <= tol:
             break
-        quad = K[i, i] + K[j, j] - 2 * K[i, j]
+        quad = diag[i] + diag[j] - 2 * columns[j].item(i)
         if quad <= 0:
             quad = _EPS
         step = gap / quad
@@ -86,7 +101,11 @@ def smo_solve(K, y, C: float, tol: float = 1e-3, max_iter: int = 200000):
                 beta[i], beta[j] = B[i], total - B[i]
         elif beta[j] < A[j]:
             beta[i], beta[j] = total - A[j], A[j]
-        g -= K[:, i] * (beta[i] - old_i) + K[:, j] * (beta[j] - old_j)
+        g -= columns[i] * (beta[i] - old_i) + columns[j] * (beta[j] - old_j)
+        for k in (i, j):
+            pen_up[k] = 0.0 if beta[k] < rise[k] else -np.inf
+            pen_low[k] = 0.0 if beta[k] > fall[k] else np.inf
+    beta = np.array(beta)
     up, low = beta < can_rise, beta > can_fall
     free = up & low
     if free.any():
@@ -196,6 +215,8 @@ def cross_validate(X, labels, folds: int = 10, seed: int = 0) -> EvalReport:
     fitted per training fold; the confusion matrix is pooled over folds."""
     X = np.asarray(X, dtype=float)
     labels = list(labels)
+    if len(labels) != len(X):
+        raise ValueError(f"{len(X)} rows but {len(labels)} labels")
     classes = sorted(set(labels))
     class_index = {c: k for k, c in enumerate(classes)}
     assignment = np.array(stratified_folds(labels, folds, seed))

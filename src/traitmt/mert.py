@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bleu import bleu_from_stats, sentence_stats
+from .bleu import bleu_from_stats, ngram_counts, sentence_stats
 
 MAX_SWEEPS = 20  # coordinate-ascent sweeps per start
 
@@ -194,6 +194,7 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
     weights = np.asarray(initial_weights, dtype=float).copy()
     dim = len(weights)
     pool: list[dict] = [dict() for _ in dev_sentences]
+    ref_counts = [ngram_counts(tuple(ref)) for ref in dev_references]
     best_bleu = -1.0
     for _ in range(iterations):
         grew = False
@@ -201,7 +202,8 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
             for target, features in decode_nbest(sent, weights, nbest_size):
                 if target not in pool[idx]:
                     pool[idx][target] = PoolCandidate(
-                        tuple(target), tuple(features), sentence_stats(target, ref)
+                        tuple(target), tuple(features),
+                        sentence_stats(target, ref, ref_counts[idx]),
                     )
                     grew = True
         stacked = _StackedPool([list(p.values()) for p in pool])

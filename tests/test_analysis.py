@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from traitmt.analysis import (
+    WEAK_GAIN,
     MarkerComparison,
     MarkerWeight,
     discretize_feature,
@@ -42,6 +43,27 @@ def brute_force_best_split(values, labels):
         if gain > best[0] + 1e-15:
             best = (gain, t)
     return best
+
+
+def brute_force_marker(values, labels):
+    """(gain, class_direction) of one column: the gain of every midpoint
+    split, the first one better than the best so far by more than 1e-15
+    winning and a negative best read as 0; the direction is the first of
+    the sorted classes whose values have the highest numpy mean."""
+    distinct = sorted(set(values))
+    base = reference_entropy(labels)
+    best = -1.0
+    for lo, hi in zip(distinct, distinct[1:]):
+        t = (lo + hi) / 2
+        left = [l for v, l in zip(values, labels) if v <= t]
+        right = [l for v, l in zip(values, labels) if v > t]
+        gain = base - (len(left) * reference_entropy(left)
+                       + len(right) * reference_entropy(right)) / len(values)
+        if gain > best + 1e-15:
+            best = gain
+    means = {c: np.array([v for v, l in zip(values, labels) if l == c]).mean()
+             for c in sorted(set(labels))}
+    return max(best, 0.0), max(means, key=means.get)
 
 
 class TestDiscretize:
@@ -158,6 +180,48 @@ class TestInfoGain:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             info_gain_rank(np.zeros((0, 1)), [], ["f0"])
+
+    def test_equals_per_column_brute_force_exactly(self):
+        rng = random.Random(6)
+        for trial in range(40):
+            n = rng.randint(2, 120)
+            classes = "FMU"[:rng.choice([2, 2, 3])]
+            labels = [rng.choice(classes) for _ in range(n)]
+            d = rng.randint(1, 8)
+            columns = []
+            for _ in range(d):
+                kind = rng.random()
+                if kind < 0.2:  # constant: zero, or a value whose class means round differently
+                    columns.append([rng.choice([0.0, 0.1, 1 / 3])] * n)
+                else:  # a few levels, so values tie
+                    levels = rng.randint(2, n + 2)
+                    columns.append([rng.randrange(levels) / levels for _ in range(n)])
+            X = np.array(columns).T
+            names = [f"f{j}" for j in range(d)]
+            got = {m.feature: m for m in info_gain_rank(X, labels, names)}
+            for name, column in zip(names, columns):
+                gain, direction = brute_force_marker(column, labels)
+                marker = got[name]
+                assert (marker.info_gain, marker.class_direction) == (gain, direction), trial
+                assert marker.weak == (gain < WEAK_GAIN)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        X = rng.random((40, 3))
+        X[3, 0] = bad
+        labels = ["M", "F"] * 20
+        with pytest.raises(ValueError, match="non-finite"):
+            info_gain_rank(X, labels, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="non-finite"):
+            discretize_feature(X[:, 0], labels)
+
+    def test_label_count_must_match_rows(self):
+        X = np.random.default_rng(1).random((10, 2))
+        with pytest.raises(ValueError, match="10 rows but 9 labels"):
+            info_gain_rank(X, ["M", "F", "M"] * 3, ["a", "b"])
+        with pytest.raises(ValueError, match="10 values but 11 labels"):
+            discretize_feature(X[:, 0], ["M"] * 11)
 
     def test_csv_export(self):
         markers = [MarkerWeight("fw:also", 0.25, "F", False)]

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from traitmt.bleu import MAX_ORDER, bleu_from_stats, compute_bleu, sentence_stats
+from traitmt.bleu import MAX_ORDER, bleu_from_stats, compute_bleu, ngram_counts, sentence_stats
 
 # the columns of a statistics row
 MATCHES = slice(0, MAX_ORDER)
@@ -121,6 +121,16 @@ class TestStats:
         for cand, ref in [([], []), ([], ["a"]), (["a"], []), (["a", "a", "a"], ["a"]),
                           ("a b a b a b".split(), "a b a b".split())]:
             assert sentence_stats(cand, ref) == reference_sentence_stats(cand, ref)
+
+    def test_precounted_reference_gives_the_same_row(self):
+        rng = random.Random(4)
+        for trial in range(500):
+            vocab = "abcd"[:rng.randint(1, 4)]
+            ref = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+            counts = ngram_counts(tuple(ref))
+            for _ in range(3):
+                cand = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+                assert sentence_stats(cand, ref, counts) == sentence_stats(cand, ref), trial
 
     def test_corpus_equals_pooled_stats(self):
         rng = random.Random(1)

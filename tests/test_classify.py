@@ -308,6 +308,25 @@ class TestSmoCore:
                 capped_without_free += 1
         assert capped_without_free > 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_smo_at_style_size(self, seed):
+        # the stylometry problem's shape: ~200 chunks, 240 min-max scaled
+        # relative frequencies with ties and never-seen features, C = 1
+        rng = np.random.default_rng(100 + seed)
+        n, d = int(rng.integers(190, 216)), 240
+        y = np.where(rng.permutation(n) % 2 == 0, 1.0, -1.0)
+        rates = rng.gamma(0.5, 1.0, size=d) * (rng.random(d) < 0.9)
+        signal = np.where(y[:, None] > 0, 1.0 + 0.3 * rng.normal(size=d), 1.0)
+        X = rng.poisson(5.0 * rates * np.clip(signal, 0.0, None)) / 50.0
+        mins, maxs = scale_fit(X)
+        Xs = scale_apply(X, mins, maxs)
+        K = Xs @ Xs.T
+        alpha, b, iterations = smo_solve(K, y, 1.0, 1e-3)
+        ref_alpha, ref_b, ref_iterations = reference_smo_solve(K, y, 1.0, 1e-3)
+        assert np.array_equal(alpha, ref_alpha)
+        assert (b, iterations) == (ref_b, ref_iterations)
+        assert 100 < iterations < 200000
+
     @pytest.mark.parametrize("K, y, C", [
         # a step from the corner beta_i + beta_j = B_i + A_j whose rounding
         # crosses one bound but not the other: y_i = y_j = +1 ...
@@ -498,6 +517,12 @@ class TestCrossValidate:
     def test_too_few_folds(self):
         with pytest.raises(ValueError):
             cross_validate(np.zeros((4, 1)), ["M", "M", "F", "F"], folds=1)
+
+    @pytest.mark.parametrize("n_labels", [19, 21])
+    def test_label_count_must_match_rows(self, n_labels):
+        labels = (["M", "F"] * 11)[:n_labels]
+        with pytest.raises(ValueError, match=f"20 rows but {n_labels} labels"):
+            cross_validate(np.zeros((20, 2)), labels, folds=2)
 
 
 class TestReportsAndHelpers:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from traitmt import mert
-from traitmt.bleu import bleu_from_stats, sentence_stats
+from traitmt.bleu import bleu_from_stats, ngram_counts, sentence_stats
 from traitmt.mert import (
     PoolCandidate,
     _StackedPool,
@@ -489,6 +489,26 @@ class TestTuning:
         rounds = len(decoded) // len(sentences)
         assert rounds >= 2
         assert stacked == [len(sentences)] * rounds
+
+    def test_each_reference_counted_once_per_call(self, monkeypatch):
+        decode_nbest, sentences, refs = self.toy_system()
+        counted, scored = [], []
+
+        def counting_ngrams(tokens):
+            counted.append(tuple(tokens))
+            return ngram_counts(tokens)
+
+        def counting_stats(candidate, reference, ref_counts=None):
+            scored.append(ref_counts)
+            return sentence_stats(candidate, reference, ref_counts)
+
+        monkeypatch.setattr(mert, "ngram_counts", counting_ngrams)
+        monkeypatch.setattr(mert, "sentence_stats", counting_stats)
+        tune_weights(decode_nbest, sentences, refs, np.array([1.0, -2.0]), iterations=3,
+                     nbest_size=10, restarts=2, seed=0)
+        assert counted == [tuple(r) for r in refs]
+        assert len(scored) > len(refs)
+        assert all(counts is not None for counts in scored)
 
     def test_coordinate_ascent_never_decreases(self):
         rng = random.Random(3)
