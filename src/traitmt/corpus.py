@@ -60,9 +60,17 @@ class Corpus:
         return iter(self.pairs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TokenizedSentence:
     tokens: tuple[str, ...]
+
+    def __init__(self, tokens):
+        # the slot's own setter: a frozen dataclass's generated __init__
+        # goes through object.__setattr__, which costs more per record
+        _set_tokens(self, tokens)
+
+
+_set_tokens = TokenizedSentence.tokens.__set__
 
 
 @dataclass(frozen=True)
@@ -221,9 +229,13 @@ _FR_ELISION_RE = re.compile(
 
 
 _PUNCT = re.escape("".join(sorted(_SPLIT_PUNCT)))
-# A token is a run of two or more dots, one other split character, or a
-# whitespace chunk's core: from its first to its last character not split off.
-_TOKEN_RE = re.compile(rf"\.{{2,}}|[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
+# A token is a whitespace chunk's core, a run of two or more dots, or one
+# other split character.  The core runs from the chunk's first to its last
+# character not split off: runs of such characters joined by runs of split
+# ones, so the match never backtracks.  A core starts with a character no
+# other alternative starts with, so the order of the alternatives cannot
+# change a match.
+_TOKEN_RE = re.compile(rf"[^\s{_PUNCT}]+(?:[{_PUNCT}]+[^\s{_PUNCT}]+)*|\.{{2,}}|[{_PUNCT}]")
 
 
 def tokenize(s: str, lang: str = "en") -> TokenizedSentence:

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -41,19 +41,25 @@ _PAD_START = (BOUNDARY_START, BOUNDARY_START)
 _PAD_END = (BOUNDARY_END, BOUNDARY_END)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TaggedSentence:
     tokens: tuple[str, ...]
     tags: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.tokens) != len(self.tags):
-            raise ValueError(
-                f"token/tag length mismatch: {len(self.tokens)} vs {len(self.tags)}"
-            )
+    def __init__(self, tokens, tags):
+        if len(tokens) != len(tags):
+            raise ValueError(f"token/tag length mismatch: {len(tokens)} vs {len(tags)}")
+        # the slots' own setters: a frozen dataclass's generated __init__
+        # goes through object.__setattr__, which costs more per record
+        _set_tokens(self, tokens)
+        _set_tags(self, tags)
 
     def __len__(self):
         return len(self.tokens)
+
+
+_set_tokens = TaggedSentence.tokens.__set__
+_set_tags = TaggedSentence.tags.__set__
 
 
 class TaggerModel:
@@ -103,10 +109,11 @@ class TaggerModel:
         return self._argmax(self.global_tags)
 
     def tag(self, tokens) -> TaggedSentence:
-        if not self.trained:
-            raise RuntimeError("tagger model is untrained")
         toks = tuple(tokens)
         memo = self._memo
+        # only a trained model fills the memo, so only an empty one is checked
+        if not memo and not self.trained:
+            raise RuntimeError("tagger model is untrained")
         try:
             tags = tuple(map(memo.__getitem__, toks))
         except KeyError:
@@ -145,11 +152,13 @@ class Chunk:
         tag_seqs = [s.tags for s in self.sentences]
         tags = tuple(sorted({BOUNDARY_START, BOUNDARY_END}.union(*tag_seqs)))
         index = {t: i for i, t in enumerate(tags)}
-        lengths = np.fromiter(map(len, tag_seqs), dtype=np.int64, count=len(tag_seqs)) + 4
-        padded = chain.from_iterable(chain.from_iterable(
-            zip(repeat(_PAD_START), tag_seqs, repeat(_PAD_END))))
-        ids = np.fromiter(map(index.__getitem__, padded), dtype=np.int64, count=int(lengths.sum()))
-        ends = np.cumsum(lengths)
+        padded = []
+        for seq in tag_seqs:
+            padded += _PAD_START
+            padded += seq
+            padded += _PAD_END
+        ids = np.fromiter(map(index.__getitem__, padded), dtype=np.int64, count=len(padded))
+        ends = np.cumsum(np.fromiter(map(len, tag_seqs), dtype=np.int64, count=len(tag_seqs)) + 4)
         width = len(tags)
         codes = (ids[:-2] * width + ids[1:-1]) * width + ids[2:]
         # the last two windows of each padded sentence but the last reach into the next
@@ -166,14 +175,17 @@ def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
 
     A chunk closes at the first sentence boundary at or past `target`
     cumulative tokens; a trailing chunk under target*min_fraction is
-    discarded.  No sentence is split or repeated.
+    discarded.  No sentence is split or repeated.  A target under 1 raises
+    ValueError: it would make a chunk of every sentence, empty ones too.
     """
+    if target < 1:
+        raise ValueError(f"target must be >= 1, got {target}")
     chunks: list[Chunk] = []
     current: list[TaggedSentence] = []
     count = 0
     for sent in sentences:
         current.append(sent)
-        count += len(sent)
+        count += len(sent.tokens)
         if count >= target:
             chunks.append(Chunk(current, label, status, language))
             current, count = [], 0
@@ -213,6 +225,13 @@ class FeatureSpace:
     @cached_property
     def fw_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.function_words)}
+
+    @cached_property
+    def _token_columns(self) -> dict[str, int]:
+        """Each token vectorize_chunk has met, as its function-word column
+        or, for any other token, fw_dimension.  Filled as chunks bring new
+        tokens, so each distinct token is lowercased once per space."""
+        return {}
 
     @cached_property
     def _trigram_codes(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
@@ -288,13 +307,20 @@ def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     n = chunk.token_count
     if n == 0:
         raise ValueError("cannot vectorize an empty chunk")
-    fw_index = space.fw_index
+    tokens = list(chain.from_iterable([s.tokens for s in chunk.sentences]))
+    fw = space.fw_dimension
+    memo = space._token_columns
+    try:
+        ids = np.fromiter(map(memo.__getitem__, tokens), dtype=np.intp, count=n)
+    except KeyError:
+        fw_index = space.fw_index
+        for token in tokens:
+            if token not in memo:
+                memo[token] = fw_index.get(token.lower(), fw)
+        ids = np.fromiter(map(memo.__getitem__, tokens), dtype=np.intp, count=n)
     row = np.zeros(space.dimension)
-    # each distinct token is lowercased once
-    for word, count in Counter(chain.from_iterable([s.tokens for s in chunk.sentences])).items():
-        i = fw_index.get(word.lower())
-        if i is not None:
-            row[i] += count
+    # column fw gathers every other token and is cut off
+    row[:fw] = np.bincount(ids, minlength=fw + 1)[:fw]
     chunk_tags, codes, counts = chunk.pos_trigram_counts
     index, space_codes, columns = space._trigram_codes
     spare = len(index)
@@ -325,7 +351,7 @@ def load_function_words(path):
 
 
 def default_function_words(lang: str):
-    """Vendored per-language lists (en, fr, de)."""
+    """Vendored per-language lists (en, fr)."""
     name = f"fw_{lang}.txt"
     ref = resources.files("traitmt.data").joinpath(name)
     if not ref.is_file():

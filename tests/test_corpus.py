@@ -239,6 +239,17 @@ class TestTokenize:
     def test_ellipsis_kept_whole(self):
         assert list(tokenize("wait... what").tokens) == ["wait", "...", "what"]
 
+    @pytest.mark.parametrize("text, lang, expected", [
+        ("U.S.A.", "en", ("U.S.A", ".")),
+        ("a,,b", "en", ("a,,b",)),
+        ("(a)b)", "en", ("(", "a)b", ")")),
+        ("x...y", "en", ("x...y",)),
+        ("...", "en", ("...",)),
+        ("l'homme.", "fr", ("l'", "homme", ".")),
+    ])
+    def test_interior_punctuation_and_dot_runs(self, text, lang, expected):
+        assert tokenize(text, lang).tokens == expected == reference_tokenize(text, lang)
+
     def test_no_empty_tokens_and_fixpoint(self):
         rng = random.Random(11)
         pieces = ["Hello,", "world.", "(l'air)", "qu'est-ce", '"quote"', "...", "a.b", "x!?"]
@@ -288,3 +299,10 @@ class TestRecords:
             dataclasses.replace(make_pair(), gender="X")
         with pytest.raises(dataclasses.FrozenInstanceError):
             make_pair().gender = "F"
+
+    def test_tokenized_sentence_is_frozen(self):
+        sentence = TokenizedSentence(("l'", "homme"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sentence.tokens = ("x",)
+        assert dataclasses.replace(sentence, tokens=("x",)) == TokenizedSentence(("x",))
+        assert TokenizedSentence(tokens=("l'", "homme")) == sentence

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -114,6 +115,17 @@ class TestTagger:
         assert not hasattr(tagged, "__dict__")
         assert pickle.loads(pickle.dumps(tagged)) == tagged
 
+    def test_tagged_sentence_is_frozen_and_length_checked(self):
+        tagged = sent("the dog", "D N")
+        for field in ("tokens", "tags"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tagged, field, ("x",))
+        assert dataclasses.replace(tagged, tags=("N", "V")) == sent("the dog", "N V")
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 1"):
+            dataclasses.replace(tagged, tags=("N",))
+        with pytest.raises(ValueError, match="length mismatch: 1 vs 2"):
+            TaggedSentence(("the",), ("D", "N"))
+
     def test_training_after_tagging_changes_tags(self):
         model = self.train_model()
         assert model.tag(["dog", "slowly"]).tags == ("N", "ADV")
@@ -121,8 +133,12 @@ class TestTagger:
         assert model.tag(["dog", "slowly"]).tags == ("V", "ADJ")
 
     def test_untrained_model_rejected(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="untrained"):
             TaggerModel().tag(["word"])
+        with pytest.raises(RuntimeError, match="untrained"):
+            TaggerModel().tag(())
+        with pytest.raises(RuntimeError, match="untrained"):
+            TaggerModel().train([]).tag(())
 
 
 class TestChunking:
@@ -152,6 +168,13 @@ class TestChunking:
         chunks = chunk_corpus(sents, target=300)
         flat = [s for c in chunks for s in c.sentences]
         assert flat == sents[: len(flat)]
+
+    @pytest.mark.parametrize("target", [0, -5])
+    def test_target_below_one_rejected(self, target):
+        # at target 0 every sentence would close a chunk, the empty one too
+        sents = [sent("a b"), sent(""), sent("c")]
+        with pytest.raises(ValueError, match="target"):
+            chunk_corpus(sents, target=target)
 
     def test_size_bounds(self):
         rng = random.Random(2)
@@ -414,7 +437,7 @@ class TestIo:
         assert load_function_words(p) == ["the", "of", "and"]
 
     def test_vendored_lists(self):
-        for lang in ("en", "fr", "de"):
+        for lang in ("en", "fr"):
             words = default_function_words(lang)
             assert len(words) > 100
         with pytest.raises(ValueError):
