@@ -90,11 +90,29 @@ class CleanReport:
     removed_ratio: int = 0
 
 
+# the only session_date form save_corpus writes; date.fromisoformat alone
+# would also take "20240115" or "2024-W03-1" on some Python versions
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_date(s: str) -> datetime.date:
+    if not _DATE_RE.fullmatch(s):
+        raise ValueError(s)
+    return datetime.date(int(s[:4]), int(s[5:7]), int(s[8:]))
+
+
 def load_corpus(path) -> tuple[Corpus, list[RowError]]:
     """Parse an annotated-corpus TSV file.
 
     Malformed rows are collected as RowError values (with the 1-based line
-    number) rather than silently dropped.  Returns (corpus, errors).
+    number) rather than silently dropped.  Returns (corpus, errors).  A
+    session_date must be YYYY-MM-DD in ASCII digits, as save_corpus writes
+    it.
+
+    Each repeated value is stored once: the rows of one speaker share one
+    interned speaker_id string, every row shares the first row's language
+    string, and each distinct session_date string is parsed into one date
+    object.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -110,6 +128,7 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
     pairs: list[AnnotatedSentencePair] = []
     errors: list[RowError] = []
     src_lang = tgt_lang = None
+    dates: dict[str, datetime.date] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cols = line.split("\t")
         if len(cols) != len(TSV_COLUMNS):
@@ -119,11 +138,13 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
         if gender not in GENDERS:
             errors.append(RowError(lineno, f"invalid gender {gender!r}"))
             continue
-        try:
-            date = datetime.date.fromisoformat(date_s)
-        except ValueError:
-            errors.append(RowError(lineno, f"invalid session_date {date_s!r}"))
-            continue
+        date = dates.get(date_s)
+        if date is None:
+            try:
+                date = dates[date_s] = _parse_date(date_s)
+            except ValueError:
+                errors.append(RowError(lineno, f"invalid session_date {date_s!r}"))
+                continue
         age = None
         if age_s != "":
             try:
@@ -142,8 +163,8 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
             AnnotatedSentencePair(
                 source_text=src,
                 target_text=tgt,
-                speaker_id=speaker,
-                original_language=sl,
+                speaker_id=sys.intern(speaker),
+                original_language=src_lang,
                 session_date=date,
                 gender=gender,
                 age=age,

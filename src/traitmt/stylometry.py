@@ -71,7 +71,9 @@ class TaggerModel:
     tie-breaks are lexicographic on the tag, so tagging is deterministic.
 
     tag_token is the rule; tag memoizes its answer per token, and train
-    clears the memo, so more training changes later answers.
+    clears the memo, so more training changes later answers.  tag returns
+    one shared tags tuple per distinct tag sequence, so a corpus holds each
+    sequence once; train clears those too.
     """
 
     def __init__(self):
@@ -79,6 +81,7 @@ class TaggerModel:
         self.suffix_tags: dict[str, Counter] = {}
         self.global_tags: Counter = Counter()
         self._memo: dict[str, str] = {}
+        self._tag_seqs: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     @property
     def trained(self) -> bool:
@@ -86,6 +89,7 @@ class TaggerModel:
 
     def train(self, sentences) -> "TaggerModel":
         self._memo.clear()
+        self._tag_seqs.clear()
         for sent in sentences:
             for token, tag in zip(sent.tokens, sent.tags):
                 self.token_tags.setdefault(token, Counter())[tag] += 1
@@ -121,7 +125,7 @@ class TaggerModel:
                 if token not in memo:
                     memo[token] = self.tag_token(token)
             tags = tuple(map(memo.__getitem__, toks))
-        return TaggedSentence(toks, tags)
+        return TaggedSentence(toks, self._tag_seqs.setdefault(tags, tags))
 
 
 @dataclass
@@ -174,9 +178,10 @@ def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
     """Greedy chunking respecting sentence boundaries.
 
     A chunk closes at the first sentence boundary at or past `target`
-    cumulative tokens; a trailing chunk under target*min_fraction is
-    discarded.  No sentence is split or repeated.  A target under 1 raises
-    ValueError: it would make a chunk of every sentence, empty ones too.
+    cumulative tokens; a trailing chunk under target*min_fraction, or
+    holding no token, is discarded.  No sentence is split or repeated.  A
+    target under 1 raises ValueError: it would make a chunk of every
+    sentence, empty ones too.
     """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
@@ -189,7 +194,7 @@ def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
         if count >= target:
             chunks.append(Chunk(current, label, status, language))
             current, count = [], 0
-    if current and count >= target * min_fraction:
+    if count > 0 and count >= target * min_fraction:
         chunks.append(Chunk(current, label, status, language))
     return chunks
 

@@ -13,6 +13,7 @@ from traitmt.corpus import (
     AnnotatedSentencePair,
     Corpus,
     CorpusFormatError,
+    RowError,
     TokenizedSentence,
     clean_corpus,
     load_corpus,
@@ -137,6 +138,61 @@ class TestLoadCorpus:
         p.write_text(HEADER + "\nen\tfr\ts1\tM\t45\tnot-a-date\thello\tbonjour\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
         assert len(corpus) == 0 and len(errors) == 1
+
+    @pytest.mark.parametrize("date_s, expected", [
+        ("2024-01-15", datetime.date(2024, 1, 15)),
+        ("2024-02-29", datetime.date(2024, 2, 29)),
+        ("0001-01-01", datetime.date(1, 1, 1)),
+        ("9999-12-31", datetime.date(9999, 12, 31)),
+        # only YYYY-MM-DD in ASCII digits, the form save_corpus writes;
+        # date.fromisoformat takes some of these on one Python and not another
+        ("20240115", None),
+        ("2024-W03-1", None),
+        ("2024-W03", None),
+        ("2024-015", None),
+        ("2024-01-15T00:00", None),
+        ("2024-01-15 ", None),
+        (" 2024-01-15", None),
+        ("2024-1-15", None),
+        ("2024/01/15", None),
+        ("+2024-01-15", None),
+        ("\uff12\uff10\uff12\uff14-01-15", None),
+        ("\u0662\u0660\u0662\u0664-01-15", None),
+        ("2024-02-30", None),
+        ("2024-13-01", None),
+        ("0000-01-01", None),
+        ("", None),
+    ])
+    def test_session_date_is_exactly_iso_calendar_date(self, tmp_path, date_s, expected):
+        # the date appears twice: a parsed date is reused, a bad one is reported per row
+        p = tmp_path / "c.tsv"
+        rows = [f"en\tfr\ts1\tM\t45\t{date_s}\thello\tbonjour"] * 2 + [
+            "en\tfr\ts2\tF\t30\t2005-06-02\tbye\tau revoir"]
+        p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        corpus, errors = load_corpus(p)
+        if expected is None:
+            assert errors == [RowError(n, f"invalid session_date {date_s!r}") for n in (2, 3)]
+            assert [q.speaker_id for q in corpus.pairs] == ["s2"]
+        else:
+            assert errors == []
+            assert corpus.pairs[0].session_date == expected
+
+    def test_repeated_values_are_stored_once(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        speakers = ["s1", "s2", "s1", "s3", "s2", "s1"]
+        dates = ["2005-06-01", "2005-06-02", "2005-06-01", "2005-06-01", "2005-06-02", "2005-06-03"]
+        rows = [f"en\tfr\t{sp}\tM\t45\t{d}\ttext {i}\ttexte {i}"
+                for i, (sp, d) in enumerate(zip(speakers, dates))]
+        p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        corpus, errors = load_corpus(p)
+        assert errors == []
+        assert [(q.speaker_id, q.session_date.isoformat(), q.original_language, q.source_text)
+                for q in corpus.pairs] == [
+            (sp, d, "en", f"text {i}") for i, (sp, d) in enumerate(zip(speakers, dates))]
+        assert len({id(q.speaker_id) for q in corpus.pairs}) == 3
+        assert len({id(q.session_date) for q in corpus.pairs}) == 3
+        assert len({id(q.original_language) for q in corpus.pairs}) == 1
+        assert corpus.pairs[0].original_language is corpus.source_lang
 
     def test_round_trip_identity(self, tmp_path):
         pairs = [

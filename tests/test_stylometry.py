@@ -105,6 +105,16 @@ class TestTagger:
         for _ in range(2):  # the second pass reads the memo
             assert model.tag(tokens).tags == tuple(model.tag_token(t) for t in tokens)
 
+    def test_equal_tag_sequences_share_one_tuple(self):
+        model = self.train_model()
+        first = model.tag(("the", "dog", "runs"))
+        again = model.tag(["the", "dogs", "run"])
+        other = model.tag(("dog", "bites", "zzz"))
+        assert first.tags == again.tags == tuple(map(model.tag_token, ("the", "dog", "runs")))
+        assert again.tags is first.tags
+        assert other.tags == tuple(map(model.tag_token, ("dog", "bites", "zzz")))
+        assert other.tags is not first.tags
+
     def test_tag_keeps_the_token_tuple(self):
         model = self.train_model()
         tokens = ("the", "dog", "zzz")
@@ -130,7 +140,9 @@ class TestTagger:
         model = self.train_model()
         assert model.tag(["dog", "slowly"]).tags == ("N", "ADV")
         model.train([sent("dog dog dog slowly", "V V V ADJ")] * 2)
-        assert model.tag(["dog", "slowly"]).tags == ("V", "ADJ")
+        retagged = model.tag(["dog", "slowly"])
+        assert retagged.tags == ("V", "ADJ")
+        assert model.tag(("dog", "slowly")).tags is retagged.tags
 
     def test_untrained_model_rejected(self):
         with pytest.raises(RuntimeError, match="untrained"):
@@ -175,6 +187,14 @@ class TestChunking:
         sents = [sent("a b"), sent(""), sent("c")]
         with pytest.raises(ValueError, match="target"):
             chunk_corpus(sents, target=target)
+
+    def test_trailing_chunk_without_tokens_discarded(self):
+        # at min_fraction 0 a trailing chunk of empty sentences would pass the size test
+        chunks = chunk_corpus([sent("a"), sent("")], target=1, min_fraction=0)
+        assert [c.token_count for c in chunks] == [1]
+        assert chunk_corpus([sent(""), sent("")], target=1, min_fraction=0) == []
+        chunks = chunk_corpus([sent("a b"), sent(""), sent("c")], target=2, min_fraction=0)
+        assert [c.token_count for c in chunks] == [2, 1]
 
     def test_size_bounds(self):
         rng = random.Random(2)
