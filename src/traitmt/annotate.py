@@ -23,6 +23,8 @@ import datetime
 import json
 from dataclasses import dataclass
 
+from .corpus import parse_iso_date
+
 KNOWLEDGE_BASE = "knowledge_base"
 NAME_SERVICE = "name_service"
 IMAGE_SERVICE = "image_service"
@@ -172,7 +174,8 @@ def save_speaker_records(records, path) -> None:
 
 def load_speaker_records(path):
     """Inverse of save_speaker_records; a bad header or row raises
-    ValueError naming `path:line`."""
+    ValueError naming `path:line`.  A birth_date is empty or YYYY-MM-DD in
+    ASCII digits, read by corpus.parse_iso_date as session_date is."""
     records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -182,7 +185,7 @@ def load_speaker_records(path):
         for row in reader:
             try:
                 speaker_id, name, country, birth_s, gender, provenance = row
-                birth = datetime.date.fromisoformat(birth_s) if birth_s else None
+                birth = parse_iso_date(birth_s) if birth_s else None
                 records.append(SpeakerRecord(speaker_id, name, country, birth, gender, provenance))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad speaker row: {exc}") from None

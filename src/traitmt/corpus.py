@@ -90,14 +90,16 @@ class CleanReport:
     removed_ratio: int = 0
 
 
-# the only session_date form save_corpus writes; date.fromisoformat alone
-# would also take "20240115" or "2024-W03-1" on some Python versions
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _parse_date(s: str) -> datetime.date:
+def parse_iso_date(s: str) -> datetime.date:
+    """The date written as YYYY-MM-DD in ASCII digits, the form
+    date.isoformat gives and every file of this package stores; any other
+    string raises ValueError.  date.fromisoformat alone would also take
+    "20240115" or "2024-W03-1" on Python 3.11+ but not on 3.10."""
     if not _DATE_RE.fullmatch(s):
-        raise ValueError(s)
+        raise ValueError(f"not a YYYY-MM-DD date: {s!r}")
     return datetime.date(int(s[:4]), int(s[5:7]), int(s[8:]))
 
 
@@ -107,7 +109,7 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
     Malformed rows are collected as RowError values (with the 1-based line
     number) rather than silently dropped.  Returns (corpus, errors).  A
     session_date must be YYYY-MM-DD in ASCII digits, as save_corpus writes
-    it.
+    it (parse_iso_date).
 
     Each repeated value is stored once: the rows of one speaker share one
     interned speaker_id string, every row shares the first row's language
@@ -141,7 +143,7 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
         date = dates.get(date_s)
         if date is None:
             try:
-                date = dates[date_s] = _parse_date(date_s)
+                date = dates[date_s] = parse_iso_date(date_s)
             except ValueError:
                 errors.append(RowError(lineno, f"invalid session_date {date_s!r}"))
                 continue

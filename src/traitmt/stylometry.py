@@ -71,9 +71,7 @@ class TaggerModel:
     tie-breaks are lexicographic on the tag, so tagging is deterministic.
 
     tag_token is the rule; tag memoizes its answer per token, and train
-    clears the memo, so more training changes later answers.  tag returns
-    one shared tags tuple per distinct tag sequence, so a corpus holds each
-    sequence once; train clears those too.
+    clears the memo, so more training changes later answers.
     """
 
     def __init__(self):
@@ -81,7 +79,6 @@ class TaggerModel:
         self.suffix_tags: dict[str, Counter] = {}
         self.global_tags: Counter = Counter()
         self._memo: dict[str, str] = {}
-        self._tag_seqs: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     @property
     def trained(self) -> bool:
@@ -89,7 +86,6 @@ class TaggerModel:
 
     def train(self, sentences) -> "TaggerModel":
         self._memo.clear()
-        self._tag_seqs.clear()
         for sent in sentences:
             for token, tag in zip(sent.tokens, sent.tags):
                 self.token_tags.setdefault(token, Counter())[tag] += 1
@@ -125,7 +121,7 @@ class TaggerModel:
                 if token not in memo:
                     memo[token] = self.tag_token(token)
             tags = tuple(map(memo.__getitem__, toks))
-        return TaggedSentence(toks, self._tag_seqs.setdefault(tags, tags))
+        return TaggedSentence(toks, tags)
 
 
 @dataclass

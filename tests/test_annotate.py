@@ -179,6 +179,19 @@ class TestFixtures:
         with pytest.raises(ValueError, match=pattern):
             load_speaker_records(p)
 
+    @pytest.mark.parametrize("birth_s", [
+        # the session_date rule of load_corpus: only YYYY-MM-DD in ASCII digits
+        "19600229", "1960-W09-1", "1960-060", "1960-02-29T00:00", " 1960-02-29", "1960-2-29",
+    ])
+    def test_birth_date_is_exactly_iso_calendar_date(self, tmp_path, birth_s):
+        p = tmp_path / "speakers.csv"
+        save_speaker_records([SpeakerRecord("s1", birth_date=datetime.date(1960, 2, 29))], p)
+        assert load_speaker_records(p)[0].birth_date == datetime.date(1960, 2, 29)
+        p.write_text(p.read_text(encoding="utf-8") + f"s2,Y,FR,{birth_s},F,manual\n", encoding="utf-8")
+        pattern = rf"^{re.escape(str(p))}:3: bad speaker row: not a YYYY-MM-DD date: {re.escape(repr(birth_s))}$"
+        with pytest.raises(ValueError, match=pattern):
+            load_speaker_records(p)
+
     def test_empty_speaker_file_named(self, tmp_path):
         p = tmp_path / "speakers.csv"
         p.write_text("", encoding="utf-8")
