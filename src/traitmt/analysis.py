@@ -78,15 +78,23 @@ class MarkerWeight:
     weak: bool
 
 
+def _matrix(X):
+    """X as a float array, which must be 2-D."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    return X
+
+
 def info_gain_rank(X, labels, feature_names):
     """Rank features by information gain of their best binary split.
 
     Returns MarkerWeight entries sorted by descending gain (ties broken by
     feature name).  class_direction is the class with the higher mean.
-    Non-finite values, and a label count other than the row count, raise
-    ValueError.
+    A matrix that is not 2-D, non-finite values, and a label count other
+    than the row count, raise ValueError.
     """
-    X = np.asarray(X, dtype=float)
+    X = _matrix(X)
     labels = list(labels)
     if X.size == 0 or not labels:
         raise ValueError("empty input")
@@ -121,8 +129,8 @@ class Projection2D:
 def pca_project(X, genders, statuses) -> Projection2D:
     """Mean-centred PCA onto the two leading eigenvectors of the sample
     covariance.  Sign convention: the largest-magnitude entry of each
-    component is positive."""
-    X = np.asarray(X, dtype=float)
+    component is positive.  A matrix that is not 2-D raises ValueError."""
+    X = _matrix(X)
     n, d = X.shape
     if d < 2:
         raise ValueError(f"need at least 2 features, got {d}")

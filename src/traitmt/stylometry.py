@@ -4,13 +4,18 @@ and POS-trigram features normalized by chunk length.
 The tagger is a deliberately simple baseline (per-token majority tag with a
 suffix fallback).
 
+A chunk is a fixed summary of its sentences, made when the chunk is: its
+token count, its distinct words with their counts, and its POS-trigram
+counts.  It keeps no sentence, so tagged text can be let go of once it is
+chunked.
+
 POS trigrams are counted as integer codes, never as tuples: over a sorted
 tag list of length W, the trigram (a, b, c) is (a*W + b)*W + c, each tag
 standing for its position in the list.  Since the list is sorted, the codes
-sort as the trigrams do.  Each chunk counts its own trigrams once
-(Chunk.pos_trigram_counts); build_feature_space moves every chunk's codes
-onto one tag list to sum them, and vectorize_chunk moves them onto the
-feature space's.
+sort as the trigrams do.  Each chunk counts its own trigrams once, when it
+is made (Chunk.pos_trigram_counts); build_feature_space moves every chunk's
+codes onto one tag list to sum them, and vectorize_chunk moves them onto
+the feature space's.
 """
 
 from __future__ import annotations
@@ -124,49 +129,65 @@ class TaggerModel:
         return TaggedSentence(toks, tags)
 
 
-@dataclass
-class Chunk:
-    """Consecutive tagged sentences of one label and text variant.
+def _count_pos_trigrams(tag_seqs) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Chunk.pos_trigram_counts of a chunk with the given tag sequences."""
+    tags = tuple(sorted({BOUNDARY_START, BOUNDARY_END}.union(*tag_seqs)))
+    index = {t: i for i, t in enumerate(tags)}
+    padded = []
+    for seq in tag_seqs:
+        padded += _PAD_START
+        padded += seq
+        padded += _PAD_END
+    ids = np.fromiter(map(index.__getitem__, padded), dtype=np.int64, count=len(padded))
+    ends = np.cumsum(np.fromiter(map(len, tag_seqs), dtype=np.int64, count=len(tag_seqs)) + 4)
+    width = len(tags)
+    codes = (ids[:-2] * width + ids[1:-1]) * width + ids[2:]
+    # the last two windows of each padded sentence but the last reach into the next
+    keep = np.ones(len(codes), dtype=bool)
+    keep[ends[:-1] - 2] = False
+    keep[ends[:-1] - 1] = False
+    codes, counts = np.unique(codes[keep], return_counts=True)
+    return tags, codes, counts
 
-    For its POS trigrams each sentence is padded with two BOUNDARY_START
-    and two BOUNDARY_END tags; no trigram runs into the next sentence.
+
+@dataclass(init=False, eq=False)
+class Chunk:
+    """The counts of consecutive tagged sentences of one label and text
+    variant, all that build_feature_space and vectorize_chunk read.
+
+    Made in one pass over `sentences`, which may be a one-shot iterator;
+    the chunk keeps no sentence, token tuple or tag tuple.  It holds:
+    - token_count, the number of tokens;
+    - words, each distinct token in the order of its first occurrence,
+      and word_counts, how often each occurs (int64);
+    - pos_trigram_counts, (tags, codes, counts): the chunk's sorted tag
+      set with both boundaries, its distinct POS-trigram codes over it in
+      ascending order (int64), and how often each occurs.  For its POS
+      trigrams each sentence is padded with two BOUNDARY_START and two
+      BOUNDARY_END tags; no trigram runs into the next sentence.
     """
 
-    sentences: list[TaggedSentence]
+    token_count: int
+    words: tuple[str, ...]
+    word_counts: np.ndarray
+    pos_trigram_counts: tuple[tuple[str, ...], np.ndarray, np.ndarray]
     label: str
     status: str
     language: str
 
-    @property
-    def token_count(self) -> int:
-        return sum(len(s.tokens) for s in self.sentences)
-
-    @cached_property
-    def pos_trigram_counts(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """(tags, codes, counts) of the padded POS trigrams of every
-        sentence: the chunk's sorted tag set with both boundaries, the
-        distinct trigram codes over it in ascending order (int64), and how
-        often each occurs.  Made once per chunk for the feature space and
-        the chunk's vector; the sentences must not change after the first
-        read."""
-        tag_seqs = [s.tags for s in self.sentences]
-        tags = tuple(sorted({BOUNDARY_START, BOUNDARY_END}.union(*tag_seqs)))
-        index = {t: i for i, t in enumerate(tags)}
-        padded = []
-        for seq in tag_seqs:
-            padded += _PAD_START
-            padded += seq
-            padded += _PAD_END
-        ids = np.fromiter(map(index.__getitem__, padded), dtype=np.int64, count=len(padded))
-        ends = np.cumsum(np.fromiter(map(len, tag_seqs), dtype=np.int64, count=len(tag_seqs)) + 4)
-        width = len(tags)
-        codes = (ids[:-2] * width + ids[1:-1]) * width + ids[2:]
-        # the last two windows of each padded sentence but the last reach into the next
-        keep = np.ones(len(codes), dtype=bool)
-        keep[ends[:-1] - 2] = False
-        keep[ends[:-1] - 1] = False
-        codes, counts = np.unique(codes[keep], return_counts=True)
-        return tags, codes, counts
+    def __init__(self, sentences, label, status, language):
+        token_seqs, tag_seqs = [], []
+        for sent in sentences:
+            token_seqs.append(sent.tokens)
+            tag_seqs.append(sent.tags)
+        words = Counter(chain.from_iterable(token_seqs))
+        self.token_count = sum(map(len, token_seqs))
+        self.words = tuple(words)
+        self.word_counts = np.fromiter(words.values(), dtype=np.int64, count=len(words))
+        self.pos_trigram_counts = _count_pos_trigrams(tag_seqs)
+        self.label = label
+        self.status = status
+        self.language = language
 
 
 def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
@@ -302,26 +323,29 @@ class FeatureVector:
 def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     """Raw feature counts divided by the chunk's token count, as one row.
 
-    Function-word matching is case-insensitive; the trigram counts are the
-    chunk's pos_trigram_counts, the same counts build_feature_space sums.
+    Reads only the chunk's counts: function words are matched
+    case-insensitively over its distinct words, each weighted by its count,
+    and the trigram counts are its pos_trigram_counts, the same counts
+    build_feature_space sums.
     """
     n = chunk.token_count
     if n == 0:
         raise ValueError("cannot vectorize an empty chunk")
-    tokens = list(chain.from_iterable([s.tokens for s in chunk.sentences]))
+    words = chunk.words
     fw = space.fw_dimension
     memo = space._token_columns
     try:
-        ids = np.fromiter(map(memo.__getitem__, tokens), dtype=np.intp, count=n)
+        ids = np.fromiter(map(memo.__getitem__, words), dtype=np.intp, count=len(words))
     except KeyError:
         fw_index = space.fw_index
-        for token in tokens:
+        for token in words:
             if token not in memo:
                 memo[token] = fw_index.get(token.lower(), fw)
-        ids = np.fromiter(map(memo.__getitem__, tokens), dtype=np.intp, count=n)
+        ids = np.fromiter(map(memo.__getitem__, words), dtype=np.intp, count=len(words))
     row = np.zeros(space.dimension)
-    # column fw gathers every other token and is cut off
-    row[:fw] = np.bincount(ids, minlength=fw + 1)[:fw]
+    # column fw gathers every other word and is cut off; integer counts sum
+    # exactly in float64
+    row[:fw] = np.bincount(ids, weights=chunk.word_counts, minlength=fw + 1)[:fw]
     chunk_tags, codes, counts = chunk.pos_trigram_counts
     index, space_codes, columns = space._trigram_codes
     spare = len(index)

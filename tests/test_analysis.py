@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,11 @@ class TestInfoGain:
         with pytest.raises(ValueError, match="non-finite"):
             discretize_feature(X[:, 0], labels)
 
+    @pytest.mark.parametrize("shape", [(3,), (0,), (), (2, 2, 1)])
+    def test_matrix_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=rf"X must be 2-D, got shape {re.escape(str(shape))}"):
+            info_gain_rank(np.zeros(shape), ["M", "F", "M"], ["a", "b", "c"])
+
     def test_label_count_must_match_rows(self):
         X = np.random.default_rng(1).random((10, 2))
         with pytest.raises(ValueError, match="10 rows but 9 labels"):
@@ -291,6 +297,11 @@ class TestPca:
             pca_project(np.zeros((5, 1)), ["M"] * 5, ["o"] * 5)
         with pytest.raises(ValueError, match="3 vectors"):
             pca_project(np.zeros((2, 2)), ["M"] * 2, ["o"] * 2)
+
+    @pytest.mark.parametrize("shape", [(3,), (), (4, 2, 2)])
+    def test_matrix_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=rf"X must be 2-D, got shape {re.escape(str(shape))}"):
+            pca_project(np.zeros(shape), ["M"] * 3, ["o"] * 3)
 
     def test_label_length_mismatch_rejected(self):
         X = np.arange(10.0).reshape(5, 2)

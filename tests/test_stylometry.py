@@ -1,13 +1,14 @@
 import dataclasses
+import gc
 import math
 import pickle
 import random
 import re
-from functools import cached_property
 
 import numpy as np
 import pytest
 
+from traitmt import stylometry
 from traitmt.stylometry import (
     Chunk,
     FeatureSpace,
@@ -33,14 +34,15 @@ def sent(tokens, tags=None):
     return TaggedSentence(tokens, tags)
 
 
-def reference_vectorize_values(chunk, space):
-    """Feature values by the plain per-token loop: float counts over
-    index maps built for this call, trigrams cut by slicing."""
-    n = chunk.token_count
+def reference_vectorize_values(sentences, space):
+    """Feature values of a chunk of these sentences by the plain per-token
+    loop: float counts over index maps built for this call, trigrams cut by
+    slicing."""
+    n = sum(len(s.tokens) for s in sentences)
     fw_index = {w: i for i, w in enumerate(space.function_words)}
     tri_index = {t: len(space.function_words) + i for i, t in enumerate(space.pos_trigrams)}
     counts = {}
-    for s in chunk.sentences:
+    for s in sentences:
         for token in s.tokens:
             idx = fw_index.get(token.lower())
             if idx is not None:
@@ -53,16 +55,23 @@ def reference_vectorize_values(chunk, space):
     return {i: c / n for i, c in counts.items()}
 
 
-def reference_pos_trigrams(chunks, k):
+def reference_pos_trigrams(chunk_sentences, k):
     """Top-k padded POS trigrams by one count over every sentence of every
-    chunk, ties in lexicographic order."""
+    chunk's sentence list, ties in lexicographic order."""
     counts = {}
-    for chunk in chunks:
-        for s in chunk.sentences:
+    for sentences in chunk_sentences:
+        for s in sentences:
             padded = ("<S>", "<S>") + s.tags + ("</S>", "</S>")
             for i in range(len(padded) - 2):
                 counts[padded[i: i + 3]] = counts.get(padded[i: i + 3], 0) + 1
     return tuple(sorted(counts, key=lambda t: (-counts[t], t))[:k])
+
+
+def chunk_counts(chunk):
+    """Everything a chunk holds, in a form == compares."""
+    tags, codes, counts = chunk.pos_trigram_counts
+    return (chunk.label, chunk.status, chunk.language, chunk.token_count, chunk.words,
+            chunk.word_counts.tolist(), tags, codes.tolist(), counts.tolist())
 
 
 def dense(values, space):
@@ -166,8 +175,38 @@ class TestChunking:
         rng = random.Random(1)
         sents = [sent(" ".join([f"w{i}"] * rng.randint(5, 60))) for i in range(200)]
         chunks = chunk_corpus(sents, target=300)
-        flat = [s for c in chunks for s in c.sentences]
-        assert flat == sents[: len(flat)]
+        # each sentence's one word lands in one chunk with its full count,
+        # and the chunks hold a prefix of the sentences, in order
+        flat = [(w, int(n)) for c in chunks for w, n in zip(c.words, c.word_counts)]
+        assert flat == [(s.tokens[0], len(s)) for s in sents[: len(flat)]]
+
+    def test_chunk_holds_counts_only(self):
+        rng = random.Random(6)
+        sents = []
+        for _ in range(120):
+            n = rng.randint(1, 20)
+            sents.append(TaggedSentence(tuple(f"w{rng.randint(0, 30)}" for _ in range(n)),
+                                        tuple(rng.choice("DNV") for _ in range(n))))
+        chunks = chunk_corpus(sents, target=100)
+        assert len(chunks) > 5
+        held = {id(obj) for s in sents for obj in (s, s.tokens, s.tags)}
+        seen, todo = set(), list(chunks)
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert id(obj) not in held and not isinstance(obj, TaggedSentence)
+            todo += gc.get_referents(obj)
+
+    def test_chunk_reads_its_sentences_once(self):
+        sents = [sent("the cat sat", "D N V"), sent("a dog", "D N"), sent("the end", "D N")]
+        from_list = Chunk(sents, "M", "original", "en")
+        from_generator = Chunk((s for s in sents), "M", "original", "en")
+        assert chunk_counts(from_generator) == chunk_counts(from_list)
+        assert from_list.words == ("the", "cat", "sat", "a", "dog", "end")
+        assert from_list.word_counts.tolist() == [2, 1, 1, 1, 1, 1]
+        assert from_list.token_count == 7
 
     @pytest.mark.parametrize("target", [0, -5])
     def test_target_below_one_rejected(self, target):
@@ -308,59 +347,61 @@ class TestVectorize:
         tags = ["D", "N", "V", "ADV", "P", "<S>", "</S>", "a", "Z", "é", "<"]
         fw = ["the", "of", "and", "but"]
 
-        def random_chunk():
+        def random_sentences():
             chunk_tags = rng.sample(tags, rng.randint(1, len(tags)))
             sents = []
             for _ in range(rng.randint(1, 6)):
                 n = rng.choice([0, 0] + list(range(1, 13)))  # empty sentences too
                 sents.append(TaggedSentence(tuple(rng.choice(words) for _ in range(n)),
                                             tuple(rng.choice(chunk_tags) for _ in range(n))))
-            return Chunk(sents, "M", "original", "en")
+            return sents
 
-        for _ in range(300):
-            chunks = [random_chunk() for _ in range(rng.randint(1, 3))]
-            others = [random_chunk() for _ in range(2)]  # tags the space may never have seen
-            distinct = len(reference_pos_trigrams(chunks, 10**9))
-            k = rng.randint(1, distinct + 5)
-            fs = build_feature_space(chunks, fw, k=k)
-            assert fs.pos_trigrams == reference_pos_trigrams(chunks, k)
-            for chunk in chunks + others:
+        def check_vectors(chunk_sentences, fs):
+            for sents in chunk_sentences:
+                chunk = Chunk(sents, "M", "original", "en")
                 if chunk.token_count:
                     assert np.array_equal(vectorize_chunk(chunk, fs).values,
-                                          dense(reference_vectorize_values(chunk, fs), fs))
+                                          dense(reference_vectorize_values(sents, fs), fs))
 
-        unseen = Chunk([sent("the cat", "NEW D"), TaggedSentence((), ())], "F", "original", "en")
+        for _ in range(300):
+            chunk_sents = [random_sentences() for _ in range(rng.randint(1, 3))]
+            others = [random_sentences() for _ in range(2)]  # tags the space may never have seen
+            distinct = len(reference_pos_trigrams(chunk_sents, 10**9))
+            k = rng.randint(1, distinct + 5)
+            fs = build_feature_space([Chunk(sents, "M", "original", "en") for sents in chunk_sents],
+                                     fw, k=k)
+            assert fs.pos_trigrams == reference_pos_trigrams(chunk_sents, k)
+            check_vectors(chunk_sents + others, fs)
+
+        unseen = [sent("the cat", "NEW D"), TaggedSentence((), ())]
         fs = build_feature_space([Chunk([sent("the dog ran", "D N V")], "M", "original", "en")],
                                  fw, k=50)
-        assert np.array_equal(vectorize_chunk(unseen, fs).values,
-                              dense(reference_vectorize_values(unseen, fs), fs))
+        check_vectors([unseen], fs)
 
         # 2,100 tags: trigram codes pass 2**31
         many = [f"T{i:04d}" for i in range(2100)]
         rng.shuffle(many)
-        chunks = [Chunk([TaggedSentence(("x",) * len(part), tuple(part))
-                         for part in (many[:1000], many[1000:], many[::-7])], "M", "original", "en"),
-                  Chunk([TaggedSentence(("of",) * 3, ("T2099", "T2098", "T0000"))],
-                        "F", "original", "en")]
+        chunk_sents = [[TaggedSentence(("x",) * len(part), tuple(part))
+                   for part in (many[:1000], many[1000:], many[::-7])],
+                  [TaggedSentence(("of",) * 3, ("T2099", "T2098", "T0000"))]]
+        chunks = [Chunk(sents, "M", "original", "en") for sents in chunk_sents]
         assert chunks[0].pos_trigram_counts[1].max() > 2**31
         fs = build_feature_space(chunks, fw, k=3000)
-        assert fs.pos_trigrams == reference_pos_trigrams(chunks, 3000)
-        for chunk in chunks:
-            assert np.array_equal(vectorize_chunk(chunk, fs).values,
-                                  dense(reference_vectorize_values(chunk, fs), fs))
+        assert fs.pos_trigrams == reference_pos_trigrams(chunk_sents, 3000)
+        check_vectors(chunk_sents, fs)
 
     def test_trigrams_counted_once_per_chunk(self, monkeypatch):
         calls = []
-        count = Chunk.pos_trigram_counts.func
-        counting = cached_property(lambda chunk: calls.append(chunk) or count(chunk))
-        counting.__set_name__(Chunk, "pos_trigram_counts")
-        monkeypatch.setattr(Chunk, "pos_trigram_counts", counting)
+        count = stylometry._count_pos_trigrams
+        monkeypatch.setattr(stylometry, "_count_pos_trigrams",
+                            lambda tag_seqs: calls.append(tag_seqs) or count(tag_seqs))
         chunks = [Chunk([sent("a b c", "D N V"), sent("d e", "D N")], "M", "original", "en"),
                   Chunk([sent("f g", "N V")], "F", "original", "en")]
+        assert calls == [[("D", "N", "V"), ("D", "N")], [("N", "V")]]
         fs = build_feature_space(chunks, ["a"], k=10)
         for chunk in chunks:
             vectorize_chunk(chunk, fs)
-        assert calls == chunks
+        assert len(calls) == 2
 
     def test_empty_chunk_rejected(self):
         fs = FeatureSpace(("the",), ())
