@@ -40,22 +40,11 @@ import numpy as np
 NULL_TOKEN = "<null>"
 
 
-@dataclass
-class LexicalTable:
-    """t(target_word | source_word); sums to 1 per source word.  The
-    NULL_TOKEN row, when present, holds the NULL word's probabilities."""
-
-    probs: dict  # source word -> {target word: probability}
-
-    def prob(self, target: str, source: str) -> float:
-        return self.probs.get(source, {}).get(target, 0.0)
-
-    def null_prob(self, target: str) -> float:
-        return self.probs.get(NULL_TOKEN, {}).get(target, 0.0)
-
-
 def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
-    """EM from uniform initialization; returns (LexicalTable, ll_history).
+    """EM from uniform initialization; returns (t-table, ll_history).  The
+    t-table maps each source word to {target word: t(target | source)},
+    summing to 1 per source word, and holds the NULL word's row under
+    NULL_TOKEN when use_null.
 
     The history holds the corpus log-likelihood evaluated with the
     parameters entering each iteration (uniform alignment prior included),
@@ -109,7 +98,7 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
     for key, p in zip(keys.tolist(), t.tolist()):
         if p > 0.0:
             probs[src_words[key // nt]][tgt_words[key % nt]] = p
-    return LexicalTable(probs), history
+    return probs, history
 
 
 @dataclass(frozen=True)
@@ -124,15 +113,14 @@ class AlignmentMatrix:
                 raise ValueError(f"link ({i},{j}) outside {self.src_len}x{self.tgt_len}")
 
 
-def viterbi_align(table: LexicalTable, src, tgt) -> AlignmentMatrix:
-    """Best source link per target word; the NULL token absorbs words it
-    explains better than any real position.  Ties go to NULL, then to the
-    leftmost source position."""
+def viterbi_align(table: dict, src, tgt) -> AlignmentMatrix:
+    """Best source link per target word under an ibm1_em t-table; the NULL
+    token absorbs words it explains better than any real position.  Ties
+    go to NULL, then to the leftmost source position."""
     src = tuple(src)
     tgt = tuple(tgt)
-    probs = table.probs
-    rows = [probs.get(sw, {}) for sw in src]
-    null_row = probs.get(NULL_TOKEN, {})
+    rows = [table.get(sw, {}) for sw in src]
+    null_row = table.get(NULL_TOKEN, {})
     links = set()
     for j, w in enumerate(tgt):
         best_i, best_p = None, null_row.get(w, 0.0)
@@ -253,19 +241,20 @@ class PhraseTable:
 _LEX_FLOOR = 1e-12
 
 
-def _lexical_factors(words, other, links_of, table: LexicalTable) -> list:
+def _lexical_factors(words, other, links_of, table: dict) -> list:
     """Per word: the mean of t(word | linked word of other) over its links,
     summed in ascending position, or the NULL probability if it has none."""
+    null_row = table.get(NULL_TOKEN, {})
     factors = []
     for w, linked in zip(words, links_of):
         if linked:
-            factors.append(sum(table.prob(w, other[k]) for k in linked) / len(linked))
+            factors.append(sum(table.get(other[k], {}).get(w, 0.0) for k in linked) / len(linked))
         else:
-            factors.append(table.null_prob(w))
+            factors.append(null_row.get(w, 0.0))
     return factors
 
 
-def score_phrases(sentences, lex_fwd: LexicalTable, lex_rev: LexicalTable) -> PhraseTable:
+def score_phrases(sentences, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
     """Relative-frequency phrase scores in both directions plus lexical
     weights maximized over the occurrences of each pair.
 
@@ -338,14 +327,15 @@ def write_phrase_table(table: PhraseTable, path) -> None:
 
 
 def read_phrase_table(path) -> PhraseTable:
-    """Inverse of write_phrase_table.  A malformed line, an empty source or
-    target phrase, a score outside (0, 1] or a repeated `source ||| target`
-    pair raises ValueError naming `path:line`."""
+    """Inverse of write_phrase_table; a whitespace-only line is skipped.
+    A malformed line, an empty source or target phrase, a score outside
+    (0, 1] or a repeated `source ||| target` pair raises ValueError naming
+    `path:line`."""
     entries: dict[tuple, dict] = defaultdict(dict)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
+            if not line.strip():
                 continue
             fields = line.split(" ||| ")
             if len(fields) != 3:
@@ -371,8 +361,8 @@ def read_phrase_table(path) -> PhraseTable:
 def build_phrase_table(pairs, iterations: int = 5, max_len: int = 7):
     """Full pipeline: bidirectional IBM1, grow-diag-final-and
     symmetrization, extraction, scoring.  Returns (PhraseTable, fwd
-    LexicalTable, rev LexicalTable); the table's dropped_pairs counts the
-    pairs skipped for an empty side."""
+    t-table, rev t-table); the table's dropped_pairs counts the pairs
+    skipped for an empty side."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
     lex_fwd = ibm1_em(kept, iterations)[0]

@@ -184,7 +184,6 @@ class MarkerComparison:
 
 @dataclass
 class PersistenceReport:
-    original: str
     comparisons: list
 
     def as_csv(self) -> str:
@@ -237,7 +236,7 @@ def marker_persistence_report(rankings: dict, original: str, lexicon: dict | Non
                     direction_flip=strong_orig and strong_var and not same_dir,
                 )
             )
-    return PersistenceReport(original, comparisons)
+    return PersistenceReport(comparisons)
 
 
 def markers_csv(markers) -> str:

@@ -120,7 +120,6 @@ def smo_solve(K, y, C: float, tol: float = 1e-3, max_iter: int = 200000):
 class SvmModel:
     w: np.ndarray
     b: float
-    C: float
     mins: np.ndarray
     maxs: np.ndarray
     pos_label: str
@@ -148,7 +147,7 @@ def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 2000
     K = Xs @ Xs.T
     alpha, b, iterations = smo_solve(K, y, C, tol, max_iter)
     w = (alpha * y) @ Xs
-    return SvmModel(w, b, C, mins, maxs, pos, neg, iterations)
+    return SvmModel(w, b, mins, maxs, pos, neg, iterations)
 
 
 def predict(model: SvmModel, X):

@@ -53,12 +53,6 @@ class Corpus:
     source_lang: str
     target_lang: str
 
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class TokenizedSentence:

@@ -163,7 +163,7 @@ def _static_features(layout: FeatureLayout, tgt, table_id, scores):
     return feats
 
 
-def build_options(sentence, tables, layout: FeatureLayout, weights=None):
+def build_options(sentence, tables, layout: FeatureLayout, weights):
     """Translation options per span: the union of matches across tables
     (same phrase pair in two tables stays two options), the
     MAX_OPTIONS_PER_SPAN best per span by weighted score, with verbatim
@@ -173,8 +173,6 @@ def build_options(sentence, tables, layout: FeatureLayout, weights=None):
     if len(tables) != layout.n_tables:
         raise ValueError(f"{len(tables)} phrase tables for a layout of {layout.n_tables}")
     sentence = tuple(sentence)
-    if weights is None:
-        weights = layout.default_weights()
     weights = np.asarray(weights, dtype=float)
     max_len = max(t.max_len for t in tables)
     options: dict[tuple, list] = {}

@@ -245,15 +245,12 @@ class FeatureSpace:
         return [self.feature_name(i) for i in range(self.dimension)]
 
     @cached_property
-    def fw_index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.function_words)}
-
-    @cached_property
     def _token_columns(self) -> dict[str, int]:
-        """Each token vectorize_chunk has met, as its function-word column
-        or, for any other token, fw_dimension.  Filled as chunks bring new
-        tokens, so each distinct token is lowercased once per space."""
-        return {}
+        """Each function word, and each token vectorize_chunk has met, as
+        its function-word column or, for any other token, fw_dimension.
+        Filled as chunks bring new tokens, so each distinct token is
+        lowercased once per space."""
+        return {w: i for i, w in enumerate(self.function_words)}
 
     @cached_property
     def _trigram_codes(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
@@ -337,10 +334,9 @@ def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     try:
         ids = np.fromiter(map(memo.__getitem__, words), dtype=np.intp, count=len(words))
     except KeyError:
-        fw_index = space.fw_index
         for token in words:
             if token not in memo:
-                memo[token] = fw_index.get(token.lower(), fw)
+                memo[token] = memo.get(token.lower(), fw)
         ids = np.fromiter(map(memo.__getitem__, words), dtype=np.intp, count=len(words))
     row = np.zeros(space.dimension)
     # column fw gathers every other word and is cut off; integer counts sum
@@ -444,7 +440,10 @@ def read_vectors(path):
 
 
 def _parse_vector_line(line, dimension):
-    label, status, cells = line.split("\t")
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected label<TAB>status<TAB>cells, got {line!r}")
+    label, status, cells = fields
     row = np.zeros(dimension)
     seen = set()
     for cell in cells.split(" ") if cells else ():

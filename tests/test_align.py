@@ -18,11 +18,15 @@ from traitmt.align import (
     symmetrize,
     viterbi_align,
     write_phrase_table,
-    LexicalTable,
 )
 from traitmt.decoder import FeatureLayout, build_options
 
 CANONICAL = [(("a", "b"), ("x", "y")), (("a",), ("x",))]
+
+
+def prob(table, target, source):
+    """t(target | source) in an ibm1_em t-table, 0 for a missing pair."""
+    return table.get(source, {}).get(target, 0.0)
 
 
 def reference_ibm1_em(pairs, iterations, use_null):
@@ -75,9 +79,9 @@ def assert_matches_reference_em(pairs, iterations, use_null):
     src_order = list(dict.fromkeys(([NULL_TOKEN] if use_null else [])
                                    + [w for s, _ in pairs for w in s]))
     tgt_index = {w: k for k, w in enumerate(dict.fromkeys(w for _, t in pairs for w in t))}
-    assert list(table.probs) == src_order
-    assert table.probs.keys() == ref_probs.keys()
-    for source, dist in table.probs.items():
+    assert list(table) == src_order
+    assert table.keys() == ref_probs.keys()
+    for source, dist in table.items():
         assert list(dist) == sorted(dist, key=tgt_index.__getitem__)
         assert dist.keys() == ref_probs[source].keys()
         for target, p in dist.items():
@@ -89,15 +93,15 @@ class TestIbm1:
     def test_canonical_corpus_converges(self):
         # the by-hand EM walk on this corpus is done without the null word
         table, history = ibm1_em(CANONICAL, iterations=30, use_null=False)
-        assert table.prob("x", "a") >= 0.99
+        assert prob(table, "x", "a") >= 0.99
         for prev, cur in zip(history, history[1:]):
             assert cur >= prev - 1e-12
 
     def test_single_pair_after_one_iteration(self):
         table, _ = ibm1_em([(("a",), ("x",))], iterations=1)
-        assert table.prob("x", "a") == pytest.approx(1.0)
+        assert prob(table, "x", "a") == pytest.approx(1.0)
         # the null word also explains x completely after one round
-        assert table.null_prob("x") == pytest.approx(1.0)
+        assert prob(table, "x", NULL_TOKEN) == pytest.approx(1.0)
 
     def test_log_likelihood_monotone_with_null(self):
         rng = random.Random(0)
@@ -119,7 +123,7 @@ class TestIbm1:
 
     def test_per_source_normalization(self):
         table, _ = ibm1_em(CANONICAL, iterations=5)
-        for source, dist in table.probs.items():
+        for source, dist in table.items():
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9), source
 
     def test_matches_reference_em(self):
@@ -152,8 +156,8 @@ class TestIbm1:
             for _ in range(3000)
         ]
         table = assert_matches_reference_em(pairs, 2, True)
-        n_targets = len({w for dist in table.probs.values() for w in dist})
-        assert len(table.probs) * n_targets > 4_000_000
+        n_targets = len({w for dist in table.values() for w in dist})
+        assert len(table) * n_targets > 4_000_000
 
     def test_iterations_below_one_rejected(self):
         for iterations in (0, -1):
@@ -166,20 +170,20 @@ class TestIbm1:
 
     @pytest.mark.parametrize("use_null", [True, False])
     def test_null_token_as_source_word_rejected(self, use_null):
-        # the NULL row would hold the word's probabilities, and null_prob
-        # would read them
+        # the NULL row would hold the word's probabilities, and the NULL
+        # word's lookups would read them
         with pytest.raises(ValueError, match="reserved for the NULL word"):
             ibm1_em([(("a",), ("x",)), ((NULL_TOKEN, "a"), ("x", "y"))], use_null=use_null)
 
 
 def reference_viterbi_align(table, src, tgt):
-    """Best source link per target word, read through table.prob and
-    table.null_prob; ties go to NULL, then to the leftmost source."""
+    """Best source link per target word, each probability read through
+    prob; ties go to NULL, then to the leftmost source."""
     links = set()
     for j, w in enumerate(tgt):
-        best_i, best_p = None, table.null_prob(w)
+        best_i, best_p = None, prob(table, w, NULL_TOKEN)
         for i, sw in enumerate(src):
-            p = table.prob(w, sw)
+            p = prob(table, w, sw)
             if p > best_p:
                 best_i, best_p = i, p
         if best_i is not None:
@@ -197,18 +201,17 @@ class TestViterbi:
             # few distinct values make sources tie with one another and
             # with NULL
             sources = list("abcd") + ([NULL_TOKEN] if use_null else [])
-            probs = {w: {v: rng.choice((0.25, 0.5)) for v in "wxyz" if rng.random() < 0.6}
+            table = {w: {v: rng.choice((0.25, 0.5)) for v in "wxyz" if rng.random() < 0.6}
                      for w in sources}
-            table = LexicalTable(probs)
             src = tuple(rng.choice("abcde") for _ in range(rng.randint(0, 6)))
             tgt = tuple(rng.choice("wxyz") for _ in range(rng.randint(0, 6)))
             assert viterbi_align(table, src, tgt).links == reference_viterbi_align(table, src, tgt)
             for w in tgt:
-                ps = [table.prob(w, sw) for sw in src]
+                ps = [prob(table, w, sw) for sw in src]
                 best = max(ps, default=0.0)
                 seen["missing"] += 0.0 in ps
                 seen["tie_sources"] += best > 0.0 and ps.count(best) > 1
-                seen["tie_null"] += use_null and best > 0.0 and best == table.null_prob(w)
+                seen["tie_null"] += use_null and best > 0.0 and best == prob(table, w, NULL_TOKEN)
         assert min(seen.values()) >= 50, seen
 
     def test_obvious_alignment(self):
@@ -330,9 +333,9 @@ def reference_lexical_weight(src, tgt, links, table):
     for j, w in enumerate(tgt):
         if j in by_target:
             sources = sorted(by_target[j])
-            p = sum(table.prob(w, src[i]) for i in sources) / len(sources)
+            p = sum(prob(table, w, src[i]) for i in sources) / len(sources)
         else:
-            p = table.null_prob(w)
+            p = prob(table, w, NULL_TOKEN)
         weight *= p
     return max(weight, align_mod._LEX_FLOOR)
 
@@ -370,8 +373,7 @@ def reference_score_phrases(sentences, lex_fwd, lex_rev):
 def random_lexical_table(rng, given, conditioned, use_null):
     """Random t(given | conditioned), some pairs missing (probability 0)."""
     sources = list(conditioned) + ([NULL_TOKEN] if use_null else [])
-    probs = {w: {v: rng.random() for v in given if rng.random() < 0.95} for w in sources}
-    return LexicalTable(probs)
+    return {w: {v: rng.random() for v in given if rng.random() < 0.95} for w in sources}
 
 
 def sentence(src, tgt, links, max_len=7):
@@ -382,19 +384,19 @@ def sentence(src, tgt, links, max_len=7):
 
 class TestScorePhrases:
     def uniform_table(self, words):
-        return LexicalTable({w: {v: 0.5 for v in words} for w in [NULL_TOKEN] + list(words)})
+        return {w: {v: 0.5 for v in words} for w in [NULL_TOKEN] + list(words)}
 
     def test_relative_frequency(self):
         sentences = [sentence(("s",), (tgt,), {(0, 0)}) for tgt in ("x", "x", "x", "y")]
-        lex = LexicalTable({"s": {"x": 0.7, "y": 0.3}, NULL_TOKEN: {"x": 0.5, "y": 0.5}})
-        lex_rev = LexicalTable({"x": {"s": 1.0}, "y": {"s": 1.0}, NULL_TOKEN: {"s": 1.0}})
+        lex = {"s": {"x": 0.7, "y": 0.3}, NULL_TOKEN: {"x": 0.5, "y": 0.5}}
+        lex_rev = {"x": {"s": 1.0}, "y": {"s": 1.0}, NULL_TOKEN: {"s": 1.0}}
         table = score_phrases(sentences, lex, lex_rev)
         phi_fwd = table.entries[("s",)][("x",)][0]
         assert phi_fwd == pytest.approx(0.75)
 
     def test_unique_pair_scores_one(self):
-        lex = LexicalTable({"a": {"x": 0.8}, NULL_TOKEN: {"x": 0.2}})
-        lex_rev = LexicalTable({"x": {"a": 0.9}, NULL_TOKEN: {"a": 0.1}})
+        lex = {"a": {"x": 0.8}, NULL_TOKEN: {"x": 0.2}}
+        lex_rev = {"x": {"a": 0.9}, NULL_TOKEN: {"a": 0.1}}
         table = score_phrases([sentence(("a",), ("x",), {(0, 0)})], lex, lex_rev)
         phi_fwd, lex_f, phi_rev, lex_r = table.entries[("a",)][("x",)]
         assert phi_fwd == 1.0 and phi_rev == 1.0
@@ -489,7 +491,7 @@ class TestScorePhrases:
             assert table.entries == reference_score_phrases(sentences, lex_fwd, lex_rev)
 
     def test_empty_extraction_rejected(self):
-        lex = LexicalTable({})
+        lex = {}
         with pytest.raises(ValueError):
             score_phrases([], lex, lex)
         unaligned = AlignmentMatrix(frozenset(), 1, 1)
@@ -558,6 +560,13 @@ class TestPhraseTableIo:
         with pytest.raises(ValueError):
             read_phrase_table(path)
 
+    def test_whitespace_only_line_is_blank(self, tmp_path):
+        path = tmp_path / "pt.txt"
+        path.write_text("a ||| x ||| 0.5 0.5 0.5 0.5\n \t\n\nb ||| y ||| 1 1 1 1\n",
+                        encoding="utf-8")
+        assert read_phrase_table(path).entries == {
+            ("a",): {("x",): (0.5,) * 4}, ("b",): {("y",): (1.0,) * 4}}
+
     @pytest.mark.parametrize("scores", ["0.5 oops 0.5 0.5", "0.5 nan 0.5 0.5",
                                         "inf 0.5 0.5 0.5", "0.5 0.5 0.5 -inf"])
     def test_bad_score_names_line(self, tmp_path, scores):
@@ -602,5 +611,6 @@ class TestPhraseTableIo:
                         encoding="utf-8")
         table = read_phrase_table(path)
         assert table.max_len == 8
-        options = build_options(sentence, [table], FeatureLayout(1, 0))
+        layout = FeatureLayout(1, 0)
+        options = build_options(sentence, [table], layout, layout.default_weights())
         assert [opt.tgt for opt in options[(0, 8)]] == [("x",)]

@@ -380,7 +380,7 @@ class TestPredict:
         assert abs(margin) < 1e-6
         assert label == "A"
         # scaled rows 0.5 and 0.25 sit exactly on and below w.x + b = 0
-        exact = SvmModel(np.array([2.0]), -1.0, 1.0, np.array([0.0]), np.array([4.0]), "A", "B")
+        exact = SvmModel(np.array([2.0]), -1.0, np.array([0.0]), np.array([4.0]), "A", "B")
         labels, margins = predict(exact, np.array([[2.0], [1.0]]))
         assert margins.tolist() == [0.0, -0.5]
         assert labels == ["A", "B"]

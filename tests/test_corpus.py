@@ -99,7 +99,7 @@ class TestLoadCorpus:
         p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
         assert errors == []
-        assert len(corpus) == 3
+        assert len(corpus.pairs) == 3
         assert corpus.source_lang == "en" and corpus.target_lang == "fr"
         assert corpus.pairs[1].age is None
         assert corpus.pairs[0].session_date == datetime.date(2005, 6, 1)
@@ -112,7 +112,7 @@ class TestLoadCorpus:
         ]
         p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
-        assert len(corpus) == 1
+        assert len(corpus.pairs) == 1
         assert len(errors) == 1
         assert errors[0].line_number == 2
         assert "gender" in errors[0].message
@@ -121,7 +121,7 @@ class TestLoadCorpus:
         p = tmp_path / "c.tsv"
         p.write_text(HEADER + "\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
-        assert len(corpus) == 0 and errors == []
+        assert len(corpus.pairs) == 0 and errors == []
 
     def test_header_mismatch_raises(self, tmp_path):
         p = tmp_path / "c.tsv"
@@ -137,7 +137,7 @@ class TestLoadCorpus:
         p = tmp_path / "c.tsv"
         p.write_text(HEADER + "\nen\tfr\ts1\tM\t45\tnot-a-date\thello\tbonjour\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
-        assert len(corpus) == 0 and len(errors) == 1
+        assert len(corpus.pairs) == 0 and len(errors) == 1
 
     @pytest.mark.parametrize("date_s, expected", [
         ("2024-01-15", datetime.date(2024, 1, 15)),
@@ -246,24 +246,24 @@ class TestCleanCorpus:
     def test_empty_target_removed(self):
         c = Corpus([make_pair(tgt="")], "en", "fr")
         cleaned, report = clean_corpus(c)
-        assert len(cleaned) == 0
+        assert len(cleaned.pairs) == 0
         assert report.removed_empty == 1
 
     def test_long_side_removed(self):
         c = Corpus([make_pair(src=" ".join(["w"] * 81), tgt=" ".join(["w"] * 10))], "en", "fr")
         cleaned, report = clean_corpus(c)
-        assert len(cleaned) == 0
+        assert len(cleaned.pairs) == 0
         assert report.removed_long == 1
 
     def test_balanced_pair_retained(self):
         c = Corpus([make_pair(src=" ".join(["w"] * 10), tgt=" ".join(["v"] * 10))], "en", "fr")
         cleaned, report = clean_corpus(c)
-        assert len(cleaned) == 1 and report.kept == 1
+        assert len(cleaned.pairs) == 1 and report.kept == 1
 
     def test_ratio_removal(self):
         c = Corpus([make_pair(src=" ".join(["w"] * 30), tgt="v w x")], "en", "fr")
         cleaned, report = clean_corpus(c)
-        assert len(cleaned) == 0 and report.removed_ratio == 1
+        assert len(cleaned.pairs) == 0 and report.removed_ratio == 1
 
     def test_idempotent(self):
         rng = random.Random(7)

@@ -266,7 +266,7 @@ class TestBuildOptions:
         empty = table_from({})
         t2 = table_from({"a": {"x": (0.5, 0.5, 0.5, 0.5)}})
         layout = FeatureLayout(3, 1)
-        options = build_options(("a",), [empty, empty, t2], layout=layout)
+        options = build_options(("a",), [empty, empty, t2], layout, layout.default_weights())
         opts = options[(0, 1)]
         real = [o for o in opts if any(o.features[layout.indicator(k)] for k in range(3))]
         assert len(real) == 1
@@ -278,7 +278,7 @@ class TestBuildOptions:
     def test_same_pair_in_two_tables_gives_two_options(self):
         t = table_from({"a": {"x": (0.5, 0.5, 0.5, 0.5)}})
         layout = FeatureLayout(2, 1)
-        options = build_options(("a",), [t, t], layout=layout)
+        options = build_options(("a",), [t, t], layout, layout.default_weights())
         indicators = sorted([o.features[layout.indicator(k)] for k in range(2)]
                             for o in options[(0, 1)])
         assert indicators == [[0.0, 1.0], [1.0, 0.0]]
@@ -286,7 +286,7 @@ class TestBuildOptions:
     def test_oov_passthrough(self):
         t = table_from({"a": {"x": (1.0, 1.0, 1.0, 1.0)}})
         layout = FeatureLayout(1, 1)
-        options = build_options(("a", "qux"), [t], layout=layout)
+        options = build_options(("a", "qux"), [t], layout, layout.default_weights())
         opt = options[(1, 2)][0]
         assert opt.tgt == ("qux",)
         feats = np.asarray(opt.features)
@@ -297,7 +297,8 @@ class TestBuildOptions:
         row = {f"t{i}": (0.5 - i * 0.001, 0.5, 0.5, 0.5)
                for i in range(MAX_OPTIONS_PER_SPAN + 10)}
         t = table_from({"a": row})
-        options = build_options(("a",), [t], layout=FeatureLayout(1, 1))
+        layout = FeatureLayout(1, 1)
+        options = build_options(("a",), [t], layout, layout.default_weights())
         kept = [o.tgt for o in options[(0, 1)]]
         assert kept == [(f"t{i}",) for i in range(MAX_OPTIONS_PER_SPAN)]
 
@@ -305,8 +306,9 @@ class TestBuildOptions:
         # else the second table's scores would land in lm0, lm1 and the
         # penalties, and its indicator in distortion
         t = table_from({"a": {"x": (0.5,) * 4}})
+        layout = FeatureLayout(1, 2)
         with pytest.raises(ValueError, match="^2 phrase tables for a layout of 1$"):
-            build_options(("a",), [t, t], layout=FeatureLayout(1, 2))
+            build_options(("a",), [t, t], layout, layout.default_weights())
 
 
 class TestDecode:
@@ -510,11 +512,14 @@ class TestDecode:
 
     def test_layout_required(self):
         table, lm, layout = self.simple_system()
+        weights = layout.default_weights()
         with pytest.raises(TypeError):
-            build_options(("a",), [table])
-        options = build_options(("a",), [table], layout=layout)
+            build_options(("a",), [table], weights=weights)
         with pytest.raises(TypeError):
-            decode(("a",), options, layout.default_weights(), [lm])
+            build_options(("a",), [table], layout)
+        options = build_options(("a",), [table], layout, weights)
+        with pytest.raises(TypeError):
+            decode(("a",), options, weights, [lm])
 
     def test_monotone_toy_grammar(self):
         # unique best path through a grammar with one option per word

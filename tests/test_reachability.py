@@ -1,5 +1,6 @@
 """Every public top-level function and class of traitmt has a caller, and
-so does every option of one and every public member of a public class.
+so does every option of one and every public member of a public class;
+every public field of a public dataclass has a reader.
 
 A name defined at the top of a module under src/traitmt/ counts as reached
 when a Name, Attribute or import alias in src/traitmt/ or perfbench/*.py
@@ -23,6 +24,12 @@ the name alone, so a member that shares its name with another attribute
 (a dataclass field, another class's method) passes unread.
 MEMBERS_ALLOWED lists the members kept without a reader, each with its
 reason.
+
+A field is a public annotated attribute of a public dataclass.  It counts
+as read when an Attribute of its name is loaded in src/traitmt/ or
+perfbench/*.py; setting it does not count.  The scan matches on the name
+alone, as for members.  FIELDS_ALLOWED lists the fields kept without a
+reader, each with its reason.
 """
 
 import ast
@@ -73,6 +80,22 @@ OPTIONS_ALLOWED = {
 }
 
 MEMBERS_ALLOWED: dict[str, str] = {}
+
+_REPORTED = "a count the record reports for a reader to inspect"
+FIELDS_ALLOWED = {
+    "align.PhraseTable.dropped_pairs": "reports the empty pairs the build skipped",
+    "analysis.Projection2D.components": "the PCA axes the coordinates are taken on",
+    "analysis.Projection2D.explained_variance": "the share of variance the two axes keep",
+    "classify.SvmModel.iterations": "says whether SMO stopped at its iteration cap",
+    "classify.EvalReport.classes": "names the rows and columns of the confusion matrix",
+    "corpus.AnnotatedSentencePair.original_language": "perfbench builds pairs positionally",
+    "corpus.RowError.line_number": "names the refused row for the user",
+    "corpus.RowError.message": "says why the row was refused",
+    "corpus.CleanReport.removed_empty": _REPORTED,
+    "corpus.CleanReport.removed_long": _REPORTED,
+    "corpus.CleanReport.removed_ratio": _REPORTED,
+    "stylometry.Chunk.language": "perfbench passes it to chunk_corpus",
+}
 
 
 def _referenced(node) -> set:
@@ -227,3 +250,38 @@ def test_every_public_member_is_read():
 def test_members_allowlist_names_only_unread_members():
     stale = sorted(set(MEMBERS_ALLOWED) - _unread_members())
     assert not stale, f"{stale} are read or no longer defined: drop them from MEMBERS_ALLOWED"
+
+
+def _is_dataclass(cls) -> bool:
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _unread_fields() -> set:
+    """Public fields of public dataclasses whose name no loaded Attribute
+    in src/traitmt/ or perfbench/ has."""
+    loaded = {sub.attr for path in LIBRARY + BENCH for sub in ast.walk(_tree(path))
+              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return {
+        f"{path.stem}.{cls.name}.{stmt.target.id}"
+        for path in LIBRARY
+        for cls in _tree(path).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and not stmt.target.id.startswith("_") and stmt.target.id not in loaded
+    }
+
+
+def test_every_public_field_is_read():
+    unread = sorted(_unread_fields() - set(FIELDS_ALLOWED))
+    assert not unread, (
+        f"nothing in src/traitmt/ or perfbench/ reads {unread}: "
+        "delete them with their tests, or give them a reader"
+    )
+
+
+def test_fields_allowlist_names_only_unread_fields():
+    stale = sorted(set(FIELDS_ALLOWED) - _unread_fields())
+    assert not stale, f"{stale} are read or no longer defined: drop them from FIELDS_ALLOWED"

@@ -454,7 +454,9 @@ class TestIo:
         assert not path.exists()
 
     @pytest.mark.parametrize("line, message", [
-        ("M\toriginal", "not enough values"),
+        ("M\toriginal", "expected label<TAB>status<TAB>cells"),
+        ("M", "expected label<TAB>status<TAB>cells"),
+        ("M\toriginal\t0:0.5\tx", "expected label<TAB>status<TAB>cells"),
         ("M\toriginal\t0:x", "could not convert"),
         ("M\toriginal\tx:0.5", "invalid literal"),
         ("M\toriginal\t2:0.5", "feature index 2 outside the 2 header names"),
@@ -472,6 +474,15 @@ class TestIo:
         p.write_text(f"#0\tthe\n#1\ta\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: .*{message}"):
             read_vectors(p)
+
+    def test_tab_only_line_is_an_empty_vector(self, tmp_path):
+        # write_vectors writes a zero row with an empty label and status so
+        path = tmp_path / "v.fv"
+        write_vectors([FeatureVector(np.zeros(2), "", "")], FeatureSpace(("the", "a"), ()), path)
+        assert path.read_text(encoding="utf-8").splitlines()[-1] == "\t\t"
+        (back,), _ = read_vectors(path)
+        assert (back.label, back.status) == ("", "")
+        assert np.array_equal(back.values, np.zeros(2))
 
     def test_vector_file_header_after_vector_names_line(self, tmp_path):
         p = tmp_path / "v.fv"
