@@ -40,11 +40,11 @@ import numpy as np
 NULL_TOKEN = "<null>"
 
 
-def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
+def ibm1_em(pairs, iterations: int = 5):
     """EM from uniform initialization; returns (t-table, ll_history).  The
     t-table maps each source word to {target word: t(target | source)},
     summing to 1 per source word, and holds the NULL word's row under
-    NULL_TOKEN when use_null.
+    NULL_TOKEN.
 
     The history holds the corpus log-likelihood evaluated with the
     parameters entering each iteration (uniform alignment prior included),
@@ -58,10 +58,8 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
         raise ValueError("corpus has no non-empty sentence pairs")
     if any(NULL_TOKEN in s for s, _ in pairs):
         raise ValueError(f"source word {NULL_TOKEN!r} is reserved for the NULL word")
-    src_vocab: dict[str, int] = {}
+    src_vocab: dict[str, int] = {NULL_TOKEN: 0}
     tgt_vocab: dict[str, int] = {}
-    if use_null:
-        src_vocab[NULL_TOKEN] = 0
     for s, t in pairs:
         for w in s:
             src_vocab.setdefault(w, len(src_vocab))
@@ -69,12 +67,12 @@ def ibm1_em(pairs, iterations: int = 5, use_null: bool = True):
             tgt_vocab.setdefault(w, len(tgt_vocab))
     nt = len(tgt_vocab)
     # one cell per (source position, target position) of each sentence, in
-    # C order; a column is one target token of the corpus
-    null_id = [0] if use_null else []
+    # C order, the NULL word (id 0) being source position 0; a column is
+    # one target token of the corpus
     cell_keys, cell_cols = [], []
     n_cols, log_prior = 0, 0.0
     for s, t in pairs:
-        s_ids = np.array(null_id + [src_vocab[w] for w in s], dtype=np.int64)
+        s_ids = np.array([0] + [src_vocab[w] for w in s], dtype=np.int64)
         t_ids = np.array([tgt_vocab[w] for w in t], dtype=np.int64)
         cell_keys.append(np.add.outer(s_ids * nt, t_ids).ravel())
         cell_cols.append(np.tile(np.arange(n_cols, n_cols + len(t_ids)), len(s_ids)))
@@ -358,15 +356,15 @@ def read_phrase_table(path) -> PhraseTable:
     return PhraseTable(dict(entries))
 
 
-def build_phrase_table(pairs, iterations: int = 5, max_len: int = 7):
+def build_phrase_table(pairs):
     """Full pipeline: bidirectional IBM1, grow-diag-final-and
     symmetrization, extraction, scoring.  Returns (PhraseTable, fwd
     t-table, rev t-table); the table's dropped_pairs counts the pairs
     skipped for an empty side."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
-    lex_fwd = ibm1_em(kept, iterations)[0]
-    lex_rev = ibm1_em([(t, s) for s, t in kept], iterations)[0]
+    lex_fwd = ibm1_em(kept)[0]
+    lex_rev = ibm1_em([(t, s) for s, t in kept])[0]
     sentences = []
     for s, t in kept:
         fwd = viterbi_align(lex_fwd, s, t)
@@ -375,7 +373,7 @@ def build_phrase_table(pairs, iterations: int = 5, max_len: int = 7):
             frozenset((i, j) for j, i in rev_swapped.links), len(s), len(t)
         )
         sym = symmetrize(fwd, rev)
-        sentences.append((s, t, sym, extract_phrases(sym, max_len)))
+        sentences.append((s, t, sym, extract_phrases(sym)))
     table = score_phrases(sentences, lex_fwd, lex_rev)
     table.dropped_pairs = len(pairs) - len(kept)
     return table, lex_fwd, lex_rev

@@ -19,11 +19,8 @@ fixture files.
 from __future__ import annotations
 
 import csv
-import datetime
 import json
 from dataclasses import dataclass
-
-from .corpus import parse_iso_date
 
 KNOWLEDGE_BASE = "knowledge_base"
 NAME_SERVICE = "name_service"
@@ -59,9 +56,6 @@ class GenderEvidence:
 @dataclass
 class SpeakerRecord:
     speaker_id: str
-    name: str = ""
-    country: str = ""
-    birth_date: datetime.date | None = None
     resolved_gender: str = "U"
     provenance: str = NO_PROVENANCE
 
@@ -152,7 +146,7 @@ def annotate_speakers(evidence_by_speaker: dict):
     return records
 
 
-SPEAKER_CSV_COLUMNS = ("speaker_id", "name", "country", "birth_date", "gender", "provenance")
+SPEAKER_CSV_COLUMNS = ("speaker_id", "gender", "provenance")
 
 
 def save_speaker_records(records, path) -> None:
@@ -160,22 +154,12 @@ def save_speaker_records(records, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SPEAKER_CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.speaker_id,
-                    r.name,
-                    r.country,
-                    "" if r.birth_date is None else r.birth_date.isoformat(),
-                    r.resolved_gender,
-                    r.provenance,
-                ]
-            )
+            writer.writerow([r.speaker_id, r.resolved_gender, r.provenance])
 
 
 def load_speaker_records(path):
     """Inverse of save_speaker_records; a bad header or row raises
-    ValueError naming `path:line`.  A birth_date is empty or YYYY-MM-DD in
-    ASCII digits, read by corpus.parse_iso_date as session_date is."""
+    ValueError naming `path:line`."""
     records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -184,9 +168,8 @@ def load_speaker_records(path):
             raise ValueError(f"{path}:1: bad speaker CSV header {header}")
         for row in reader:
             try:
-                speaker_id, name, country, birth_s, gender, provenance = row
-                birth = parse_iso_date(birth_s) if birth_s else None
-                records.append(SpeakerRecord(speaker_id, name, country, birth, gender, provenance))
+                speaker_id, gender, provenance = row
+                records.append(SpeakerRecord(speaker_id, gender, provenance))
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad speaker row: {exc}") from None
     return records

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-12
+SVM_C = 1.0  # the cost train_svm passes to smo_solve
 
 
 def scale_fit(X):
@@ -136,7 +137,7 @@ def _label_signs(labels):
     return y, pos, neg
 
 
-def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 200000) -> SvmModel:
+def train_svm(X, labels) -> SvmModel:
     """Fit a linear SVM; the lexicographically first class is the +1 class."""
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
@@ -145,7 +146,7 @@ def train_svm(X, labels, C: float = 1.0, tol: float = 1e-3, max_iter: int = 2000
     mins, maxs = scale_fit(X)
     Xs = scale_apply(X, mins, maxs)
     K = Xs @ Xs.T
-    alpha, b, iterations = smo_solve(K, y, C, tol, max_iter)
+    alpha, b, iterations = smo_solve(K, y, SVM_C)
     w = (alpha * y) @ Xs
     return SvmModel(w, b, mins, maxs, pos, neg, iterations)
 

@@ -214,7 +214,7 @@ def _future_costs(options, weighted, lm_weights, lms, n):
         best = -math.inf
         for opt, score in zip(opts, weighted[span]):
             for w_lm, lm in zip(lm_weights, lms):
-                score += w_lm * sum(lm.unigram_log10(w) for w in opt.tgt)
+                score += w_lm * sum(lm.log10_prob(w) for w in opt.tgt)
             best = max(best, score)
         direct[span] = best
     fc = [[-math.inf] * (n + 1) for _ in range(n + 1)]

@@ -61,7 +61,7 @@ class NgramLanguageModel:
 
     def log10_prob(self, word: str, context=()) -> float:
         """Backoff query P(word | context) in log10, OOV mapped to <unk>."""
-        if word not in self.vocab and word != BOS:
+        if word not in self.vocab:
             word = UNK
         context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
         grams, total_bow = self.grams, 0.0
@@ -116,11 +116,6 @@ class NgramLanguageModel:
             while state and state not in live:
                 state = state[1:]
         return total, state
-
-    def unigram_log10(self, word: str) -> float:
-        if word not in self.vocab:
-            word = UNK
-        return self.grams.get((word,), _UNSTORED)[0]
 
 
 def _log10_floor(p: float) -> float:

@@ -64,6 +64,14 @@ class _StackedPool:
     def spans(self):
         return zip(self.offsets, self.offsets[1:])
 
+    def scores(self, weights):
+        """Each candidate's score, the row sums of F * weights; a weight
+        vector whose length is not F's width raises ValueError."""
+        weights = np.asarray(weights, dtype=float)
+        if len(weights) != self.F.shape[1]:
+            raise ValueError(f"{len(weights)} weights for {self.F.shape[1]} features")
+        return (self.F * weights).sum(axis=1)
+
 
 def _upper_envelope(slopes, intercepts):
     """Upper envelope of the lines y = intercepts[i] + slopes[i]*x.
@@ -105,7 +113,7 @@ def line_search(pool, weights, dim):
     weights = np.asarray(weights, dtype=float)
     current = float(weights[dim])
     slopes = pool.F[:, dim]
-    intercepts = ((pool.F * weights).sum(axis=1) - weights[dim] * slopes).tolist()
+    intercepts = (pool.scores(weights) - weights[dim] * slopes).tolist()
     slopes = slopes.tolist()
     # each sentence's row at -inf, and sweep events: at x the sentence's
     # choice switches from row old to row new
@@ -149,7 +157,7 @@ def pool_bleu(pool, weights):
     """Corpus BLEU of the per-sentence argmax candidates at the given
     weights (ties to the lexicographically smallest target)."""
     pool = _StackedPool.of(pool)
-    scores = (pool.F * np.asarray(weights, dtype=float)).sum(axis=1)
+    scores = pool.scores(weights)
     chosen = [a + int(np.argmax(scores[a:b])) for a, b in pool.spans()]
     return bleu_from_stats(pool.S[chosen].sum(axis=0).tolist())
 

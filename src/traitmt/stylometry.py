@@ -190,15 +190,18 @@ class Chunk:
         self.language = language
 
 
-def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
+MIN_FRACTION = 0.5  # smallest trailing chunk kept, as a fraction of the target
+
+
+def chunk_corpus(sentences, target: int = 1000,
                  label: str = "U", status: str = ORIGINAL, language: str = "en"):
     """Greedy chunking respecting sentence boundaries.
 
     A chunk closes at the first sentence boundary at or past `target`
-    cumulative tokens; a trailing chunk under target*min_fraction, or
-    holding no token, is discarded.  No sentence is split or repeated.  A
-    target under 1 raises ValueError: it would make a chunk of every
-    sentence, empty ones too.
+    cumulative tokens; a trailing chunk under target*MIN_FRACTION tokens,
+    so also one holding no token, is discarded.  No sentence is split or
+    repeated.  A target under 1 raises ValueError: it would make a chunk
+    of every sentence, empty ones too.
     """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
@@ -211,7 +214,7 @@ def chunk_corpus(sentences, target: int = 1000, min_fraction: float = 0.5,
         if count >= target:
             chunks.append(Chunk(current, label, status, language))
             current, count = [], 0
-    if count > 0 and count >= target * min_fraction:
+    if count >= target * MIN_FRACTION:
         chunks.append(Chunk(current, label, status, language))
     return chunks
 

@@ -1,4 +1,3 @@
-import datetime
 import itertools
 import random
 import re
@@ -158,37 +157,24 @@ class TestFixtures:
 
     def test_speaker_csv_round_trip(self, tmp_path):
         records = [
-            SpeakerRecord("s1", "Jane Doe", "FR", datetime.date(1960, 2, 29), "F", KNOWLEDGE_BASE),
-            SpeakerRecord("s2", "X", "DE", None, "U", NO_PROVENANCE),
+            SpeakerRecord("s1", "F", KNOWLEDGE_BASE),
+            SpeakerRecord("s2", "U", NO_PROVENANCE),
         ]
         p = tmp_path / "speakers.csv"
         save_speaker_records(records, p)
         assert load_speaker_records(p) == records
 
     @pytest.mark.parametrize("row, message", [
-        ("s3,Y,FR", "not enough values"),
-        ("s3,Y,FR,1960-02-30,F,manual", ""),  # the message varies by Python version
-        ("s3,Y,FR,,Q,manual", "gender must be M, F or U, got 'Q'"),
-        ("s3,Y,FR,,F,rumour", "unknown provenance 'rumour'"),
+        ("s3,F", "not enough values"),
+        ("s3,F,manual,", "too many values"),
+        ("s3,Q,manual", "gender must be M, F or U, got 'Q'"),
+        ("s3,F,rumour", "unknown provenance 'rumour'"),
     ])
     def test_bad_speaker_row_named(self, tmp_path, row, message):
         p = tmp_path / "speakers.csv"
         save_speaker_records([SpeakerRecord("s1", resolved_gender="F", provenance=MANUAL)], p)
         p.write_text(p.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
         pattern = rf"^{re.escape(str(p))}:3: bad speaker row: .*{message}"
-        with pytest.raises(ValueError, match=pattern):
-            load_speaker_records(p)
-
-    @pytest.mark.parametrize("birth_s", [
-        # the session_date rule of load_corpus: only YYYY-MM-DD in ASCII digits
-        "19600229", "1960-W09-1", "1960-060", "1960-02-29T00:00", " 1960-02-29", "1960-2-29",
-    ])
-    def test_birth_date_is_exactly_iso_calendar_date(self, tmp_path, birth_s):
-        p = tmp_path / "speakers.csv"
-        save_speaker_records([SpeakerRecord("s1", birth_date=datetime.date(1960, 2, 29))], p)
-        assert load_speaker_records(p)[0].birth_date == datetime.date(1960, 2, 29)
-        p.write_text(p.read_text(encoding="utf-8") + f"s2,Y,FR,{birth_s},F,manual\n", encoding="utf-8")
-        pattern = rf"^{re.escape(str(p))}:3: bad speaker row: not a YYYY-MM-DD date: {re.escape(repr(birth_s))}$"
         with pytest.raises(ValueError, match=pattern):
             load_speaker_records(p)
 

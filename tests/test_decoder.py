@@ -121,7 +121,7 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
         for opt in opts:
             score = float(weights @ np.asarray(opt.features))
             for w_lm, lm in zip(lm_weights, lms):
-                score += w_lm * sum(lm.unigram_log10(w) for w in opt.tgt)
+                score += w_lm * sum(lm.log10_prob(w) for w in opt.tgt)
             best = max(best, score)
         direct[span] = best
     fc = [[-math.inf] * (n + 1) for _ in range(n + 1)]

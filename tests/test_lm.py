@@ -145,10 +145,10 @@ class TestHandComputedBigramModel:
     """
 
     def test_unigram_continuation_distribution(self, model):
-        assert 10 ** model.unigram_log10("a") == pytest.approx(4 / 11, abs=1e-12)
-        assert 10 ** model.unigram_log10("b") == pytest.approx(2 / 11, abs=1e-12)
-        assert 10 ** model.unigram_log10("c") == pytest.approx(2 / 11, abs=1e-12)
-        assert 10 ** model.unigram_log10(EOS) == pytest.approx(3 / 11, abs=1e-12)
+        assert 10 ** model.log10_prob("a") == pytest.approx(4 / 11, abs=1e-12)
+        assert 10 ** model.log10_prob("b") == pytest.approx(2 / 11, abs=1e-12)
+        assert 10 ** model.log10_prob("c") == pytest.approx(2 / 11, abs=1e-12)
+        assert 10 ** model.log10_prob(EOS) == pytest.approx(3 / 11, abs=1e-12)
 
     def test_observed_bigram_matches_hand_value(self, model):
         # P(b|a) = (max(2 - 9/13, 0) + (9/13)*4*(2/11)) / 5 = 259/715
@@ -171,11 +171,11 @@ class TestUnigramModel:
     def test_unk_replacement_and_relative_frequencies(self):
         model = train_kn_lm([("a", "a", "b")], order=1)
         # b is a singleton -> <unk>; counts over a a <unk> </s> are 2/1/1
-        assert 10 ** model.unigram_log10("a") == pytest.approx(0.5, abs=1e-12)
-        assert 10 ** model.unigram_log10(UNK) == pytest.approx(0.25, abs=1e-12)
-        assert 10 ** model.unigram_log10(EOS) == pytest.approx(0.25, abs=1e-12)
+        assert 10 ** model.log10_prob("a") == pytest.approx(0.5, abs=1e-12)
+        assert 10 ** model.log10_prob(UNK) == pytest.approx(0.25, abs=1e-12)
+        assert 10 ** model.log10_prob(EOS) == pytest.approx(0.25, abs=1e-12)
         # OOV words map to <unk>
-        assert model.unigram_log10("zebra") == model.unigram_log10(UNK)
+        assert model.log10_prob("zebra") == model.log10_prob(UNK)
 
     def test_vocab_contents(self):
         model = train_kn_lm([("a", "a", "b")], order=1)
@@ -285,7 +285,7 @@ class TestExtend:
         assert model.start_state == ()
         logp, state = model.extend((), ("a", "zebra"))
         assert state == ()
-        assert logp == model.unigram_log10("a") + model.unigram_log10(UNK)
+        assert logp == model.log10_prob("a") + model.log10_prob(UNK)
 
 
 def unminimized_walk(model, state, words):

@@ -380,6 +380,34 @@ class TestStackedPool:
                                                                    weights)
 
 
+# each of the three features favours a different candidate
+THREE_FEATURES = [[cand("a b c d", [1, 0, 0], "a b c d"), cand("a b x d", [0, 1, 0], "a b c d"),
+                   cand("a x x d", [0, 0, 1], "a b c d")]]
+
+
+class TestWeightLength:
+    # numpy broadcasts one weight over every feature, so a single weight
+    # would score each candidate by a multiple of its feature sum
+
+    def test_pool_bleu_refuses_wrong_length(self):
+        with pytest.raises(ValueError, match="1 weights for 3 features"):
+            pool_bleu(THREE_FEATURES, [0.3])
+        with pytest.raises(ValueError, match="1 weights for 3 features"):
+            line_search(THREE_FEATURES, [0.3], 0)
+
+    def test_coordinate_ascent_refuses_wrong_length(self):
+        with pytest.raises(ValueError, match="1 weights for 3 features"):
+            coordinate_ascent(THREE_FEATURES, [0.3])
+
+    def test_tune_weights_refuses_wrong_length(self):
+        def decode_nbest(sentence, weights, nbest_size):
+            return [(c.target, c.features) for c in THREE_FEATURES[0]]
+
+        with pytest.raises(ValueError, match="1 weights for 3 features"):
+            tune_weights(decode_nbest, [(0,)], [tuple("a b c d".split())], [0.3],
+                         iterations=2, restarts=1)
+
+
 class TestTuning:
     def toy_system(self):
         """Two options per sentence; feature 1 is an indicator that the

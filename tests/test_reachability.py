@@ -10,26 +10,30 @@ unreached code, so a class only a dead function uses is dead too.  Tests
 do not count either: code that only its own tests call should go, and its
 tests with it.  ALLOWED lists the few names kept until a caller lands.
 
+The option, member and field scans below read only reached code: the
+top-level statements of src/traitmt/ and perfbench/*.py less the
+unreached definitions, allowlisted ones included, so a call or read that
+only dead or waiting code makes does not count.
+
 An option is a defaulted parameter of a public function or method (of
-`__init__`, for a class).  It counts as set when some call in src/traitmt/
-or perfbench/*.py to a function of that name passes it, by position or by
-keyword; what a call passes through `*args` or `**kwargs` does not count,
-since the scan cannot see it.  An option no such call sets should be a
-constant.  OPTIONS_ALLOWED lists the few kept, each with its reason.
+`__init__`, for a class).  It counts as set when some reached call to a
+function of that name passes it, by position or by keyword; what a call
+passes through `*args` or `**kwargs` does not count, since the scan
+cannot see it.  An option no such call sets should be a constant.
+OPTIONS_ALLOWED lists the few kept, each with its reason.
 
 A member is a public method, property or cached_property of a public
 class.  It counts as read when an Attribute of its name appears in
-src/traitmt/ or perfbench/*.py outside its own def.  The scan matches on
-the name alone, so a member that shares its name with another attribute
-(a dataclass field, another class's method) passes unread.
-MEMBERS_ALLOWED lists the members kept without a reader, each with its
-reason.
+reached code outside its own def.  The scan matches on the name alone, so
+a member that shares its name with another attribute (a dataclass field,
+another class's method) passes unread.  MEMBERS_ALLOWED lists the members
+kept without a reader, each with its reason.
 
 A field is a public annotated attribute of a public dataclass.  It counts
-as read when an Attribute of its name is loaded in src/traitmt/ or
-perfbench/*.py; setting it does not count.  The scan matches on the name
-alone, as for members.  FIELDS_ALLOWED lists the fields kept without a
-reader, each with its reason.
+as read when an Attribute of its name is loaded in reached code; setting
+it does not count.  The scan matches on the name alone, as for members.
+FIELDS_ALLOWED lists the fields kept without a reader, each with its
+reason.
 """
 
 import ast
@@ -63,17 +67,14 @@ ALLOWED = {
 }
 
 _TOY = "tests run it at toy sizes"
-_ORACLE = "the SMO tests sweep it against the exact QP"
+_SMO_ORACLE = "test_matches_reference_smo sweeps it against the reference solver"
 OPTIONS_ALLOWED = {
-    "align.build_phrase_table(iterations)": _TOY,
-    "align.build_phrase_table(max_len)": _TOY,
     "stylometry.chunk_corpus(target)": _TOY,
-    "stylometry.chunk_corpus(min_fraction)": _TOY,
     "stylometry.build_feature_space(k)": _TOY,
-    "classify.train_svm(C)": _ORACLE,
-    "classify.train_svm(tol)": _ORACLE,
-    "classify.train_svm(max_iter)": _ORACLE,
-    "align.ibm1_em(use_null)": "the textbook EM walk-through runs without the NULL word",
+    "align.ibm1_em(iterations)": "test_matches_reference_em sweeps it against the reference EM",
+    "align.extract_phrases(max_len)": "test_matches_brute_force_oracle sweeps it from 1 to 7",
+    "classify.smo_solve(tol)": _SMO_ORACLE,
+    "classify.smo_solve(max_iter)": _SMO_ORACLE,
     "lm.train_kn_lm(unk_threshold)": "the gender-LM vocabulary rework, ROADMAP item 1",
     "decoder.decode(stack_size)": "the beam tests sweep it against the exhaustive search",
     "decoder.decode(nbest_size)": "perfbench's tune passes it as **kwargs; its hook reads it",
@@ -129,6 +130,7 @@ def _scan():
     return definitions, referrers
 
 
+@functools.cache
 def _unreached():
     """Public definitions with no referrer outside themselves and the
     other unreached, non-allowlisted definitions."""
@@ -146,6 +148,13 @@ def _unreached():
         dead = now_dead
 
 
+def _reached(path) -> list:
+    """The top-level statements of path less the unreached definitions."""
+    unreached = _unreached() if path in LIBRARY else set()
+    return [stmt for stmt in _tree(path).body
+            if f"{path.stem}.{getattr(stmt, 'name', None)}" not in unreached]
+
+
 def test_every_public_name_is_reached():
     unreached = sorted(_unreached() - set(ALLOWED))
     assert not unreached, (
@@ -159,11 +168,11 @@ def test_allowlist_names_only_unreached_definitions():
     assert not stale, f"{stale} are reached or no longer defined: drop them from ALLOWED"
 
 
-def _public_defs(tree):
+def _public_defs(body):
     """(qualified name, callee name, def, takes self) for each public
-    function and public method of a public class; a class's `__init__` is
-    called by the class name."""
-    for stmt in tree.body:
+    function and public method of a public class among the statements of
+    body; a class's `__init__` is called by the class name."""
+    for stmt in body:
         if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
             yield stmt.name, stmt.name, stmt, False
         elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
@@ -181,8 +190,7 @@ def _options():
     """Options as (key, callee name, position or None, parameter name)."""
     options = []
     for path in LIBRARY:
-        tree = _tree(path)
-        for qualname, callee, fn, takes_self in _public_defs(tree):
+        for qualname, callee, fn, takes_self in _public_defs(_tree(path).body):
             key = f"{path.stem}.{qualname}"
             params = (fn.args.posonlyargs + fn.args.args)[takes_self:]
             first = len(params) - len(fn.args.defaults)
@@ -195,10 +203,10 @@ def _options():
 
 
 def _unset_options() -> set:
-    """Keys of the options no call in src/traitmt/ or perfbench/ passes."""
+    """Keys of the options no reached call passes."""
     passed = defaultdict(set)   # callee name -> positions and keywords passed
     for path in LIBRARY + BENCH:
-        for node in ast.walk(_tree(path)):
+        for node in (n for stmt in _reached(path) for n in ast.walk(stmt)):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 passed[callee].update(
@@ -228,13 +236,14 @@ def _attributes(node) -> Counter:
 
 
 def _unread_members() -> set:
-    """Public members of public classes named by no Attribute outside
-    their own def."""
-    everywhere = sum((_attributes(_tree(path)) for path in LIBRARY + BENCH), Counter())
+    """Public members of reached public classes named by no reached
+    Attribute outside their own def."""
+    everywhere = sum((_attributes(stmt) for path in LIBRARY + BENCH for stmt in _reached(path)),
+                     Counter())
     return {
         f"{path.stem}.{qualname}"
         for path in LIBRARY
-        for qualname, name, fn, _ in _public_defs(_tree(path))
+        for qualname, name, fn, _ in _public_defs(_reached(path))
         if "." in qualname and everywhere[name] == _attributes(fn)[name]
     }
 
@@ -259,14 +268,15 @@ def _is_dataclass(cls) -> bool:
 
 
 def _unread_fields() -> set:
-    """Public fields of public dataclasses whose name no loaded Attribute
-    in src/traitmt/ or perfbench/ has."""
-    loaded = {sub.attr for path in LIBRARY + BENCH for sub in ast.walk(_tree(path))
+    """Public fields of reached public dataclasses whose name no loaded
+    Attribute in reached code has."""
+    loaded = {sub.attr for path in LIBRARY + BENCH for stmt in _reached(path)
+              for sub in ast.walk(stmt)
               if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
     return {
         f"{path.stem}.{cls.name}.{stmt.target.id}"
         for path in LIBRARY
-        for cls in _tree(path).body
+        for cls in _reached(path)
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") and _is_dataclass(cls)
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)

@@ -10,6 +10,7 @@ import pytest
 
 from traitmt import stylometry
 from traitmt.stylometry import (
+    MIN_FRACTION,
     Chunk,
     FeatureSpace,
     FeatureVector,
@@ -159,12 +160,12 @@ class TestChunking:
 
     def test_trailing_chunk_discarded(self):
         sents = [sent(" ".join(["w"] * n)) for n in (400, 400, 300, 200)]
-        chunks = chunk_corpus(sents, target=1000, min_fraction=0.5)
+        chunks = chunk_corpus(sents, target=1000)
         assert len(chunks) == 1  # trailing 200 < 500 dropped
 
     def test_trailing_chunk_kept_at_half(self):
         sents = [sent(" ".join(["w"] * n)) for n in (1000, 500)]
-        chunks = chunk_corpus(sents, target=1000, min_fraction=0.5)
+        chunks = chunk_corpus(sents, target=1000)
         assert [c.token_count for c in chunks] == [1000, 500]
 
     def test_exact_target_single_sentence(self):
@@ -216,21 +217,22 @@ class TestChunking:
             chunk_corpus(sents, target=target)
 
     def test_trailing_chunk_without_tokens_discarded(self):
-        # at min_fraction 0 a trailing chunk of empty sentences would pass the size test
-        chunks = chunk_corpus([sent("a"), sent("")], target=1, min_fraction=0)
+        # at target 1 the size test alone keeps any trailing token, and
+        # refuses a trailing chunk of empty sentences
+        chunks = chunk_corpus([sent("a"), sent("")], target=1)
         assert [c.token_count for c in chunks] == [1]
-        assert chunk_corpus([sent(""), sent("")], target=1, min_fraction=0) == []
-        chunks = chunk_corpus([sent("a b"), sent(""), sent("c")], target=2, min_fraction=0)
+        assert chunk_corpus([sent(""), sent("")], target=1) == []
+        chunks = chunk_corpus([sent("a b"), sent(""), sent("c")], target=2)
         assert [c.token_count for c in chunks] == [2, 1]
 
     def test_size_bounds(self):
         rng = random.Random(2)
         sents = [sent(" ".join(["w"] * rng.randint(1, 80))) for _ in range(500)]
-        target, frac = 250, 0.5
-        chunks = chunk_corpus(sents, target=target, min_fraction=frac)
+        target = 250
+        chunks = chunk_corpus(sents, target=target)
         max_len = max(len(s) for s in sents)
         for c in chunks:
-            assert c.token_count >= target * frac
+            assert c.token_count >= target * MIN_FRACTION
             assert c.token_count < target + max_len
 
 
