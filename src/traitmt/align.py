@@ -184,7 +184,10 @@ def extract_phrases(alignment: AlignmentMatrix, max_len: int = 7):
     descending, then target end ascending.
 
     A source span's target bounds grow with its right end, and only the
-    target positions inside them are checked for links leaving the span."""
+    target positions inside them are checked for links leaving the span.
+    A max_len below 1 raises ValueError."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     tgt_of, src_of = _position_links(alignment)
     n, m = alignment.src_len, alignment.tgt_len
     # each target position's least and greatest linked source position;
@@ -303,16 +306,23 @@ def score_phrases(sentences, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
     return PhraseTable(entries)
 
 
+def _writable_phrase(phrase) -> bool:
+    return bool(phrase) and all(word != "|||" and word.split() == [word] for word in phrase)
+
+
 def write_phrase_table(table: PhraseTable, path) -> None:
     """`source ||| target ||| phi_fwd lex_fwd phi_rev lex_rev` per line.
-    An entry read_phrase_table would reject (an empty source or target
-    phrase, other than four scores, a score outside (0, 1]) raises
-    ValueError naming its pair before the file is opened."""
+    An entry that would not read back as itself (an empty source or target
+    phrase, a word that is empty, holds whitespace or is `|||`, other than
+    four scores, a score outside (0, 1]) raises ValueError naming its pair
+    before the file is opened."""
     for src, row in table.entries.items():
         for tgt, scores in row.items():
-            if not src or not tgt or len(scores) != 4 or not all(0.0 < x <= 1.0 for x in scores):
-                raise ValueError(f"pair {' '.join(src)!r} ||| {' '.join(tgt)!r}: phrases must "
-                                 f"be non-empty and the four scores in (0, 1], got {scores}")
+            if (not _writable_phrase(src) or not _writable_phrase(tgt) or len(scores) != 4
+                    or not all(0.0 < x <= 1.0 for x in scores)):
+                raise ValueError(f"pair {src!r} ||| {tgt!r}: phrases must be non-empty, their "
+                                 f"words non-empty, without whitespace and not '|||', and "
+                                 f"the four scores in (0, 1], got {scores}")
     with open(path, "w", encoding="utf-8") as fh:
         for src in sorted(table.entries):
             for tgt in sorted(table.entries[src]):

@@ -79,10 +79,12 @@ class MarkerWeight:
 
 
 def _matrix(X):
-    """X as a float array, which must be 2-D."""
+    """X as a float array, which must be 2-D and finite."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite feature values")
     return X
 
 
@@ -129,7 +131,8 @@ class Projection2D:
 def pca_project(X, genders, statuses) -> Projection2D:
     """Mean-centred PCA onto the two leading eigenvectors of the sample
     covariance.  Sign convention: the largest-magnitude entry of each
-    component is positive.  A matrix that is not 2-D raises ValueError."""
+    component is positive.  A matrix that is not 2-D or holds a non-finite
+    value raises ValueError."""
     X = _matrix(X)
     n, d = X.shape
     if d < 2:

@@ -189,10 +189,13 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
     decode_nbest(sentence, weights, nbest_size) must return a list of
     (target_tokens, feature_vector).  Returns (weights, dev_bleu) with the
     best pool BLEU reached; the pool converges to true dev BLEU as it
-    saturates.
+    saturates.  Each round runs `restarts` ascents, the first from the
+    current weights; iterations or restarts below 1 raise ValueError.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if len(dev_sentences) == 0:
         raise ValueError("the dev set is empty")
     if len(dev_sentences) != len(dev_references):
@@ -216,7 +219,7 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
                     grew = True
         stacked = _StackedPool([list(p.values()) for p in pool])
         candidates = [coordinate_ascent(stacked, weights)]
-        for _ in range(max(0, restarts - 1)):
+        for _ in range(restarts - 1):
             start = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
             candidates.append(coordinate_ascent(stacked, start))
         candidates.sort(key=lambda wb: -wb[1])

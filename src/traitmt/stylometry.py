@@ -20,7 +20,6 @@ the feature space's.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -368,12 +367,6 @@ def _parse_function_words(text: str) -> list[str]:
     return words
 
 
-def load_function_words(path):
-    """One word per line, UTF-8, '#' comments."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_function_words(fh.read())
-
-
 def default_function_words(lang: str):
     """Vendored per-language lists (en, fr)."""
     name = f"fw_{lang}.txt"
@@ -381,84 +374,3 @@ def default_function_words(lang: str):
     if not ref.is_file():
         raise ValueError(f"no vendored function-word list for language {lang!r}")
     return _parse_function_words(ref.read_text(encoding="utf-8"))
-
-
-def write_vectors(vectors, space: FeatureSpace, path) -> None:
-    """Sparse text export: `#index<TAB>name` header, then one vector per
-    line as `label<TAB>status<TAB>idx:value ...`, the row's nonzero entries
-    with indices ascending and values exact.  A feature name, label or
-    status holding a tab or line break, a label starting with '#', a row
-    whose shape is not (dimension,) or a non-finite value raises ValueError
-    before the file is opened."""
-    names = space.names()
-    vectors = list(vectors)
-    for field in chain(names, *((vec.label, vec.status) for vec in vectors)):
-        if any(ch in field for ch in "\t\n\r"):
-            raise ValueError(f"{field!r} holds a tab or line break")
-    for vec in vectors:
-        if vec.label.startswith("#"):
-            raise ValueError(f"label {vec.label!r} would read as a feature header")
-        if np.shape(vec.values) != (len(names),):
-            raise ValueError(f"feature row of shape {np.shape(vec.values)}, "
-                             f"expected ({len(names)},)")
-        bad = np.flatnonzero(~np.isfinite(vec.values))
-        if len(bad):
-            raise ValueError(f"feature {bad[0]} value is not finite: {vec.values[bad[0]]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, name in enumerate(names):
-            fh.write(f"#{i}\t{name}\n")
-        for vec in vectors:
-            cells = " ".join(f"{i}:{vec.values[i]:.17g}"
-                             for i in np.flatnonzero(vec.values).tolist())
-            fh.write(f"{vec.label}\t{vec.status}\t{cells}\n")
-
-
-def read_vectors(path):
-    """Inverse of write_vectors; returns (vectors, names), each vector's
-    values a row over the header's names.  A malformed line, a feature
-    header after a vector line, a feature index outside the header's names
-    or repeated within a line, or a non-finite value, raises ValueError
-    naming `path:line`."""
-    names: list[str] = []
-    vectors: list[FeatureVector] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if line.startswith("#"):
-                    if vectors:
-                        raise ValueError("feature header after a vector line")
-                    fields = line[1:].split("\t")
-                    if len(fields) != 2 or fields[0] != str(len(names)):
-                        raise ValueError(
-                            f"expected feature header #{len(names)}<TAB>name, got {line!r}")
-                    names.append(fields[1])
-                else:
-                    vectors.append(_parse_vector_line(line, len(names)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return vectors, names
-
-
-def _parse_vector_line(line, dimension):
-    fields = line.split("\t")
-    if len(fields) != 3:
-        raise ValueError(f"expected label<TAB>status<TAB>cells, got {line!r}")
-    label, status, cells = fields
-    row = np.zeros(dimension)
-    seen = set()
-    for cell in cells.split(" ") if cells else ():
-        i_s, _, v_s = cell.partition(":")
-        i = int(i_s)
-        if not 0 <= i < dimension:
-            raise ValueError(f"feature index {i} outside the {dimension} header names")
-        if i in seen:
-            raise ValueError(f"repeated feature index {i}")
-        value = float(v_s)
-        if not math.isfinite(value):
-            raise ValueError(f"feature {i} value is not finite: {v_s}")
-        seen.add(i)
-        row[i] = value
-    return FeatureVector(row, label, status)

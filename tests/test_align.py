@@ -306,6 +306,12 @@ class TestExtractPhrases:
         spans = extract_phrases(alignment, max_len=1)
         assert spans and all(i1 == i2 and j1 == j2 for i1, i2, j1, j2 in spans)
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_rejected(self, max_len):
+        alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
+        with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
+            extract_phrases(alignment, max_len=max_len)
+
     def test_matches_brute_force_oracle(self):
         rng = random.Random(3)
         for _ in range(300):
@@ -548,10 +554,30 @@ class TestPhraseTableIo:
     def test_write_rejects_what_read_rejects(self, tmp_path, src, tgt, scores):
         table = PhraseTable({("a",): {("x",): (1.0,) * 4}, src: {tgt: scores}})
         path = tmp_path / "pt.txt"
-        pair = re.escape(f"pair {' '.join(src)!r} ||| {' '.join(tgt)!r}")
+        pair = re.escape(f"pair {src!r} ||| {tgt!r}")
         with pytest.raises(ValueError, match=rf"^{pair}: "):
             write_phrase_table(table, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("phrase", [
+        ("a b",), ("a", "|||"), ("|||",), ("",), ("a", "", "b"), ("a", "|||", "b"),
+        ("a\tb",), ("a\nb",), ("a\rb",), ("a\x1cb",), ("a\u2028b",),
+    ])
+    def test_write_refuses_words_that_read_back_otherwise(self, tmp_path, side, phrase):
+        src, tgt = (phrase, ("x",)) if side == "source" else (("b",), phrase)
+        table = PhraseTable({("a",): {("x",): (1.0,) * 4}, src: {tgt: (0.5,) * 4}})
+        path = tmp_path / "pt.txt"
+        pair = re.escape(f"pair {src!r} ||| {tgt!r}")
+        with pytest.raises(ValueError, match=rf"^{pair}: "):
+            write_phrase_table(table, path)
+        assert not path.exists()
+
+    def test_pipes_inside_words_round_trip(self, tmp_path):
+        entries = {("a|||b", "||||"): {("|||x", "y|||"): (0.5,) * 4}}
+        path = tmp_path / "pt.txt"
+        write_phrase_table(PhraseTable(entries), path)
+        assert read_phrase_table(path).entries == entries
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "pt.txt"

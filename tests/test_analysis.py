@@ -303,6 +303,13 @@ class TestPca:
         with pytest.raises(ValueError, match=rf"X must be 2-D, got shape {re.escape(str(shape))}"):
             pca_project(np.zeros(shape), ["M"] * 3, ["o"] * 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        X = np.random.default_rng(0).random((6, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="^non-finite feature values$"):
+            pca_project(X, ["M", "F"] * 3, ["o"] * 6)
+
     def test_label_length_mismatch_rejected(self):
         X = np.arange(10.0).reshape(5, 2)
         with pytest.raises(ValueError, match="5 vectors but 2 genders and 1 statuses"):

@@ -498,6 +498,20 @@ class TestTuning:
                          np.array([1.0, -2.0]), iterations=iterations, nbest_size=10)
         assert decoded == []
 
+    @pytest.mark.parametrize("restarts", [0, -1, -3])
+    def test_restarts_below_one_rejected_before_decoding(self, restarts):
+        decode_nbest, sentences, refs = self.toy_system()
+        decoded = []
+
+        def counting_decode(sentence, weights, nbest_size):
+            decoded.append(sentence)
+            return decode_nbest(sentence, weights, nbest_size)
+
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            tune_weights(counting_decode, sentences, refs, np.array([1.0, -2.0]),
+                         iterations=3, nbest_size=10, restarts=restarts)
+        assert decoded == []
+
     def test_pool_stacked_once_per_round(self, monkeypatch):
         decode_nbest, sentences, refs = self.toy_system()
         decoded, stacked = [], []

@@ -51,13 +51,10 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-_PIPELINE = "pipeline artifact, ROADMAP item 6"
+_PIPELINE = "file I/O for the CLI, ROADMAP item 19"
 ALLOWED = {
     "annotate.save_speaker_records": _PIPELINE,
     "annotate.load_speaker_records": _PIPELINE,
-    "stylometry.load_function_words": _PIPELINE,
-    "stylometry.write_vectors": _PIPELINE,
-    "stylometry.read_vectors": _PIPELINE,
     "lm.write_arpa": _PIPELINE,
     "lm.read_arpa": _PIPELINE,
     "decoder.write_weights": _PIPELINE,

@@ -1,9 +1,7 @@
 import dataclasses
 import gc
-import math
 import pickle
 import random
-import re
 
 import numpy as np
 import pytest
@@ -13,16 +11,12 @@ from traitmt.stylometry import (
     MIN_FRACTION,
     Chunk,
     FeatureSpace,
-    FeatureVector,
     TaggedSentence,
     TaggerModel,
     build_feature_space,
     chunk_corpus,
     default_function_words,
-    load_function_words,
-    read_vectors,
     vectorize_chunk,
-    write_vectors,
 )
 
 
@@ -412,91 +406,10 @@ class TestVectorize:
 
 
 class TestIo:
-    def test_vector_file_round_trip(self, tmp_path):
-        chunks = [
-            Chunk([sent("the cat sat", "D N V")], "M", "original", "en"),
-            Chunk([sent("a dog ran", "D N V")], "F", "human", "en"),
-        ]
-        fs = build_feature_space(chunks, ["the", "a"], k=10)
-        vectors = [vectorize_chunk(c, fs) for c in chunks]
-        path = tmp_path / "v.fv"
-        write_vectors(vectors, fs, path)
-        loaded, names = read_vectors(path)
-        assert names == fs.names()
-        assert len(loaded) == 2
-        assert 1 / 3 in vectors[0].values.tolist()
-        for orig, back in zip(vectors, loaded):
-            assert back.label == orig.label and back.status == orig.status
-            assert np.array_equal(back.values, orig.values)
-
-    @pytest.mark.parametrize("label, status, values, message", [
-        ("M", "original", [math.nan, 0.0], "not finite"),
-        ("M", "original", [0.0, math.inf], "not finite"),
-        ("M", "original", [-math.inf, 0.0], "not finite"),
-        ("M\tX", "original", [0.5, 0.0], "tab or line break"),
-        ("M", "orig\ninal", [0.5, 0.0], "tab or line break"),
-        ("M", "original\r", [0.5, 0.0], "tab or line break"),
-        ("#M", "original", [0.5, 0.0], "feature header"),
-        ("M", "original", [0.0, 0.0, 0.5], r"feature row of shape \(3,\), expected \(2,\)"),
-        ("M", "original", [0.5], r"feature row of shape \(1,\), expected \(2,\)"),
-    ])
-    def test_vector_file_writer_refuses_before_opening(self, tmp_path, label, status,
-                                                       values, message):
-        fs = FeatureSpace(("the", "a"), ())
-        good = FeatureVector(np.array([0.25, 0.0]), "F", "original")
-        path = tmp_path / "v.fv"
-        with pytest.raises(ValueError, match=message):
-            write_vectors([good, FeatureVector(np.array(values), label, status)], fs, path)
-        assert not path.exists()
-
-    def test_vector_file_writer_refuses_unreadable_names(self, tmp_path):
-        path = tmp_path / "v.fv"
-        with pytest.raises(ValueError, match="tab or line break"):
-            write_vectors([], FeatureSpace(("the", "a\tb"), ()), path)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("line, message", [
-        ("M\toriginal", "expected label<TAB>status<TAB>cells"),
-        ("M", "expected label<TAB>status<TAB>cells"),
-        ("M\toriginal\t0:0.5\tx", "expected label<TAB>status<TAB>cells"),
-        ("M\toriginal\t0:x", "could not convert"),
-        ("M\toriginal\tx:0.5", "invalid literal"),
-        ("M\toriginal\t2:0.5", "feature index 2 outside the 2 header names"),
-        ("M\toriginal\t-1:0.5", "feature index -1 outside"),
-        ("M\toriginal\t0:0.5 0:0.7", "repeated feature index 0"),
-        ("M\toriginal\t1:0.5 0:0.2 1:0.5", "repeated feature index 1"),
-        ("M\toriginal\t0:nan", "feature 0 value is not finite: nan"),
-        ("M\toriginal\t1:0.5 0:inf", "feature 0 value is not finite: inf"),
-        ("M\toriginal\t1:-Infinity", "feature 1 value is not finite"),
-        ("#2", "expected feature header #2"),
-        ("#x\tthe", "expected feature header #2"),
-    ])
-    def test_vector_file_error_names_line(self, tmp_path, line, message):
-        p = tmp_path / "v.fv"
-        p.write_text(f"#0\tthe\n#1\ta\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: .*{message}"):
-            read_vectors(p)
-
-    def test_tab_only_line_is_an_empty_vector(self, tmp_path):
-        # write_vectors writes a zero row with an empty label and status so
-        path = tmp_path / "v.fv"
-        write_vectors([FeatureVector(np.zeros(2), "", "")], FeatureSpace(("the", "a"), ()), path)
-        assert path.read_text(encoding="utf-8").splitlines()[-1] == "\t\t"
-        (back,), _ = read_vectors(path)
-        assert (back.label, back.status) == ("", "")
-        assert np.array_equal(back.values, np.zeros(2))
-
-    def test_vector_file_header_after_vector_names_line(self, tmp_path):
-        p = tmp_path / "v.fv"
-        p.write_text("#0\tthe\nM\toriginal\t0:0.5\n#1\ta\n", encoding="utf-8")
-        with pytest.raises(ValueError,
-                           match=rf"^{re.escape(str(p))}:3: feature header after a vector line"):
-            read_vectors(p)
-
-    def test_fw_file_loading(self, tmp_path):
-        p = tmp_path / "fw.txt"
-        p.write_text("# comment\nthe\nof # trailing\n\nand\n", encoding="utf-8")
-        assert load_function_words(p) == ["the", "of", "and"]
+    def test_fw_file_loading(self):
+        # the rule the vendored lists are read by
+        text = "# comment\nthe\nof # trailing\n\nand\n"
+        assert stylometry._parse_function_words(text) == ["the", "of", "and"]
 
     def test_vendored_lists(self):
         for lang in ("en", "fr"):
