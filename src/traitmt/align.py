@@ -306,62 +306,68 @@ def score_phrases(sentences, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
     return PhraseTable(entries)
 
 
-def _writable_phrase(phrase) -> bool:
-    return bool(phrase) and all(word != "|||" and word.split() == [word] for word in phrase)
+def _format_pair(src, tgt, scores) -> str:
+    return f"{' '.join(src)} ||| {' '.join(tgt)} ||| " + " ".join(f"{s:.12g}" for s in scores)
+
+
+def _parse_pair(line: str) -> tuple:
+    """One line of a phrase table as (source, target, scores)."""
+    fields = line.split(" ||| ")
+    if len(fields) != 3:
+        raise ValueError("expected three ||| fields")
+    src = tuple(fields[0].split())
+    tgt = tuple(fields[1].split())
+    if not src or not tgt:
+        raise ValueError(f"empty {'target' if src else 'source'} phrase")
+    if "|||" in src + tgt:
+        raise ValueError("a word is '|||'")
+    try:
+        scores = tuple(float(x) for x in fields[2].split())
+    except ValueError as exc:
+        raise ValueError(f"bad score: {exc}") from None
+    if len(scores) != 4:
+        raise ValueError("expected four scores")
+    if not all(0.0 < x <= 1.0 for x in scores):
+        raise ValueError("scores must lie in (0, 1]")
+    return src, tgt, scores
 
 
 def write_phrase_table(table: PhraseTable, path) -> None:
     """`source ||| target ||| phi_fwd lex_fwd phi_rev lex_rev` per line.
-    An entry that would not read back as itself (an empty source or target
-    phrase, a word that is empty, holds whitespace or is `|||`, other than
-    four scores, a score outside (0, 1]) raises ValueError naming its pair
-    before the file is opened."""
+    A pair whose line read_phrase_table's parser would refuse or read back
+    as other phrases, or whose scores are not four in (0, 1] before
+    rounding, raises ValueError naming it before the file is opened."""
     for src, row in table.entries.items():
         for tgt, scores in row.items():
-            if (not _writable_phrase(src) or not _writable_phrase(tgt) or len(scores) != 4
-                    or not all(0.0 < x <= 1.0 for x in scores)):
-                raise ValueError(f"pair {src!r} ||| {tgt!r}: phrases must be non-empty, their "
-                                 f"words non-empty, without whitespace and not '|||', and "
-                                 f"the four scores in (0, 1], got {scores}")
+            try:
+                if len(scores) != 4 or not all(0.0 < x <= 1.0 for x in scores):
+                    raise ValueError(f"the four scores must lie in (0, 1], got {scores}")
+                if _parse_pair(_format_pair(src, tgt, scores))[:2] != (src, tgt):
+                    raise ValueError("its phrases would read back as other words")
+            except ValueError as exc:
+                raise ValueError(f"pair {src!r} ||| {tgt!r}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
         for src in sorted(table.entries):
             for tgt in sorted(table.entries[src]):
-                scores = table.entries[src][tgt]
-                fh.write(
-                    f"{' '.join(src)} ||| {' '.join(tgt)} ||| "
-                    + " ".join(f"{s:.12g}" for s in scores)
-                    + "\n"
-                )
+                fh.write(_format_pair(src, tgt, table.entries[src][tgt]) + "\n")
 
 
 def read_phrase_table(path) -> PhraseTable:
     """Inverse of write_phrase_table; a whitespace-only line is skipped.
-    A malformed line, an empty source or target phrase, a score outside
-    (0, 1] or a repeated `source ||| target` pair raises ValueError naming
-    `path:line`."""
+    A malformed line, an empty source or target phrase, a word that is
+    `|||`, a score outside (0, 1] or a repeated `source ||| target` pair
+    raises ValueError naming `path:line`."""
     entries: dict[tuple, dict] = defaultdict(dict)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
             if not line.strip():
                 continue
-            fields = line.split(" ||| ")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected three ||| fields")
-            src = tuple(fields[0].split())
-            tgt = tuple(fields[1].split())
-            if not src or not tgt:
-                raise ValueError(f"{path}:{lineno}: empty {'target' if src else 'source'} phrase")
             try:
-                scores = tuple(float(x) for x in fields[2].split())
+                src, tgt, scores = _parse_pair(line)
+                if tgt in entries[src]:
+                    raise ValueError(f"repeated pair {' '.join(src)} ||| {' '.join(tgt)}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad score: {exc}") from exc
-            if len(scores) != 4:
-                raise ValueError(f"{path}:{lineno}: expected four scores")
-            if not all(0.0 < x <= 1.0 for x in scores):
-                raise ValueError(f"{path}:{lineno}: scores must lie in (0, 1]")
-            if tgt in entries[src]:
-                raise ValueError(f"{path}:{lineno}: repeated pair {' '.join(src)} ||| {' '.join(tgt)}")
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             entries[src][tgt] = scores
     return PhraseTable(dict(entries))
 

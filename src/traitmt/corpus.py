@@ -27,11 +27,6 @@ TSV_COLUMNS = (
 )
 
 
-class CorpusFormatError(Exception):
-    """Raised when a corpus file cannot be parsed at all (missing file body,
-    bad header); row-level problems are reported as RowError values instead."""
-
-
 @dataclass(frozen=True, slots=True)
 class AnnotatedSentencePair:
     source_text: str
@@ -101,9 +96,9 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
     """Parse an annotated-corpus TSV file.
 
     Malformed rows are collected as RowError values (with the 1-based line
-    number) rather than silently dropped.  Returns (corpus, errors).  A
-    session_date must be YYYY-MM-DD in ASCII digits, as save_corpus writes
-    it (parse_iso_date).
+    number), and a missing or bad header raises ValueError naming `path:1`.
+    Returns (corpus, errors).  A session_date must be YYYY-MM-DD in ASCII
+    digits, as save_corpus writes it (parse_iso_date).
 
     Each repeated value is stored once: the rows of one speaker share one
     interned speaker_id string, every row shares the first row's language
@@ -115,11 +110,11 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise CorpusFormatError(f"{path}: empty file, expected a header row")
+        raise ValueError(f"{path}:1: empty file, expected a header row")
     header = tuple(lines[0].split("\t"))
     if header != TSV_COLUMNS:
-        raise CorpusFormatError(
-            f"{path}: header mismatch, expected {list(TSV_COLUMNS)}, got {list(header)}"
+        raise ValueError(
+            f"{path}:1: header mismatch, expected {list(TSV_COLUMNS)}, got {list(header)}"
         )
     pairs: list[AnnotatedSentencePair] = []
     errors: list[RowError] = []
@@ -174,17 +169,16 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back to the TSV layout read by load_corpus.
 
-    Raises CorpusFormatError, naming the field, when a value holds a tab,
-    newline or carriage return, since load_corpus could not split that row
-    back: it reads with universal newlines, so a carriage return ends a
-    line too.  An empty corpus raises CorpusFormatError too: the language
-    pair is stored only in data rows, so it could not be read back.  Every
-    row is checked before the file is opened.
+    Raises ValueError, naming the field, when a value holds a tab, newline
+    or carriage return, since load_corpus could not split that row back: it
+    reads with universal newlines, so a carriage return ends a line too.
+    An empty corpus raises ValueError too: the language pair is stored only
+    in data rows, so it could not be read back.  Every row is checked
+    before the file is opened.
     """
     if not corpus.pairs:
-        raise CorpusFormatError(f"cannot save an empty corpus: its language pair "
-                                f"{corpus.source_lang}-{corpus.target_lang} is stored only "
-                                f"in data rows")
+        raise ValueError(f"cannot save an empty corpus: its language pair "
+                         f"{corpus.source_lang}-{corpus.target_lang} is stored only in data rows")
     lines = ["\t".join(TSV_COLUMNS) + "\n"]
     for p in corpus.pairs:
         row = [
@@ -201,7 +195,7 @@ def save_corpus(corpus: Corpus, path) -> None:
         # one scan of the joined row checks every field it holds
         if "\n" in line or "\r" in line or line.count("\t") != len(row) - 1:
             name = next(n for n, v in zip(TSV_COLUMNS, row) if any(c in v for c in "\t\n\r"))
-            raise CorpusFormatError(f"{name} must not contain tab, newline or carriage return")
+            raise ValueError(f"{name} must not contain tab, newline or carriage return")
         lines.append(line + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

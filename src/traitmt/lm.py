@@ -12,9 +12,8 @@ lower-order n-gram is its number of distinct left extensions one order up.
 
 The model is stored the way an ARPA file lists it: one table from each
 n-gram of 1..order words to its (log10 prob, log10 backoff weight), the
-weight 0.0 where the line has none.  The in-memory scorer and an
-ARPA-round-tripped model are therefore bit-compatible, and every model
-the table can hold has a file that reads back to it.
+weight 0.0 where the line has none, so the in-memory scorer and an
+ARPA-round-tripped model are bit-compatible.
 
 A caller scoring word by word holds a state: start_state before the first
 word, then whatever extend(state, words) returns with the words' log10
@@ -187,40 +186,26 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
 def write_arpa(model: NgramLanguageModel, path) -> None:
     """Standard ARPA text format, log10 domain, full float precision: one
     line per entry of model.grams, with its backoff weight when that is not
-    0.  A model that read_arpa would refuse raises ValueError before the
-    file is opened: no 1-grams, an n-gram of no words or of more than
-    order, a word that is empty or holds whitespace, a word above order 1
-    that no 1-gram lists, or a NaN or +inf log10 probability or backoff
-    weight."""
-    grams = model.grams
-    if not any(len(gram) == 1 for gram in grams):
-        raise ValueError("the model has no 1-grams")
-    sections = {k: [] for k in range(1, model.order + 1)}
+    0.  The lines go through read_arpa's parser first, and a model they do
+    not read back as raises ValueError, naming `path:line` or the n-gram,
+    before the file is opened."""
+    grams, orders = model.grams, range(1, model.order + 1)
+    sections = {k: [] for k in orders}
     for gram in sorted(grams):
-        k, name = len(gram), " ".join(gram)
-        if k not in sections:
-            raise ValueError(f"{k}-gram {name!r} is outside orders 1 to {model.order}")
-        if any(word.split() != [word] for word in gram):
-            raise ValueError(f"{k}-gram {gram!r} has a word that is empty or holds whitespace")
-        unknown = [w for w in gram if (w,) not in grams]
-        if unknown:
-            raise ValueError(f"{k}-gram {name!r} has words that are not 1-grams: "
-                             f"{' '.join(unknown)!r}")
         logp, bow = grams[gram]
-        if any(math.isnan(x) or x == math.inf for x in (logp, bow)):
-            raise ValueError(f"NaN or +inf in {k}-gram {name!r}: {logp} {bow}")
-        sections[k].append(f"{logp:.17g}\t{name}" + (f"\t{bow:.17g}" if bow != 0.0 else ""))
+        sections.setdefault(len(gram), []).append(
+            f"{logp:.17g}\t{' '.join(gram)}" + (f"\t{bow:.17g}" if bow != 0.0 else ""))
+    lines = ["\\data\\", *(f"ngram {k}={len(sections[k])}" for k in orders), ""]
+    for k, section in sections.items():
+        lines += [f"\\{k}-grams:", *section, ""]
+    lines.append("\\end\\")
+    read = _parse_arpa(lines, path)
+    # only 1..order have headers, so any other length was refused above
+    if (read.order, read.grams) != (model.order, grams):
+        gram = next(g for g in grams if read.grams.get(g) != grams[g])
+        raise ValueError(f"{path}: {len(gram)}-gram {gram!r} would not read back as itself")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\\data\\\n")
-        for k, lines in sections.items():
-            fh.write(f"ngram {k}={len(lines)}\n")
-        fh.write("\n")
-        for k, lines in sections.items():
-            fh.write(f"\\{k}-grams:\n")
-            for line in lines:
-                fh.write(line + "\n")
-            fh.write("\n")
-        fh.write("\\end\\\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def read_arpa(path) -> NgramLanguageModel:
@@ -233,49 +218,54 @@ def read_arpa(path) -> NgramLanguageModel:
     without unigrams raise one naming `path`; then declared orders other
     than 1..N raise one naming the first header out of place.  The order is
     the highest declared, also when its count is 0."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_arpa(fh, path)
+
+
+def _parse_arpa(lines, path) -> NgramLanguageModel:
+    """read_arpa's parser over lines; path only names them in errors."""
     grams: dict[tuple, tuple] = {}
     declared: dict[int, int] = {}
     header_lines: dict[int, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        section = None
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line == "\\data\\":
-                continue
-            if line == "\\end\\":
-                break
-            try:
-                if line.startswith("ngram "):
-                    k_s, n_s = line[len("ngram "):].split("=")
-                    k = int(k_s)
-                    if k in declared:
-                        raise ValueError(f"repeated 'ngram {k}=' header")
-                    declared[k] = int(n_s)
-                    header_lines[k] = lineno
-                elif line.startswith("\\") and line.endswith("-grams:"):
-                    section = int(line[1:].split("-")[0])
-                    if section not in declared:
-                        raise ValueError(f"{line!r} has no 'ngram {section}=' header")
-                elif section is None:
-                    raise ValueError(f"entry outside any n-gram section: {line!r}")
-                else:
-                    fields = line.split()
-                    if len(fields) not in (1 + section, 2 + section):
-                        raise ValueError(f"bad {section}-gram line {line!r}")
-                    gram = tuple(fields[1: 1 + section])
-                    values = [float(f) for f in fields[:1] + fields[1 + section:]]
-                    if any(math.isnan(x) or x == math.inf for x in values):
-                        raise ValueError(f"NaN or +inf in {section}-gram line {line!r}")
-                    if gram in grams:
-                        raise ValueError(f"repeated {section}-gram {' '.join(gram)!r}")
-                    if section > 1:
-                        unknown = [w for w in gram if (w,) not in grams]
-                        if unknown:
-                            raise ValueError(f"{section}-gram {' '.join(gram)!r} has words "
-                                             f"that are not 1-grams: {' '.join(unknown)!r}")
-                    grams[gram] = (values[0], values[1] if len(values) > 1 else 0.0)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    section = None
+    for lineno, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if not line.strip() or line == "\\data\\":
+            continue
+        if line == "\\end\\":
+            break
+        try:
+            if line.startswith("ngram "):
+                k_s, n_s = line[len("ngram "):].split("=")
+                k = int(k_s)
+                if k in declared:
+                    raise ValueError(f"repeated 'ngram {k}=' header")
+                declared[k] = int(n_s)
+                header_lines[k] = lineno
+            elif line.startswith("\\") and line.endswith("-grams:"):
+                section = int(line[1:].split("-")[0])
+                if section not in declared:
+                    raise ValueError(f"{line!r} has no 'ngram {section}=' header")
+            elif section is None:
+                raise ValueError(f"entry outside any n-gram section: {line!r}")
+            else:
+                fields = line.split()
+                if len(fields) not in (1 + section, 2 + section):
+                    raise ValueError(f"bad {section}-gram line {line!r}")
+                gram = tuple(fields[1: 1 + section])
+                values = [float(f) for f in fields[:1] + fields[1 + section:]]
+                if any(math.isnan(x) or x == math.inf for x in values):
+                    raise ValueError(f"NaN or +inf in {section}-gram line {line!r}")
+                if gram in grams:
+                    raise ValueError(f"repeated {section}-gram {' '.join(gram)!r}")
+                if section > 1:
+                    unknown = [w for w in gram if (w,) not in grams]
+                    if unknown:
+                        raise ValueError(f"{section}-gram {' '.join(gram)!r} has words "
+                                         f"that are not 1-grams: {' '.join(unknown)!r}")
+                grams[gram] = (values[0], values[1] if len(values) > 1 else 0.0)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     found = Counter(map(len, grams))
     for k, n in declared.items():
         if found[k] != n:

@@ -316,7 +316,6 @@ def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
 class FeatureVector:
     values: np.ndarray  # float64 row over the space's columns: count / token_count
     label: str
-    status: str
 
 
 def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
@@ -354,7 +353,7 @@ def vectorize_chunk(chunk: Chunk, space: FeatureSpace) -> FeatureVector:
     hit[hit] = space_codes[pos[hit]] == codes[hit]
     row[columns[pos[hit]]] = counts[hit]
     row /= n
-    return FeatureVector(row, chunk.label, chunk.status)
+    return FeatureVector(row, chunk.label)
 
 
 def _parse_function_words(text: str) -> list[str]:

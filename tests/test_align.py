@@ -573,6 +573,60 @@ class TestPhraseTableIo:
             write_phrase_table(table, path)
         assert not path.exists()
 
+    def test_write_refuses_score_that_rounds_into_range(self, tmp_path):
+        # written with 12 significant digits, 1 + 1e-13 would read back as 1
+        src, tgt = ("b",), ("y",)
+        table = PhraseTable({src: {tgt: (0.5, 1 + 1e-13, 0.5, 0.5)}})
+        path = tmp_path / "pt.txt"
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'pair {src!r} ||| {tgt!r}')}: "):
+            write_phrase_table(table, path)
+        assert not path.exists()
+
+    def test_write_accepts_exactly_what_reads_back(self, tmp_path):
+        """Random tables over words that sit close to the separator: a
+        table is written when every word is non-empty, holds no whitespace
+        and is not `|||`, and then reads back as itself; otherwise the
+        writer refuses it and leaves no file."""
+        words = ["a", "b", "|", "||", "||||", "a|||b", "|||", "", "a b"]
+        weights = [4] * 6 + [1] * 3  # the three unwritable words a quarter as often
+        rng = random.Random(7)
+
+        def phrase():
+            return tuple(rng.choices(words, weights, k=rng.randint(1, 3)))
+
+        written = refused = 0
+        for trial in range(400):
+            entries = defaultdict(dict)
+            for _ in range(rng.randint(1, 4)):
+                entries[phrase()][phrase()] = tuple(1.0 - rng.random() for _ in range(4))
+            entries = dict(entries)
+            writable = all(w.split() == [w] and w != "|||"
+                           for src, row in entries.items() for tgt in row for w in src + tgt)
+            path = tmp_path / f"{trial}.txt"
+            if not writable:
+                with pytest.raises(ValueError, match=r"^pair "):
+                    write_phrase_table(PhraseTable(entries), path)
+                assert not path.exists()
+                refused += 1
+                continue
+            write_phrase_table(PhraseTable(entries), path)
+            loaded = read_phrase_table(path).entries
+            assert {s: row.keys() for s, row in loaded.items()} == \
+                {s: row.keys() for s, row in entries.items()}
+            for src, row in entries.items():
+                for tgt, scores in row.items():
+                    assert loaded[src][tgt] == pytest.approx(scores, abs=1e-12)
+            written += 1
+        assert written >= 100 and refused >= 100
+
+    @pytest.mark.parametrize("line", ["||| ||| x ||| 0.5 0.5 0.5 0.5",
+                                      "a ||| ||| ||| 0.5 0.5 0.5 0.5"])
+    def test_pipe_word_names_line(self, tmp_path, line):
+        path = tmp_path / "pt.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: "):
+            read_phrase_table(path)
+
     def test_pipes_inside_words_round_trip(self, tmp_path):
         entries = {("a|||b", "||||"): {("|||x", "y|||"): (0.5,) * 4}}
         path = tmp_path / "pt.txt"

@@ -527,8 +527,8 @@ class TestCrossValidate:
 class TestReportsAndHelpers:
     def test_vectors_to_matrix(self):
         vecs = [
-            FeatureVector(np.array([0.5, 0.0, 0.25]), "M", "original"),
-            FeatureVector(np.array([0.0, 1.0, 1 / 3]), "F", "original"),
+            FeatureVector(np.array([0.5, 0.0, 0.25]), "M"),
+            FeatureVector(np.array([0.0, 1.0, 1 / 3]), "F"),
         ]
         X, labels = vectors_to_matrix(vecs, 3)
         assert np.array_equal(X, [[0.5, 0.0, 0.25], [0.0, 1.0, 1 / 3]])
@@ -538,7 +538,7 @@ class TestReportsAndHelpers:
 
     @pytest.mark.parametrize("row", [np.zeros(2), np.zeros(4), np.zeros((1, 3))])
     def test_vectors_to_matrix_refuses_row_of_wrong_shape(self, row):
-        vecs = [FeatureVector(np.zeros(3), "M", "original"), FeatureVector(row, "F", "original")]
+        vecs = [FeatureVector(np.zeros(3), "M"), FeatureVector(row, "F")]
         with pytest.raises(ValueError, match=r"feature row of shape .*expected \(3,\)"):
             vectors_to_matrix(vecs, 3)
 

@@ -12,7 +12,6 @@ from traitmt.corpus import (
     _SPLIT_PUNCT,
     AnnotatedSentencePair,
     Corpus,
-    CorpusFormatError,
     RowError,
     TokenizedSentence,
     clean_corpus,
@@ -126,7 +125,13 @@ class TestLoadCorpus:
     def test_header_mismatch_raises(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("a\tb\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:1: header mismatch"):
+            load_corpus(p)
+
+    def test_empty_file_raises(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:1: empty file"):
             load_corpus(p)
 
     def test_missing_file_raises(self, tmp_path):
@@ -214,14 +219,14 @@ class TestLoadCorpus:
         pair = make_pair()
         broken = dataclasses.replace(pair, **{field: "x" + bad + getattr(pair, field)})
         corpus = Corpus([pair, broken], "en", "fr")
-        with pytest.raises(CorpusFormatError, match=field):
+        with pytest.raises(ValueError, match=field):
             save_corpus(corpus, tmp_path / "c.tsv")
 
     def test_save_rejects_empty_corpus(self, tmp_path):
         # the language pair lives only in data rows, so an empty file would
         # read back as und-und
         path = tmp_path / "c.tsv"
-        with pytest.raises(CorpusFormatError, match="empty corpus"):
+        with pytest.raises(ValueError, match="empty corpus"):
             save_corpus(Corpus([], "en", "fr"), path)
         assert not path.exists()
 
@@ -231,14 +236,14 @@ class TestLoadCorpus:
         path.write_text("kept\n", encoding="utf-8")
         pair = make_pair()
         broken = dataclasses.replace(pair, target_text="x\ty")
-        with pytest.raises(CorpusFormatError, match="target_text"):
+        with pytest.raises(ValueError, match="target_text"):
             save_corpus(Corpus([pair, pair, broken], "en", "fr"), path)
         assert path.read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("column", ["src_lang", "tgt_lang"])
     def test_save_rejects_separator_in_language(self, tmp_path, column):
         langs = ("e\tn", "fr") if column == "src_lang" else ("en", "f\nr")
-        with pytest.raises(CorpusFormatError, match=column):
+        with pytest.raises(ValueError, match=column):
             save_corpus(Corpus([make_pair()], *langs), tmp_path / "c.tsv")
 
 

@@ -570,19 +570,21 @@ def good_model():
 
 
 class TestWriteArpaRefusals:
-    """Each model would give a file that read_arpa refuses; write_arpa
-    raises before it opens the file."""
+    """Each model would give a file that read_arpa refuses or reads as
+    another model; write_arpa raises before it opens the file."""
 
     @pytest.mark.parametrize("edit, message", [
-        ({("b",): (math.nan, 0.0)}, "NaN or +inf in 1-gram 'b'"),
-        ({("a",): (-0.3, math.inf)}, "NaN or +inf in 1-gram 'a'"),
-        ({("a", "zz"): (-0.1, 0.0)}, "2-gram 'a zz' has words that are not 1-grams: 'zz'"),
-        ({("a", "b", "a"): (-0.1, 0.0)}, "3-gram 'a b a' is outside orders 1 to 2"),
-        ({("",): (-0.1, 0.0)}, "1-gram ('',) has a word that is empty or holds whitespace"),
-        ({("x y",): (-0.1, 0.0)}, "1-gram ('x y',) has a word that is empty or holds whitespace"),
-        ({("a",): None, ("b",): None}, "the model has no 1-grams"),
+        ({("b",): (math.nan, 0.0)}, ":7: NaN or +inf in 1-gram line 'nan\\tb'"),
+        ({("a",): (-0.3, math.inf)},
+         ":6: NaN or +inf in 1-gram line '-0.29999999999999999\\ta\\tinf'"),
+        ({("a", "zz"): (-0.1, 0.0)}, ":11: 2-gram 'a zz' has words that are not 1-grams: 'zz'"),
+        ({("a", "b", "a"): (-0.1, 0.0)}, ":12: '\\\\3-grams:' has no 'ngram 3=' header"),
+        ({("",): (-0.1, 0.0)}, ":6: bad 1-gram line '-0.10000000000000001\\t'"),
+        ({("x y",): (-0.1, 0.0)}, ":8: could not convert string to float: 'y'"),
+        ({("a",): None, ("b",): None}, ":8: 2-gram 'a b' has words that are not 1-grams: 'a b'"),
+        ({("c -0.5",): (-0.1, 0.0)}, ": 1-gram ('c -0.5',) would not read back as itself"),
     ], ids=["nan_logprob", "inf_backoff", "word_not_a_unigram", "too_long", "empty_word",
-            "whitespace_word", "no_unigrams"])
+            "whitespace_word", "no_unigrams", "whitespace_word_reads_as_another"])
     def test_refused_before_opening(self, tmp_path, edit, message):
         model = good_model()
         write_arpa(model, tmp_path / "good.arpa")
@@ -594,7 +596,7 @@ class TestWriteArpaRefusals:
                 model.grams[gram] = entry
         path = tmp_path / "model.arpa"
         path.write_text("already here\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}{message}") + "$"):
             write_arpa(model, path)
         assert path.read_text(encoding="utf-8") == "already here\n"
 

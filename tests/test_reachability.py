@@ -31,9 +31,9 @@ kept without a reader, each with its reason.
 
 A field is a public annotated attribute of a public dataclass.  It counts
 as read when an Attribute of its name is loaded in reached code; setting
-it does not count.  The scan matches on the name alone, as for members.
-FIELDS_ALLOWED lists the fields kept without a reader, each with its
-reason.
+it does not count, nor does calling a method of that name (`X.mean()`).
+The scan matches on the name alone, as for members.  FIELDS_ALLOWED lists
+the fields kept without a reader, each with its reason.
 """
 
 import ast
@@ -84,6 +84,7 @@ FIELDS_ALLOWED = {
     "align.PhraseTable.dropped_pairs": "reports the empty pairs the build skipped",
     "analysis.Projection2D.components": "the PCA axes the coordinates are taken on",
     "analysis.Projection2D.explained_variance": "the share of variance the two axes keep",
+    "analysis.Projection2D.mean": "with components, maps new vectors onto the same axes",
     "classify.SvmModel.iterations": "says whether SMO stopped at its iteration cap",
     "classify.EvalReport.classes": "names the rows and columns of the confusion matrix",
     "corpus.AnnotatedSentencePair.original_language": "perfbench builds pairs positionally",
@@ -93,6 +94,7 @@ FIELDS_ALLOWED = {
     "corpus.CleanReport.removed_long": _REPORTED,
     "corpus.CleanReport.removed_ratio": _REPORTED,
     "stylometry.Chunk.language": "perfbench passes it to chunk_corpus",
+    "stylometry.Chunk.status": "perfbench passes it to chunk_corpus",
 }
 
 
@@ -266,10 +268,13 @@ def _is_dataclass(cls) -> bool:
 
 def _unread_fields() -> set:
     """Public fields of reached public dataclasses whose name no loaded
-    Attribute in reached code has."""
-    loaded = {sub.attr for path in LIBRARY + BENCH for stmt in _reached(path)
-              for sub in ast.walk(stmt)
-              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    Attribute in reached code has, other than the callee of a call."""
+    nodes = [sub for path in LIBRARY + BENCH for stmt in _reached(path)
+             for sub in ast.walk(stmt)]
+    callees = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    loaded = {sub.attr for sub in nodes
+              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+              and id(sub) not in callees}
     return {
         f"{path.stem}.{cls.name}.{stmt.target.id}"
         for path in LIBRARY
