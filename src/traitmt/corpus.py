@@ -247,18 +247,30 @@ _PUNCT = re.escape("".join(sorted(_SPLIT_PUNCT)))
 # other alternative starts with, so the order of the alternatives cannot
 # change a match.
 _TOKEN_RE = re.compile(rf"[^\s{_PUNCT}]+(?:[{_PUNCT}]+[^\s{_PUNCT}]+)*|\.{{2,}}|[{_PUNCT}]")
+_PUNCT_RE = re.compile(f"[{_PUNCT}]")
 
 
 def tokenize(s: str, lang: str = "en") -> TokenizedSentence:
-    """Rule-based tokenizer, one regex pass over the sentence.
+    """Rule-based tokenizer.
 
     Each whitespace chunk yields its leading punctuation, its core and its
     trailing punctuation; a run of two or more dots is one token, any other
-    _SPLIT_PUNCT character is a token of its own.  For French, a core such
-    as "l'homme" is split after its elided prefix.  Every token is
+    _SPLIT_PUNCT character is a token of its own.  A sentence with no
+    _SPLIT_PUNCT character before its last character is split on
+    whitespace, and a split character at its end is split off; any other
+    sentence takes one _TOKEN_RE pass.  For French, a core such as
+    "l'homme" is then split after its elided prefix.  Every token is
     interned, so a corpus holds one string per distinct token.
     """
-    tokens = _TOKEN_RE.findall(s)
+    if _PUNCT_RE.search(s, 0, len(s) - 1):
+        tokens = _TOKEN_RE.findall(s)
+    else:
+        # No split character before the last, so no core joins punctuation
+        # and no dot run forms: each chunk is one core, but a split
+        # character ending the sentence is a token of its own.
+        tokens = s.split()
+        if tokens and s[-1] in _SPLIT_PUNCT and len(tokens[-1]) > 1:
+            tokens[-1:] = tokens[-1][:-1], s[-1]
     if lang == "fr" and "'" in s:
         elided = []
         for tok in tokens:  # "'" is never split off, so only a core holds one

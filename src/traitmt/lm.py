@@ -187,19 +187,28 @@ def write_arpa(model: NgramLanguageModel, path) -> None:
     """Standard ARPA text format, log10 domain, full float precision: one
     line per entry of model.grams, with its backoff weight when that is not
     0.  The lines go through read_arpa's parser first, and a model they do
-    not read back as raises ValueError, naming `path:line` or the n-gram,
-    before the file is opened."""
+    not read back as raises ValueError, naming the n-gram (or only path,
+    for a model without unigrams), before the file is opened."""
     grams, orders = model.grams, range(1, model.order + 1)
     sections = {k: [] for k in orders}
     for gram in sorted(grams):
         logp, bow = grams[gram]
         sections.setdefault(len(gram), []).append(
-            f"{logp:.17g}\t{' '.join(gram)}" + (f"\t{bow:.17g}" if bow != 0.0 else ""))
+            (gram, f"{logp:.17g}\t{' '.join(gram)}" + (f"\t{bow:.17g}" if bow != 0.0 else "")))
     lines = ["\\data\\", *(f"ngram {k}={len(sections[k])}" for k in orders), ""]
+    owners = [None] * len(lines)  # the n-gram each line is refused for
     for k, section in sections.items():
-        lines += [f"\\{k}-grams:", *section, ""]
+        lines += [f"\\{k}-grams:", *(line for _, line in section), ""]
+        owners += [section[0][0] if section else None, *(gram for gram, _ in section), None]
     lines.append("\\end\\")
-    read = _parse_arpa(lines, path)
+    try:
+        read = _parse_arpa(lines, path)
+    except ValueError as exc:
+        lineno, _, message = str(exc).removeprefix(f"{path}:").partition(": ")
+        gram = owners[int(lineno) - 1] if lineno.isdigit() else None
+        if gram is None:
+            raise
+        raise ValueError(f"{path}: {len(gram)}-gram {gram!r}: {message}") from None
     # only 1..order have headers, so any other length was refused above
     if (read.order, read.grams) != (model.order, grams):
         gram = next(g for g in grams if read.grams.get(g) != grams[g])

@@ -307,6 +307,18 @@ class TestTokenize:
         ("x...y", "en", ("x...y",)),
         ("...", "en", ("...",)),
         ("l'homme.", "fr", ("l'", "homme", ".")),
+        ("", "en", ()),
+        (".", "en", (".",)),
+        (" .", "en", (".",)),
+        ("a .", "en", ("a", ".")),
+        ("a.", "en", ("a", ".")),
+        ("a..", "en", ("a", "..")),
+        ("a.)", "en", ("a", ".", ")")),
+        ("(a", "en", ("(", "a")),
+        ("a (", "en", ("a", "(")),
+        ("a\x1c.", "en", ("a", ".")),
+        ("l'homme est là.", "fr", ("l'", "homme", "est", "là", ".")),
+        ("l'homme, l'air.", "fr", ("l'", "homme", ",", "l'", "air", ".")),
     ])
     def test_interior_punctuation_and_dot_runs(self, text, lang, expected):
         assert tokenize(text, lang).tokens == expected == reference_tokenize(text, lang)
@@ -332,11 +344,34 @@ class TestTokenize:
             for _ in range(3000):
                 s = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
                 assert tokenize(s, lang).tokens == reference_tokenize(s, lang), s
+        # Sentence-shaped strings: most have no split character before their
+        # last one and are split on whitespace, the rest take the regex.
+        words = ["homme", "Est", "a", "zé", "air", "qu'il", "aujourd'hui", "'", "x'y"]
+        spaces = [" ", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "\x85"]
+        punct = sorted(_SPLIT_PUNCT)
+        for lang in ("en", "fr"):
+            paths = {True: 0, False: 0}
+            for _ in range(4000):
+                s = ""
+                for _ in range(rng.randint(0, 10)):
+                    s += rng.choice(spaces) if s else ""
+                    s += rng.choice(prefixes) if rng.random() < 0.3 else ""
+                    s += rng.choice(words)
+                if rng.random() < 0.5:
+                    s += rng.choice(punct)
+                if rng.random() < 0.4:
+                    i = rng.randint(0, len(s))
+                    s = s[:i] + rng.choice(punct + ["..", "..."]) + s[i:]
+                paths[any(c in _SPLIT_PUNCT for c in s[:-1])] += 1
+                assert tokenize(s, lang).tokens == reference_tokenize(s, lang), s
+            assert min(paths.values()) >= 1000, paths
 
     def test_one_string_per_distinct_token(self):
         texts = {
-            "en": ["Hello, world.", "(Hello) world... again!", "the world's end; the end?"],
-            "fr": ["l'homme, l'air.", "L'homme qu'il voit... jusqu'ici!", "d'accord (d'accord)."],
+            "en": ["Hello, world.", "(Hello) world... again!", "the world's end; the end?",
+                   "hello world again"],
+            "fr": ["l'homme, l'air.", "L'homme qu'il voit... jusqu'ici!", "d'accord (d'accord).",
+                   "l'homme voit l'air!"],
         }
         for lang, sentences in texts.items():
             tokens = [t for s in sentences for t in tokenize(s, lang).tokens]

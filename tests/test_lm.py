@@ -574,14 +574,17 @@ class TestWriteArpaRefusals:
     another model; write_arpa raises before it opens the file."""
 
     @pytest.mark.parametrize("edit, message", [
-        ({("b",): (math.nan, 0.0)}, ":7: NaN or +inf in 1-gram line 'nan\\tb'"),
+        ({("b",): (math.nan, 0.0)}, ": 1-gram ('b',): NaN or +inf in 1-gram line 'nan\\tb'"),
         ({("a",): (-0.3, math.inf)},
-         ":6: NaN or +inf in 1-gram line '-0.29999999999999999\\ta\\tinf'"),
-        ({("a", "zz"): (-0.1, 0.0)}, ":11: 2-gram 'a zz' has words that are not 1-grams: 'zz'"),
-        ({("a", "b", "a"): (-0.1, 0.0)}, ":12: '\\\\3-grams:' has no 'ngram 3=' header"),
-        ({("",): (-0.1, 0.0)}, ":6: bad 1-gram line '-0.10000000000000001\\t'"),
-        ({("x y",): (-0.1, 0.0)}, ":8: could not convert string to float: 'y'"),
-        ({("a",): None, ("b",): None}, ":8: 2-gram 'a b' has words that are not 1-grams: 'a b'"),
+         ": 1-gram ('a',): NaN or +inf in 1-gram line '-0.29999999999999999\\ta\\tinf'"),
+        ({("a", "zz"): (-0.1, 0.0)},
+         ": 2-gram ('a', 'zz'): 2-gram 'a zz' has words that are not 1-grams: 'zz'"),
+        ({("a", "b", "a"): (-0.1, 0.0)},
+         ": 3-gram ('a', 'b', 'a'): '\\\\3-grams:' has no 'ngram 3=' header"),
+        ({("",): (-0.1, 0.0)}, ": 1-gram ('',): bad 1-gram line '-0.10000000000000001\\t'"),
+        ({("x y",): (-0.1, 0.0)}, ": 1-gram ('x y',): could not convert string to float: 'y'"),
+        ({("a",): None, ("b",): None},
+         ": 2-gram ('a', 'b'): 2-gram 'a b' has words that are not 1-grams: 'a b'"),
         ({("c -0.5",): (-0.1, 0.0)}, ": 1-gram ('c -0.5',) would not read back as itself"),
     ], ids=["nan_logprob", "inf_backoff", "word_not_a_unigram", "too_long", "empty_word",
             "whitespace_word", "no_unigrams", "whitespace_word_reads_as_another"])
