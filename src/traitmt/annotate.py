@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 KNOWLEDGE_BASE = "knowledge_base"
@@ -80,17 +81,10 @@ def _label_by_source(evidence) -> dict:
     A source whose entries disagree with each other is discarded, which
     keeps resolution independent of evidence order.
     """
-    labels: dict[str, str] = {}
-    dropped = set()
+    labels: dict[str, set] = {}
     for e in evidence:
-        if e.source in dropped:
-            continue
-        if e.source in labels and labels[e.source] != e.label:
-            del labels[e.source]
-            dropped.add(e.source)
-        elif e.source not in labels:
-            labels[e.source] = e.label
-    return labels
+        labels.setdefault(e.source, set()).add(e.label)
+    return {source: found.pop() for source, found in labels.items() if len(found) == 1}
 
 
 def resolve_gender(evidence) -> tuple[str, str]:
@@ -150,17 +144,22 @@ SPEAKER_CSV_COLUMNS = ("speaker_id", "gender", "provenance")
 
 
 def save_speaker_records(records, path) -> None:
+    """One CSV row per record; records that repeat a speaker raise
+    ValueError before the file is opened."""
+    rows = [(r.speaker_id, r.resolved_gender, r.provenance) for r in records]
+    repeated = [s for s, n in Counter(row[0] for row in rows).items() if n > 1]
+    if repeated:
+        raise ValueError(f"{path}: repeated speaker {repeated[0]!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SPEAKER_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.speaker_id, r.resolved_gender, r.provenance])
+        writer.writerows(rows)
 
 
 def load_speaker_records(path):
-    """Inverse of save_speaker_records; a bad header or row raises
-    ValueError naming `path:line`."""
-    records = []
+    """Inverse of save_speaker_records; a bad header or row, or a row
+    that repeats a speaker, raises ValueError naming `path:line`."""
+    records: dict[str, SpeakerRecord] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
@@ -169,7 +168,10 @@ def load_speaker_records(path):
         for row in reader:
             try:
                 speaker_id, gender, provenance = row
-                records.append(SpeakerRecord(speaker_id, gender, provenance))
+                record = SpeakerRecord(speaker_id, gender, provenance)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad speaker row: {exc}") from None
-    return records
+            if speaker_id in records:
+                raise ValueError(f"{path}:{reader.line_num}: repeated speaker {speaker_id!r}")
+            records[speaker_id] = record
+    return list(records.values())

@@ -125,7 +125,8 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
     """Estimate an interpolated Kneser-Ney model of the given order.
 
     sentences is an iterable of token sequences.  Tokens occurring at most
-    unk_threshold times in the corpus are replaced by <unk>.
+    unk_threshold times in the corpus are replaced by <unk>.  A sentence
+    holding <s> or </s> raises ValueError naming its index and the symbol.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -133,12 +134,15 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
     if not any(sentences):
         raise ValueError("corpus must contain at least one token")
     freq = Counter(tok for sent in sentences for tok in sent)
+    if BOS in freq or EOS in freq:
+        i, tok = next((i, tok) for i, sent in enumerate(sentences)
+                      for tok in sent if tok in (BOS, EOS))
+        raise ValueError(f"sentence {i}: {tok!r} is reserved for the sentence boundary")
     raw = {k: Counter() for k in range(1, order + 1)}
     for sent in sentences:
         padded = (BOS,) + tuple(tok if freq[tok] > unk_threshold else UNK for tok in sent) + (EOS,)
         for k in range(1, order + 1):
-            for i in range(len(padded) - k + 1):
-                raw[k][padded[i: i + k]] += 1
+            raw[k].update(zip(*(padded[i:] for i in range(k))))
     if not raw[order]:
         warnings.warn(
             f"order {order} exceeds the longest padded sentence "
@@ -186,9 +190,10 @@ def train_kn_lm(sentences, order: int, unk_threshold: int = 1) -> NgramLanguageM
 def write_arpa(model: NgramLanguageModel, path) -> None:
     """Standard ARPA text format, log10 domain, full float precision: one
     line per entry of model.grams, with its backoff weight when that is not
-    0.  The lines go through read_arpa's parser first, and a model they do
-    not read back as raises ValueError, naming the n-gram (or only path,
-    for a model without unigrams), before the file is opened."""
+    0.  The lines go through read_arpa's parser first: a model they do not
+    read back as raises ValueError before the file is opened, naming the
+    n-gram whose line (or section header) is refused, else path or the
+    `path:line` of an `ngram k=` header."""
     grams, orders = model.grams, range(1, model.order + 1)
     sections = {k: [] for k in orders}
     for gram in sorted(grams):
@@ -201,14 +206,11 @@ def write_arpa(model: NgramLanguageModel, path) -> None:
         lines += [f"\\{k}-grams:", *(line for _, line in section), ""]
         owners += [section[0][0] if section else None, *(gram for gram, _ in section), None]
     lines.append("\\end\\")
-    try:
-        read = _parse_arpa(lines, path)
-    except ValueError as exc:
-        lineno, _, message = str(exc).removeprefix(f"{path}:").partition(": ")
-        gram = owners[int(lineno) - 1] if lineno.isdigit() else None
-        if gram is None:
-            raise
-        raise ValueError(f"{path}: {len(gram)}-gram {gram!r}: {message}") from None
+
+    def where(lineno):
+        gram = owners[lineno - 1]
+        return f"{path}:{lineno}" if gram is None else f"{path}: {len(gram)}-gram {gram!r}"
+    read = _parse_arpa(lines, path, where)
     # only 1..order have headers, so any other length was refused above
     if (read.order, read.grams) != (model.order, grams):
         gram = next(g for g in grams if read.grams.get(g) != grams[g])
@@ -231,11 +233,12 @@ def read_arpa(path) -> NgramLanguageModel:
         return _parse_arpa(fh, path)
 
 
-def _parse_arpa(lines, path) -> NgramLanguageModel:
-    """read_arpa's parser over lines; path only names them in errors."""
+def _parse_arpa(lines, path, where=None) -> NgramLanguageModel:
+    """read_arpa's parser over lines.  An error about one line names it
+    where(lineno), by default `path:lineno`; any other error names path."""
+    where = where or (lambda lineno: f"{path}:{lineno}")
     grams: dict[tuple, tuple] = {}
-    declared: dict[int, int] = {}
-    header_lines: dict[int, int] = {}
+    declared: dict[int, tuple] = {}  # k -> (count, header line)
     section = None
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n")
@@ -249,8 +252,7 @@ def _parse_arpa(lines, path) -> NgramLanguageModel:
                 k = int(k_s)
                 if k in declared:
                     raise ValueError(f"repeated 'ngram {k}=' header")
-                declared[k] = int(n_s)
-                header_lines[k] = lineno
+                declared[k] = (int(n_s), lineno)
             elif line.startswith("\\") and line.endswith("-grams:"):
                 section = int(line[1:].split("-")[0])
                 if section not in declared:
@@ -274,17 +276,17 @@ def _parse_arpa(lines, path) -> NgramLanguageModel:
                                          f"that are not 1-grams: {' '.join(unknown)!r}")
                 grams[gram] = (values[0], values[1] if len(values) > 1 else 0.0)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{where(lineno)}: {exc}") from None
     found = Counter(map(len, grams))
-    for k, n in declared.items():
+    for k, (n, _) in declared.items():
         if found[k] != n:
             raise ValueError(f"{path}: declared {n} {k}-grams, found {found[k]}")
     if not found[1]:
         raise ValueError(f"{path}: no unigrams")
-    for k, lineno in header_lines.items():
+    for k, (_, lineno) in declared.items():
         if k < 1:
-            raise ValueError(f"{path}:{lineno}: n-gram order {k} is below 1")
+            raise ValueError(f"{where(lineno)}: n-gram order {k} is below 1")
         missing = [j for j in range(1, k) if j not in declared]
         if missing:
-            raise ValueError(f"{path}:{lineno}: 'ngram {k}=' but no 'ngram {missing[0]}=' header")
+            raise ValueError(f"{where(lineno)}: 'ngram {k}=' but no 'ngram {missing[0]}=' header")
     return NgramLanguageModel(max(declared), grams)

@@ -222,8 +222,7 @@ def tune_weights(decode_nbest, dev_sentences, dev_references, initial_weights,
         for _ in range(restarts - 1):
             start = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
             candidates.append(coordinate_ascent(stacked, start))
-        candidates.sort(key=lambda wb: -wb[1])
-        new_weights, new_bleu = candidates[0]
+        new_weights, new_bleu = max(candidates, key=lambda wb: wb[1])
         if new_bleu > best_bleu + 1e-12:
             weights, best_bleu = new_weights, new_bleu
         if not grew:

@@ -289,13 +289,6 @@ def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
         raise ValueError("need at least one chunk")
     if not fw_list:
         raise ValueError("function-word list must be non-empty")
-    fw_seen = []
-    seen = set()
-    for w in fw_list:
-        lw = w.lower()
-        if lw not in seen:
-            seen.add(lw)
-            fw_seen.append(lw)
     counted = [chunk.pos_trigram_counts for chunk in chunks]
     tags = sorted(set().union(*(chunk_tags for chunk_tags, _, _ in counted)))
     index = {t: i for i, t in enumerate(tags)}
@@ -309,7 +302,7 @@ def build_feature_space(chunks, fw_list, k: int = 1000) -> FeatureSpace:
     # breaks ties in lexicographic order
     top = codes[np.argsort(-totals, kind="stable")[:k]]
     trigrams = tuple(zip(*(map(tags.__getitem__, d.tolist()) for d in _digits(top, width))))
-    return FeatureSpace(tuple(fw_seen), trigrams)
+    return FeatureSpace(tuple(dict.fromkeys(w.lower() for w in fw_list)), trigrams)
 
 
 @dataclass

@@ -75,6 +75,35 @@ class TestResolveGender:
         results = {resolve_gender(list(p)) for p in itertools.permutations(evidence)}
         assert results == {("F", KNOWLEDGE_BASE)}
 
+    def test_self_contradicting_source_dropped(self):
+        evidence = [ev(NAME_SERVICE, "M", 0.95), ev(NAME_SERVICE, "F", 0.95),
+                    ev(NAME_SERVICE, "M", 0.95)]
+        assert resolve_gender(evidence) == ("U", NO_PROVENANCE)
+        assert resolve_gender(evidence + [ev(MANUAL, "F")]) == ("F", MANUAL)
+
+    def test_source_repeating_one_label_kept(self):
+        assert resolve_gender([ev(IMAGE_SERVICE, "F", 0.95), ev(IMAGE_SERVICE, "F", 0.97)]) \
+            == ("F", IMAGE_SERVICE)
+
+    def test_self_contradicting_knowledge_base_falls_through(self):
+        evidence = [ev(KNOWLEDGE_BASE, "M"), ev(KNOWLEDGE_BASE, "F"),
+                    ev(NAME_SERVICE, "F", 0.95), ev(IMAGE_SERVICE, "F", 0.93)]
+        assert resolve_gender(evidence) == ("F", AGREEMENT)
+        assert resolve_gender(evidence[:3]) == ("F", NAME_SERVICE)
+        assert resolve_gender(evidence[:2] + evidence[3:]) == ("F", IMAGE_SERVICE)
+
+    @pytest.mark.parametrize("evidence, expected", [
+        ([ev(KNOWLEDGE_BASE, "M"), ev(KNOWLEDGE_BASE, "F"), ev(NAME_SERVICE, "F", 0.95),
+          ev(NAME_SERVICE, "M", 0.95), ev(IMAGE_SERVICE, "M", 0.93)], ("M", IMAGE_SERVICE)),
+        ([ev(NAME_SERVICE, "M", 0.95), ev(NAME_SERVICE, "F", 0.95), ev(NAME_SERVICE, "M", 0.95),
+          ev(IMAGE_SERVICE, "F", 0.93), ev(MANUAL, "M")], ("F", IMAGE_SERVICE)),
+        ([ev(IMAGE_SERVICE, "M", 0.93), ev(IMAGE_SERVICE, "F", 0.93), ev(MANUAL, "F"),
+          ev(MANUAL, "F")], ("F", MANUAL)),
+    ], ids=["knowledge_base_and_name", "name", "image"])
+    def test_contradicting_sources_resolve_independent_of_order(self, evidence, expected):
+        results = {resolve_gender(list(p)) for p in itertools.permutations(evidence)}
+        assert results == {expected}
+
     def test_lower_priority_never_overrides(self):
         base = [ev(NAME_SERVICE, "M", 0.95), ev(IMAGE_SERVICE, "M", 0.95)]
         resolved = resolve_gender(base)
@@ -163,6 +192,8 @@ class TestFixtures:
         p = tmp_path / "speakers.csv"
         save_speaker_records(records, p)
         assert load_speaker_records(p) == records
+        save_speaker_records(iter(records), p)
+        assert load_speaker_records(p) == records
 
     @pytest.mark.parametrize("row, message", [
         ("s3,F", "not enough values"),
@@ -177,6 +208,24 @@ class TestFixtures:
         pattern = rf"^{re.escape(str(p))}:3: bad speaker row: .*{message}"
         with pytest.raises(ValueError, match=pattern):
             load_speaker_records(p)
+
+    def test_repeated_speaker_row_named(self, tmp_path):
+        p = tmp_path / "speakers.csv"
+        p.write_text("speaker_id,gender,provenance\ns1,M,manual\ns2,F,manual\ns1,F,manual\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:4: repeated speaker 's1'$"):
+            load_speaker_records(p)
+
+    @pytest.mark.parametrize("second", [SpeakerRecord("s1", "F", MANUAL),
+                                        SpeakerRecord("s1", "M", MANUAL)])
+    def test_save_refuses_repeated_speaker_before_opening(self, tmp_path, second):
+        p = tmp_path / "speakers.csv"
+        p.write_text("already here\n", encoding="utf-8")
+        records = [SpeakerRecord("s1", "M", MANUAL), SpeakerRecord("s2", "U", NO_PROVENANCE),
+                   second]
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: repeated speaker 's1'$"):
+            save_speaker_records(records, p)
+        assert p.read_text(encoding="utf-8") == "already here\n"
 
     def test_empty_speaker_file_named(self, tmp_path):
         p = tmp_path / "speakers.csv"

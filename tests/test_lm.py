@@ -614,3 +614,13 @@ class TestValidation:
             train_kn_lm([], order=2)
         with pytest.raises(ValueError):
             train_kn_lm([()], order=2)
+
+    @pytest.mark.parametrize("sentences, message", [
+        ([("a", "</s>", "b"), ("c", "</s>", "b"), ("a", "b")], "sentence 0: '</s>'"),
+        ([("a", "b"), ("b", "<s>"), ("a", "</s>")], "sentence 1: '<s>'"),
+        ([("a", "b"), ("a", "b", "</s>", "<s>")], "sentence 1: '</s>'"),
+    ])
+    @pytest.mark.parametrize("unk_threshold", [0, 1])
+    def test_boundary_symbol_in_sentence_rejected(self, sentences, message, unk_threshold):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + " is reserved"):
+            train_kn_lm(sentences, order=3, unk_threshold=unk_threshold)
