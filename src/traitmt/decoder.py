@@ -1,5 +1,5 @@
-"""Log-linear phrase-based beam-stack decoder over multiple phrase tables
-and language models.
+"""Log-linear phrase-based stack decoder over multiple phrase tables and
+language models.
 
 Every translation option carries a full feature vector: one four-score
 block per phrase table (absent blocks filled with a floor constant) plus a
@@ -8,13 +8,16 @@ phrase penalties, and the distance-based distortion total.  Hypotheses are
 recombined on (coverage, last position, LM states).  The LM states are the
 minimized ones NgramLanguageModel.extend returns, so two histories that
 differ only in words no later score can see share one stack entry.
-Stacks are organized by covered-word count with histogram pruning.  A
-stack ranks on a strict total order, so which hypotheses survive a cut
-does not depend on the order in which they were reached.  Expansions that histogram pruning
-would drop are rejected before they are stored, exactly: the search gives
-the same n-best lists as sorting and cutting full stacks.  The rejection
-test runs before any LM query only when every LM weight is >= 0 and no LM
-stores a positive log10 probability or backoff weight.
+
+Stacks are organized by covered-word count and filled lazily, best first,
+in the manner of cube pruning (Chiang 2007; Huang & Chiang 2007): each
+stack pops its stack_size best candidate expansions from a heap, ranked by
+their value before LM scoring, and only popped candidates are LM-scored
+and recombined.  Candidates tie-break on a total order, so the pops do not
+depend on the order in which the heap was built.  An expansion that would
+leave the leftmost uncovered word beyond the distortion limit is rejected
+(Koehn 2010, ch. 6), so every stored hypothesis can still complete and the
+search never dead-ends.
 
 LM scores are memoized per decode in two layers.  Each distinct target
 phrase gets an id, kept beside its option.  A hypothesis fetches one pair
@@ -271,36 +274,49 @@ def _reconstruct_features(hyp, layout: FeatureLayout) -> np.ndarray:
 
 def decode(sentence, options, weights, lms, layout: FeatureLayout,
            stack_size: int = 100, distortion_limit: int = 6, nbest_size: int = 1):
-    """Beam-stack decoding; returns the n-best list of DecodeResult.
+    """Stack decoding with lazy best-first stack filling; returns the
+    n-best list of DecodeResult.
 
-    stack_size (>= 1) caps every stack but the final one, and
-    distortion_limit (>= 0) every jump; a stack_size that no stack reaches
-    gives exhaustive search up to recombination, and a distortion_limit of
-    len(sentence) allows every jump.  lms must number layout.n_lms.
-    A stack ranks its hypotheses on (score + future cost, target string,
-    coverage, last position, minimized LM states).  The last three form the
-    recombination key, so the order is total and a cut does not depend on
-    the order of expansion.  The n-best list ranks the complete hypotheses
-    on the same order (value is score there), keeping the first of each
-    target.  Decoding is deterministic.
+    stack_size (>= 1) is how many candidates each stack pops, and
+    distortion_limit (>= 0) caps every jump; a stack_size that no stack
+    reaches gives exhaustive search up to recombination, and a
+    distortion_limit of len(sentence) allows every jump.  lms must number
+    layout.n_lms.  Decoding is deterministic.
 
-    Expansions that histogram pruning would drop are rejected before a
-    hypothesis is built, and the result is exactly that of storing every
-    expansion and cutting each sorted stack at stack_size:
-    - A pruned stack keeps the stack_size largest values (score + future)
-      that its keys had when first stored.  Recombination only raises a
-      key's value, so the least of them bounds the stack_size-th best
-      value from below, and an expansion strictly under it cannot survive.
-      The final stack is never pruned.
-    - When every LM weight is >= 0 and no LM stores a log10 probability or
-      backoff weight above 0, every LM term is <= 0, so the static part of
-      the score is an upper bound and the same test runs before any LM
-      query.  Otherwise it runs only after LM scoring.
-    - Each span's options are tried highest static score first, so once
-      one fails the test before LM scoring, the rest of the span does too.
-      The sort is stable: options with equal static scores keep their
-      order, and where two of them from one parent recombine on equal
-      score and target, the first in `options` wins.
+    Pops.  A candidate for stack c (c words covered) expands a hypothesis
+    of stack c - L by a span of L words and one of the span's options.  Its
+    estimate is its value before LM scoring: ((score + w_dist * jump) +
+    static score) + future cost of the new coverage.  Stack c pops the
+    stack_size candidates of highest estimate, and only those are LM-scored
+    and recombined, so no stack holds more than stack_size hypotheses.
+    - Ties on the estimate go to the lower (source stack, the hypothesis's
+      rank in that stack, span start, span end, option rank).
+    - A stack ranks its hypotheses on (score + future cost, target string,
+      coverage, last position, minimized LM states).  The last three are
+      the recombination key, so the order is total.  A recombined key keeps
+      the higher score, then the smaller target, then the first popped.
+    - A span ranks its options on (static score, target string), highest
+      score first, stably, so no result depends on the order of an
+      `options` list, but where one pair appears twice at one static score.
+    - Each (hypothesis, span) enters the heap with its first option and
+      pushes the next one when popped.  Float addition is monotone, so the
+      next option's estimate is no higher, and the pops are those of
+      sorting every candidate.
+    The n-best list ranks the final stack on its order (value is score
+    there), keeping the first of each target.
+
+    No dead ends.  An expansion that does not complete the sentence is
+    rejected when the leftmost uncovered position g it leaves lies more
+    than distortion_limit from its end (Moses' distortion check).  Every
+    stored hypothesis can then finish by covering the uncovered words one
+    at a time, left to right:
+    - the first step jumps from its end to g, within the limit by the rule;
+    - the next uncovered position g' is g + 1, or follows a covered run
+      g + 1 .. g' - 1.  The expansion that covered g' - 1 ended at g' while
+      the leftmost uncovered position was g or left of it, so its check
+      bounds g' - g, and so g' - (g + 1), by the limit.
+    build_options gives every one-word span an option, so each stack after
+    a nonempty one has a candidate, and the final stack is never empty.
     """
     sentence = tuple(sentence)
     if not sentence:
@@ -320,18 +336,17 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     lm_weights = [float(weights[layout.lm_feature(k)]) for k in range(len(lms))]
     dist_weight = float(weights[layout.distortion])
     fc = _future_costs(options, weighted, lm_weights, lms, n)
-    lm_lowers = all(w >= 0 for w in lm_weights) and all(lm.log10_nonpositive for lm in lms)
 
-    # per last_end, the spans within the distortion limit in the order of
-    # options, each with its (option, static score, target id) triples,
-    # highest static score first; a target id numbers the distinct target
-    # phrases of this decode
+    # per last_end, the spans within the distortion limit in (start, end)
+    # order, each with its (option, static score, target id) triples in
+    # option rank order; a target id numbers the distinct target phrases of
+    # this decode
     target_ids: dict = {}
     spans = []
-    for (start, end), opts in options.items():
+    for (start, end), opts in sorted(options.items()):
         choices = sorted(((o, w, target_ids.setdefault(o.tgt, len(target_ids)))
                           for o, w in zip(opts, weighted[(start, end)])),
-                         key=lambda c: -c[1])
+                         key=lambda c: (-c[1], c[0].tgt))
         spans.append((start, end, ((1 << (end - start)) - 1) << start, choices))
     reachable = []
     for last_end in range(n + 1):
@@ -342,6 +357,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                 within.append((mask, end, end - start, jump, dist_weight * jump, choices))
         reachable.append(within)
 
+    # coverage -> (future cost, leftmost uncovered position, n if none)
     futures: dict = {}
     word_memos = [{} for _ in lms]
     # distinct LM states -> (the states, their key base).  Equal states
@@ -383,75 +399,76 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
             known = key_bases[new_states] = (new_states, len(key_bases) * key_stride)
         return (*known, *terms, *deltas)
 
-    initial = (-_coverage_future(fc, 0, n), (), 0, 0, init_states, 0.0, None, None, 0, None)
-    stacks: list[dict] = [dict() for _ in range(n + 1)]
-    stacks[0][0] = initial
-    # per stack but the final one: a min-heap of the stack_size largest
-    # values its keys had when first stored, and its least element once
-    # full (else -inf)
-    floors = [-math.inf] * (n + 1)
-    heaps: list[list] = [[] for _ in range(n)]
-
+    # per stack, its candidates' heap of (-estimate, pair, option rank,
+    # hypothesis, span): pair numbers the (hypothesis, span) pairs as the
+    # stacks are expanded, so in (source stack, rank, start, end) order
+    heaps: list[list] = [[] for _ in range(n + 1)]
+    pairs = 0
     full_mask = (1 << n) - 1
+    stack = [(-_coverage_future(fc, 0, n), (), 0, 0, init_states, 0.0, None, None, 0, None)]
     for covered in range(n):
-        for hyp in heapq.nsmallest(stack_size, stacks[covered].values()):
-            _, h_target, h_coverage, h_end, h_states, h_score, _, _, _, _ = hyp
-            h_rows = rows.get(h_states)
-            if h_rows is None:
-                h_rows = rows[h_states] = [None, None]
-            for mask, end, length, jump, dist_cost, choices in reachable[h_end]:
+        for hyp in stack:
+            h_coverage, h_score = hyp[2], hyp[_SCORE]
+            for span in reachable[hyp[3]]:
+                mask, end, length, _, dist_cost, choices = span
                 if h_coverage & mask:
                     continue
                 coverage = h_coverage | mask
-                complete = coverage == full_mask
-                row = h_rows[complete]
-                if row is None:
-                    row = h_rows[complete] = [None] * n_targets
-                count = covered + length
-                future = futures.get(coverage)
-                if future is None:
-                    future = futures[coverage] = _coverage_future(fc, coverage, n)
-                floor = floors[count]
-                base = h_score + dist_cost
-                target_stack = stacks[count]
-                span_key = end << n | coverage
-                for opt, w_static, tid in choices:
-                    score = base + w_static
-                    if lm_lowers and score + future < floor:
-                        break
-                    entry = row[tid]
-                    if entry is None:
-                        entry = row[tid] = lm_entry(h_states, complete, opt.tgt)
-                    for k in lm_terms:
-                        score += entry[k]
-                    value = score + future
-                    if value < floor:
-                        continue
-                    key = entry[1] + span_key
-                    incumbent = target_stack.get(key)
-                    if incumbent is not None and incumbent[_SCORE] > score:
-                        continue
-                    target = h_target + opt.tgt
-                    if incumbent is None:
-                        if count < n:
-                            heap = heaps[count]
-                            if len(heap) < stack_size:
-                                heapq.heappush(heap, value)
-                            else:
-                                heapq.heappushpop(heap, value)
-                            if len(heap) == stack_size:
-                                floor = floors[count] = heap[0]
-                    elif not (score > incumbent[_SCORE]
-                              or (score == incumbent[_SCORE] and target < incumbent[_TARGET])):
-                        continue
-                    target_stack[key] = (-value, target, coverage, end, entry[0], score,
-                                         hyp, opt, jump, entry)
-    final = stacks[n]
-    if not final:
+                known = futures.get(coverage)
+                if known is None:
+                    gaps = ~coverage & full_mask
+                    known = futures[coverage] = (_coverage_future(fc, coverage, n),
+                                                 (gaps & -gaps).bit_length() - 1 if gaps else n)
+                future, gap = known
+                if gap < n and abs(gap - end) > distortion_limit:
+                    continue
+                heaps[covered + length].append(
+                    (-(h_score + dist_cost + choices[0][1] + future), pairs, 0, hyp, span))
+                pairs += 1
+        # fill the next stack, whose candidates are all queued now
+        heap = heaps[covered + 1]
+        heapq.heapify(heap)
+        target_stack: dict = {}
+        pops = stack_size
+        while heap and pops:
+            pops -= 1
+            _, pair, k, hyp, span = heapq.heappop(heap)
+            mask, end, _, jump, dist_cost, choices = span
+            h_states = hyp[4]
+            coverage = hyp[2] | mask
+            future = futures[coverage][0]
+            base = hyp[_SCORE] + dist_cost
+            if k + 1 < len(choices):
+                heapq.heappush(heap, (-(base + choices[k + 1][1] + future), pair, k + 1,
+                                      hyp, span))
+            opt, w_static, tid = choices[k]
+            complete = coverage == full_mask
+            h_rows = rows.get(h_states)
+            if h_rows is None:
+                h_rows = rows[h_states] = [None, None]
+            row = h_rows[complete]
+            if row is None:
+                row = h_rows[complete] = [None] * n_targets
+            entry = row[tid]
+            if entry is None:
+                entry = row[tid] = lm_entry(h_states, complete, opt.tgt)
+            score = base + w_static
+            for t in lm_terms:
+                score += entry[t]
+            key = entry[1] + (end << n | coverage)
+            incumbent = target_stack.get(key)
+            if incumbent is not None and incumbent[_SCORE] > score:
+                continue
+            target = hyp[_TARGET] + opt.tgt
+            if incumbent is None or score > incumbent[_SCORE] or target < incumbent[_TARGET]:
+                target_stack[key] = (-(score + future), target, coverage, end, entry[0], score,
+                                     hyp, opt, jump, entry)
+        stack = sorted(target_stack.values())
+    if not stack:
         raise RuntimeError("no complete hypothesis")
     results = []
     seen = set()
-    for hyp in sorted(final.values()):
+    for hyp in stack:
         if hyp[_TARGET] in seen:
             continue
         seen.add(hyp[_TARGET])

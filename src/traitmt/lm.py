@@ -74,13 +74,6 @@ class NgramLanguageModel:
             context = context[1:]
 
     @functools.cached_property
-    def log10_nonpositive(self) -> bool:
-        """True when no stored log10 probability or backoff weight is above
-        0, so that every query, and every sum of queries, is <= 0.  Computed
-        once; the table is not expected to change after construction."""
-        return all(logp <= 0.0 and bow <= 0.0 for logp, bow in self.grams.values())
-
-    @functools.cached_property
     def live_states(self) -> frozenset:
         """The states whose leading word can still change a score: every
         proper prefix of a stored n-gram, and every prefix of an n-gram
@@ -90,7 +83,8 @@ class NgramLanguageModel:
         any further words, so extend drops the leading word.  The test
         reads the table, not how it was made: an ARPA file may list an
         n-gram without its prefixes, or a backoff weight for an n-gram
-        with no extensions.  Computed once, like log10_nonpositive."""
+        with no extensions.  Computed once; the table is not expected to
+        change after construction."""
         return frozenset(gram[:i] for gram, (_, bow) in self.grams.items()
                          for i in range(1, len(gram) + (bow != 0.0)))
 

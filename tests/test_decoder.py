@@ -42,7 +42,10 @@ def table_from(entries):
 
 def oracle_decode(sentence, options, weights, lms, layout, distortion_limit):
     """Exhaustive enumeration of every segmentation, ordering and option
-    choice within the jump constraint, scored from scratch."""
+    choice within the jump limit and the reachability rule, scored from
+    scratch.  The rule rejects an expansion that does not complete the
+    sentence when the leftmost uncovered position it leaves lies more than
+    distortion_limit from its end."""
     n = len(sentence)
     full = (1 << n) - 1
     weights = np.asarray(weights, dtype=float)
@@ -78,6 +81,9 @@ def oracle_decode(sentence, options, weights, lms, layout, distortion_limit):
                 continue
             if abs(start - last_end) > distortion_limit:
                 continue
+            gaps = [i for i in range(n) if not (coverage | mask) >> i & 1]
+            if gaps and abs(gaps[0] - end) > distortion_limit:
+                continue
             for opt in opts:
                 rec(coverage | mask, end, chosen + [(span, opt)])
 
@@ -107,8 +113,15 @@ class RefHypothesis:
 
 def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=100,
                           distortion_limit=6, nbest_size=1):
-    """The beam decoder without early rejection: every expansion becomes a
-    hypothesis, and each stack is sorted in full and cut at stack_size."""
+    """The decoder's search by brute force.  For each stack c, every
+    expansion of a kept hypothesis of a stack c - L by a span of L words,
+    within the jump limit and the reachability rule, and by each of the
+    span's options is a candidate.  The candidates are sorted on
+    (-estimate, source stack, the hypothesis's rank in its stack, span
+    start, span end, option rank), where the estimate is ((score + w_dist *
+    jump) + static score) + future cost and the option rank orders a span's
+    options on (-static score, target), stably.  The first stack_size are
+    scored from scratch and recombined in that order."""
     sentence = tuple(sentence)
     weights = np.asarray(weights, dtype=float)
     n = len(sentence)
@@ -151,50 +164,60 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
     plan = []
     for (start, end), opts in options.items():
         mask = ((1 << (end - start)) - 1) << start
-        plan.append((start, end, mask, opts, [float(weights @ np.asarray(o.features)) for o in opts]))
+        ranked = sorted(((o, float(weights @ np.asarray(o.features))) for o in opts),
+                        key=lambda ow: (-ow[1], ow[0].tgt))
+        plan.append((start, end, mask, ranked))
 
     init_states = tuple(lm.start_state for lm in lms)
-    stacks = [dict() for _ in range(n + 1)]
-    stacks[0][(0, 0, init_states)] = RefHypothesis(
-        0, 0, init_states, 0.0, coverage_future(0), (), None, None, 0, ())
+    kept = [[RefHypothesis(0, 0, init_states, 0.0, coverage_future(0), (), None, None, 0, ())]]
     full_mask = (1 << n) - 1
-    for covered in range(n):
-        hyps = sorted(stacks[covered].values(), key=RefHypothesis.sort_key)[:stack_size]
-        for hyp in hyps:
-            for start, end, mask, opts, weighted in plan:
-                if hyp.coverage & mask:
-                    continue
-                jump = abs(start - hyp.last_end)
-                if jump > distortion_limit:
-                    continue
-                coverage = hyp.coverage | mask
-                complete = coverage == full_mask
-                target_stack = stacks[covered + (end - start)]
-                for opt, w_static in zip(opts, weighted):
-                    score = hyp.score + dist_weight * jump + w_static
-                    new_states, lm_scores = [], []
-                    for k, lm in enumerate(lms):
-                        lm_delta, state = lm.extend(hyp.lm_states[k], opt.tgt)
-                        if complete:
-                            lm_delta += lm.extend(state, (EOS,))[0]
-                        lm_scores.append(lm_delta)
-                        new_states.append(state)
-                        score += lm_weights[k] * lm_delta
-                    key = (coverage, end, tuple(new_states))
-                    incumbent = target_stack.get(key)
-                    target = hyp.target + opt.tgt
-                    if (
-                        incumbent is None
-                        or score > incumbent.score
-                        or (score == incumbent.score and target < incumbent.target)
-                    ):
-                        target_stack[key] = RefHypothesis(
-                            coverage, end, key[2], score, coverage_future(coverage),
-                            target, hyp, opt, jump, tuple(lm_scores))
-    if not stacks[n]:
+    for covered in range(1, n + 1):
+        candidates = []
+        for source in range(covered):
+            for rank, hyp in enumerate(kept[source]):
+                for start, end, mask, ranked in plan:
+                    if end - start != covered - source or hyp.coverage & mask:
+                        continue
+                    jump = abs(start - hyp.last_end)
+                    if jump > distortion_limit:
+                        continue
+                    coverage = hyp.coverage | mask
+                    gaps = [i for i in range(n) if not coverage >> i & 1]
+                    if gaps and abs(gaps[0] - end) > distortion_limit:
+                        continue
+                    for opt_rank, (opt, w_static) in enumerate(ranked):
+                        estimate = (hyp.score + dist_weight * jump + w_static
+                                    + coverage_future(coverage))
+                        candidates.append(((-estimate, source, rank, start, end, opt_rank),
+                                           hyp, end, coverage, jump, opt, w_static))
+        candidates.sort(key=lambda c: c[0])
+        stack = {}
+        for _, hyp, end, coverage, jump, opt, w_static in candidates[:stack_size]:
+            score = hyp.score + dist_weight * jump + w_static
+            new_states, lm_scores = [], []
+            for k, lm in enumerate(lms):
+                lm_delta, state = lm.extend(hyp.lm_states[k], opt.tgt)
+                if coverage == full_mask:
+                    lm_delta += lm.extend(state, (EOS,))[0]
+                lm_scores.append(lm_delta)
+                new_states.append(state)
+                score += lm_weights[k] * lm_delta
+            key = (coverage, end, tuple(new_states))
+            incumbent = stack.get(key)
+            target = hyp.target + opt.tgt
+            if (
+                incumbent is None
+                or score > incumbent.score
+                or (score == incumbent.score and target < incumbent.target)
+            ):
+                stack[key] = RefHypothesis(
+                    coverage, end, key[2], score, coverage_future(coverage),
+                    target, hyp, opt, jump, tuple(lm_scores))
+        kept.append(sorted(stack.values(), key=RefHypothesis.sort_key))
+    if not kept[n]:
         raise RuntimeError("no complete hypothesis")
     results, seen = [], set()
-    for hyp in sorted(stacks[n].values(), key=RefHypothesis.sort_key):
+    for hyp in kept[n]:
         if hyp.target in seen:
             continue
         seen.add(hyp.target)
@@ -221,9 +244,9 @@ def assert_same_nbest(got, want):
 
 def assert_option_order_free(sentence, options, weights, lms, **kwargs):
     """decode matches the reference beam on the options as given and with
-    every span's list reversed, and the reversal moves no n-best target,
-    score or feature vector."""
-    flipped = {span: opts[::-1] for span, opts in options.items()}
+    the spans and every span's list reversed, and the reversal moves no
+    n-best target, score or feature vector."""
+    flipped = {span: opts[::-1] for span, opts in reversed(options.items())}
     got = decode(sentence, options, weights, lms, **kwargs)
     assert_same_nbest(got, reference_beam_decode(sentence, options, weights, lms, **kwargs))
     got_flipped = decode(sentence, flipped, weights, lms, **kwargs)
@@ -373,15 +396,16 @@ class TestDecode:
     @pytest.mark.parametrize("stack_size", [1, 2, 3, 5])
     @pytest.mark.parametrize("distortion_limit", [-1, 0, 1, 3])
     def test_pruned_search_matches_reference_beam(self, stack_size, distortion_limit):
-        # distortion_limit -1 stands for unlimited: the sentence length
-        # sentences long enough to fill the stacks, so that expansions are
-        # rejected against full stacks.  A negative LM weight or positive
-        # backoff weights disable the rejection before LM scoring; uniform
-        # tables force exact ties, which the stacks break on the
-        # recombination key, and zero LM weights ties at the rejection
-        # threshold; options built under other weights, or reversed, reach
+        # distortion_limit -1 stands for unlimited: the sentence length.
+        # Sentences are long enough that the pop limit cuts most stacks'
+        # candidates.  A negative LM weight or positive backoff weights let
+        # LM scoring raise a value above its estimate; uniform tables force
+        # exact ties on estimates, which the pops break on (source stack,
+        # rank, span, option rank), and on values, which the stacks break
+        # on the recombination key; zero LM weights make every estimate its
+        # value; options built under other weights, or reversed, reach
         # decode out of static-score order, and decode must sort them
-        # before its rejection may stop a span early.
+        # before a span may push its options one at a time.
         rng = random.Random(1000 * stack_size + distortion_limit)
         src_words = ["a", "b", "c", "d"]
         tgt_words = ["w", "x", "y", "z"]
@@ -423,20 +447,56 @@ class TestDecode:
             kwargs = dict(stack_size=stack_size, layout=layout, nbest_size=10,
                           distortion_limit=len(sentence) if distortion_limit < 0
                           else distortion_limit)
-            try:
-                reference_beam_decode(sentence, options, weights, lms, **kwargs)
-            except RuntimeError:
-                with pytest.raises(RuntimeError):
-                    decode(sentence, options, weights, lms, **kwargs)
-                continue
             assert_option_order_free(sentence, options, weights, lms, **kwargs)
+
+    def test_estimates_add_in_decode_order(self):
+        # weights and table scores drawn from a few decimals give sums that
+        # round differently when added in another order, so that some
+        # candidates' estimates tie or cross at the pop limit only in one
+        # order.  decode must add ((score + w_dist * jump) + static) +
+        # future for a pair's first option and for each next one, as the
+        # reference does
+        rng = random.Random(1)
+        src_words = ["a", "b", "c", "d"]
+        tgt_words = ["w", "x", "y", "z"]
+        for trial in range(25):
+            lms = [make_lm([tuple(rng.choices(tgt_words, k=rng.randint(1, 5)))
+                            for _ in range(8)], order=rng.choice([1, 2, 3]))
+                   for _ in range(rng.randint(1, 2))]
+            uniform = rng.random() < 0.5
+            tables = []
+            for _ in range(rng.randint(1, 2)):
+                entries = {}
+                for s in src_words + ["a b", "b c", "c d", "d a", "a b c"]:
+                    if rng.random() < 0.7:
+                        entries[s] = {
+                            " ".join(rng.choices(tgt_words, k=rng.randint(1, 2))):
+                                (rng.choice([0.1, 0.3, 0.7]),) * 4 if uniform
+                                else tuple(rng.uniform(0.05, 1.0) for _ in range(4))
+                            for _ in range(rng.randint(1, 3))
+                        }
+                tables.append(table_from(entries))
+            layout = FeatureLayout(len(tables), len(lms))
+            weights = np.array([rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, -0.1, -0.3])
+                                for _ in range(layout.dimension)])
+            if rng.random() < 0.5:
+                for k in range(len(lms)):
+                    weights[layout.lm_feature(k)] = 0.0
+            sentence = tuple(rng.choices(src_words, k=rng.randint(4, 8)))
+            options = build_options(sentence, tables, layout=layout, weights=weights)
+            for stack_size, distortion_limit in itertools.product((2, 3), (len(sentence), 1, 2)):
+                kwargs = dict(stack_size=stack_size, distortion_limit=distortion_limit,
+                              layout=layout, nbest_size=10)
+                assert_same_nbest(decode(sentence, options, weights, lms, **kwargs),
+                                  reference_beam_decode(sentence, options, weights, lms,
+                                                        **kwargs))
 
     def test_ties_rank_on_recombination_key(self):
         # only the unigram LM counts, so hypotheses over different "a"s tie
-        # on value and target.  A stack ranks tied hypotheses on their
-        # recombination keys, so the cut does not depend on which
-        # expansion reached a key first, also where that expansion was
-        # rejected against the full stack
+        # on value and target, and candidates on their estimates.  A stack
+        # ranks tied hypotheses on their recombination keys, and the pops
+        # break ties on the source hypothesis's rank, so which candidates a
+        # full stack pops does not depend on the order of `options`
         u = (0.5,) * 4
         table = table_from({"a": {"w w": u, "z x": u}, "a a": {"x": u, "x w": u}})
         lms = [make_lm([("z", "w", "x")], order=2), make_lm([("w", "w", "w"), ("y",)], order=1)]
@@ -486,6 +546,25 @@ class TestDecode:
             assert got[0].features[layout.distortion] == 3.0
             assert_option_order_free(sentence, options, weights, [make_lm()], **kwargs)
 
+    def test_equal_scores_recombine_to_the_smaller_target(self):
+        # "a b" -> "y z" as one phrase, or "x" then "z".  At LM weight 0 both
+        # score 4 log10(0.25) = 8 log10(0.5), and both end in the LM state
+        # (z,) at position 2, one key.  The phrase's candidate comes from
+        # stack 0 and pops first, and the smaller target then replaces it
+        u = (0.5,) * 4
+        table = table_from({"a": {"x": u}, "b": {"z": u}, "a b": {"y z": (0.25,) * 4}})
+        lm = make_lm([("x", "z"), ("y", "z")])
+        layout = FeatureLayout(1, 1)
+        weights = layout.default_weights()
+        weights[layout.lm_feature(0)] = 0.0
+        sentence = ("a", "b")
+        options = build_options(sentence, [table], layout=layout, weights=weights)
+        kwargs = dict(stack_size=2, distortion_limit=0, layout=layout, nbest_size=5)
+        got = decode(sentence, options, weights, [lm], **kwargs)
+        assert [r.target for r in got] == [("x", "z")]
+        assert got[0].features[layout.phrase_penalty] == 2.0
+        assert_same_nbest(got, reference_beam_decode(sentence, options, weights, [lm], **kwargs))
+
     def test_states_differing_in_a_dead_leading_word_recombine(self):
         # "s t" -> "a c" or "b c", monotone.  No stored 3-gram starts with
         # (a, c) or (b, c), and neither has a backoff weight, so both
@@ -509,6 +588,53 @@ class TestDecode:
             assert [r.target for r in got] == [("a", "c")]
             assert_same_nbest(got, reference_beam_decode(sentence, options, weights, [lm],
                                                          **kwargs))
+
+    def test_leftmost_gap_out_of_reach_rejected(self):
+        # "a b c d" at distortion limit 1, with a bonus per jumped word.  A
+        # jump limit alone lets the one-hypothesis stack 1 keep "b" first
+        # (jump 1), after which position 0 is never within one word of the
+        # last position again, and no hypothesis completes.  The
+        # reachability rule rejects "b" first: it leaves position 0 two
+        # words from its end
+        u = (0.5,) * 4
+        table = table_from({"a": {"w": u}, "b": {"x": u}, "c": {"y": u}, "d": {"z": u}})
+        layout = FeatureLayout(1, 1)
+        weights = layout.default_weights()
+        weights[layout.distortion] = 1.0
+        sentence = ("a", "b", "c", "d")
+        options = build_options(sentence, [table], layout=layout, weights=weights)
+        kwargs = dict(stack_size=1, distortion_limit=1, layout=layout)
+        got = decode(sentence, options, weights, [make_lm()], **kwargs)
+        assert [r.target for r in got] == [("w", "x", "y", "z")]
+        assert_same_nbest(got, reference_beam_decode(sentence, options, weights, [make_lm()],
+                                                     **kwargs))
+
+    def test_random_weights_never_dead_end(self):
+        # weights drawn as tune_weights draws its restarts, uniform(-2, 2)
+        # per feature, on random toy systems with small stacks and tight
+        # distortion limits, where a jump limit alone dead-ends
+        rng = random.Random(36)
+        src_words = ["a", "b", "c", "d", "e"]
+        tgt_words = ["v", "w", "x", "y", "z"]
+        phrases = src_words + ["a b", "b c", "c d", "d e", "e a", "a b c", "c d e"]
+        for trial in range(60):
+            lm = make_lm([tuple(rng.choices(tgt_words, k=rng.randint(1, 6)))
+                          for _ in range(10)], order=rng.choice([2, 3]))
+            entries = {}
+            for s in phrases:
+                if rng.random() < 0.6:
+                    entries[s] = {" ".join(rng.choices(tgt_words, k=rng.randint(1, 3))):
+                                  tuple(rng.uniform(0.05, 1.0) for _ in range(4))
+                                  for _ in range(rng.randint(1, 3))}
+            layout = FeatureLayout(1, 1)
+            weights = np.array([rng.uniform(-2.0, 2.0) for _ in range(layout.dimension)])
+            sentence = tuple(rng.choices(src_words, k=rng.randint(5, 10)))
+            options = build_options(sentence, [table_from(entries)], layout=layout,
+                                    weights=weights)
+            for stack_size, distortion_limit in itertools.product((1, 3), (1, 2, 3)):
+                got = decode(sentence, options, weights, [lm], layout=layout,
+                             stack_size=stack_size, distortion_limit=distortion_limit)
+                assert len(got) == 1, (trial, stack_size, distortion_limit)
 
     def test_layout_required(self):
         table, lm, layout = self.simple_system()

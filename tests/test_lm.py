@@ -226,13 +226,6 @@ class TestScoring:
         assert math.isfinite(score)
 
 
-    def test_log10_nonpositive(self, model):
-        assert model.log10_nonpositive
-        context, (logp, _) = next((g, e) for g, e in model.grams.items() if e[1] != 0.0)
-        raised = NgramLanguageModel(model.order, {**model.grams, context: (logp, 0.5)})
-        assert not raised.log10_nonpositive
-
-
 class TestReferenceEstimator:
     def test_equal_to_reference_on_random_corpora(self):
         """Exact equality, not closeness: the one-pass estimator does the
