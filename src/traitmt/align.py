@@ -11,8 +11,10 @@ co-occurrences, not with the product of the vocabularies.  Every
 (source position incl. NULL, target position) cell of the corpus is
 enumerated once, and an EM iteration is three weighted `np.bincount`s:
 each target token's denominator, each pair's expected count, and each
-source word's total.  Viterbi alignment fetches each source word's row
-of t once per sentence and looks every target word up in those rows.
+source word's total.  The cell arrays are released before the t-table
+becomes dicts, one source word's row at a time.  Viterbi alignment fetches
+each source word's row of t once per sentence and looks every target word
+up in those rows.
 
 In a consistent phrase pair every link of every word in either span lies
 inside the pair, so a word's lexical factor does not depend on the phrase:
@@ -25,8 +27,13 @@ factors' product once.  Each occurrence is counted straight into the
 table that scoring returns, one row per source phrase holding each
 target's count and greatest weight in either direction, and each row is
 turned into its scores in place at the end, so no phrase pair is held
-twice.  A table's max_len is its longest source phrase, derived from its
-entries, so a table read from a file offers every phrase it holds.
+twice.  The table is built in one pass over the corpus: each sentence is
+aligned, symmetrized, extracted and scored before the next is aligned.
+So memory holds the table plus one sentence, and IBM1's cell arrays
+while EM runs, never every sentence's alignment and spans.  Equal
+relative frequencies share one float object.  A table's max_len is its
+longest source phrase, derived from its entries, so a table read from a
+file offers every phrase it holds.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ def ibm1_em(pairs, iterations: int = 5):
     # ascending by source id, then target id
     keys, cell_pair = np.unique(np.concatenate(cell_keys), return_inverse=True)
     cell_col = np.concatenate(cell_cols)
+    del cell_keys, cell_cols
     pair_src = keys // nt
     t = np.full(len(keys), 1.0 / nt)
     history = []
@@ -91,11 +99,19 @@ def ibm1_em(pairs, iterations: int = 5):
         history.append(float(np.log(denom).sum()) - log_prior)
         counts = np.bincount(cell_pair, weights=p / denom[cell_col])
         t = counts / np.bincount(pair_src, weights=counts)[pair_src]
-    src_words, tgt_words = list(src_vocab), list(tgt_vocab)
-    probs: dict[str, dict[str, float]] = {w: {} for w in src_words}
-    for key, p in zip(keys.tolist(), t.tolist()):
-        if p > 0.0:
-            probs[src_words[key // nt]][tgt_words[key % nt]] = p
+    del cell_pair, cell_col, p, denom, counts
+    # one source word's row at a time, so that no list of Python ints or
+    # floats spans the whole table
+    positive = t > 0.0
+    tgt_ids, t = keys[positive] % nt, t[positive]
+    ends = np.cumsum(np.bincount(pair_src[positive], minlength=len(src_vocab))).tolist()
+    tgt_words = list(tgt_vocab)
+    probs: dict[str, dict[str, float]] = {}
+    start = 0
+    for w, end in zip(src_vocab, ends):
+        probs[w] = dict(zip([tgt_words[j] for j in tgt_ids[start:end].tolist()],
+                            t[start:end].tolist()))
+        start = end
     return probs, history
 
 
@@ -244,12 +260,17 @@ _LEX_FLOOR = 1e-12
 
 def _lexical_factors(words, other, links_of, table: dict) -> list:
     """Per word: the mean of t(word | linked word of other) over its links,
-    summed in ascending position, or the NULL probability if it has none."""
+    added left to right in ascending position (not with the built-in sum,
+    which compensates float rounding from Python 3.12 on), or the NULL
+    probability if it has none."""
     null_row = table.get(NULL_TOKEN, {})
     factors = []
     for w, linked in zip(words, links_of):
         if linked:
-            factors.append(sum(table.get(other[k], {}).get(w, 0.0) for k in linked) / len(linked))
+            total = 0.0
+            for k in linked:
+                total += table.get(other[k], {}).get(w, 0.0)
+            factors.append(total / len(linked))
         else:
             factors.append(null_row.get(w, 0.0))
     return factors
@@ -259,11 +280,13 @@ def score_phrases(sentences, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
     """Relative-frequency phrase scores in both directions plus lexical
     weights maximized over the occurrences of each pair.
 
-    sentences holds one (src tuple, tgt tuple, alignment, spans) per
-    sentence, spans as extract_phrases returns them.  An occurrence's
-    lexical weight w(tgt | src, a) is the product over its target span of
-    the sentence's per-word factors (see _lexical_factors); the reverse
-    weight likewise over its source span."""
+    sentences yields one (src tuple, tgt tuple, alignment, spans) per
+    sentence, spans as extract_phrases returns them.  It is read once, so
+    it may be a generator, and scoring then holds the table plus the
+    sentence at hand.  An occurrence's lexical weight w(tgt | src, a) is
+    the product over its target span of the sentence's per-word factors
+    (see _lexical_factors); the reverse weight likewise over its source
+    span.  Equal phi scores share one float object."""
     # src -> {tgt: [count, max lex_fwd, max lex_rev]}, scored in place below
     entries: dict[tuple, dict] = {}
     tgt_counts: dict[tuple, int] = {}
@@ -298,11 +321,14 @@ def score_phrases(sentences, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
                 entry[2] = max(entry[2], lex_r)
     if not entries:
         raise ValueError("no phrase pairs extracted")
+    # relative frequencies take few distinct values, so each is kept once
+    phis: dict[float, float] = {}
     for row in entries.values():
         src_count = sum(entry[0] for entry in row.values())
         for phrase, (count, lex_f, lex_r) in row.items():
-            row[phrase] = (count / src_count, max(lex_f, _LEX_FLOOR),
-                           count / tgt_counts[phrase], max(lex_r, _LEX_FLOOR))
+            phi_f, phi_r = count / src_count, count / tgt_counts[phrase]
+            row[phrase] = (phis.setdefault(phi_f, phi_f), max(lex_f, _LEX_FLOOR),
+                           phis.setdefault(phi_r, phi_r), max(lex_r, _LEX_FLOOR))
     return PhraseTable(entries)
 
 
@@ -373,23 +399,29 @@ def read_phrase_table(path) -> PhraseTable:
 
 
 def build_phrase_table(pairs):
-    """Full pipeline: bidirectional IBM1, grow-diag-final-and
-    symmetrization, extraction, scoring.  Returns (PhraseTable, fwd
-    t-table, rev t-table); the table's dropped_pairs counts the pairs
-    skipped for an empty side."""
+    """Full pipeline: bidirectional IBM1, then one pass of Viterbi
+    alignment, grow-diag-final-and symmetrization, extraction and scoring
+    per sentence pair.  Returns (PhraseTable, fwd t-table, rev t-table);
+    the table's dropped_pairs counts the pairs skipped for an empty side.
+
+    Past IBM1, whose cell arrays span the corpus, memory holds the two
+    t-tables, the table being scored and one sentence's alignment and
+    spans: each sentence is scored before the next is aligned."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
     lex_fwd = ibm1_em(kept)[0]
     lex_rev = ibm1_em([(t, s) for s, t in kept])[0]
-    sentences = []
-    for s, t in kept:
-        fwd = viterbi_align(lex_fwd, s, t)
-        rev_swapped = viterbi_align(lex_rev, t, s)
-        rev = AlignmentMatrix(
-            frozenset((i, j) for j, i in rev_swapped.links), len(s), len(t)
-        )
-        sym = symmetrize(fwd, rev)
-        sentences.append((s, t, sym, extract_phrases(sym)))
-    table = score_phrases(sentences, lex_fwd, lex_rev)
+
+    def sentences():
+        for s, t in kept:
+            fwd = viterbi_align(lex_fwd, s, t)
+            rev_swapped = viterbi_align(lex_rev, t, s)
+            rev = AlignmentMatrix(
+                frozenset((i, j) for j, i in rev_swapped.links), len(s), len(t)
+            )
+            sym = symmetrize(fwd, rev)
+            yield s, t, sym, extract_phrases(sym)
+
+    table = score_phrases(sentences(), lex_fwd, lex_rev)
     table.dropped_pairs = len(pairs) - len(kept)
     return table, lex_fwd, lex_rev

@@ -210,14 +210,19 @@ class DecodeResult:
 
 def _future_costs(options, weighted, lm_weights, lms, n):
     """Per-span best weighted option score (LM part estimated by unigram
-    scores), combined over splits by dynamic programming.  weighted holds
-    each option's static score, weights @ features, per span."""
+    scores, added left to right: the built-in sum compensates float
+    rounding from Python 3.12 on), combined over splits by dynamic
+    programming.  weighted holds each option's static score, weights @
+    features, per span."""
     direct = {}
     for span, opts in options.items():
         best = -math.inf
         for opt, score in zip(opts, weighted[span]):
             for w_lm, lm in zip(lm_weights, lms):
-                score += w_lm * sum(lm.log10_prob(w) for w in opt.tgt)
+                unigrams = 0.0
+                for w in opt.tgt:
+                    unigrams += lm.log10_prob(w)
+                score += w_lm * unigrams
             best = max(best, score)
         direct[span] = best
     fc = [[-math.inf] * (n + 1) for _ in range(n + 1)]

@@ -331,7 +331,7 @@ class TestExtractPhrases:
 
 def reference_lexical_weight(src, tgt, links, table):
     """w(tgt | src, a) from one pair's own internal links; a word's linked
-    probabilities are summed in ascending position."""
+    probabilities are added left to right in ascending position."""
     by_target = defaultdict(list)
     for i, j in links:
         by_target[j].append(i)
@@ -339,7 +339,10 @@ def reference_lexical_weight(src, tgt, links, table):
     for j, w in enumerate(tgt):
         if j in by_target:
             sources = sorted(by_target[j])
-            p = sum(prob(table, w, src[i]) for i in sources) / len(sources)
+            p = 0.0
+            for i in sources:
+                p += prob(table, w, src[i])
+            p /= len(sources)
         else:
             p = prob(table, w, NULL_TOKEN)
         weight *= p
@@ -475,10 +478,30 @@ class TestScorePhrases:
             table = score_phrases(shuffled, lex_fwd, lex_rev)
             assert table.entries == reference_score_phrases(sentences, lex_fwd, lex_rev)
 
+    def test_linked_probabilities_add_left_to_right(self):
+        # from Python 3.12 the built-in sum compensates rounding, and these
+        # three probabilities then add to exactly 0.6
+        lex_fwd = {"a": {"x": 0.1}, "b": {"x": 0.2}, "c": {"x": 0.3}}
+        lex_rev = {"x": {"a": 1.0, "b": 1.0, "c": 1.0}}
+        left_fold = (0.1 + 0.2) + 0.3
+        assert left_fold != math.fsum((0.1, 0.2, 0.3))
+        table = score_phrases([sentence(("a", "b", "c"), ("x",), {(0, 0), (1, 0), (2, 0)})],
+                              lex_fwd, lex_rev)
+        assert table.entries[("a", "b", "c")][("x",)][1] == left_fold / 3
+
+    def test_one_shot_iterator_scores_as_list(self):
+        for sentences, lex_fwd, lex_rev in self.random_cases(7, 60):
+            table = score_phrases(iter(sentences), lex_fwd, lex_rev)
+            want = score_phrases(sentences, lex_fwd, lex_rev)
+            assert [(src, list(row.items())) for src, row in table.entries.items()] == \
+                [(src, list(row.items())) for src, row in want.entries.items()]
+
     def test_build_phrase_table_matches_reference_scorer(self, monkeypatch):
         seen = []
 
         def recording(sentences, lex_fwd, lex_rev):
+            # build_phrase_table streams its sentences, so read them once
+            sentences = list(sentences)
             seen.append((sentences, lex_fwd, lex_rev))
             return score_phrases(sentences, lex_fwd, lex_rev)
 
@@ -517,6 +540,28 @@ class TestBuildPhraseTable:
             monkeypatch.setattr(align_mod, name, counting)
         build_phrase_table(self.CORPUS)
         assert calls == {"ibm1_em": 2, "extract_phrases": len(self.CORPUS), "score_phrases": 1}
+
+    def test_each_sentence_scored_before_next_is_extracted(self, monkeypatch):
+        extracted, taken = [], []
+        inner_extract, inner_score = align_mod.extract_phrases, align_mod.score_phrases
+
+        def counting_extract(*args, **kwargs):
+            extracted.append(1)
+            return inner_extract(*args, **kwargs)
+
+        def counting_score(sentences, lex_fwd, lex_rev):
+            def taking():
+                for k, item in enumerate(sentences, start=1):
+                    assert len(extracted) == k
+                    taken.append(k)
+                    yield item
+            return inner_score(taking(), lex_fwd, lex_rev)
+
+        monkeypatch.setattr(align_mod, "extract_phrases", counting_extract)
+        monkeypatch.setattr(align_mod, "score_phrases", counting_score)
+        pairs = self.CORPUS + [(("b", "a"), ("y", "x")), (("a", "b", "a"), ("x", "y", "x"))]
+        build_phrase_table(pairs)
+        assert taken == list(range(1, len(pairs) + 1))
 
     def test_counts_dropped_pairs(self):
         table, _, _ = build_phrase_table(self.CORPUS)

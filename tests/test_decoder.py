@@ -14,7 +14,9 @@ from traitmt.decoder import (
     MAX_OPTIONS_PER_SPAN,
     DecodeResult,
     FeatureLayout,
+    TranslationOption,
     _coverage_future,
+    _future_costs,
     build_options,
     decode,
     format_nbest,
@@ -134,7 +136,10 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
         for opt in opts:
             score = float(weights @ np.asarray(opt.features))
             for w_lm, lm in zip(lm_weights, lms):
-                score += w_lm * sum(lm.log10_prob(w) for w in opt.tgt)
+                unigrams = 0.0
+                for w in opt.tgt:
+                    unigrams += lm.log10_prob(w)
+                score += w_lm * unigrams
             best = max(best, score)
         direct[span] = best
     fc = [[-math.inf] * (n + 1) for _ in range(n + 1)]
@@ -282,6 +287,21 @@ class TestCoverageFuture:
             for coverage in range(1 << n):
                 assert _coverage_future(fc, coverage, n) == \
                     per_bit_coverage_future(fc, coverage, n), (n, coverage)
+
+    def test_unigram_estimate_adds_left_to_right(self):
+        # from Python 3.12 the built-in sum compensates rounding, and these
+        # three log10s then add to exactly -0.6
+        log10s = {"x": -0.1, "y": -0.2, "z": -0.3}
+
+        class UnigramLm:
+            def log10_prob(self, word, context=()):
+                return log10s[word]
+
+        left_fold = (-0.1 + -0.2) + -0.3
+        assert left_fold != math.fsum(log10s.values())
+        options = {(0, 1): [TranslationOption(("x", "y", "z"), ())]}
+        fc = _future_costs(options, {(0, 1): [0.0]}, [1.0], [UnigramLm()], 1)
+        assert fc[0][1] == left_fold
 
 
 class TestBuildOptions:
