@@ -7,18 +7,21 @@ row offsets.  A row of S is the candidate's sentence_stats row, whose
 column order bleu.py owns; bleu_from_stats reads a summed row as it is.
 Scores under weights w are the row sums of F * w.  Varying weight d
 turns the scores into lines with slopes F[:, d] and intercepts
-scores - w[d] * F[:, d]; each sentence's upper envelope of those lines is
-computed exactly, and its crossings are sweep events that swap one row of
-S for another.  The corpus statistics of every envelope interval are one
-integer cumulative sum over the sorted events, and corpus BLEU is
-evaluated once per interval.  Ties go to the smallest target: the
-envelope keeps the first of equal lines, the argmax the first of equal
-scores, and the rows are in target order.  (Row sums score equal rows
-equally wherever they sit in F; a BLAS matrix-vector product may not.)
-Tuning runs coordinate ascent over all dimensions on a growing n-best
-pool, with seeded random restarts, and only accepts steps that improve
-pool BLEU.  line_search, pool_bleu and coordinate_ascent also take the
-pool as per-sentence lists of PoolCandidate and stack it on entry.
+scores - w[d] * F[:, d].  One lexsort orders every line by sentence and
+slope, and a reduction keeps the highest line of each slope; a single
+pass over those builds every sentence's upper envelope exactly, and its
+crossings are sweep events that swap one row of S for another.  The
+corpus statistics of every envelope interval are one integer cumulative
+sum over the sorted events, and bleu_from_stats scores all intervals in
+one call.  Ties go to the smallest target: the envelope keeps the first
+of equal lines, the argmax the first of equal scores, and the rows are
+in target order.  (Row sums score equal rows equally wherever they sit
+in F; a BLAS matrix-vector product may not.)
+Tuning runs coordinate ascent, one dimension after another, on a growing
+n-best pool, with seeded random restarts, and only accepts steps that
+improve pool BLEU.  line_search, pool_bleu and coordinate_ascent also
+take the pool as per-sentence lists of PoolCandidate and stack it on
+entry.
 """
 
 from __future__ import annotations
@@ -45,17 +48,26 @@ class PoolCandidate:
 class _StackedPool:
     """Candidate lists stacked for the line search: F (features) and S
     (BLEU statistics) have one row per candidate, sorted by target within
-    each sentence; sentence k owns rows offsets[k]:offsets[k + 1]."""
+    each sentence; sentence k owns rows offsets[k]:offsets[k + 1], and
+    sentence[i] is row i's sentence."""
 
-    __slots__ = ("F", "S", "offsets")
+    __slots__ = ("F", "S", "offsets", "sentence")
 
     def __init__(self, pool):
-        if not pool or any(len(cands) == 0 for cands in pool):
-            raise ValueError("every sentence needs a non-empty candidate list")
+        if not pool:
+            raise ValueError("the pool has no sentences")
+        for k, cands in enumerate(pool):
+            if not cands:
+                raise ValueError(f"sentence {k} has no candidates")
+            for j, c in enumerate(cands):
+                if len(c.features) != len(pool[0][0].features):
+                    raise ValueError(f"sentence {k} candidate {j} has {len(c.features)} features, "
+                                     f"sentence 0 candidate 0 has {len(pool[0][0].features)}")
         rows = [c for cands in pool for c in sorted(cands, key=lambda c: c.target)]
         self.F = np.array([c.features for c in rows], dtype=float)
         self.S = np.array([c.stats for c in rows], dtype=np.int64)
         self.offsets = list(accumulate(map(len, pool), initial=0))
+        self.sentence = np.repeat(np.arange(len(pool)), np.diff(self.offsets))
 
     @classmethod
     def of(cls, pool):
@@ -73,33 +85,49 @@ class _StackedPool:
         return (self.F * weights).sum(axis=1)
 
 
-def _upper_envelope(slopes, intercepts):
-    """Upper envelope of the lines y = intercepts[i] + slopes[i]*x.
+def _upper_envelopes(sentence, slopes, intercepts):
+    """Each sentence's upper envelope of the lines y = intercepts[i] +
+    slopes[i]*x, where sentence[i] is line i's sentence.
 
-    Returns a list of (x_from, i) segments in increasing x order; the
-    first segment starts at -inf.  Of equal lines the first is kept.
+    Returns (x_from, rows), two arrays with one entry per envelope
+    segment: sentence by sentence in ascending order, each sentence's
+    segments in increasing x, its first starting at -inf.  rows[k] is the
+    line on top from x_from[k] on.  Of equal lines the first is kept.
     """
-    # for equal slopes only the highest intercept can be on the envelope
-    by_slope: dict = {}
-    for i, (slope, intercept) in enumerate(zip(slopes, intercepts)):
-        cur = by_slope.get(slope)
-        if cur is None or intercept > cur[0]:
-            by_slope[slope] = (intercept, i)
-    hull = []  # (slope, intercept, i, x_from), steepest last
-    for slope, (intercept, i) in sorted(by_slope.items()):
-        x_from = -math.inf
+    # lines in (sentence, slope, line) order; of equal slopes only the
+    # highest intercept, the first of equal ones, can be on the envelope
+    order = np.lexsort((slopes, sentence))
+    by_sentence, by_slope = sentence[order], slopes[order]
+    starts = np.flatnonzero(np.concatenate((
+        [True], (by_sentence[1:] != by_sentence[:-1]) | (by_slope[1:] != by_slope[:-1]))))
+    ordered = intercepts[order]
+    top = np.maximum.reduceat(ordered, starts)
+    # the first line of each group whose intercept is the group's highest
+    highest = np.flatnonzero(ordered == np.repeat(top, np.diff(starts, append=len(order))))
+    kept = highest[np.searchsorted(highest, starts)]
+    # hull: the current sentence's (slope, intercept, row, x_from), steepest
+    # last; segments: the finished hulls of the sentences before it
+    segments, hull = [], []
+    current = None
+    for sent, slope, intercept, row in zip(by_sentence[kept].tolist(), by_slope[kept].tolist(),
+                                           ordered[kept].tolist(), order[kept].tolist()):
+        if sent != current:
+            segments += hull
+            hull, current = [], sent
         while hull:
             s0, i0, _, x0 = hull[-1]
             # intersection with the current top line
             x_from = (i0 - intercept) / (slope - s0)
             if x_from <= x0:
                 hull.pop()
-                continue
-            break
-        if not hull:
+            else:
+                break
+        else:
             x_from = -math.inf
-        hull.append((slope, intercept, i, x_from))
-    return [(x_from, i) for _, _, i, x_from in hull]
+        hull.append((slope, intercept, row, x_from))
+    segments += hull
+    _, _, rows, x_from = zip(*segments)
+    return np.array(x_from), np.array(rows)
 
 
 def line_search(pool, weights, dim):
@@ -107,48 +135,46 @@ def line_search(pool, weights, dim):
 
     pool is a list of per-sentence candidate lists (PoolCandidate) or a
     _StackedPool.  Returns (best_weight, best_bleu).  When no line
-    crossing exists the current weight is returned with its BLEU.
+    crossing exists the current weight is returned with its BLEU.  A dim
+    outside [0, len(weights)) raises ValueError.
     """
     pool = _StackedPool.of(pool)
     weights = np.asarray(weights, dtype=float)
+    if not 0 <= dim < len(weights):
+        raise ValueError(f"dim {dim} outside [0, {len(weights)})")
     current = float(weights[dim])
     slopes = pool.F[:, dim]
-    intercepts = (pool.scores(weights) - weights[dim] * slopes).tolist()
-    slopes = slopes.tolist()
-    # each sentence's row at -inf, and sweep events: at x the sentence's
-    # choice switches from row old to row new
-    start, xs, old, new = [], [], [], []
-    for a, b in pool.spans():
-        env = _upper_envelope(slopes[a:b], intercepts[a:b])
-        start.append(a + env[0][1])
-        for (x, i), (_, prev) in zip(env[1:], env):
-            xs.append(x)
-            old.append(a + prev)
-            new.append(a + i)
-    stats = pool.S[start].sum(axis=0)
-    if not xs:
-        return current, bleu_from_stats(stats.tolist())
+    intercepts = pool.scores(weights) - weights[dim] * slopes
+    x_from, rows = _upper_envelopes(pool.sentence, slopes, intercepts)
+    # each sentence's first segment starts at -inf; every later one is a
+    # sweep event, where the sentence switches from the segment before it
+    opens = x_from == -math.inf
+    stats = pool.S[rows[opens]].sum(axis=0)
+    events = np.flatnonzero(~opens)
+    if not len(events):
+        return current, bleu_from_stats(stats)
 
-    boundaries = sorted(set(xs))
-    points = [boundaries[0] - 1.0]
-    for a, b in zip(boundaries, boundaries[1:]):
-        points.append((a + b) / 2.0)
-    points.append(boundaries[-1] + 1.0)
+    order = np.argsort(x_from[events])
+    events = events[order]
+    xs = x_from[events]
+    # one probe point below the first boundary, between each two distinct
+    # boundaries, and above the last
+    boundaries = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    points = np.concatenate(([boundaries[0] - 1.0], (boundaries[:-1] + boundaries[1:]) / 2.0,
+                             [boundaries[-1] + 1.0]))
     # swept[k]: the change in corpus stats after the first k events in x
     # order; each point has seen every event at or below it
-    order = np.argsort(xs)
     swept = np.zeros((len(xs) + 1, pool.S.shape[1]), dtype=np.int64)
-    swept[1:] = pool.S[np.take(new, order)] - pool.S[np.take(old, order)]
+    swept[1:] = pool.S[rows[events]] - pool.S[rows[events - 1]]
     np.cumsum(swept, axis=0, out=swept)
-    seen = np.searchsorted(np.take(xs, order), points, side="right")
-    totals = (stats + swept[seen]).tolist()
+    seen = np.searchsorted(xs, points, side="right")
+    bleus = bleu_from_stats(stats + swept[seen])
 
     best_bleu, best_x = -1.0, current
-    for x, row in zip(points, totals):
-        bleu = bleu_from_stats(row)
-        better = bleu > best_bleu + 1e-12
-        closer = abs(bleu - best_bleu) <= 1e-12 and abs(x - current) < abs(best_x - current)
-        if better or closer:
+    for x, bleu in zip(points.tolist(), bleus):
+        # better, or as good and closer to the current weight
+        if bleu > best_bleu + 1e-12 or (abs(bleu - best_bleu) <= 1e-12
+                                        and abs(x - current) < abs(best_x - current)):
             best_bleu, best_x = bleu, x
     return best_x, best_bleu
 
@@ -159,25 +185,29 @@ def pool_bleu(pool, weights):
     pool = _StackedPool.of(pool)
     scores = pool.scores(weights)
     chosen = [a + int(np.argmax(scores[a:b])) for a, b in pool.spans()]
-    return bleu_from_stats(pool.S[chosen].sum(axis=0).tolist())
+    return bleu_from_stats(pool.S[chosen].sum(axis=0))
 
 
 def coordinate_ascent(pool, weights):
-    """Line search over every dimension until a full sweep yields no BLEU
-    gain; returns (weights, bleu).  Accepted steps never lower BLEU."""
+    """Line search over one dimension after another until every dimension
+    has been searched at the current weights without a BLEU gain, that is
+    len(weights) rejections in a row, or for MAX_SWEEPS sweeps; returns
+    (weights, bleu).  Accepted steps never lower BLEU."""
     pool = _StackedPool.of(pool)
     weights = np.asarray(weights, dtype=float).copy()
     best = pool_bleu(pool, weights)
+    rejected = 0
     for _ in range(MAX_SWEEPS):
-        improved = False
         for dim in range(len(weights)):
             candidate, bleu = line_search(pool, weights, dim)
             if bleu > best + 1e-9:
                 weights[dim] = candidate
                 best = bleu
-                improved = True
-        if not improved:
-            break
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected == len(weights):
+                    return weights, best
     return weights, best
 
 

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from traitmt.bleu import MAX_ORDER, bleu_from_stats, compute_bleu, ngram_counts, sentence_stats
@@ -31,6 +32,36 @@ def reference_sentence_stats(candidate, reference):
 
 def add_rows(rows):
     return [sum(column) for column in zip(*rows)]
+
+
+def reference_bleu_from_stats(stats) -> float:
+    """BLEU of one summed row, scored on its own."""
+    cand_len, ref_len = stats[2 * MAX_ORDER], stats[2 * MAX_ORDER + 1]
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for clipped, total in zip(stats[:MAX_ORDER], stats[MAX_ORDER:2 * MAX_ORDER]):
+        if clipped == 0 or total == 0:
+            return 0.0
+        log_sum += math.log(clipped / total)
+    precision = math.exp(log_sum / MAX_ORDER)
+    if cand_len > ref_len:
+        bp = 1.0
+    else:
+        bp = math.exp(1.0 - ref_len / cand_len)
+    return bp * precision
+
+
+def random_row(rng):
+    """A summed row: about one in five has a zero count somewhere, and the
+    candidate side is longer, as long as or shorter than the reference."""
+    totals = [rng.randint(1, 5000) for _ in range(MAX_ORDER)]
+    clipped = [rng.randint(1, t) for t in totals]
+    if rng.random() < 0.2:
+        (clipped if rng.random() < 0.5 else totals)[rng.randrange(MAX_ORDER)] = 0
+    cand_len = totals[0] if rng.random() < 0.9 else rng.randint(0, 3)
+    ref_len = rng.choice([cand_len, cand_len + rng.randint(1, 900), max(cand_len - rng.randint(1, 900), 0)])
+    return (*clipped, *totals, cand_len, ref_len)
 
 
 class TestComputeBleu:
@@ -141,3 +172,35 @@ class TestStats:
 
     def test_empty_candidate_scores_zero(self):
         assert bleu_from_stats(sentence_stats([], ["a"])) == 0.0
+
+
+class TestBleuFromStats:
+    def test_rows_match_reference(self):
+        # a log or exponential off by one ulp changes about one score in
+        # 3,000, so the matrix form is checked on 30,000 rows
+        rng = random.Random(5)
+        rows = [(0,) * 10, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1), (3, 2, 1, 1, 4, 3, 2, 1, 4, 9),
+                (3, 2, 1, 1, 4, 3, 2, 1, 4, 2), (2, 1, 1, 0, 2, 1, 1, 1, 2, 2)]
+        rows += [random_row(rng) for _ in range(30000)]
+        want = [reference_bleu_from_stats(row) for row in rows]
+        assert any(w == 0.0 for w in want) and any(0.0 < w < 1.0 for w in want)
+        for row, expected in zip(rows[:2000], want):
+            got = bleu_from_stats(row)
+            assert type(got) is float and got == expected, row
+            assert bleu_from_stats(list(row)) == expected, row
+        # the matrix form scores every row at once, bit for bit the same
+        assert bleu_from_stats(rows) == want
+        assert bleu_from_stats(np.array(rows, dtype=np.int64)) == want
+        assert bleu_from_stats(np.array(rows[:1])) == want[:1]
+        assert bleu_from_stats(np.zeros((0, 10), dtype=np.int64)) == []
+
+    def test_sentence_rows_match_reference(self):
+        rng = random.Random(6)
+        rows = []
+        for _ in range(500):
+            vocab = "abcdef"[:rng.randint(1, 6)]
+            cand = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            ref = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
+            rows.append(sentence_stats(cand, ref))
+        sums = [add_rows(rows[k:k + 7]) for k in range(0, len(rows), 7)]
+        assert bleu_from_stats(rows + sums) == [reference_bleu_from_stats(r) for r in rows + sums]

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from traitmt.bleu import bleu_from_stats, ngram_counts, sentence_stats
 from traitmt.mert import (
     PoolCandidate,
     _StackedPool,
-    _upper_envelope,
+    _upper_envelopes,
     coordinate_ascent,
     line_search,
     pool_bleu,
@@ -150,6 +154,30 @@ def reference_pool_bleu(pool, weights):
     return bleu_from_stats(add_rows(c.stats for c in chosen))
 
 
+def reference_coordinate_ascent(pool, weights, max_sweeps):
+    """Full sweeps of line searches until a sweep yields no BLEU gain.
+
+    Returns (weights, bleu, searches, settled): settled is how many
+    searches had been made when every dimension had last been searched
+    at the final weights, which is where a search can stop."""
+    weights = np.asarray(weights, dtype=float).copy()
+    best = pool_bleu(pool, weights)
+    searches = settled = 0
+    for _ in range(max_sweeps):
+        improved = False
+        for dim in range(len(weights)):
+            candidate, bleu = line_search(pool, weights, dim)
+            searches += 1
+            if bleu > best + 1e-9:
+                weights[dim] = candidate
+                best = bleu
+                improved = True
+                settled = searches + len(weights)
+        if not improved:
+            break
+    return weights, best, searches, min(max(settled, len(weights)), searches)
+
+
 def random_pool(rng, dim, integer):
     """1-6 sentences of 1-8 candidates in random order; about one row in
     five repeats an earlier row's features.  Integer pools use features in
@@ -172,24 +200,68 @@ def random_pool(rng, dim, integer):
     return pool
 
 
+def envelope(slopes, intercepts):
+    """One sentence's upper envelope as (x_from, line) segments."""
+    x_from, rows = _upper_envelopes(np.zeros(len(slopes), dtype=np.int64),
+                                    np.array(slopes), np.array(intercepts))
+    return list(zip(x_from.tolist(), rows.tolist()))
+
+
+def tune_shaped_pool(rng, steps=None, sentences=100):
+    """100 sentences of 5-20 candidates with 9 feature columns, as the tune
+    system has: 5 float columns (in 1/steps steps when steps is given) and
+    4 small-integer ones, such as word and phrase counts; about one row in
+    five repeats an earlier row."""
+    pool = []
+    for _ in range(sentences):
+        ref = [rng.choice("abcdefgh") for _ in range(rng.randint(4, 12))]
+        rows = []
+        for _ in range(rng.randint(5, 20)):
+            if rows and rng.random() < 0.2:
+                rows.append(rng.choice(rows))
+            else:
+                floats = [rng.uniform(-12, 0) for _ in range(5)]
+                if steps:
+                    floats = [round(f * steps) / steps for f in floats]
+                rows.append(floats + [rng.randint(0, 6) for _ in range(4)])
+        # candidates edit the reference, as translations of one sentence do
+        pool.append([cand([w if rng.random() < 0.8 else rng.choice("abcdefgh")
+                           for w in ref[:rng.randint(len(ref) - 2, len(ref))]], row, ref)
+                     for row in rows])
+    return pool
+
+
 class TestEnvelope:
     def test_two_crossing_lines(self):
         # y = 0 + 1*x and y = 4 - 1*x cross at x = 2
-        env = _upper_envelope([1.0, -1.0], [0.0, 4.0])
+        env = envelope([1.0, -1.0], [0.0, 4.0])
         assert [i for _, i in env] == [1, 0]
         assert env[1][0] == pytest.approx(2.0)
 
     def test_dominated_line_dropped(self):
-        env = _upper_envelope([0.0, 0.0], [0.0, 1.0])
+        env = envelope([0.0, 0.0], [0.0, 1.0])
         assert [i for _, i in env] == [1]
 
     def test_middle_line_below_hull(self):
-        env = _upper_envelope([-1.0, 0.0, 1.0], [0.0, -5.0, 0.0])
+        env = envelope([-1.0, 0.0, 1.0], [0.0, -5.0, 0.0])
         assert [i for _, i in env] == [0, 2]
 
     def test_equal_lines_keep_first(self):
-        env = _upper_envelope([2.0, 0.0, 2.0, 0.0], [1.0, 3.0, 1.0, 3.0])
+        env = envelope([2.0, 0.0, 2.0, 0.0], [1.0, 3.0, 1.0, 3.0])
         assert [i for _, i in env] == [1, 0]
+
+    def test_line_through_a_crossing_dropped(self):
+        # y = 0 only touches the envelope where y = -x and y = x cross
+        env = envelope([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        assert env == [(-math.inf, 0), (0.0, 2)]
+
+    def test_sentences_kept_apart(self):
+        # the same lines in two sentences, listed out of order: each
+        # sentence gets its own envelope, its first segment from -inf
+        x_from, rows = _upper_envelopes(np.array([1, 0, 1, 0]), np.array([1.0, 1.0, -1.0, -1.0]),
+                                        np.array([0.0, 0.0, 4.0, 4.0]))
+        assert rows.tolist() == [3, 1, 2, 0]
+        assert x_from.tolist() == [-math.inf, 2.0, -math.inf, 2.0]
 
 
 class TestLineSearch:
@@ -303,6 +375,32 @@ class TestLineSearch:
         with pytest.raises(ValueError):
             pool_bleu([], np.array([1.0]))
 
+    @pytest.mark.parametrize("dim", [-1, -3, 3, 10])
+    def test_dim_outside_weights_rejected(self, dim):
+        with pytest.raises(ValueError, match=rf"dim {dim} outside \[0, 3\)"):
+            line_search(THREE_FEATURES, [0.3, 0.2, 0.1], dim)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_reference_on_tune_shaped_pools(self, exact):
+        # as many sentences, candidates and feature columns as a tune round
+        # pools, on every dimension.  Exact pools take float features in
+        # 1/64 steps and weights in 1/4 steps, so that every score is exact
+        # and the reference's dot products give the same crossings.
+        rng = random.Random(20 + exact)
+        pool = tune_shaped_pool(rng, 64 if exact else None)
+        if exact:
+            weights = np.array([rng.randint(-8, 8) / 4 for _ in range(9)])
+            assert_matches_reference(pool, weights, range(9))
+            return
+        weights = np.array([rng.uniform(-1, 1) for _ in range(9)])
+        stacked = _StackedPool(pool)
+        for d in range(9):
+            got_w, got_bleu = line_search(stacked, weights, d)
+            want_w, want_bleu = reference_line_search(pool, weights, d)
+            assert got_bleu == want_bleu, d
+            assert math.isclose(got_w, want_w, rel_tol=1e-9), d
+        assert pool_bleu(stacked, weights) == reference_pool_bleu(pool, weights)
+
 
 def assert_matches_reference(pool, weights, dims):
     """The list pool, one stacked pool and the per-candidate reference give
@@ -317,7 +415,48 @@ def assert_matches_reference(pool, weights, dims):
     assert pool_bleu(pool, weights) == pool_bleu(stacked, weights) == want
 
 
+NUMPY_MA_PROBE = """
+import random, sys
+import numpy as np
+from traitmt import mert
+rng = random.Random(0)
+pool = [[mert.PoolCandidate((k, j), tuple(rng.uniform(-3, 3) for _ in range(4)),
+                            (3, 2, 1, 1, 4, 3, 2, 1, 4, rng.randint(3, 5)))
+         for j in range(8)] for k in range(20)]
+before = "numpy.ma" in sys.modules
+weights, bleu = mert.coordinate_ascent(pool, [0.5, -0.25, 1.0, 0.75])
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_line_search_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, whose import alone adds ~1.2 MB of RSS
+    # (numpy 2.4, CPython 3.11); the sweep finds its boundaries without it
+    src = Path(mert.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert out == ["False", "False"]
+
+
 class TestStackedPool:
+    def test_empty_candidate_list_named(self):
+        pool = [[cand("a", [1, 0], "a")], [cand("b", [1, 0], "b")], []]
+        with pytest.raises(ValueError, match="sentence 2 has no candidates"):
+            _StackedPool(pool)
+        with pytest.raises(ValueError, match="the pool has no sentences"):
+            _StackedPool([])
+
+    def test_ragged_features_named(self):
+        pool = [[cand("a", [1, 0, 2], "a")],
+                [cand("b", [1, 0, 2], "b"), cand("c", [1, 0, 2], "b"), cand("d", [1, 0], "b")]]
+        message = "sentence 1 candidate 2 has 2 features, sentence 0 candidate 0 has 3"
+        with pytest.raises(ValueError, match=message):
+            _StackedPool(pool)
+        with pytest.raises(ValueError, match=message):
+            line_search(pool, [1.0, 1.0, 1.0], 0)
+
     def test_rows_sorted_by_target_within_sentence(self):
         pool = [[cand("c", [1, 0], "a"), cand("a", [2, 0], "a")],
                 [cand("b b", [3, 1], "b c"), cand("a b", [4, 1], "b c"), cand("z", [5, 1], "b c")]]
@@ -551,6 +690,36 @@ class TestTuning:
         assert counted == [tuple(r) for r in refs]
         assert len(scored) > len(refs)
         assert all(counts is not None for counts in scored)
+
+    @pytest.mark.parametrize("max_sweeps", [1, 2, mert.MAX_SWEEPS])
+    def test_coordinate_ascent_matches_full_sweeps(self, monkeypatch, max_sweeps):
+        # stopping once every dimension has been searched at the current
+        # weights skips only searches a full sweep repeats, so the weights
+        # and BLEU are the full sweeps'
+        calls = []
+
+        def counting_search(pool, weights, dim):
+            calls.append(dim)
+            return line_search(pool, weights, dim)
+
+        # the reference calls this module's line_search, not the counting one
+        monkeypatch.setattr(mert, "MAX_SWEEPS", max_sweeps)
+        monkeypatch.setattr(mert, "line_search", counting_search)
+        rng = random.Random(8)
+        saved = 0
+        for trial in range(12):
+            pool = _StackedPool(tune_shaped_pool(rng, sentences=10))
+            start = [rng.uniform(-2, 2) for _ in range(9)]
+            want_w, want_bleu, searches, settled = reference_coordinate_ascent(pool, start,
+                                                                               max_sweeps)
+            calls.clear()
+            got_w, got_bleu = coordinate_ascent(pool, start)
+            np.testing.assert_array_equal(got_w, want_w)
+            assert got_bleu == want_bleu, trial
+            assert calls == [k % 9 for k in range(settled)], trial
+            saved += searches - settled
+        if max_sweeps > 1:
+            assert saved > 0
 
     def test_coordinate_ascent_never_decreases(self):
         rng = random.Random(3)
