@@ -1,20 +1,23 @@
 """Word alignment and phrase-table construction.
 
 IBM Model 1 expectation maximization produces lexical translation tables
-in both directions; Viterbi alignments are symmetrized with
-grow-diag-final-and, and consistent phrase pairs are extracted and scored
-by relative frequency plus lexical weighting (Koehn, Och & Marcu 2003).
+and Viterbi alignments in both directions; the alignments are symmetrized
+with grow-diag-final-and, and consistent phrase pairs are extracted and
+scored by relative frequency plus lexical weighting (Koehn, Och & Marcu
+2003).
 
 IBM1 keeps t(target | source) as one vector over the (source, target)
 word pairs that co-occur in some sentence, so memory grows with the
 co-occurrences, not with the product of the vocabularies.  Every
 (source position incl. NULL, target position) cell of the corpus is
-enumerated once, and an EM iteration is three weighted `np.bincount`s:
-each target token's denominator, each pair's expected count, and each
-source word's total.  The cell arrays are released before the t-table
-becomes dicts, one source word's row at a time.  Viterbi alignment fetches
-each source word's row of t once per sentence and looks every target word
-up in those rows.
+enumerated once, each sentence's cells in C order, by `np.repeat`s over
+the sentence lengths: no numpy call runs per sentence.  An EM iteration
+is three weighted `np.bincount`s: each target token's denominator, each
+pair's expected count, and each source word's total.  After the last one,
+each target token's Viterbi link is read off the same cells, walking
+every column down its rows at once.  At most four 8-byte arrays over the
+cells are alive at a time, and they are released before the t-table
+becomes dicts, one source word's row at a time.
 
 In a consistent phrase pair every link of every word in either span lies
 inside the pair, so a word's lexical factor does not depend on the phrase:
@@ -27,10 +30,11 @@ factors' product once.  Each occurrence is counted straight into the
 table that scoring returns, one row per source phrase holding each
 target's count and greatest weight in either direction, and each row is
 turned into its scores in place at the end, so no phrase pair is held
-twice.  The table is built in one pass over the corpus: each sentence is
-aligned, symmetrized, extracted and scored before the next is aligned.
-So memory holds the table plus one sentence, and IBM1's cell arrays
-while EM runs, never every sentence's alignment and spans.  Equal
+twice.  The table is built in one pass over the corpus: each sentence's
+two alignments are sliced from IBM1's link arrays, symmetrized, extracted
+and scored before the next sentence's.  So memory holds the table, one
+int32 link per token in each direction and one sentence, and IBM1's cell
+arrays while EM runs, never every sentence's alignment and spans.  Equal
 relative frequencies share one float object.  A table's max_len is its
 longest source phrase, derived from its entries, so a table read from a
 file offers every phrase it holds.
@@ -48,14 +52,19 @@ NULL_TOKEN = "<null>"
 
 
 def ibm1_em(pairs, iterations: int = 5):
-    """EM from uniform initialization; returns (t-table, ll_history).  The
-    t-table maps each source word to {target word: t(target | source)},
+    """EM from uniform initialization; returns (t-table, ll_history, links).
+    The t-table maps each source word to {target word: t(target | source)},
     summing to 1 per source word, and holds the NULL word's row under
     NULL_TOKEN.
 
     The history holds the corpus log-likelihood evaluated with the
     parameters entering each iteration (uniform alignment prior included),
     so it is non-decreasing by the EM guarantee.
+
+    links is the Viterbi alignment under the final t: one int32 per target
+    token of the non-empty pairs, in corpus order, holding the position of
+    the source word that gives it the highest t, or -1 for the NULL word.
+    Ties go to NULL, then to the leftmost source position.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -65,41 +74,86 @@ def ibm1_em(pairs, iterations: int = 5):
         raise ValueError("corpus has no non-empty sentence pairs")
     if any(NULL_TOKEN in s for s, _ in pairs):
         raise ValueError(f"source word {NULL_TOKEN!r} is reserved for the NULL word")
+    # a sentence's rows are its source positions behind the NULL word (id 0,
+    # row 0), its columns its target positions; a column is one target
+    # token of the corpus
     src_vocab: dict[str, int] = {NULL_TOKEN: 0}
     tgt_vocab: dict[str, int] = {}
-    for s, t in pairs:
-        for w in s:
-            src_vocab.setdefault(w, len(src_vocab))
-        for w in t:
-            tgt_vocab.setdefault(w, len(tgt_vocab))
-    nt = len(tgt_vocab)
-    # one cell per (source position, target position) of each sentence, in
-    # C order, the NULL word (id 0) being source position 0; a column is
-    # one target token of the corpus
-    cell_keys, cell_cols = [], []
-    n_cols, log_prior = 0, 0.0
-    for s, t in pairs:
-        s_ids = np.array([0] + [src_vocab[w] for w in s], dtype=np.int64)
-        t_ids = np.array([tgt_vocab[w] for w in t], dtype=np.int64)
-        cell_keys.append(np.add.outer(s_ids * nt, t_ids).ravel())
-        cell_cols.append(np.tile(np.arange(n_cols, n_cols + len(t_ids)), len(s_ids)))
-        n_cols += len(t_ids)
-        log_prior += len(t_ids) * math.log(len(s_ids))
+    row_ids = np.array([src_vocab.setdefault(w, len(src_vocab))
+                        for s, _ in pairs for w in (NULL_TOKEN,) + s])
+    col_ids = np.array([tgt_vocab.setdefault(w, len(tgt_vocab)) for _, t in pairs for w in t])
+    rows = np.array([len(s) + 1 for s, _ in pairs])
+    cols = np.array([len(t) for _, t in pairs])
+    log_prior = 0.0
+    for n_rows, n_cols in zip(rows.tolist(), cols.tolist()):
+        log_prior += n_cols * math.log(n_rows)
+    cells = rows * cols
+    nt, n_cells = len(tgt_vocab), int(cells.sum())
+    first_col = np.cumsum(cols) - cols
+    first_cell = np.cumsum(cells) - cells
+    # one cell per (row, column) of each sentence, in C order: a cell's
+    # column is its row's first column plus its offset in the row
+    row_len = np.repeat(cols, rows)
+    row_shift = np.cumsum(row_len) - row_len - np.repeat(first_col, rows)
+
+    def cell_columns():
+        col = np.repeat(row_shift, row_len)
+        return np.subtract(np.arange(n_cells), col, out=col)
+
     # t(.|.) is a vector over the co-occurring (source, target) pairs,
     # ascending by source id, then target id
-    keys, cell_pair = np.unique(np.concatenate(cell_keys), return_inverse=True)
-    cell_col = np.concatenate(cell_cols)
-    del cell_keys, cell_cols
+    cell_key = np.repeat(row_ids * nt, row_len)
+    cell_key += col_ids[cell_columns()]
+    # what np.unique(cell_key, return_inverse=True) returns, with the
+    # inverse written over cell_key: np.unique would hold a copy of it too
+    perm = np.argsort(cell_key)
+    sorted_key = cell_key[perm]
+    new = np.empty(n_cells, dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    keys = sorted_key[new]
+    del sorted_key
+    rank = np.cumsum(new)
+    rank -= 1
+    cell_pair = cell_key
+    cell_pair[perm] = rank
+    del cell_key, perm, new, rank
+    cell_col = cell_columns()
     pair_src = keys // nt
     t = np.full(len(keys), 1.0 / nt)
     history = []
+    # every iteration gathers into the same two buffers: np.take writes
+    # straight into out in a mode other than "raise" (no index is out of range)
+    p, p_denom = np.empty(n_cells), np.empty(n_cells)
     for _ in range(iterations):
-        p = t[cell_pair]
+        np.take(t, cell_pair, out=p, mode="clip")
         denom = np.bincount(cell_col, weights=p)
         history.append(float(np.log(denom).sum()) - log_prior)
-        counts = np.bincount(cell_pair, weights=p / denom[cell_col])
+        p /= np.take(denom, cell_col, out=p_denom, mode="clip")
+        counts = np.bincount(cell_pair, weights=p)
         t = counts / np.bincount(pair_src, weights=counts)[pair_src]
-    del cell_pair, cell_col, p, denom, counts
+    del cell_col, p, p_denom, denom, counts
+    # Viterbi: walk down every column's rows at once, from the NULL word's,
+    # keeping the first highest t.  Sorted by row count, descending, the
+    # columns that have a row r are a prefix; cell holds each column's cell
+    # in the row at hand, and the next row's is its sentence's width further.
+    col_rows = np.repeat(rows, cols)
+    order = np.argsort(col_rows)[::-1]
+    cell = (np.arange(len(col_rows)) + np.repeat(first_cell - first_col, cols))[order]
+    stride = np.repeat(cols, cols)[order]
+    at_least = np.cumsum(np.bincount(col_rows)[::-1])[::-1]  # [r]: columns of >= r rows
+    best = t[cell_pair[cell]]
+    row_link = np.full(len(col_rows), -1, dtype=np.int32)
+    for r in range(1, len(at_least) - 1):
+        n = at_least[r + 1]
+        cell[:n] += stride[:n]
+        p = t[cell_pair[cell[:n]]]
+        better = p > best[:n]
+        best[:n][better] = p[better]
+        row_link[:n][better] = r - 1
+    links = np.empty_like(row_link)
+    links[order] = row_link
+    del cell_pair
     # one source word's row at a time, so that no list of Python ints or
     # floats spans the whole table
     positive = t > 0.0
@@ -112,7 +166,7 @@ def ibm1_em(pairs, iterations: int = 5):
         probs[w] = dict(zip([tgt_words[j] for j in tgt_ids[start:end].tolist()],
                             t[start:end].tolist()))
         start = end
-    return probs, history
+    return probs, history, links
 
 
 @dataclass(frozen=True)
@@ -125,26 +179,6 @@ class AlignmentMatrix:
         for i, j in self.links:
             if not (0 <= i < self.src_len and 0 <= j < self.tgt_len):
                 raise ValueError(f"link ({i},{j}) outside {self.src_len}x{self.tgt_len}")
-
-
-def viterbi_align(table: dict, src, tgt) -> AlignmentMatrix:
-    """Best source link per target word under an ibm1_em t-table; the NULL
-    token absorbs words it explains better than any real position.  Ties
-    go to NULL, then to the leftmost source position."""
-    src = tuple(src)
-    tgt = tuple(tgt)
-    rows = [table.get(sw, {}) for sw in src]
-    null_row = table.get(NULL_TOKEN, {})
-    links = set()
-    for j, w in enumerate(tgt):
-        best_i, best_p = None, null_row.get(w, 0.0)
-        for i, row in enumerate(rows):
-            p = row.get(w, 0.0)
-            if p > best_p:
-                best_i, best_p = i, p
-        if best_i is not None:
-            links.add((best_i, j))
-    return AlignmentMatrix(frozenset(links), len(src), len(tgt))
 
 
 _NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -399,26 +433,39 @@ def read_phrase_table(path) -> PhraseTable:
 
 
 def build_phrase_table(pairs):
-    """Full pipeline: bidirectional IBM1, then one pass of Viterbi
-    alignment, grow-diag-final-and symmetrization, extraction and scoring
+    """Full pipeline: bidirectional IBM1 with its Viterbi alignments, then
+    one pass of grow-diag-final-and symmetrization, extraction and scoring
     per sentence pair.  Returns (PhraseTable, fwd t-table, rev t-table);
     the table's dropped_pairs counts the pairs skipped for an empty side.
+    A kept pair with the NULL word's token on either side raises
+    ValueError naming the side and the pair's index, before IBM1 runs.
 
     Past IBM1, whose cell arrays span the corpus, memory holds the two
-    t-tables, the table being scored and one sentence's alignment and
-    spans: each sentence is scored before the next is aligned."""
+    t-tables, the two directions' link arrays (one int per token), the
+    table being scored and one sentence's alignment and spans: each
+    sentence is scored before the next is symmetrized."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
-    lex_fwd = ibm1_em(kept)[0]
-    lex_rev = ibm1_em([(t, s) for s, t in kept])[0]
+    # the reverse direction's source words are the target words
+    for k, (s, t) in enumerate(pairs):
+        for side, words in (("source", s), ("target", t)):
+            if s and t and NULL_TOKEN in words:
+                raise ValueError(f"pair {k}: {side} word {NULL_TOKEN!r} "
+                                 "is reserved for the NULL word")
+    lex_fwd, _, fwd_links = ibm1_em(kept)
+    lex_rev, _, rev_links = ibm1_em([(t, s) for s, t in kept])
 
     def sentences():
+        i0 = j0 = 0
         for s, t in kept:
-            fwd = viterbi_align(lex_fwd, s, t)
-            rev_swapped = viterbi_align(lex_rev, t, s)
-            rev = AlignmentMatrix(
-                frozenset((i, j) for j, i in rev_swapped.links), len(s), len(t)
-            )
+            n, m = len(s), len(t)
+            # fwd_links gives each target word's source position, rev_links
+            # each source word's target position
+            fwd = AlignmentMatrix(frozenset(
+                (i, j) for j, i in enumerate(fwd_links[j0: j0 + m].tolist()) if i >= 0), n, m)
+            rev = AlignmentMatrix(frozenset(
+                (i, j) for i, j in enumerate(rev_links[i0: i0 + n].tolist()) if j >= 0), n, m)
+            i0, j0 = i0 + n, j0 + m
             sym = symmetrize(fwd, rev)
             yield s, t, sym, extract_phrases(sym)
 

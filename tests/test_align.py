@@ -16,7 +16,6 @@ from traitmt.align import (
     read_phrase_table,
     score_phrases,
     symmetrize,
-    viterbi_align,
     write_phrase_table,
 )
 from traitmt.decoder import FeatureLayout, build_options
@@ -70,7 +69,7 @@ def assert_matches_reference_em(pairs, iterations):
     A log-likelihood is a sum of log denominators minus the alignment
     prior's sum of target length x log source length, and the two can
     cancel to 0, so history values are compared to 1e-12 of the prior."""
-    table, history = ibm1_em(pairs, iterations=iterations)
+    table, history, _ = ibm1_em(pairs, iterations=iterations)
     ref_probs, ref_history = reference_ibm1_em(pairs, iterations, use_null=True)
     assert len(history) == len(ref_history) == iterations
     prior = sum(len(t) * math.log(len(s) + 1) for s, t in pairs)
@@ -92,7 +91,7 @@ class TestIbm1:
     def test_canonical_corpus_converges(self):
         # without the NULL word the textbook walk drives t(x|a) to 1; the
         # NULL word shares a's evidence, so both keep a little mass on y
-        table, history = ibm1_em(CANONICAL, iterations=30)
+        table, history, _ = ibm1_em(CANONICAL, iterations=30)
         assert prob(table, "y", "b") == pytest.approx(1.0, abs=1e-6)
         assert prob(table, "x", "a") == pytest.approx(0.9873, abs=1e-4)
         assert table[NULL_TOKEN] == table["a"]
@@ -100,7 +99,7 @@ class TestIbm1:
             assert cur >= prev - 1e-12
 
     def test_single_pair_after_one_iteration(self):
-        table, _ = ibm1_em([(("a",), ("x",))], iterations=1)
+        table, _, _ = ibm1_em([(("a",), ("x",))], iterations=1)
         assert prob(table, "x", "a") == pytest.approx(1.0)
         # the null word also explains x completely after one round
         assert prob(table, "x", NULL_TOKEN) == pytest.approx(1.0)
@@ -118,13 +117,13 @@ class TestIbm1:
                     tuple(rng.choice(words_t) for _ in range(n)),
                 )
             )
-        _, history = ibm1_em(pairs, iterations=12)
+        _, history, _ = ibm1_em(pairs, iterations=12)
         assert len(history) == 12
         for prev, cur in zip(history, history[1:]):
             assert cur >= prev - 1e-12
 
     def test_per_source_normalization(self):
-        table, _ = ibm1_em(CANONICAL, iterations=5)
+        table, _, _ = ibm1_em(CANONICAL, iterations=5)
         for source, dist in table.items():
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9), source
 
@@ -191,34 +190,60 @@ def reference_viterbi_align(table, src, tgt):
     return frozenset(links)
 
 
+def links_by_sentence(pairs, links):
+    """ibm1_em's links as one frozenset of (source, target) positions per
+    non-empty pair."""
+    out, start = [], 0
+    for s, t in pairs:
+        if s and t:
+            row = links[start: start + len(t)].tolist()
+            out.append(frozenset((i, j) for j, i in enumerate(row) if i >= 0))
+            start += len(t)
+    assert start == len(links)
+    return out
+
+
 class TestViterbi:
     def test_matches_reference_viterbi(self):
         rng = random.Random(9)
         seen = Counter()
-        for case in range(400):
-            use_null = case % 2 == 0
-            # "e" has no row at all, and each row misses some targets; the
-            # few distinct values make sources tie with one another and
-            # with NULL
-            sources = list("abcd") + ([NULL_TOKEN] if use_null else [])
-            table = {w: {v: rng.choice((0.25, 0.5)) for v in "wxyz" if rng.random() < 0.6}
-                     for w in sources}
-            src = tuple(rng.choice("abcde") for _ in range(rng.randint(0, 6)))
-            tgt = tuple(rng.choice("wxyz") for _ in range(rng.randint(0, 6)))
-            assert viterbi_align(table, src, tgt).links == reference_viterbi_align(table, src, tgt)
-            for w in tgt:
-                ps = [prob(table, w, sw) for sw in src]
-                best = max(ps, default=0.0)
-                seen["missing"] += 0.0 in ps
-                seen["tie_sources"] += best > 0.0 and ps.count(best) > 1
-                seen["tie_null"] += use_null and best > 0.0 and best == prob(table, w, NULL_TOKEN)
-        assert min(seen.values()) >= 50, seen
+        for case in range(300):
+            # small vocabularies repeat words within a sentence, so that two
+            # positions of one word tie; "n", put once into every source
+            # sentence of half the corpora, shares every context with the
+            # NULL word and so gets its t; "p" and "q" always occur together
+            src_words = list("abcd")[: rng.randint(1, 4)] + ["p q"]
+            tgt_words = list("wxyz")[: rng.randint(1, 4)]
+            frame = case % 2 == 0
+            pairs = []
+            for _ in range(rng.randint(1, 12)):
+                if rng.random() < 0.2:
+                    pairs.append((rng.choice(src_words).split(), [rng.choice(tgt_words)]))
+                    continue
+                src = " ".join(rng.choice(src_words)
+                               for _ in range(rng.randint(0, 4))).split()
+                if frame and src:
+                    src.insert(rng.randint(0, len(src)), "n")
+                tgt = [rng.choice(tgt_words) for _ in range(rng.randint(0, 4))]
+                pairs.append((src, tgt))
+            if not any(s and t for s, t in pairs):
+                continue
+            probs, _, links = ibm1_em(pairs, iterations=rng.randint(1, 6))
+            kept = [(s, t) for s, t in pairs if s and t]
+            assert links_by_sentence(pairs, links) == \
+                [reference_viterbi_align(probs, s, t) for s, t in kept]
+            for s, t in kept:
+                for w in t:
+                    ps = [prob(probs, w, sw) for sw in s]
+                    best = max(ps)
+                    seen["tie_sources"] += best > 0.0 and ps.count(best) > 1
+                    seen["tie_null"] += best > 0.0 and best == prob(probs, w, NULL_TOKEN)
+        assert min(seen.values()) >= 50 and len(seen) == 2, seen
 
     def test_obvious_alignment(self):
         pairs = [(("der", "hund"), ("the", "dog")), (("der",), ("the",)), (("hund",), ("dog",))]
-        table, _ = ibm1_em(pairs, iterations=10)
-        matrix = viterbi_align(table, ("der", "hund"), ("the", "dog"))
-        assert matrix.links == frozenset({(0, 0), (1, 1)})
+        _, _, links = ibm1_em(pairs, iterations=10)
+        assert links_by_sentence(pairs, links)[0] == frozenset({(0, 0), (1, 1)})
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -564,12 +589,30 @@ class TestBuildPhraseTable:
         assert taken == list(range(1, len(pairs) + 1))
 
     def test_counts_dropped_pairs(self):
-        table, _, _ = build_phrase_table(self.CORPUS)
+        # each sentence's links are sliced from ibm1_em's arrays, which
+        # skip the same pairs, wherever they stand
+        table, fwd, rev = build_phrase_table(self.CORPUS)
         assert table.dropped_pairs == 0
-        with_empty = self.CORPUS + [((), ("x",)), (("a",), ()), ((), ())]
-        dropped, _, _ = build_phrase_table(with_empty)
-        assert dropped.dropped_pairs == 3
-        assert dropped.entries == table.entries
+        a, b, c = self.CORPUS
+        with_empty = [((), ("x",)), a, (("a",), ()), b, ((), ()), c, (("b",), ())]
+        dropped, fwd_dropped, rev_dropped = build_phrase_table(with_empty)
+        assert dropped.dropped_pairs == 4
+        assert [(src, list(row.items())) for src, row in dropped.entries.items()] == \
+            [(src, list(row.items())) for src, row in table.entries.items()]
+        assert (fwd_dropped, rev_dropped) == (fwd, rev)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_null_token_named_before_ibm1(self, monkeypatch, side):
+        def failing(*args, **kwargs):
+            raise AssertionError("ibm1_em ran")
+
+        monkeypatch.setattr(align_mod, "ibm1_em", failing)
+        bad = (NULL_TOKEN, "a") if side == "source" else ("x", NULL_TOKEN)
+        pair = (bad, ("x", "y")) if side == "source" else (("a", "b"), bad)
+        # a pair with an empty side is dropped, whatever words it holds
+        pairs = self.CORPUS[:1] + [((NULL_TOKEN,), ()), pair] + self.CORPUS[1:]
+        with pytest.raises(ValueError, match=rf"^pair 2: {side} word '<null>' is reserved"):
+            build_phrase_table(pairs)
 
 
 class TestPhraseTableIo:
