@@ -23,6 +23,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
+from .corpus import GENDERS
+
 KNOWLEDGE_BASE = "knowledge_base"
 NAME_SERVICE = "name_service"
 IMAGE_SERVICE = "image_service"
@@ -61,7 +63,7 @@ class SpeakerRecord:
     provenance: str = NO_PROVENANCE
 
     def __post_init__(self):
-        if self.resolved_gender not in ("M", "F", "U"):
+        if self.resolved_gender not in GENDERS:
             raise ValueError(f"gender must be M, F or U, got {self.resolved_gender!r}")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")

@@ -19,18 +19,15 @@ leave the leftmost uncovered word beyond the distortion limit is rejected
 (Koehn 2010, ch. 6), so every stored hypothesis can still complete and the
 search never dead-ends.
 
-LM scores are memoized per decode in two layers.  Each distinct target
-phrase gets an id, kept beside its option.  A hypothesis fetches one pair
-of memo rows for its LM states, one for expansions that leave words
-uncovered and one for those that complete the sentence.  Both are indexed
-by target id.  An entry is one flat tuple: the new states, the int that
-keys them in a stack, the per-LM weighted terms w_k * delta_k, then the
-per-LM deltas; a completing entry's deltas include </s>, but its states
-are those before it.  Equal new states are one shared tuple.  A stored
-hypothesis keeps its last expansion's entry, from which the feature
-vector is rebuilt.  A row miss is scored word by word through a per-LM
-(state, word) memo.  The score adds the weighted terms in LM order,
-exactly the floats that w_k * delta_k added inline.
+LM scores are memoized per decode in two layers.  An expansion's entry is
+the tuple (new LM states, delta_1, ..., delta_L), keyed by (LM states,
+target phrase).  There is one memo for expansions that leave words
+uncovered and one for those that complete the sentence, since a completing
+entry's deltas add </s> but its states are those before it; which memo a
+pop uses is fixed by its stack, as only the last stack completes.  The
+score adds w_k * delta_k in LM order.  A stored hypothesis keeps its last
+expansion's entry, from which the feature vector is rebuilt.  A memo miss
+is scored word by word through a per-LM (state, word) memo.
 """
 
 from __future__ import annotations
@@ -104,12 +101,20 @@ class FeatureLayout:
         return w
 
 
+def _checked_weights(weights, layout: FeatureLayout) -> np.ndarray:
+    """weights as a float array; weights of another length than the layout's
+    raise ValueError."""
+    weights = np.asarray(weights, dtype=float)
+    if len(weights) != layout.dimension:
+        raise ValueError(f"{len(weights)} weights for a layout of {layout.dimension} features")
+    return weights
+
+
 def write_weights(weights, layout: FeatureLayout, path) -> None:
     """One `name value` line per feature of the layout; weights of another
     length, or a non-finite weight, raise ValueError before the file is
     opened."""
-    if len(weights) != layout.dimension:
-        raise ValueError(f"{len(weights)} weights for a layout of {layout.dimension} features")
+    weights = _checked_weights(weights, layout)
     for name, value in zip(layout.names(), weights):
         if not math.isfinite(value):
             raise ValueError(f"weight {name!r} is not finite: {value}")
@@ -175,8 +180,8 @@ def build_options(sentence, tables, layout: FeatureLayout, weights):
         raise ValueError("need at least one phrase table")
     if len(tables) != layout.n_tables:
         raise ValueError(f"{len(tables)} phrase tables for a layout of {layout.n_tables}")
+    weights = _checked_weights(weights, layout)
     sentence = tuple(sentence)
-    weights = np.asarray(weights, dtype=float)
     max_len = max(t.max_len for t in tables)
     options: dict[tuple, list] = {}
     for start in range(len(sentence)):
@@ -265,13 +270,13 @@ def _reconstruct_features(hyp, layout: FeatureLayout) -> np.ndarray:
     """The feature vector of hyp's derivation, summed from the last
     expansion back as Python floats, in the order of element-wise numpy
     adds: each expansion's static features, then its jump and its LM
-    deltas, the last n_lms of its memo entry's 2 + 2 * n_lms fields."""
+    deltas, the fields after the new states in its memo entry."""
     feats = [0.0] * layout.dimension
     while hyp[_PARENT] is not None:
         parent, option, jump, lm_entry = hyp[_PARENT:]
         feats = list(map(add, feats, option.features))
         feats[layout.distortion] += jump
-        for k, delta in enumerate(lm_entry[len(lm_entry) // 2 + 1:]):
+        for k, delta in enumerate(lm_entry[1:]):
             feats[layout.lm_feature(k)] += delta
         hyp = parent
     return np.array(feats)
@@ -334,7 +339,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
         raise ValueError(f"distortion_limit must be >= 0, got {distortion_limit}")
     if len(lms) != layout.n_lms:
         raise ValueError(f"{len(lms)} language models for a layout of {layout.n_lms}")
-    weights = np.asarray(weights, dtype=float)
+    weights = _checked_weights(weights, layout)
     n = len(sentence)
     weighted = {span: [float(weights @ np.asarray(o.features)) for o in opts]
                 for span, opts in options.items()}
@@ -343,15 +348,10 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     fc = _future_costs(options, weighted, lm_weights, lms, n)
 
     # per last_end, the spans within the distortion limit in (start, end)
-    # order, each with its (option, static score, target id) triples in
-    # option rank order; a target id numbers the distinct target phrases of
-    # this decode
-    target_ids: dict = {}
+    # order, each with its (option, static score) pairs in option rank order
     spans = []
     for (start, end), opts in sorted(options.items()):
-        choices = sorted(((o, w, target_ids.setdefault(o.tgt, len(target_ids)))
-                          for o, w in zip(opts, weighted[(start, end)])),
-                         key=lambda c: (-c[1], c[0].tgt))
+        choices = sorted(zip(opts, weighted[(start, end)]), key=lambda c: (-c[1], c[0].tgt))
         spans.append((start, end, ((1 << (end - start)) - 1) << start, choices))
     reachable = []
     for last_end in range(n + 1):
@@ -365,24 +365,16 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     # coverage -> (future cost, leftmost uncovered position, n if none)
     futures: dict = {}
     word_memos = [{} for _ in lms]
-    # distinct LM states -> (the states, their key base).  Equal states
-    # share one tuple, and a stack keys a hypothesis on one int, key base +
-    # (last_end << n | coverage), unique per recombination key
-    init_states = tuple(lm.start_state for lm in lms)
-    key_bases = {init_states: (init_states, 0)}
-    key_stride = (n + 1) << n
-    # LM states -> [memo row, memo row on completing]; a row is indexed by
-    # target id and holds None until the target is first scored after those
-    # states, then its entry (new states, their key base, w_1 * delta_1, ...,
-    # w_L * delta_L, delta_1, ..., delta_L).  On completing, the deltas add
-    # </s> but the states are those before it
-    rows: dict = {}
-    n_targets = len(target_ids)
-    lm_terms = range(2, len(lms) + 2)
+    # (LM states, target phrase) -> (new states, delta_1, ..., delta_L), one
+    # memo for expansions that leave words uncovered and one for those that
+    # complete the sentence: a completing entry's deltas add </s>, but its
+    # new states are those before it
+    memos = ({}, {})
+    lm_terms = list(enumerate(lm_weights, 1))
 
     def lm_entry(states, complete, words):
-        new_states, terms, deltas = [], [], []
-        for lm, memo, w_lm, state in zip(lms, word_memos, lm_weights, states):
+        new_states, deltas = [], []
+        for lm, memo, state in zip(lms, word_memos, states):
             delta = 0.0
             for word in words:
                 step = memo.get((state, word))
@@ -396,13 +388,8 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
                     step = memo[state, EOS] = lm.extend(state, (EOS,))
                 delta += step[0]
             new_states.append(state)
-            terms.append(w_lm * delta)
             deltas.append(delta)
-        new_states = tuple(new_states)
-        known = key_bases.get(new_states)
-        if known is None:
-            known = key_bases[new_states] = (new_states, len(key_bases) * key_stride)
-        return (*known, *terms, *deltas)
+        return (tuple(new_states), *deltas)
 
     # per stack, its candidates' heap of (-estimate, pair, option rank,
     # hypothesis, span): pair numbers the (hypothesis, span) pairs as the
@@ -410,6 +397,7 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     heaps: list[list] = [[] for _ in range(n + 1)]
     pairs = 0
     full_mask = (1 << n) - 1
+    init_states = tuple(lm.start_state for lm in lms)
     stack = [(-_coverage_future(fc, 0, n), (), 0, 0, init_states, 0.0, None, None, 0, None)]
     for covered in range(n):
         for hyp in stack:
@@ -433,6 +421,8 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
         # fill the next stack, whose candidates are all queued now
         heap = heaps[covered + 1]
         heapq.heapify(heap)
+        complete = covered + 1 == n
+        memo = memos[complete]
         target_stack: dict = {}
         pops = stack_size
         while heap and pops:
@@ -446,21 +436,14 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
             if k + 1 < len(choices):
                 heapq.heappush(heap, (-(base + choices[k + 1][1] + future), pair, k + 1,
                                       hyp, span))
-            opt, w_static, tid = choices[k]
-            complete = coverage == full_mask
-            h_rows = rows.get(h_states)
-            if h_rows is None:
-                h_rows = rows[h_states] = [None, None]
-            row = h_rows[complete]
-            if row is None:
-                row = h_rows[complete] = [None] * n_targets
-            entry = row[tid]
+            opt, w_static = choices[k]
+            entry = memo.get((h_states, opt.tgt))
             if entry is None:
-                entry = row[tid] = lm_entry(h_states, complete, opt.tgt)
+                entry = memo[h_states, opt.tgt] = lm_entry(h_states, complete, opt.tgt)
             score = base + w_static
-            for t in lm_terms:
-                score += entry[t]
-            key = entry[1] + (end << n | coverage)
+            for t, w_lm in lm_terms:
+                score += w_lm * entry[t]
+            key = (entry[0], end, coverage)
             incumbent = target_stack.get(key)
             if incumbent is not None and incumbent[_SCORE] > score:
                 continue

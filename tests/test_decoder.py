@@ -353,6 +353,13 @@ class TestBuildOptions:
         with pytest.raises(ValueError, match="^2 phrase tables for a layout of 1$"):
             build_options(("a",), [t, t], layout, layout.default_weights())
 
+    def test_weight_count_must_match_layout(self):
+        # else numpy's matmul fails on shapes that name no layout
+        t = table_from({"a": {"x": (0.5,) * 4}})
+        layout = FeatureLayout(1, 1)
+        with pytest.raises(ValueError, match=rf"^3 weights for a layout of {layout.dimension} features$"):
+            build_options(("a",), [t], layout, np.ones(3))
+
 
 class TestDecode:
     def simple_system(self):
@@ -758,6 +765,14 @@ class TestDecode:
         options = build_options(("a",), [table], layout=layout, weights=weights)
         with pytest.raises(ValueError, match="^2 language models for a layout of 1$"):
             decode(("a",), options, weights, [lm, lm], layout=layout)
+
+    def test_weight_count_must_match_layout(self):
+        table, lm, layout = self.simple_system()
+        weights = layout.default_weights()
+        options = build_options(("a",), [table], layout=layout, weights=weights)
+        d = layout.dimension
+        with pytest.raises(ValueError, match=rf"^{d + 1} weights for a layout of {d} features$"):
+            decode(("a",), options, np.append(weights, 1.0), [lm], layout=layout)
 
 
 class TestWeightsIo:
