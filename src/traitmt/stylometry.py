@@ -74,6 +74,11 @@ class TaggerModel:
     (length MAX_SUFFIX, then shorter), then to the global majority tag.  All
     tie-breaks are lexicographic on the tag, so tagging is deterministic.
 
+    train reads its input once, counts each distinct (token, tag) pair, and
+    then adds each pair's count to the tables once, so it costs what the
+    distinct pairs cost.  It is all-or-nothing: if the input raises part-way,
+    the tables and the memo stay as they were.
+
     tag_token is the rule; tag memoizes its answer per token, and train
     clears the memo, so more training changes later answers.
     """
@@ -89,14 +94,16 @@ class TaggerModel:
         return bool(self.global_tags)
 
     def train(self, sentences) -> "TaggerModel":
-        self._memo.clear()
+        pairs = Counter()
         for sent in sentences:
-            for token, tag in zip(sent.tokens, sent.tags):
-                self.token_tags.setdefault(token, Counter())[tag] += 1
-                self.global_tags[tag] += 1
-                for n in range(1, MAX_SUFFIX + 1):
-                    if len(token) > n:
-                        self.suffix_tags.setdefault(token[-n:], Counter())[tag] += 1
+            pairs.update(zip(sent.tokens, sent.tags))
+        # only a fully read input reaches the tables
+        self._memo.clear()
+        for (token, tag), count in pairs.items():
+            self.token_tags.setdefault(token, Counter())[tag] += count
+            self.global_tags[tag] += count
+            for n in range(1, min(MAX_SUFFIX, len(token) - 1) + 1):
+                self.suffix_tags.setdefault(token[-n:], Counter())[tag] += count
         return self
 
     @staticmethod

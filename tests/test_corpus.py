@@ -391,10 +391,48 @@ class TestRecords:
             assert pickle.loads(pickle.dumps(record)) == record
 
     def test_replace_still_validates_gender(self):
-        with pytest.raises(ValueError, match="gender"):
+        with pytest.raises(ValueError, match=r"gender must be one of \('M', 'F', 'U'\), got 'X'"):
             dataclasses.replace(make_pair(), gender="X")
+        assert dataclasses.replace(make_pair(), gender="F") == make_pair(gender="F")
         with pytest.raises(dataclasses.FrozenInstanceError):
             make_pair().gender = "F"
+
+    def test_positional_record_equals_keyword_record(self):
+        date = datetime.date(2005, 6, 1)
+        positional = AnnotatedSentencePair("hello world", "bonjour monde", "s1", "en", date)
+        keyword = AnnotatedSentencePair(
+            source_text="hello world",
+            target_text="bonjour monde",
+            speaker_id="s1",
+            original_language="en",
+            session_date=date,
+        )
+        assert positional == keyword
+        assert (positional.gender, positional.age) == ("U", None)
+        full = AnnotatedSentencePair("hello world", "bonjour monde", "s1", "en", date, "M", 45)
+        assert full == make_pair()
+
+    def test_repr_is_pinned(self):
+        assert repr(make_pair()) == (
+            "AnnotatedSentencePair(source_text='hello world', target_text='bonjour monde', "
+            "speaker_id='s1', original_language='en', session_date=datetime.date(2005, 6, 1), "
+            "gender='M', age=45)"
+        )
+
+    def test_equal_records_hash_equal(self):
+        assert make_pair() is not make_pair()
+        assert make_pair() == make_pair()
+        assert hash(make_pair()) == hash(make_pair())
+        assert len({make_pair(), make_pair(), make_pair(gender="F")}) == 2
+
+    def test_every_field_is_frozen(self):
+        record = make_pair()
+        names = [f.name for f in dataclasses.fields(record)]
+        assert len(names) == 7
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+        assert record == make_pair()
 
     def test_tokenized_sentence_is_frozen(self):
         sentence = TokenizedSentence(("l'", "homme"))

@@ -1,13 +1,16 @@
+import copy
 import dataclasses
 import gc
 import pickle
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from traitmt import stylometry
 from traitmt.stylometry import (
+    MAX_SUFFIX,
     MIN_FRACTION,
     Chunk,
     FeatureSpace,
@@ -27,6 +30,40 @@ def sent(tokens, tags=None):
     else:
         tags = tuple(tags.split())
     return TaggedSentence(tokens, tags)
+
+
+def reference_train(model, sentences):
+    """TaggerModel.train by the plain per-token loop: each token adds 1 to
+    its own counter, to the global counter and to each suffix counter the
+    token is longer than."""
+    model._memo.clear()
+    for s in sentences:
+        for token, tag in zip(s.tokens, s.tags):
+            model.token_tags.setdefault(token, Counter())[tag] += 1
+            model.global_tags[tag] += 1
+            for n in range(1, MAX_SUFFIX + 1):
+                if len(token) > n:
+                    model.suffix_tags.setdefault(token[-n:], Counter())[tag] += 1
+    return model
+
+
+def random_word(rng, alphabet, longest):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, longest)))
+
+
+def random_tagged_corpus(rng, n_sentences):
+    """Tokens of length 1-5 over three letters, so that tokens repeat and
+    their suffixes collide; sentences of 0-8 tokens."""
+    corpus = []
+    for _ in range(n_sentences):
+        k = rng.randint(0, 8)
+        corpus.append(TaggedSentence(tuple(random_word(rng, "abc", 5) for _ in range(k)),
+                                     tuple(rng.choice("PQRS") for _ in range(k))))
+    return corpus
+
+
+def tables(model):
+    return model.token_tags, model.suffix_tags, model.global_tags
 
 
 def reference_vectorize_values(sentences, space):
@@ -135,6 +172,37 @@ class TestTagger:
         assert model.tag(["dog", "slowly"]).tags == ("N", "ADV")
         model.train([sent("dog dog dog slowly", "V V V ADJ")] * 2)
         assert model.tag(["dog", "slowly"]).tags == ("V", "ADJ")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_train_matches_per_token_reference(self, seed):
+        rng = random.Random(seed)
+        first, second = random_tagged_corpus(rng, 40), random_tagged_corpus(rng, 40)
+        # mostly unseen words, some longer than any training token or with a new letter
+        probes = tuple(random_word(rng, "abcd", 6) for _ in range(200))
+        model, reference = TaggerModel(), TaggerModel()
+        for corpus in (first, second):  # the second call adds to the first's tables
+            model.train(s for s in corpus)
+            reference_train(reference, corpus)
+            assert tables(model) == tables(reference)
+            assert model.tag(probes).tags == reference.tag(probes).tags
+
+    def test_failed_training_leaves_the_model_as_it_was(self):
+        def broken():
+            yield sent("dog dog slowly zzz", "V V ADJ V")
+            yield TaggedSentence(("dog",), ())  # refused: length mismatch
+
+        model = self.train_model()
+        tokens = ("dog", "slowly", "zzz", "cat")
+        before_tags = model.tag(tokens).tags
+        before = copy.deepcopy(tables(model))
+        with pytest.raises(ValueError, match="length mismatch"):
+            model.train(broken())
+        assert tables(model) == before
+        assert model.tag(tokens).tags == before_tags
+        untrained = TaggerModel()
+        with pytest.raises(ValueError, match="length mismatch"):
+            untrained.train(broken())
+        assert not untrained.trained
 
     def test_untrained_model_rejected(self):
         with pytest.raises(RuntimeError, match="untrained"):
