@@ -115,8 +115,10 @@ def resolve_gender(evidence) -> tuple[str, str]:
 def load_evidence_fixture(path) -> dict:
     """Read a JSON-lines evidence fixture.
 
-    Each line holds one lookup result: an object with speaker_id, source,
-    label and confidence.  Returns speaker_id -> list of GenderEvidence.
+    Each line holds one lookup result: an object with speaker_id (a JSON
+    string), source, label and confidence (a JSON number, not true or
+    false).  Returns speaker_id -> list of GenderEvidence; a bad record
+    raises ValueError naming `path:line`.
     """
     out: dict[str, list[GenderEvidence]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -126,8 +128,14 @@ def load_evidence_fixture(path) -> dict:
                 continue
             try:
                 obj = json.loads(line)
-                ev = GenderEvidence(obj["source"], obj["label"], float(obj["confidence"]))
-                out.setdefault(str(obj["speaker_id"]), []).append(ev)
+                speaker, confidence = obj["speaker_id"], obj["confidence"]
+                if not isinstance(speaker, str):
+                    raise TypeError(f"speaker_id must be a string, got {speaker!r}")
+                # a JSON true or false loads as a bool, which is an int
+                if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+                    raise TypeError(f"confidence must be a number, got {confidence!r}")
+                ev = GenderEvidence(obj["source"], obj["label"], float(confidence))
+                out.setdefault(speaker, []).append(ev)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad evidence record: {exc}") from exc
     return out

@@ -1,9 +1,9 @@
 """Speaker-annotated parallel corpora: data model, TSV I/O and preprocessing.
 
-A corpus is an ordered list of sentence pairs, each carrying speaker id,
-gender, age, original language and session date.  Preprocessing covers
-rule-based tokenization and the usual cleaning pass (empty / over-long /
-badly misaligned pairs).
+A corpus is an ordered list of sentence pairs in one language pair, each
+carrying speaker id, gender, original language and session date.
+Preprocessing covers rule-based tokenization and the usual cleaning pass
+(empty / over-long / badly misaligned pairs).
 """
 
 from __future__ import annotations
@@ -15,16 +15,9 @@ from dataclasses import dataclass, fields
 
 GENDERS = ("M", "F", "U")
 
-TSV_COLUMNS = (
-    "src_lang",
-    "tgt_lang",
-    "speaker_id",
-    "gender",
-    "age",
-    "session_date",
-    "source_text",
-    "target_text",
-)
+# The header is these names followed by the source and target language
+# codes; a row holds these fields followed by its source and target text.
+TSV_COLUMNS = ("speaker_id", "gender", "session_date")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -35,11 +28,9 @@ class AnnotatedSentencePair:
     original_language: str
     session_date: datetime.date
     gender: str = "U"
-    age: int | None = None
 
     def __init__(
-        self, source_text, target_text, speaker_id, original_language, session_date,
-        gender="U", age=None,
+        self, source_text, target_text, speaker_id, original_language, session_date, gender="U",
     ):
         if gender not in GENDERS:
             raise ValueError(f"gender must be one of {GENDERS}, got {gender!r}")
@@ -51,14 +42,13 @@ class AnnotatedSentencePair:
         _set_original_language(self, original_language)
         _set_session_date(self, session_date)
         _set_gender(self, gender)
-        _set_age(self, age)
 
 
 # looked up by name, in field order: setting a field does not read it, and
 # tests/test_reachability.py counts every attribute load as a read
 (
     _set_source_text, _set_target_text, _set_speaker_id, _set_original_language,
-    _set_session_date, _set_gender, _set_age,
+    _set_session_date, _set_gender,
 ) = (getattr(AnnotatedSentencePair, f.name).__set__ for f in fields(AnnotatedSentencePair))
 
 
@@ -115,15 +105,18 @@ def parse_iso_date(s: str) -> datetime.date:
 def load_corpus(path) -> tuple[Corpus, list[RowError]]:
     """Parse an annotated-corpus TSV file.
 
-    Malformed rows are collected as RowError values (with the 1-based line
-    number), and a missing or bad header raises ValueError naming `path:1`.
-    Returns (corpus, errors).  A session_date must be YYYY-MM-DD in ASCII
-    digits, as save_corpus writes it (parse_iso_date).
+    The header is TSV_COLUMNS followed by the source and target language
+    codes, which give the corpus its language pair; a header-only file is an
+    empty corpus in that pair.  Malformed rows are collected as RowError
+    values (with the 1-based line number), and a missing or bad header
+    raises ValueError naming `path:1`.  Returns (corpus, errors).  A
+    session_date must be YYYY-MM-DD in ASCII digits, as save_corpus writes
+    it (parse_iso_date).
 
     Each repeated value is stored once: the rows of one speaker share one
-    interned speaker_id string, every row shares the first row's language
-    string, and each distinct session_date string is parsed into one date
-    object.
+    interned speaker_id string, every pair shares the header's source
+    language string as its original_language, and each distinct
+    session_date string is parsed into one date object.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -131,21 +124,21 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
         lines.pop()
     if not lines:
         raise ValueError(f"{path}:1: empty file, expected a header row")
-    header = tuple(lines[0].split("\t"))
-    if header != TSV_COLUMNS:
-        raise ValueError(
-            f"{path}:1: header mismatch, expected {list(TSV_COLUMNS)}, got {list(header)}"
-        )
+    header = lines[0].split("\t")
+    n_cols = len(TSV_COLUMNS) + 2
+    if len(header) != n_cols or tuple(header[:-2]) != TSV_COLUMNS:
+        raise ValueError(f"{path}:1: header mismatch, expected {list(TSV_COLUMNS)} followed by "
+                         f"the source and target language codes, got {header}")
+    src_lang, tgt_lang = header[-2:]
     pairs: list[AnnotatedSentencePair] = []
     errors: list[RowError] = []
-    src_lang = tgt_lang = None
     dates: dict[str, datetime.date] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cols = line.split("\t")
-        if len(cols) != len(TSV_COLUMNS):
-            errors.append(RowError(lineno, f"expected {len(TSV_COLUMNS)} columns, got {len(cols)}"))
+        if len(cols) != n_cols:
+            errors.append(RowError(lineno, f"expected {n_cols} columns, got {len(cols)}"))
             continue
-        sl, tl, speaker, gender, age_s, date_s, src, tgt = cols
+        speaker, gender, date_s, src, tgt = cols
         if gender not in GENDERS:
             errors.append(RowError(lineno, f"invalid gender {gender!r}"))
             continue
@@ -156,58 +149,37 @@ def load_corpus(path) -> tuple[Corpus, list[RowError]]:
             except ValueError:
                 errors.append(RowError(lineno, f"invalid session_date {date_s!r}"))
                 continue
-        age = None
-        if age_s != "":
-            try:
-                age = int(age_s)
-            except ValueError:
-                errors.append(RowError(lineno, f"invalid age {age_s!r}"))
-                continue
-        if src_lang is None:
-            src_lang, tgt_lang = sl, tl
-        elif (sl, tl) != (src_lang, tgt_lang):
-            errors.append(
-                RowError(lineno, f"language pair {sl}-{tl} differs from {src_lang}-{tgt_lang}")
-            )
-            continue
-        pairs.append(
-            AnnotatedSentencePair(src, tgt, sys.intern(speaker), src_lang, date, gender, age)
-        )
-    if src_lang is None:
-        src_lang, tgt_lang = "und", "und"
+        pairs.append(AnnotatedSentencePair(src, tgt, sys.intern(speaker), src_lang, date, gender))
     return Corpus(pairs, src_lang, tgt_lang), errors
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus back to the TSV layout read by load_corpus.
 
-    Raises ValueError, naming the field, when a value holds a tab, newline
-    or carriage return, since load_corpus could not split that row back: it
-    reads with universal newlines, so a carriage return ends a line too.
-    An empty corpus raises ValueError too: the language pair is stored only
-    in data rows, so it could not be read back.  Every row is checked
-    before the file is opened.
+    The language pair goes into the header, so an empty corpus round-trips.
+    Raises ValueError when the file could not hold the corpus as it is:
+    when a language code or a pair's value holds a tab, newline or carriage
+    return, since load_corpus could not split it back (it reads with
+    universal newlines, so a carriage return ends a line too), or when a
+    pair's original_language is not the corpus's source_lang, which is all
+    the file stores of it.  The error names the Corpus field, or the pair's
+    index and field.  Every value is checked before the file is opened.
     """
-    if not corpus.pairs:
-        raise ValueError(f"cannot save an empty corpus: its language pair "
-                         f"{corpus.source_lang}-{corpus.target_lang} is stored only in data rows")
-    lines = ["\t".join(TSV_COLUMNS) + "\n"]
-    for p in corpus.pairs:
-        row = [
-            corpus.source_lang,
-            corpus.target_lang,
-            p.speaker_id,
-            p.gender,
-            "" if p.age is None else str(p.age),
-            p.session_date.isoformat(),
-            p.source_text,
-            p.target_text,
-        ]
+    for name in ("source_lang", "target_lang"):
+        if any(c in getattr(corpus, name) for c in "\t\n\r"):
+            raise ValueError(f"{name} must not contain tab, newline or carriage return")
+    lines = ["\t".join((*TSV_COLUMNS, corpus.source_lang, corpus.target_lang)) + "\n"]
+    for i, p in enumerate(corpus.pairs):
+        if p.original_language != corpus.source_lang:
+            raise ValueError(f"pair {i}: original_language {p.original_language!r} is not "
+                             f"the corpus source_lang {corpus.source_lang!r}")
+        row = (p.speaker_id, p.gender, p.session_date.isoformat(), p.source_text, p.target_text)
         line = "\t".join(row)
         # one scan of the joined row checks every field it holds
         if "\n" in line or "\r" in line or line.count("\t") != len(row) - 1:
-            name = next(n for n, v in zip(TSV_COLUMNS, row) if any(c in v for c in "\t\n\r"))
-            raise ValueError(f"{name} must not contain tab, newline or carriage return")
+            name = next(n for n, v in zip((*TSV_COLUMNS, "source_text", "target_text"), row)
+                        if any(c in v for c in "\t\n\r"))
+            raise ValueError(f"pair {i}: {name} must not contain tab, newline or carriage return")
         lines.append(line + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

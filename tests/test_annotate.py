@@ -176,6 +176,11 @@ class TestFixtures:
     @pytest.mark.parametrize("record", [
         "[1, 2]",
         '{"speaker_id": "s1", "source": "knowledge_base", "label": "F", "confidence": null}',
+        # wrong JSON types that str() or float() would otherwise turn into values
+        '{"speaker_id": null, "source": "knowledge_base", "label": "F", "confidence": 1.0}',
+        '{"speaker_id": 42, "source": "knowledge_base", "label": "F", "confidence": 1.0}',
+        '{"speaker_id": "s2", "source": "knowledge_base", "label": "F", "confidence": true}',
+        '{"speaker_id": "s2", "source": "name_service", "label": "F", "confidence": "0.95"}',
     ])
     def test_bad_record_names_line(self, tmp_path, record):
         p = tmp_path / "ev.jsonl"

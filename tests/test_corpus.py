@@ -20,7 +20,7 @@ from traitmt.corpus import (
     tokenize,
 )
 
-HEADER = "src_lang\ttgt_lang\tspeaker_id\tgender\tage\tsession_date\tsource_text\ttarget_text"
+HEADER = "speaker_id\tgender\tsession_date\ten\tfr"
 
 
 def reference_tokenize(s, lang="en"):
@@ -83,7 +83,6 @@ def make_pair(src="hello world", tgt="bonjour monde", gender="M", speaker="s1"):
         original_language="en",
         session_date=datetime.date(2005, 6, 1),
         gender=gender,
-        age=45,
     )
 
 
@@ -91,23 +90,23 @@ class TestLoadCorpus:
     def test_well_formed_three_rows(self, tmp_path):
         p = tmp_path / "c.tsv"
         rows = [
-            "en\tfr\ts1\tM\t45\t2005-06-01\thello\tbonjour",
-            "en\tfr\ts2\tF\t\t2005-06-02\tbye\tau revoir",
-            "en\tfr\ts1\tM\t45\t2005-06-03\tyes\toui",
+            "s1\tM\t2005-06-01\thello\tbonjour",
+            "s2\tF\t2005-06-02\tbye\tau revoir",
+            "s1\tM\t2005-06-03\tyes\toui",
         ]
         p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
         assert errors == []
         assert len(corpus.pairs) == 3
         assert corpus.source_lang == "en" and corpus.target_lang == "fr"
-        assert corpus.pairs[1].age is None
+        assert corpus.pairs[1].target_text == "au revoir"
         assert corpus.pairs[0].session_date == datetime.date(2005, 6, 1)
 
     def test_invalid_gender_is_row_level_error(self, tmp_path):
         p = tmp_path / "c.tsv"
         rows = [
-            "en\tfr\ts1\tX\t45\t2005-06-01\thello\tbonjour",
-            "en\tfr\ts2\tF\t30\t2005-06-02\tbye\tau revoir",
+            "s1\tX\t2005-06-01\thello\tbonjour",
+            "s2\tF\t2005-06-02\tbye\tau revoir",
         ]
         p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
@@ -118,9 +117,31 @@ class TestLoadCorpus:
 
     def test_header_only_gives_empty_corpus(self, tmp_path):
         p = tmp_path / "c.tsv"
-        p.write_text(HEADER + "\n", encoding="utf-8")
+        p.write_text("speaker_id\tgender\tsession_date\tde\tit\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
-        assert len(corpus.pairs) == 0 and errors == []
+        assert corpus == Corpus([], "de", "it") and errors == []
+
+    @pytest.mark.parametrize("header", [
+        "src_lang\ttgt_lang\tspeaker_id\tgender\tage\tsession_date\tsource_text\ttarget_text",
+        "speaker_id\tgender\tsession_date\ten",
+        "speaker_id\tgender\tsession_date\ten\tfr\tde",
+    ], ids=["old_eight_columns", "one_language", "three_languages"])
+    def test_header_of_other_shape_raises(self, tmp_path, header):
+        # a file in another layout is refused whole, never misread row by row
+        p = tmp_path / "c.tsv"
+        row = "en\tfr\ts1\tM\t45\t2005-06-01\thello\tbonjour"
+        p.write_text(header + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:1: header mismatch"):
+            load_corpus(p)
+
+    def test_row_with_wrong_column_count_is_row_level_error(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        rows = ["en\tfr\ts1\tM\t45\t2005-06-01\thello\tbonjour", "s2\tF\t2005-06-02\tbye"]
+        p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        corpus, errors = load_corpus(p)
+        assert corpus.pairs == []
+        assert errors == [RowError(2, "expected 5 columns, got 8"),
+                          RowError(3, "expected 5 columns, got 4")]
 
     def test_header_mismatch_raises(self, tmp_path):
         p = tmp_path / "c.tsv"
@@ -140,7 +161,7 @@ class TestLoadCorpus:
 
     def test_invalid_date_is_row_level_error(self, tmp_path):
         p = tmp_path / "c.tsv"
-        p.write_text(HEADER + "\nen\tfr\ts1\tM\t45\tnot-a-date\thello\tbonjour\n", encoding="utf-8")
+        p.write_text(HEADER + "\ns1\tM\tnot-a-date\thello\tbonjour\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
         assert len(corpus.pairs) == 0 and len(errors) == 1
 
@@ -171,8 +192,7 @@ class TestLoadCorpus:
     def test_session_date_is_exactly_iso_calendar_date(self, tmp_path, date_s, expected):
         # the date appears twice: a parsed date is reused, a bad one is reported per row
         p = tmp_path / "c.tsv"
-        rows = [f"en\tfr\ts1\tM\t45\t{date_s}\thello\tbonjour"] * 2 + [
-            "en\tfr\ts2\tF\t30\t2005-06-02\tbye\tau revoir"]
+        rows = [f"s1\tM\t{date_s}\thello\tbonjour"] * 2 + ["s2\tF\t2005-06-02\tbye\tau revoir"]
         p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
         if expected is None:
@@ -186,7 +206,7 @@ class TestLoadCorpus:
         p = tmp_path / "c.tsv"
         speakers = ["s1", "s2", "s1", "s3", "s2", "s1"]
         dates = ["2005-06-01", "2005-06-02", "2005-06-01", "2005-06-01", "2005-06-02", "2005-06-03"]
-        rows = [f"en\tfr\t{sp}\tM\t45\t{d}\ttext {i}\ttexte {i}"
+        rows = [f"{sp}\tM\t{d}\ttext {i}\ttexte {i}"
                 for i, (sp, d) in enumerate(zip(speakers, dates))]
         p.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         corpus, errors = load_corpus(p)
@@ -219,15 +239,34 @@ class TestLoadCorpus:
         pair = make_pair()
         broken = dataclasses.replace(pair, **{field: "x" + bad + getattr(pair, field)})
         corpus = Corpus([pair, broken], "en", "fr")
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=rf"^pair 1: {field} must not contain"):
             save_corpus(corpus, tmp_path / "c.tsv")
 
-    def test_save_rejects_empty_corpus(self, tmp_path):
-        # the language pair lives only in data rows, so an empty file would
-        # read back as und-und
+    def test_empty_corpus_round_trips(self, tmp_path):
         path = tmp_path / "c.tsv"
-        with pytest.raises(ValueError, match="empty corpus"):
-            save_corpus(Corpus([], "en", "fr"), path)
+        save_corpus(Corpus([], "en", "fr"), path)
+        assert path.read_text(encoding="utf-8") == HEADER + "\n"
+        assert load_corpus(path) == (Corpus([], "en", "fr"), [])
+
+    def test_positional_record_round_trips(self, tmp_path):
+        # five positional arguments, the gender set afterwards by replace
+        date = datetime.date(2005, 6, 1)
+        rows = [AnnotatedSentencePair("one two", "un deux", "s1", "en", date),
+                AnnotatedSentencePair("three", "trois", "s2", "en", date)]
+        path = tmp_path / "c.tsv"
+        save_corpus(Corpus(rows, "en", "fr"), path)
+        loaded, errors = load_corpus(path)
+        assert errors == [] and loaded.pairs == rows
+        assert [dataclasses.replace(q, gender="F").gender for q in loaded.pairs] == ["F", "F"]
+
+    @pytest.mark.parametrize("language", ["fr", "EN", "en ", ""])
+    def test_save_rejects_other_original_language(self, tmp_path, language):
+        # the file stores one language for every pair: the corpus source_lang
+        path = tmp_path / "c.tsv"
+        pair = make_pair()
+        other = dataclasses.replace(pair, original_language=language)
+        with pytest.raises(ValueError, match=rf"^pair 2: original_language {re.escape(repr(language))}"):
+            save_corpus(Corpus([pair, pair, other], "en", "fr"), path)
         assert not path.exists()
 
     def test_save_checks_every_row_before_writing(self, tmp_path):
@@ -240,11 +279,15 @@ class TestLoadCorpus:
             save_corpus(Corpus([pair, pair, broken], "en", "fr"), path)
         assert path.read_text(encoding="utf-8") == "kept\n"
 
-    @pytest.mark.parametrize("column", ["src_lang", "tgt_lang"])
-    def test_save_rejects_separator_in_language(self, tmp_path, column):
-        langs = ("e\tn", "fr") if column == "src_lang" else ("en", "f\nr")
-        with pytest.raises(ValueError, match=column):
-            save_corpus(Corpus([make_pair()], *langs), tmp_path / "c.tsv")
+    @pytest.mark.parametrize("field", ["source_lang", "target_lang"])
+    def test_save_rejects_separator_in_language(self, tmp_path, field):
+        path = tmp_path / "c.tsv"
+        for bad in "\t\n\r":
+            corpus = Corpus([make_pair()], "en", "fr")
+            setattr(corpus, field, "x" + bad + getattr(corpus, field))
+            with pytest.raises(ValueError, match=rf"^{field} must not contain"):
+                save_corpus(corpus, path)
+            assert not path.exists()
 
 
 class TestCleanCorpus:
@@ -408,15 +451,15 @@ class TestRecords:
             session_date=date,
         )
         assert positional == keyword
-        assert (positional.gender, positional.age) == ("U", None)
-        full = AnnotatedSentencePair("hello world", "bonjour monde", "s1", "en", date, "M", 45)
+        assert positional.gender == "U"
+        full = AnnotatedSentencePair("hello world", "bonjour monde", "s1", "en", date, "M")
         assert full == make_pair()
 
     def test_repr_is_pinned(self):
         assert repr(make_pair()) == (
             "AnnotatedSentencePair(source_text='hello world', target_text='bonjour monde', "
             "speaker_id='s1', original_language='en', session_date=datetime.date(2005, 6, 1), "
-            "gender='M', age=45)"
+            "gender='M')"
         )
 
     def test_equal_records_hash_equal(self):
@@ -428,7 +471,7 @@ class TestRecords:
     def test_every_field_is_frozen(self):
         record = make_pair()
         names = [f.name for f in dataclasses.fields(record)]
-        assert len(names) == 7
+        assert len(names) == 6
         for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, getattr(record, name))

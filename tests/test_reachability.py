@@ -87,7 +87,6 @@ FIELDS_ALLOWED = {
     "analysis.Projection2D.mean": "with components, maps new vectors onto the same axes",
     "classify.SvmModel.iterations": "says whether SMO stopped at its iteration cap",
     "classify.EvalReport.classes": "names the rows and columns of the confusion matrix",
-    "corpus.AnnotatedSentencePair.original_language": "perfbench builds pairs positionally",
     "corpus.RowError.line_number": "names the refused row for the user",
     "corpus.RowError.message": "says why the row was refused",
     "corpus.CleanReport.removed_empty": _REPORTED,
