@@ -22,22 +22,20 @@ becomes dicts, one source word's row at a time.
 In a consistent phrase pair every link of every word in either span lies
 inside the pair, so a word's lexical factor does not depend on the phrase:
 the mean of its linked translation probabilities, or its NULL probability
-when it has no link.  Extraction therefore returns bare index spans, and
-the occurrences stay grouped by the sentence they came from: scoring
-computes the factors once per sentence, in both directions, and slices
-each distinct source or target span of the sentence and takes its
-factors' product once.  Each occurrence is counted straight into the
-table that scoring returns, one row per source phrase holding each
-target's count and greatest weight in either direction, and each row is
-turned into its scores in place at the end, so no phrase pair is held
-twice.  The table is built in one pass over the corpus: each sentence's
-two alignments are sliced from IBM1's link arrays, symmetrized, extracted
-and scored before the next sentence's.  So memory holds the table, one
-int32 link per token in each direction and one sentence, and IBM1's cell
-arrays while EM runs, never every sentence's alignment and spans.  Equal
-relative frequencies share one float object.  A table's max_len is its
-longest source phrase, derived from its entries, so a table read from a
-file offers every phrase it holds.
+when it has no link.  Extraction and scoring are each one pass over the
+whole corpus, in numpy.  Extraction returns every occurrence as a
+(sentence, i1, i2, j1, j2) row of one int32 array, finding the spans of
+all sentences at once, one span length at a time.  Scoring computes every
+token's factor once, then tables over every (span length, first token):
+each span's product of factors, and an id equal for equal words.  An
+occurrence's weights and phrases are read off those tables; the phrases
+are numbered by first occurrence, and the pairs' counts, relative
+frequencies and greatest weights come from sorting the occurrences by
+pair.  Only then are Python objects made: one tuple per distinct phrase,
+and each row's dict at once, a chunk of pairs at a time.  Equal relative
+frequencies share one float object, as do equal weights within a chunk.
+A table's max_len is its longest source phrase, derived from its entries,
+so a table read from a file offers every phrase it holds.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -216,60 +215,123 @@ def symmetrize(fwd: AlignmentMatrix, rev: AlignmentMatrix) -> AlignmentMatrix:
     return AlignmentMatrix(frozenset(alignment), fwd.src_len, fwd.tgt_len)
 
 
-def _position_links(alignment: AlignmentMatrix):
-    """(per source position its linked target positions, per target
-    position its linked source positions), each list ascending."""
-    tgt_of = [[] for _ in range(alignment.src_len)]
-    src_of = [[] for _ in range(alignment.tgt_len)]
-    for i, j in sorted(alignment.links):
-        tgt_of[i].append(j)
-        src_of[j].append(i)
-    return tgt_of, src_of
+def _corpus_links(alignments):
+    """(source starts, target starts, link sources, link targets) of the
+    sentences, corpus-wide.  A start array holds each sentence's first
+    token and then the token count; the link arrays hold each link's
+    source and target token, ascending by source, then target token."""
+    src_start = np.zeros(len(alignments) + 1, dtype=np.int32)
+    tgt_start = np.zeros(len(alignments) + 1, dtype=np.int32)
+    np.cumsum([a.src_len for a in alignments], out=src_start[1:])
+    np.cumsum([a.tgt_len for a in alignments], out=tgt_start[1:])
+    counts = [len(a.links) for a in alignments]
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(a.links for a in alignments)),
+                       dtype=np.int32, count=2 * sum(counts))
+    link_src = flat[0::2] + np.repeat(src_start[:-1], counts)
+    link_tgt = flat[1::2] + np.repeat(tgt_start[:-1], counts)
+    order = np.lexsort((link_tgt, link_src))
+    return src_start, tgt_start, link_src[order], link_tgt[order]
 
 
-def extract_phrases(alignment: AlignmentMatrix, max_len: int = 7):
-    """Inclusive (i1, i2, j1, j2) spans of all phrase pairs consistent with
-    the alignment, unaligned-boundary extensions included, both sides at
-    most max_len tokens; ordered by source span, then target start
-    descending, then target end ascending.
+def _bounds(own, linked, size, none):
+    """Each of size tokens' least and greatest linked token, or none and -1
+    when it has no link; own and linked are the links' tokens, ascending
+    by own, then linked."""
+    least = np.full(size, none, dtype=np.int32)
+    greatest = np.full(size, -1, dtype=np.int32)
+    if len(own):
+        first = np.empty(len(own), dtype=bool)
+        first[0] = True
+        np.not_equal(own[1:], own[:-1], out=first[1:])
+        last = np.append(first[1:], True)
+        least[own[first]] = linked[first]
+        greatest[own[last]] = linked[last]
+    return least, greatest
 
-    A source span's target bounds grow with its right end, and only the
-    target positions inside them are checked for links leaving the span.
-    A max_len below 1 raises ValueError."""
+
+def _offsets(counts):
+    """0, 1, ..., count - 1 for each count in turn, as one int32 array."""
+    counts = np.asarray(counts, dtype=np.int32)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int32) - np.repeat(ends - counts, counts)
+
+
+def extract_phrases(alignments, max_len: int = 7) -> np.ndarray:
+    """Every phrase pair consistent with each alignment of an iterable,
+    read once, as an (N, 5) int32 array of inclusive (sentence, i1, i2, j1,
+    j2) spans: unaligned-boundary extensions included, both sides at most
+    max_len tokens; ordered by sentence, then source span, then target
+    start descending, then target end ascending.
+
+    The target bounds of every source span of every length come from a
+    running min and max over the lengths, and a span is consistent when
+    none of the at most max_len target tokens inside its bounds links
+    outside it.  Each consistent span then takes the unaligned target
+    tokens next to its bounds, within its sentence, by np.repeat.  A
+    max_len below 1 raises ValueError."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    tgt_of, src_of = _position_links(alignment)
-    n, m = alignment.src_len, alignment.tgt_len
-    # each target position's least and greatest linked source position;
-    # n and -1 when it has no link, so that it never blocks a span
-    lo = [s[0] if s else n for s in src_of]
-    hi = [s[-1] if s else -1 for s in src_of]
-    out = []
-    for i1 in range(n):
-        j1, j2 = m, -1
-        for i2 in range(i1, min(n, i1 + max_len)):
-            if tgt_of[i2]:
-                j1 = min(j1, tgt_of[i2][0])
-                j2 = max(j2, tgt_of[i2][-1])
-            if j2 < 0:
-                continue
-            if j2 - j1 >= max_len:
-                break  # the target bounds only widen as i2 grows
-            if min(lo[j1: j2 + 1]) < i1:
-                break  # that link stays inside the bounds for every wider span
-            if max(hi[j1: j2 + 1]) > i2:
-                continue
-            js = j1
-            while True:
-                je = j2
-                while je < m and je - js < max_len:
-                    out.append((i1, i2, js, je))
-                    je += 1
-                    if je >= m or hi[je] >= 0:
-                        break
-                js -= 1
-                if js < 0 or hi[js] >= 0 or j2 - js >= max_len:
-                    break
+    alignments = list(alignments)
+    src_start, tgt_start, link_src, link_tgt = _corpus_links(alignments)
+    n_src, n_tgt = int(src_start[-1]), int(tgt_start[-1])
+    # each source token's least and greatest linked target token, and each
+    # target token's least and greatest linked source token; a token with
+    # no link never blocks a span
+    first_tgt, last_tgt = _bounds(link_src, link_tgt, n_src, n_tgt)
+    by_tgt = np.lexsort((link_src, link_tgt))
+    first_src, last_src = _bounds(link_tgt[by_tgt], link_src[by_tgt], n_tgt, n_src)
+    sentence = np.repeat(np.arange(len(alignments), dtype=np.int32), np.diff(src_start))
+    # lo[c, i], hi[c, i]: the target bounds of the source span of c + 1
+    # tokens from i on; spans past their sentence's end are masked below
+    lo = np.empty((max_len, n_src), dtype=np.int32)
+    hi = np.empty((max_len, n_src), dtype=np.int32)
+    lo[0], hi[0] = first_tgt, last_tgt
+    next_lo = np.append(first_tgt, np.full(max_len, n_tgt, dtype=np.int32))
+    next_hi = np.append(last_tgt, np.full(max_len, -1, dtype=np.int32))
+    for c in range(1, max_len):
+        np.minimum(lo[c - 1], next_lo[c: c + n_src], out=lo[c])
+        np.maximum(hi[c - 1], next_hi[c: c + n_src], out=hi[c])
+    left = src_start[sentence + 1] - np.arange(n_src)  # tokens from i to its sentence's end
+    keep = (hi >= 0) & (hi - lo < max_len) & (np.arange(max_len)[:, None] < left)
+    span = np.flatnonzero(keep.T).astype(np.int32)  # i * max_len + c: source spans in order
+    del keep
+    i1, length = np.divmod(span, max_len)
+    j1, j2 = lo[length, i1], hi[length, i1]
+    del lo, hi, span
+    i2 = i1 + length
+    width = j2 - j1
+    consistent = np.ones(len(i1), dtype=bool)
+    for k in range(int(width.max(initial=-1)) + 1):
+        j = np.minimum(j1 + k, n_tgt - 1)
+        consistent &= (k > width) | ((first_src[j] >= i1) & (last_src[j] <= i2))
+    i1, i2, j1, j2, width = i1[consistent], i2[consistent], j1[consistent], j2[consistent], \
+        width[consistent]
+    # the unaligned target tokens right before j1 and right after j2, within
+    # the sentence: marks[j] is the last aligned token before j, and
+    # marks[j + 1] below the first aligned token after j
+    s = sentence[i1]
+    aligned = last_src >= 0
+    pos = np.arange(n_tgt, dtype=np.int32)
+    marks = np.maximum.accumulate(np.append(np.int32(-1), np.where(aligned, pos, -1)))
+    free_left = np.minimum(j1 - 1 - marks[j1], j1 - tgt_start[s])
+    marks = np.where(aligned, pos, n_tgt)
+    marks = np.minimum.accumulate(np.append(marks, np.int32(n_tgt))[::-1])[::-1]
+    free_right = np.minimum(marks[j2 + 1] - j2 - 1, tgt_start[s + 1] - 1 - j2)
+    room = max_len - 1 - width  # target tokens a span may still add
+    base = np.stack((s, i1 - src_start[s], i2 - src_start[s],
+                     j1 - tgt_start[s], j2 - tgt_start[s]), axis=1)
+    # one row per target start, d tokens left of j1, then one per target
+    # end, e tokens right of j2
+    starts = np.minimum(free_left, room) + 1
+    rows = np.repeat(base, starts, axis=0)
+    d = _offsets(starts)
+    rows[:, 3] -= d
+    ends = np.minimum(np.repeat(free_right, starts), np.repeat(room, starts) - d) + 1
+    del d
+    out = np.repeat(rows, ends, axis=0)
+    del rows
+    out[:, 4] += _offsets(ends)
     return out
 
 
@@ -292,78 +354,187 @@ class PhraseTable:
 _LEX_FLOOR = 1e-12
 
 
-def _lexical_factors(words, other, links_of, table: dict) -> list:
-    """Per word: the mean of t(word | linked word of other) over its links,
-    added left to right in ascending position (not with the built-in sum,
-    which compensates float rounding from Python 3.12 on), or the NULL
-    probability if it has none."""
-    null_row = table.get(NULL_TOKEN, {})
-    factors = []
-    for w, linked in zip(words, links_of):
-        if linked:
-            total = 0.0
-            for k in linked:
-                total += table.get(other[k], {}).get(w, 0.0)
-            factors.append(total / len(linked))
-        else:
-            factors.append(null_row.get(w, 0.0))
+def _lexical_factors(words, other, own, linked, table: dict) -> np.ndarray:
+    """Per token of words: the mean of t(word | linked word of other) over
+    its links, or the NULL probability if it has none.  own and linked are
+    the links' tokens in words and other, ascending by own, then linked;
+    a token's linked probabilities are added rank by rank, so left to
+    right in ascending position (not as the built-in sum adds, which
+    compensates float rounding from Python 3.12 on)."""
+    empty: dict = {}
+    rows = map(table.get, map(other.__getitem__, linked.tolist()), repeat(empty))
+    probs = np.fromiter(map(dict.get, rows, map(words.__getitem__, own.tolist()), repeat(0.0)),
+                        dtype=float, count=len(own))
+    degree = np.bincount(own, minlength=len(words))
+    rank = _offsets(degree)
+    total = np.zeros(len(words))
+    for r in range(int(degree.max(initial=0))):
+        at = rank == r
+        total[own[at]] += probs[at]
+    factors = total / np.maximum(degree, 1)
+    null_row = table.get(NULL_TOKEN, empty)
+    unlinked = np.flatnonzero(degree == 0)
+    factors[unlinked] = np.fromiter(
+        map(null_row.get, map(words.__getitem__, unlinked.tolist()), repeat(0.0)),
+        dtype=float, count=len(unlinked))
     return factors
 
 
-def score_phrases(sentences, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
+def _phrase_ids(words, max_len: int) -> np.ndarray:
+    """ids[c, p]: an id of the c + 1 words from token p on, equal for equal
+    words and different otherwise, as the rank of (the id of its first c
+    words, its last word) among all spans of its length.  A span that runs
+    past the last token ends in a word no token has."""
+    n = len(words)
+    vocab = {w: k for k, w in enumerate(dict.fromkeys(words))}
+    word_ids = np.fromiter(map(vocab.__getitem__, words), dtype=np.int64, count=n)
+    next_word = np.append(word_ids, np.full(max_len, len(vocab)))
+    ids = np.empty((max_len, n), dtype=np.int32)
+    ids[0] = word_ids
+    used = len(vocab)
+    for c in range(1, max_len):
+        keys = ids[c - 1].astype(np.int64) * (len(vocab) + 1) + next_word[c: c + n]
+        _, inverse = np.unique(keys, return_inverse=True)
+        ids[c] = inverse + used
+        used += int(inverse.max(initial=-1)) + 1
+    return ids
+
+
+def _products(factors, max_len: int) -> np.ndarray:
+    """w[c, p]: the product of the factors of the c + 1 tokens from p on,
+    multiplied left to right as math.prod does; a span that runs past the
+    last token takes a factor of one there."""
+    n = len(factors)
+    next_factor = np.append(factors, np.ones(max_len))
+    products = np.empty((max_len, n))
+    products[0] = factors
+    for c in range(1, max_len):
+        np.multiply(products[c - 1], next_factor[c: c + n], out=products[c])
+    return products
+
+
+def _runs(keys):
+    """(order, starts, first): an order that sorts keys, the index in it
+    where each run of equal keys starts, and each run's first position in
+    keys."""
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    del sorted_keys
+    starts = np.flatnonzero(new)
+    return order, starts, np.minimum.reduceat(order, starts)
+
+
+def _numbered(keys):
+    """(numbers, first, counts): each key's number, 0 for the key that
+    occurs first, 1 for the next new one and so on, and each number's first
+    position in keys and count."""
+    order, starts, first = _runs(keys)
+    counts = np.diff(np.append(starts, len(keys)))
+    by_first = np.argsort(first)
+    rank = np.empty(len(starts), dtype=np.int32)
+    rank[by_first] = np.arange(len(starts), dtype=np.int32)
+    numbers = np.empty(len(keys), dtype=np.int32)
+    numbers[order] = np.repeat(rank, counts)
+    return numbers, first[by_first], counts[by_first]
+
+
+def _tuples(words, at) -> np.ndarray:
+    """An object array of the phrases at table indices (length - 1) *
+    len(words) + first token, each a tuple of words."""
+    size, start = np.divmod(at, len(words))
+    spans = map(slice, start.tolist(), (start + size + 1).tolist())
+    return np.fromiter(map(words.__getitem__, spans), dtype=object, count=len(at))
+
+
+def _shared(values, kept: dict):
+    """values as Python floats, equal ones as the one float kept holds."""
+    values = values.tolist()
+    return map(kept.setdefault, values, values)
+
+
+_CHUNK = 1 << 12  # pairs turned into Python objects at a time
+
+
+def score_phrases(sentences, spans, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
     """Relative-frequency phrase scores in both directions plus lexical
     weights maximized over the occurrences of each pair.
 
-    sentences yields one (src tuple, tgt tuple, alignment, spans) per
-    sentence, spans as extract_phrases returns them.  It is read once, so
-    it may be a generator, and scoring then holds the table plus the
-    sentence at hand.  An occurrence's lexical weight w(tgt | src, a) is
-    the product over its target span of the sentence's per-word factors
-    (see _lexical_factors); the reverse weight likewise over its source
-    span.  Equal phi scores share one float object."""
-    # src -> {tgt: [count, max lex_fwd, max lex_rev]}, scored in place below
-    entries: dict[tuple, dict] = {}
-    tgt_counts: dict[tuple, int] = {}
-    for src, tgt, alignment, spans in sentences:
-        tgt_of, src_of = _position_links(alignment)
-        fwd = _lexical_factors(tgt, src, src_of, lex_fwd)
-        rev = _lexical_factors(src, tgt, tgt_of, lex_rev)
-        # per span of this sentence: (its row of entries, reverse weight)
-        # and (its target phrase, forward weight)
-        src_spans: dict[tuple, tuple] = {}
-        tgt_spans: dict[tuple, tuple] = {}
-        for i1, i2, j1, j2 in spans:
-            row_lex = src_spans.get((i1, i2))
-            if row_lex is None:
-                phrase = src[i1: i2 + 1]
-                row = entries.get(phrase)
-                if row is None:
-                    row = entries[phrase] = {}
-                row_lex = src_spans[i1, i2] = (row, math.prod(rev[i1: i2 + 1]))
-            phrase_lex = tgt_spans.get((j1, j2))
-            if phrase_lex is None:
-                phrase_lex = tgt_spans[j1, j2] = (tgt[j1: j2 + 1], math.prod(fwd[j1: j2 + 1]))
-            row, lex_r = row_lex
-            phrase, lex_f = phrase_lex
-            tgt_counts[phrase] = tgt_counts.get(phrase, 0) + 1
-            entry = row.get(phrase)
-            if entry is None:
-                row[phrase] = [1, lex_f, lex_r]
-            else:
-                entry[0] += 1
-                entry[1] = max(entry[1], lex_f)
-                entry[2] = max(entry[2], lex_r)
-    if not entries:
+    sentences is an iterable of (src tuple, tgt tuple, alignment), read
+    once, and spans an (N, 5) array of (sentence, i1, i2, j1, j2)
+    occurrences, as extract_phrases returns them for the alignments.  An
+    occurrence's lexical weight w(tgt | src, a) is the product over its
+    target span of the per-token factors (see _lexical_factors); the
+    reverse weight likewise over its source span.  Rows, and each row's
+    targets, come in order of first occurrence in spans.  Equal phi scores
+    share one float object, as do equal weights of nearby pairs and equal
+    target phrases.  It drops its references to the sentences and the
+    spans before it builds the rows."""
+    if not len(spans):
         raise ValueError("no phrase pairs extracted")
-    # relative frequencies take few distinct values, so each is kept once
+    sentences = list(sentences)
+    src_start, tgt_start, link_src, link_tgt = _corpus_links([a for _, _, a in sentences])
+    src_words = tuple(chain.from_iterable(s for s, _, _ in sentences))
+    tgt_words = tuple(chain.from_iterable(t for _, t, _ in sentences))
+    del sentences
+    by_tgt = np.lexsort((link_src, link_tgt))
+    fwd = _lexical_factors(tgt_words, src_words, link_tgt[by_tgt], link_src[by_tgt], lex_fwd)
+    rev = _lexical_factors(src_words, tgt_words, link_src, link_tgt, lex_rev)
+    del link_src, link_tgt, by_tgt
+    sentence, i1, i2, j1, j2 = spans.T
+    max_len = int(max((i2 - i1).max(), (j2 - j1).max())) + 1
+    # each occurrence's source and target span, as an index into tables
+    # over (length - 1, first token)
+    src_at = (i2 - i1).astype(np.int64) * len(src_words) + src_start[sentence] + i1
+    tgt_at = (j2 - j1).astype(np.int64) * len(tgt_words) + tgt_start[sentence] + j1
+    # the caller may have passed its only reference
+    del sentence, i1, i2, j1, j2, spans
+    src, first, src_count = _numbered(_phrase_ids(src_words, max_len).take(src_at))
+    src_phrases = _tuples(src_words, src_at[first])
+    tgt, first, tgt_count = _numbered(_phrase_ids(tgt_words, max_len).take(tgt_at))
+    tgt_phrases = _tuples(tgt_words, tgt_at[first])
+    del src_words, tgt_words
+    # the pairs: each one's count, first occurrence and greatest weights
+    order, starts, first = _runs(src.astype(np.int64) * len(tgt_phrases) + tgt)
+    pair_src, pair_tgt = src[first], tgt[first]
+    del src, tgt
+    count = np.diff(np.append(starts, len(order)))
+    lex_r = np.maximum.reduceat(_products(rev, max_len).take(src_at[order]), starts)
+    del src_at
+    lex_f = np.maximum.reduceat(_products(fwd, max_len).take(tgt_at[order]), starts)
+    del tgt_at, order, starts
+    # rows in their sources' order, each row's targets in order of first
+    # occurrence: one record per pair holds its target and its scores
+    final = np.lexsort((first, pair_src))
+    del first
+    pairs = np.empty(len(final), dtype=[("tgt", np.int64), ("phi_f", float), ("lex_f", float),
+                                        ("phi_r", float), ("lex_r", float)])
+    pairs["tgt"] = pair_tgt[final]
+    pairs["phi_f"] = count[final] / src_count[pair_src[final]]
+    pairs["lex_f"] = np.maximum(lex_f[final], _LEX_FLOOR)
+    pairs["phi_r"] = count[final] / tgt_count[pair_tgt[final]]
+    pairs["lex_r"] = np.maximum(lex_r[final], _LEX_FLOOR)
+    sizes = np.bincount(pair_src, minlength=len(src_phrases))
+    del final, count, src_count, tgt_count, lex_f, lex_r, pair_src, pair_tgt
+    # relative frequencies take few values, so each is one float; a weight
+    # is one float within a chunk of pairs, which holds most of the pairs
+    # that share it
     phis: dict[float, float] = {}
-    for row in entries.values():
-        src_count = sum(entry[0] for entry in row.values())
-        for phrase, (count, lex_f, lex_r) in row.items():
-            phi_f, phi_r = count / src_count, count / tgt_counts[phrase]
-            row[phrase] = (phis.setdefault(phi_f, phi_f), max(lex_f, _LEX_FLOOR),
-                           phis.setdefault(phi_r, phi_r), max(lex_r, _LEX_FLOOR))
-    return PhraseTable(entries)
+
+    def items(c):
+        """(target phrase, scores) of the pairs in slice c."""
+        weights: dict[float, float] = {}
+        chunk = pairs[c]
+        return zip(tgt_phrases[chunk["tgt"]].tolist(),
+                   zip(_shared(chunk["phi_f"], phis), _shared(chunk["lex_f"], weights),
+                       _shared(chunk["phi_r"], phis), _shared(chunk["lex_r"], weights)))
+
+    chunks = map(slice, range(0, len(pairs), _CHUNK), range(_CHUNK, len(pairs) + _CHUNK, _CHUNK))
+    scored = chain.from_iterable(map(items, chunks))
+    return PhraseTable({phrase: dict(islice(scored, size))
+                        for phrase, size in zip(src_phrases, sizes)})
 
 
 def _format_pair(src, tgt, scores) -> str:
@@ -433,17 +604,21 @@ def read_phrase_table(path) -> PhraseTable:
 
 
 def build_phrase_table(pairs):
-    """Full pipeline: bidirectional IBM1 with its Viterbi alignments, then
-    one pass of grow-diag-final-and symmetrization, extraction and scoring
-    per sentence pair.  Returns (PhraseTable, fwd t-table, rev t-table);
-    the table's dropped_pairs counts the pairs skipped for an empty side.
-    A kept pair with the NULL word's token on either side raises
-    ValueError naming the side and the pair's index, before IBM1 runs.
+    """Full pipeline: bidirectional IBM1 with its Viterbi alignments,
+    grow-diag-final-and symmetrization per sentence pair, then extraction
+    and scoring, each in one pass over the corpus.  Returns (PhraseTable,
+    fwd t-table, rev t-table); the table's dropped_pairs counts the pairs
+    skipped for an empty side.  A kept pair with the NULL word's token on
+    either side raises ValueError naming the side and the pair's index,
+    before IBM1 runs.
 
     Past IBM1, whose cell arrays span the corpus, memory holds the two
-    t-tables, the two directions' link arrays (one int per token), the
-    table being scored and one sentence's alignment and spans: each
-    sentence is scored before the next is symmetrized."""
+    t-tables, every sentence's alignment and then the occurrence arrays:
+    the spans (20 bytes each) and, while scoring sorts them, a few 4- and
+    8-byte arrays over the occurrences and tables over (span length,
+    token).  These are freed before the rows are built, and from then on
+    memory holds the table, one record per pair and one chunk of Python
+    objects in the making."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
     # the reverse direction's source words are the target words
@@ -454,21 +629,24 @@ def build_phrase_table(pairs):
                                  "is reserved for the NULL word")
     lex_fwd, _, fwd_links = ibm1_em(kept)
     lex_rev, _, rev_links = ibm1_em([(t, s) for s, t in kept])
-
-    def sentences():
-        i0 = j0 = 0
-        for s, t in kept:
-            n, m = len(s), len(t)
-            # fwd_links gives each target word's source position, rev_links
-            # each source word's target position
-            fwd = AlignmentMatrix(frozenset(
-                (i, j) for j, i in enumerate(fwd_links[j0: j0 + m].tolist()) if i >= 0), n, m)
-            rev = AlignmentMatrix(frozenset(
-                (i, j) for i, j in enumerate(rev_links[i0: i0 + n].tolist()) if j >= 0), n, m)
-            i0, j0 = i0 + n, j0 + m
-            sym = symmetrize(fwd, rev)
-            yield s, t, sym, extract_phrases(sym)
-
-    table = score_phrases(sentences(), lex_fwd, lex_rev)
+    sentences = []
+    i0 = j0 = 0
+    for s, t in kept:
+        n, m = len(s), len(t)
+        # fwd_links gives each target word's source position, rev_links
+        # each source word's target position
+        fwd = AlignmentMatrix(frozenset(
+            (i, j) for j, i in enumerate(fwd_links[j0: j0 + m].tolist()) if i >= 0), n, m)
+        rev = AlignmentMatrix(frozenset(
+            (i, j) for i, j in enumerate(rev_links[i0: i0 + n].tolist()) if j >= 0), n, m)
+        i0, j0 = i0 + n, j0 + m
+        sentences.append((s, t, symmetrize(fwd, rev)))
+    # each stage reads its input once: handed iterators, score_phrases holds
+    # the only references to the alignments and drops them before it builds
+    # the rows; the spans too, on CPython 3.11 and later, where a call takes
+    # over the references its arguments held on the caller's stack
+    alignments = (a for _, _, a in sentences)
+    sentences = iter(sentences)
+    table = score_phrases(sentences, extract_phrases(alignments), lex_fwd, lex_rev)
     table.dropped_pairs = len(pairs) - len(kept)
     return table, lex_fwd, lex_rev

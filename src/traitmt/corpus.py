@@ -160,9 +160,11 @@ def save_corpus(corpus: Corpus, path) -> None:
     Raises ValueError when the file could not hold the corpus as it is:
     when a language code or a pair's value holds a tab, newline or carriage
     return, since load_corpus could not split it back (it reads with
-    universal newlines, so a carriage return ends a line too), or when a
+    universal newlines, so a carriage return ends a line too), when a
     pair's original_language is not the corpus's source_lang, which is all
-    the file stores of it.  The error names the Corpus field, or the pair's
+    the file stores of it, or when a pair's session_date is not a plain
+    datetime.date (a datetime would be written with its time, which
+    load_corpus refuses).  The error names the Corpus field, or the pair's
     index and field.  Every value is checked before the file is opened.
     """
     for name in ("source_lang", "target_lang"):
@@ -173,6 +175,10 @@ def save_corpus(corpus: Corpus, path) -> None:
         if p.original_language != corpus.source_lang:
             raise ValueError(f"pair {i}: original_language {p.original_language!r} is not "
                              f"the corpus source_lang {corpus.source_lang!r}")
+        # datetime.datetime subclasses date, so isinstance would let it in
+        if type(p.session_date) is not datetime.date:
+            raise ValueError(f"pair {i}: session_date must be a datetime.date, "
+                             f"got {type(p.session_date).__name__} {p.session_date!r}")
         row = (p.speaker_id, p.gender, p.session_date.isoformat(), p.source_text, p.target_text)
         line = "\t".join(row)
         # one scan of the joined row checks every field it holds

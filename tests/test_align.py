@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 
 import traitmt.align as align_mod
@@ -308,12 +309,18 @@ def oracle_extract(n, m, links, max_len):
     return out
 
 
+def rows_of(spans, k):
+    """Sentence k's (i1, i2, j1, j2) rows of an extract_phrases array, in order."""
+    return [tuple(row[1:]) for row in spans.tolist() if row[0] == k]
+
+
 class TestExtractPhrases:
     def test_monotone_two_words(self):
         alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
         src, tgt = ("w1", "w2"), ("v1", "v2")
-        as_tokens = {(src[i1: i2 + 1], tgt[j1: j2 + 1])
-                     for i1, i2, j1, j2 in extract_phrases(alignment)}
+        spans = extract_phrases([alignment])
+        assert spans.dtype == np.int32 and spans.shape == (3, 5)
+        as_tokens = {(src[i1: i2 + 1], tgt[j1: j2 + 1]) for _, i1, i2, j1, j2 in spans.tolist()}
         assert as_tokens == {
             (("w1",), ("v1",)),
             (("w2",), ("v2",)),
@@ -322,36 +329,58 @@ class TestExtractPhrases:
 
     def test_crossing_link_blocks_span(self):
         alignment = AlignmentMatrix(frozenset({(0, 1), (1, 0)}), 2, 2)
-        spans = set(extract_phrases(alignment))
+        spans = set(rows_of(extract_phrases([alignment]), 0))
         assert (0, 0, 0, 0) not in spans
         assert spans == {(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1)}
 
     def test_max_len_one(self):
         alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
-        spans = extract_phrases(alignment, max_len=1)
+        spans = rows_of(extract_phrases([alignment], max_len=1), 0)
         assert spans and all(i1 == i2 and j1 == j2 for i1, i2, j1, j2 in spans)
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_max_len_below_one_rejected(self, max_len):
         alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
         with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
-            extract_phrases(alignment, max_len=max_len)
+            extract_phrases([alignment], max_len=max_len)
 
     def test_matches_brute_force_oracle(self):
+        assert extract_phrases([]).shape == (0, 5)
         rng = random.Random(3)
-        for _ in range(300):
-            n, m = rng.randint(1, 6), rng.randint(1, 6)
-            links = frozenset(
-                (rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 8))
-            )
-            max_len = rng.randint(1, 7)
-            spans = extract_phrases(AlignmentMatrix(links, n, m), max_len=max_len)
-            assert len(set(spans)) == len(spans)
-            assert set(spans) == oracle_extract(n, m, links, max_len)
-            # the order scoring sees: source span, then target start
-            # descending, then target end ascending
-            order = [(i1, i2, -j1, j2) for i1, i2, j1, j2 in spans]
-            assert order == sorted(order)
+        for max_len in range(1, 8):
+            for _ in range(40):
+                alignments = []
+                for _ in range(rng.randint(0, 8)):
+                    n, m = rng.randint(1, 6), rng.randint(1, 6)
+                    links = frozenset(
+                        (rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 8))
+                    )
+                    alignments.append(AlignmentMatrix(links, n, m))
+                # sentences with no link, one-word sentences and an empty
+                # side; then an unaligned target run at the end of one
+                # sentence and another at the start of the next, which no
+                # extension may join
+                fixed = [AlignmentMatrix(frozenset(), 3, 2), AlignmentMatrix(frozenset(), 1, 1),
+                         AlignmentMatrix(frozenset({(0, 0)}), 1, 1),
+                         AlignmentMatrix(frozenset(), 0, 2)]
+                for alignment in fixed:
+                    alignments.insert(rng.randint(0, len(alignments)), alignment)
+                k = rng.randint(0, len(alignments))
+                alignments[k:k] = [AlignmentMatrix(frozenset({(0, 0)}), 2, 3),
+                                   AlignmentMatrix(frozenset({(1, 2)}), 2, 3)]
+                spans = extract_phrases(alignments, max_len=max_len)
+                assert spans.dtype == np.int32 and spans.shape[1] == 5
+                sentences = spans[:, 0].tolist()
+                assert sentences == sorted(sentences)
+                for k, alignment in enumerate(alignments):
+                    rows = rows_of(spans, k)
+                    assert len(set(rows)) == len(rows)
+                    assert set(rows) == oracle_extract(alignment.src_len, alignment.tgt_len,
+                                                       alignment.links, max_len)
+                    # the order scoring sees: source span, then target start
+                    # descending, then target end ascending
+                    order = [(i1, i2, -j1, j2) for i1, i2, j1, j2 in rows]
+                    assert order == sorted(order)
 
 
 def reference_lexical_weight(src, tgt, links, table):
@@ -381,19 +410,19 @@ def internal_links(alignment, span):
                      if i1 <= i <= i2 and j1 <= j <= j2)
 
 
-def reference_score_phrases(sentences, lex_fwd, lex_rev):
+def reference_score_phrases(sentences, rows, lex_fwd, lex_rev):
     """Relative frequencies, and lexical weights maximized over each pair's
-    distinct internal alignments, each weighed on its own; returns the
-    entries mapping."""
+    distinct internal alignments, each weighed on its own; rows are
+    (sentence, i1, i2, j1, j2) tuples.  Returns the entries mapping."""
     pair_counts, src_counts, tgt_counts = Counter(), Counter(), Counter()
     alignments = defaultdict(set)
-    for src, tgt, alignment, spans in sentences:
-        for i1, i2, j1, j2 in spans:
-            key = (src[i1: i2 + 1], tgt[j1: j2 + 1])
-            pair_counts[key] += 1
-            src_counts[key[0]] += 1
-            tgt_counts[key[1]] += 1
-            alignments[key].add(internal_links(alignment, (i1, i2, j1, j2)))
+    for k, i1, i2, j1, j2 in rows:
+        src, tgt, alignment = sentences[k]
+        key = (src[i1: i2 + 1], tgt[j1: j2 + 1])
+        pair_counts[key] += 1
+        src_counts[key[0]] += 1
+        tgt_counts[key[1]] += 1
+        alignments[key].add(internal_links(alignment, (i1, i2, j1, j2)))
     entries = defaultdict(dict)
     for (src, tgt), count in pair_counts.items():
         forward = alignments[(src, tgt)]
@@ -404,16 +433,23 @@ def reference_score_phrases(sentences, lex_fwd, lex_rev):
     return dict(entries)
 
 
+def as_hex(entries):
+    """Entries as lists in dict order, each score as float.hex."""
+    return [(src, [(tgt, [float.hex(x) for x in scores]) for tgt, scores in row.items()])
+            for src, row in entries.items()]
+
+
 def random_lexical_table(rng, given, conditioned, use_null):
     """Random t(given | conditioned), some pairs missing (probability 0)."""
     sources = list(conditioned) + ([NULL_TOKEN] if use_null else [])
     return {w: {v: rng.random() for v in given if rng.random() < 0.95} for w in sources}
 
 
-def sentence(src, tgt, links, max_len=7):
-    """One score_phrases input: the pair, its alignment and its spans."""
-    alignment = AlignmentMatrix(frozenset(links), len(src), len(tgt))
-    return src, tgt, alignment, extract_phrases(alignment, max_len)
+def scoring_input(cases, max_len=7):
+    """score_phrases' sentences and spans for (src, tgt, links) cases."""
+    sentences = [(src, tgt, AlignmentMatrix(frozenset(links), len(src), len(tgt)))
+                 for src, tgt, links in cases]
+    return sentences, extract_phrases([a for _, _, a in sentences], max_len)
 
 
 class TestScorePhrases:
@@ -421,17 +457,17 @@ class TestScorePhrases:
         return {w: {v: 0.5 for v in words} for w in [NULL_TOKEN] + list(words)}
 
     def test_relative_frequency(self):
-        sentences = [sentence(("s",), (tgt,), {(0, 0)}) for tgt in ("x", "x", "x", "y")]
+        cases = [(("s",), (tgt,), {(0, 0)}) for tgt in ("x", "x", "x", "y")]
         lex = {"s": {"x": 0.7, "y": 0.3}, NULL_TOKEN: {"x": 0.5, "y": 0.5}}
         lex_rev = {"x": {"s": 1.0}, "y": {"s": 1.0}, NULL_TOKEN: {"s": 1.0}}
-        table = score_phrases(sentences, lex, lex_rev)
+        table = score_phrases(*scoring_input(cases), lex, lex_rev)
         phi_fwd = table.entries[("s",)][("x",)][0]
         assert phi_fwd == pytest.approx(0.75)
 
     def test_unique_pair_scores_one(self):
         lex = {"a": {"x": 0.8}, NULL_TOKEN: {"x": 0.2}}
         lex_rev = {"x": {"a": 0.9}, NULL_TOKEN: {"a": 0.1}}
-        table = score_phrases([sentence(("a",), ("x",), {(0, 0)})], lex, lex_rev)
+        table = score_phrases(*scoring_input([(("a",), ("x",), {(0, 0)})]), lex, lex_rev)
         phi_fwd, lex_f, phi_rev, lex_r = table.entries[("a",)][("x",)]
         assert phi_fwd == 1.0 and phi_rev == 1.0
         # single 1:1 link: lexical weight equals the table probability
@@ -440,10 +476,11 @@ class TestScorePhrases:
 
     def test_conditional_normalization_both_directions(self):
         rng = random.Random(4)
-        sentences = [sentence((rng.choice(("s1", "s2", "s3")),), (rng.choice(("t1", "t2")),),
-                              {(0, 0)}) for _ in range(200)]
+        cases = [((rng.choice(("s1", "s2", "s3")),), (rng.choice(("t1", "t2")),), {(0, 0)})
+                 for _ in range(200)]
         words = ("s1", "s2", "s3", "t1", "t2")
-        table = score_phrases(sentences, self.uniform_table(words), self.uniform_table(words))
+        table = score_phrases(*scoring_input(cases), self.uniform_table(words),
+                              self.uniform_table(words))
         by_src = {}
         by_tgt = {}
         for src, row in table.entries.items():
@@ -463,7 +500,7 @@ class TestScorePhrases:
                     assert 0.0 < s <= 1.0
 
     def random_cases(self, seed, count):
-        """(sentences, lex_fwd, lex_rev) per case that extracts some pair."""
+        """(sentences, spans, lex_fwd, lex_rev) per case that extracts some pair."""
         rng = random.Random(seed)
         for case in range(count):
             # small vocabularies repeat pairs under different alignments
@@ -473,7 +510,7 @@ class TestScorePhrases:
             lex_fwd = random_lexical_table(rng, tgt_words, src_words, use_null)
             lex_rev = random_lexical_table(rng, src_words, tgt_words, use_null)
             max_len = rng.randint(1, 7)
-            sentences = []
+            cases = []
             for _ in range(rng.randint(1, 12)):
                 n, m = rng.randint(1, 7), rng.randint(1, 7)
                 src = tuple(rng.choice(src_words) for _ in range(n))
@@ -482,26 +519,25 @@ class TestScorePhrases:
                 # sparse enough that some boundary words stay unaligned
                 links = {(rng.randrange(n), rng.randrange(m))
                          for _ in range(rng.randint(0, n * m // 2 + 1))}
-                sentences.append(sentence(src, tgt, links, max_len))
-            if any(spans for _, _, _, spans in sentences):
-                yield sentences, lex_fwd, lex_rev
+                cases.append((src, tgt, links))
+            sentences, spans = scoring_input(cases, max_len)
+            if len(spans):
+                yield sentences, spans, lex_fwd, lex_rev
 
     def test_matches_reference_scorer(self):
-        for sentences, lex_fwd, lex_rev in self.random_cases(5, 120):
-            table = score_phrases(sentences, lex_fwd, lex_rev)
-            reference = reference_score_phrases(sentences, lex_fwd, lex_rev)
-            assert table.entries == reference
+        for sentences, spans, lex_fwd, lex_rev in self.random_cases(5, 120):
+            table = score_phrases(sentences, spans, lex_fwd, lex_rev)
+            reference = reference_score_phrases(sentences, spans.tolist(), lex_fwd, lex_rev)
             # rows and their targets in order of first occurrence
-            assert [(src, list(row)) for src, row in table.entries.items()] == \
-                [(src, list(row)) for src, row in reference.items()]
+            assert as_hex(table.entries) == as_hex(reference)
 
     def test_span_order_does_not_matter(self):
         rng = random.Random(10)
-        for sentences, lex_fwd, lex_rev in self.random_cases(11, 120):
-            shuffled = [(src, tgt, alignment, rng.sample(spans, len(spans)))
-                        for src, tgt, alignment, spans in sentences]
-            table = score_phrases(shuffled, lex_fwd, lex_rev)
-            assert table.entries == reference_score_phrases(sentences, lex_fwd, lex_rev)
+        for sentences, spans, lex_fwd, lex_rev in self.random_cases(11, 120):
+            shuffled = spans[rng.sample(range(len(spans)), len(spans))]
+            table = score_phrases(sentences, shuffled, lex_fwd, lex_rev)
+            assert table.entries == reference_score_phrases(sentences, spans.tolist(),
+                                                            lex_fwd, lex_rev)
 
     def test_linked_probabilities_add_left_to_right(self):
         # from Python 3.12 the built-in sum compensates rounding, and these
@@ -510,25 +546,25 @@ class TestScorePhrases:
         lex_rev = {"x": {"a": 1.0, "b": 1.0, "c": 1.0}}
         left_fold = (0.1 + 0.2) + 0.3
         assert left_fold != math.fsum((0.1, 0.2, 0.3))
-        table = score_phrases([sentence(("a", "b", "c"), ("x",), {(0, 0), (1, 0), (2, 0)})],
-                              lex_fwd, lex_rev)
+        cases = [(("a", "b", "c"), ("x",), {(0, 0), (1, 0), (2, 0)})]
+        table = score_phrases(*scoring_input(cases), lex_fwd, lex_rev)
         assert table.entries[("a", "b", "c")][("x",)][1] == left_fold / 3
 
     def test_one_shot_iterator_scores_as_list(self):
-        for sentences, lex_fwd, lex_rev in self.random_cases(7, 60):
-            table = score_phrases(iter(sentences), lex_fwd, lex_rev)
-            want = score_phrases(sentences, lex_fwd, lex_rev)
-            assert [(src, list(row.items())) for src, row in table.entries.items()] == \
-                [(src, list(row.items())) for src, row in want.entries.items()]
+        # build_phrase_table hands over an iterator of its sentences
+        for sentences, spans, lex_fwd, lex_rev in self.random_cases(7, 60):
+            table = score_phrases(iter(sentences), spans, lex_fwd, lex_rev)
+            want = score_phrases(sentences, spans, lex_fwd, lex_rev)
+            assert as_hex(table.entries) == as_hex(want.entries)
 
     def test_build_phrase_table_matches_reference_scorer(self, monkeypatch):
         seen = []
 
-        def recording(sentences, lex_fwd, lex_rev):
-            # build_phrase_table streams its sentences, so read them once
+        def recording(sentences, spans, lex_fwd, lex_rev):
+            # build_phrase_table hands over an iterator, so read it once
             sentences = list(sentences)
-            seen.append((sentences, lex_fwd, lex_rev))
-            return score_phrases(sentences, lex_fwd, lex_rev)
+            seen.append((sentences, spans.tolist(), lex_fwd, lex_rev))
+            return score_phrases(sentences, spans, lex_fwd, lex_rev)
 
         monkeypatch.setattr(align_mod, "score_phrases", recording)
         rng = random.Random(6)
@@ -540,53 +576,63 @@ class TestScorePhrases:
                 tgt = tuple(rng.choice("uvwxyz") for _ in range(max(1, n + rng.randint(-2, 2))))
                 pairs.append((src, tgt))
             table, _, _ = build_phrase_table(pairs)
-            sentences, lex_fwd, lex_rev = seen.pop()
-            assert table.entries == reference_score_phrases(sentences, lex_fwd, lex_rev)
+            sentences, rows, lex_fwd, lex_rev = seen.pop()
+            assert table.entries == reference_score_phrases(sentences, rows, lex_fwd, lex_rev)
 
     def test_empty_extraction_rejected(self):
         lex = {}
         with pytest.raises(ValueError):
-            score_phrases([], lex, lex)
-        unaligned = AlignmentMatrix(frozenset(), 1, 1)
+            score_phrases([], extract_phrases([]), lex, lex)
         with pytest.raises(ValueError):
-            score_phrases([(("a",), ("x",), unaligned, [])], lex, lex)
+            score_phrases(*scoring_input([(("a",), ("x",), set())]), lex, lex)
 
 
 class TestBuildPhraseTable:
     CORPUS = [(("a", "b"), ("x", "y")), (("a",), ("x",)), (("b",), ("y",))]
 
     def test_stages_called_through_module(self, monkeypatch):
-        # the benchmark's per-layer timings wrap these module attributes
-        calls = Counter()
+        # the benchmark's per-layer timings wrap these module attributes, and
+        # each stage runs once over the whole corpus
+        calls = []
         for name in ("ibm1_em", "extract_phrases", "score_phrases"):
             def counting(*args, _name=name, _inner=getattr(align_mod, name), **kwargs):
-                calls[_name] += 1
+                calls.append(_name)
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(align_mod, name, counting)
         build_phrase_table(self.CORPUS)
-        assert calls == {"ibm1_em": 2, "extract_phrases": len(self.CORPUS), "score_phrases": 1}
+        assert calls == ["ibm1_em", "ibm1_em", "extract_phrases", "score_phrases"]
 
-    def test_each_sentence_scored_before_next_is_extracted(self, monkeypatch):
-        extracted, taken = [], []
-        inner_extract, inner_score = align_mod.extract_phrases, align_mod.score_phrases
-
-        def counting_extract(*args, **kwargs):
-            extracted.append(1)
-            return inner_extract(*args, **kwargs)
-
-        def counting_score(sentences, lex_fwd, lex_rev):
-            def taking():
-                for k, item in enumerate(sentences, start=1):
-                    assert len(extracted) == k
-                    taken.append(k)
-                    yield item
-            return inner_score(taking(), lex_fwd, lex_rev)
-
-        monkeypatch.setattr(align_mod, "extract_phrases", counting_extract)
-        monkeypatch.setattr(align_mod, "score_phrases", counting_score)
-        pairs = self.CORPUS + [(("b", "a"), ("y", "x")), (("a", "b", "a"), ("x", "y", "x"))]
-        build_phrase_table(pairs)
-        assert taken == list(range(1, len(pairs) + 1))
+    def test_matches_reference_over_oracle_spans(self):
+        # the two passes against the per-sentence specification: each kept
+        # pair's alignment rebuilt from ibm1_em's links, its spans from the
+        # brute-force oracle in extraction order, its scores from the
+        # reference scorer
+        rng = random.Random(13)
+        for _ in range(6):
+            pairs = []
+            for _ in range(rng.randint(1, 30)):
+                n = rng.randint(0, 7)
+                src = tuple(rng.choice("abcde") for _ in range(n))
+                tgt = tuple(rng.choice("vwxyz") for _ in range(max(0, n + rng.randint(-2, 2))))
+                pairs.append((src, tgt))
+            if not any(s and t for s, t in pairs):
+                continue
+            table, lex_fwd, lex_rev = build_phrase_table(pairs)
+            kept = [(s, t) for s, t in pairs if s and t]
+            flipped = [(t, s) for s, t in kept]
+            fwd = links_by_sentence(kept, ibm1_em(kept)[2])
+            rev = links_by_sentence(flipped, ibm1_em(flipped)[2])
+            sentences, rows = [], []
+            for k, ((s, t), f, r) in enumerate(zip(kept, fwd, rev)):
+                alignment = symmetrize(AlignmentMatrix(f, len(s), len(t)),
+                                       AlignmentMatrix(frozenset((i, j) for j, i in r),
+                                                       len(s), len(t)))
+                sentences.append((s, t, alignment))
+                spans = oracle_extract(len(s), len(t), alignment.links, 7)
+                rows += [(k, i1, i2, j1, j2) for i1, i2, j1, j2 in
+                         sorted(spans, key=lambda span: (span[0], span[1], -span[2], span[3]))]
+            reference = reference_score_phrases(sentences, rows, lex_fwd, lex_rev)
+            assert as_hex(table.entries) == as_hex(reference)
 
     def test_counts_dropped_pairs(self):
         # each sentence's links are sliced from ibm1_em's arrays, which

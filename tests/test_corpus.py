@@ -269,6 +269,19 @@ class TestLoadCorpus:
             save_corpus(Corpus([pair, pair, other], "en", "fr"), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("date", [datetime.datetime(2005, 6, 1, 12, 0), "2005-06-01", None],
+                             ids=["datetime", "str", "None"])
+    def test_save_rejects_session_date_that_is_not_a_date(self, tmp_path, date):
+        # a datetime would be written with its time, which load_corpus
+        # refuses; a str or None has no isoformat
+        path = tmp_path / "c.tsv"
+        pair = make_pair()
+        other = dataclasses.replace(pair, session_date=date)
+        with pytest.raises(ValueError, match=rf"^pair 1: session_date must be a datetime.date, "
+                                             rf"got {type(date).__name__} "):
+            save_corpus(Corpus([pair, other, pair], "en", "fr"), path)
+        assert not path.exists()
+
     def test_save_checks_every_row_before_writing(self, tmp_path):
         # a bad row after good ones leaves a file already at the path as it was
         path = tmp_path / "c.tsv"
