@@ -31,19 +31,25 @@ each span's product of factors, and an id equal for equal words.  An
 occurrence's weights and phrases are read off those tables; the phrases
 are numbered by first occurrence, and the pairs' counts, relative
 frequencies and greatest weights come from sorting the occurrences by
-pair.  Only then are Python objects made: one tuple per distinct phrase,
-and each row's dict at once, a chunk of pairs at a time.  Equal relative
-frequencies share one float object, as do equal weights within a chunk.
-A table's max_len is its longest source phrase, derived from its entries,
-so a table read from a file offers every phrase it holds.
+pair.
+
+A phrase table keeps its pairs in arrays, not in Python objects: a dict
+from each source phrase to its row number, each row's range of pairs, each
+pair's target phrase as (first token, length) into one tuple of target
+tokens, and one (pairs, 4) float64 array of scores.  Rows come in order of
+their source's first occurrence, and a row's targets in order of theirs.
+A row becomes a dict of tuples only when it is looked up, so the pairs the
+decoder never reads cost no object.  A table's max_len is its longest
+source phrase, so a table read from a file offers every phrase it holds.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -335,20 +341,85 @@ def extract_phrases(alignments, max_len: int = 7) -> np.ndarray:
     return out
 
 
-@dataclass
 class PhraseTable:
-    entries: dict  # src tuple -> {tgt tuple: (phi_fwd, lex_fwd, phi_rev, lex_rev)}
-    dropped_pairs: int = 0  # empty sentence pairs build_phrase_table skipped
-    max_len: int = field(init=False)  # longest source phrase in entries, 0 when empty
+    """Phrase pairs with their four scores (phi_fwd, lex_fwd, phi_rev,
+    lex_rev), in rows by source phrase.
 
-    def __post_init__(self):
-        self.max_len = max(map(len, self.entries), default=0)
+    Built from entries, a mapping of source tuple -> {target tuple: four
+    scores}, whose order it keeps; a pair whose scores are not four raises
+    ValueError naming it.  score_phrases fills the same storage from its
+    arrays.  After that memory holds, per source phrase, its tuple, a dict
+    slot and a Python int for its row number, and 8 bytes for the end of its
+    row; per pair, two int32s for its target phrase and four float64s for
+    its scores; and one reference per target token of the tuple the target
+    phrases index into.
+
+    entries is a read-only mapping of the same shape, in the same order,
+    and lookup(phrase) the row of one source phrase, or {} when the table
+    has none.  Either builds a row as it is read, a new dict each time.
+    len() counts the pairs; max_len is the longest source phrase, 0 when
+    the table is empty; dropped_pairs counts the empty sentence pairs
+    build_phrase_table skipped."""
+
+    def __init__(self, entries):
+        pairs = [(src, tgt, scores) for src, row in entries.items() for tgt, scores in row.items()]
+        for src, tgt, scores in pairs:
+            if len(scores) != 4:
+                raise ValueError(f"pair {src!r} ||| {tgt!r}: expected four scores, got {scores}")
+        length = np.fromiter((len(tgt) for _, tgt, _ in pairs), dtype=np.int64, count=len(pairs))
+        self._fill(entries, [len(row) for row in entries.values()],
+                   tuple(chain.from_iterable(tgt for _, tgt, _ in pairs)),
+                   np.cumsum(length) - length, length,
+                   np.array([scores for _, _, scores in pairs], dtype=float).reshape(-1, 4))
+
+    def _fill(self, sources, sizes, words, first, length, scores):
+        """The storage, from the source phrases in row order, each row's pair
+        count, the target tokens, each pair's target phrase as its first
+        token and length in them, and the (pairs, 4) scores, rows in order."""
+        self._rows = dict(zip(sources, range(len(sizes))))
+        self._ends = np.append(0, np.cumsum(sizes, dtype=np.int64))
+        self._words = words
+        self._targets = np.stack((first, length), axis=1).astype(np.int32)
+        self._scores = scores
+        self.max_len = max(map(len, self._rows), default=0)
+        self.dropped_pairs = 0
+
+    def _row(self, r):
+        """Row r as a new {target tuple: scores tuple} dict."""
+        start, end = self._ends[r: r + 2].tolist()
+        words = self._words
+        return {words[first: first + length]: tuple(scores) for (first, length), scores
+                in zip(self._targets[start:end].tolist(), self._scores[start:end].tolist())}
 
     def lookup(self, src_phrase):
-        return self.entries.get(tuple(src_phrase), {})
+        r = self._rows.get(tuple(src_phrase))
+        return {} if r is None else self._row(r)
+
+    @property
+    def entries(self):
+        return _Rows(self)
 
     def __len__(self):
-        return sum(len(v) for v in self.entries.values())
+        return len(self._scores)
+
+
+class _Rows(Mapping):
+    """A table's rows by source phrase, each built as it is read."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, src):
+        return self._table._row(self._table._rows[src])
+
+    def __contains__(self, src):
+        return src in self._table._rows
+
+    def __iter__(self):
+        return iter(self._table._rows)
+
+    def __len__(self):
+        return len(self._table._rows)
 
 
 _LEX_FLOOR = 1e-12
@@ -441,21 +512,11 @@ def _numbered(keys):
     return numbers, first[by_first], counts[by_first]
 
 
-def _tuples(words, at) -> np.ndarray:
-    """An object array of the phrases at table indices (length - 1) *
-    len(words) + first token, each a tuple of words."""
+def _tuples(words, at):
+    """The phrases at table indices (length - 1) * len(words) + first
+    token, in order, each a tuple of words."""
     size, start = np.divmod(at, len(words))
-    spans = map(slice, start.tolist(), (start + size + 1).tolist())
-    return np.fromiter(map(words.__getitem__, spans), dtype=object, count=len(at))
-
-
-def _shared(values, kept: dict):
-    """values as Python floats, equal ones as the one float kept holds."""
-    values = values.tolist()
-    return map(kept.setdefault, values, values)
-
-
-_CHUNK = 1 << 12  # pairs turned into Python objects at a time
+    return map(words.__getitem__, map(slice, start.tolist(), (start + size + 1).tolist()))
 
 
 def score_phrases(sentences, spans, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
@@ -468,10 +529,13 @@ def score_phrases(sentences, spans, lex_fwd: dict, lex_rev: dict) -> PhraseTable
     occurrence's lexical weight w(tgt | src, a) is the product over its
     target span of the per-token factors (see _lexical_factors); the
     reverse weight likewise over its source span.  Rows, and each row's
-    targets, come in order of first occurrence in spans.  Equal phi scores
-    share one float object, as do equal weights of nearby pairs and equal
-    target phrases.  It drops its references to the sentences and the
-    spans before it builds the rows."""
+    targets, come in order of first occurrence in spans.
+
+    The table is filled straight from the arrays: a tuple per source
+    phrase, and per pair its target phrase's first occurrence, as (first
+    token, length) into the corpus's target tokens, and its four scores.
+    The only references to the sentences and the spans are dropped once
+    the occurrences are read off them."""
     if not len(spans):
         raise ValueError("no phrase pairs extracted")
     sentences = list(sentences)
@@ -492,12 +556,11 @@ def score_phrases(sentences, spans, lex_fwd: dict, lex_rev: dict) -> PhraseTable
     # the caller may have passed its only reference
     del sentence, i1, i2, j1, j2, spans
     src, first, src_count = _numbered(_phrase_ids(src_words, max_len).take(src_at))
-    src_phrases = _tuples(src_words, src_at[first])
+    src_first = src_at[first]
     tgt, first, tgt_count = _numbered(_phrase_ids(tgt_words, max_len).take(tgt_at))
-    tgt_phrases = _tuples(tgt_words, tgt_at[first])
-    del src_words, tgt_words
+    tgt_size, tgt_first = np.divmod(tgt_at[first], len(tgt_words))
     # the pairs: each one's count, first occurrence and greatest weights
-    order, starts, first = _runs(src.astype(np.int64) * len(tgt_phrases) + tgt)
+    order, starts, first = _runs(src.astype(np.int64) * len(tgt_count) + tgt)
     pair_src, pair_tgt = src[first], tgt[first]
     del src, tgt
     count = np.diff(np.append(starts, len(order)))
@@ -506,35 +569,20 @@ def score_phrases(sentences, spans, lex_fwd: dict, lex_rev: dict) -> PhraseTable
     lex_f = np.maximum.reduceat(_products(fwd, max_len).take(tgt_at[order]), starts)
     del tgt_at, order, starts
     # rows in their sources' order, each row's targets in order of first
-    # occurrence: one record per pair holds its target and its scores
+    # occurrence
     final = np.lexsort((first, pair_src))
-    del first
-    pairs = np.empty(len(final), dtype=[("tgt", np.int64), ("phi_f", float), ("lex_f", float),
-                                        ("phi_r", float), ("lex_r", float)])
-    pairs["tgt"] = pair_tgt[final]
-    pairs["phi_f"] = count[final] / src_count[pair_src[final]]
-    pairs["lex_f"] = np.maximum(lex_f[final], _LEX_FLOOR)
-    pairs["phi_r"] = count[final] / tgt_count[pair_tgt[final]]
-    pairs["lex_r"] = np.maximum(lex_r[final], _LEX_FLOOR)
-    sizes = np.bincount(pair_src, minlength=len(src_phrases))
+    scores = np.empty((len(final), 4))
+    scores[:, 0] = count[final] / src_count[pair_src[final]]
+    scores[:, 1] = np.maximum(lex_f[final], _LEX_FLOOR)
+    scores[:, 2] = count[final] / tgt_count[pair_tgt[final]]
+    scores[:, 3] = np.maximum(lex_r[final], _LEX_FLOOR)
+    tgt = pair_tgt[final]
+    sizes = np.bincount(pair_src, minlength=len(src_count))
     del final, count, src_count, tgt_count, lex_f, lex_r, pair_src, pair_tgt
-    # relative frequencies take few values, so each is one float; a weight
-    # is one float within a chunk of pairs, which holds most of the pairs
-    # that share it
-    phis: dict[float, float] = {}
-
-    def items(c):
-        """(target phrase, scores) of the pairs in slice c."""
-        weights: dict[float, float] = {}
-        chunk = pairs[c]
-        return zip(tgt_phrases[chunk["tgt"]].tolist(),
-                   zip(_shared(chunk["phi_f"], phis), _shared(chunk["lex_f"], weights),
-                       _shared(chunk["phi_r"], phis), _shared(chunk["lex_r"], weights)))
-
-    chunks = map(slice, range(0, len(pairs), _CHUNK), range(_CHUNK, len(pairs) + _CHUNK, _CHUNK))
-    scored = chain.from_iterable(map(items, chunks))
-    return PhraseTable({phrase: dict(islice(scored, size))
-                        for phrase, size in zip(src_phrases, sizes)})
+    table = PhraseTable.__new__(PhraseTable)
+    table._fill(_tuples(src_words, src_first), sizes, tgt_words, tgt_first[tgt],
+                tgt_size[tgt] + 1, scores)
+    return table
 
 
 def _format_pair(src, tgt, scores) -> str:
@@ -566,21 +614,23 @@ def _parse_pair(line: str) -> tuple:
 def write_phrase_table(table: PhraseTable, path) -> None:
     """`source ||| target ||| phi_fwd lex_fwd phi_rev lex_rev` per line.
     A pair whose line read_phrase_table's parser would refuse or read back
-    as other phrases, or whose scores are not four in (0, 1] before
-    rounding, raises ValueError naming it before the file is opened."""
-    for src, row in table.entries.items():
+    as other phrases, or whose scores do not lie in (0, 1] before rounding,
+    raises ValueError naming it before the file is opened."""
+    entries = table.entries
+    for src, row in entries.items():
         for tgt, scores in row.items():
             try:
-                if len(scores) != 4 or not all(0.0 < x <= 1.0 for x in scores):
+                if not all(0.0 < x <= 1.0 for x in scores):
                     raise ValueError(f"the four scores must lie in (0, 1], got {scores}")
                 if _parse_pair(_format_pair(src, tgt, scores))[:2] != (src, tgt):
                     raise ValueError("its phrases would read back as other words")
             except ValueError as exc:
                 raise ValueError(f"pair {src!r} ||| {tgt!r}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        for src in sorted(table.entries):
-            for tgt in sorted(table.entries[src]):
-                fh.write(_format_pair(src, tgt, table.entries[src][tgt]) + "\n")
+        for src in sorted(entries):
+            row = entries[src]
+            for tgt in sorted(row):
+                fh.write(_format_pair(src, tgt, row[tgt]) + "\n")
 
 
 def read_phrase_table(path) -> PhraseTable:
@@ -616,9 +666,10 @@ def build_phrase_table(pairs):
     t-tables, every sentence's alignment and then the occurrence arrays:
     the spans (20 bytes each) and, while scoring sorts them, a few 4- and
     8-byte arrays over the occurrences and tables over (span length,
-    token).  These are freed before the rows are built, and from then on
-    memory holds the table, one record per pair and one chunk of Python
-    objects in the making."""
+    token).  These are freed as the table is filled, and after the build
+    memory holds the t-tables and the table: per source phrase a tuple, a
+    dict slot, a row number and a row end; per pair 40 bytes of arrays (see
+    PhraseTable); and the corpus's target tokens, one reference each."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
     # the reverse direction's source words are the target words

@@ -661,6 +661,51 @@ class TestBuildPhraseTable:
             build_phrase_table(pairs)
 
 
+class TestPhraseTable:
+    CORPUS = [(("a", "b"), ("x", "y")), (("a",), ("x",)), (("b", "c"), ("y", "z")),
+              (("c", "a", "b"), ("z", "x", "y"))]
+
+    def test_looked_up_row_is_the_callers_own(self):
+        table, _, _ = build_phrase_table(self.CORPUS)
+        before = as_hex(table.entries)
+        row = table.lookup(("a",))
+        want = dict(row)
+        row.clear()
+        row[("w",)] = (1.0,) * 4
+        table.entries[("a",)][("w",)] = (1.0,) * 4
+        assert table.lookup(("a",)) == want
+        assert as_hex(table.entries) == before
+
+    def test_building_sizes_and_misses_build_no_row(self, monkeypatch):
+        built, _, _ = build_phrase_table(self.CORPUS)
+        entries = dict(built.entries)
+        pairs = sum(len(row) for row in entries.values())
+
+        def failing(self, r):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(PhraseTable, "_row", failing)
+        for table in build_phrase_table(self.CORPUS)[0], PhraseTable(entries):
+            assert len(table) == pairs
+            assert table.max_len == max(map(len, entries)) == 3
+            assert table.lookup(("q",)) == {}
+            assert table.lookup(("a", "c")) == {}
+            assert ("a",) in table.entries and ("q",) not in table.entries
+            assert list(table.entries) == list(entries) and len(table.entries) == len(entries)
+
+    def test_entries_are_read_only(self):
+        table, _, _ = build_phrase_table(self.CORPUS)
+        with pytest.raises(TypeError):
+            table.entries[("a",)] = {}
+
+    def test_built_from_its_entries_keeps_order_and_bits(self):
+        for sentences, spans, lex_fwd, lex_rev in TestScorePhrases().random_cases(3, 20):
+            table = score_phrases(sentences, spans, lex_fwd, lex_rev)
+            copy = PhraseTable(table.entries)
+            assert as_hex(copy.entries) == as_hex(table.entries)
+            assert (len(copy), copy.max_len) == (len(table), table.max_len)
+
+
 class TestPhraseTableIo:
     def test_round_trip(self, tmp_path):
         table, _, _ = build_phrase_table(
@@ -677,6 +722,21 @@ class TestPhraseTableIo:
                     assert a == pytest.approx(b, abs=1e-12)
         assert loaded.max_len == table.max_len == 2
 
+    def test_write_read_write_is_byte_identical(self, tmp_path):
+        rng = random.Random(8)
+        pairs = []
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            m = max(1, n + rng.randint(-2, 2))
+            pairs.append((tuple(rng.choices("abcdef", k=n)), tuple(rng.choices("uvwxyz", k=m))))
+        table, _, _ = build_phrase_table(pairs)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        write_phrase_table(table, first)
+        loaded = read_phrase_table(first)
+        write_phrase_table(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert len(loaded) == len(table) == len(first.read_text(encoding="utf-8").splitlines())
+
     @pytest.mark.parametrize("src, tgt, scores", [
         ((), ("x",), (0.5,) * 4),
         (("b",), (), (0.5,) * 4),
@@ -686,11 +746,12 @@ class TestPhraseTableIo:
         (("b",), ("y",), (0.5,) * 3),
     ])
     def test_write_rejects_what_read_rejects(self, tmp_path, src, tgt, scores):
-        table = PhraseTable({("a",): {("x",): (1.0,) * 4}, src: {tgt: scores}})
         path = tmp_path / "pt.txt"
         pair = re.escape(f"pair {src!r} ||| {tgt!r}")
         with pytest.raises(ValueError, match=rf"^{pair}: "):
-            write_phrase_table(table, path)
+            # a pair whose scores are not four is refused as the table is built
+            write_phrase_table(PhraseTable({("a",): {("x",): (1.0,) * 4}, src: {tgt: scores}}),
+                               path)
         assert not path.exists()
 
     @pytest.mark.parametrize("side", ["source", "target"])

@@ -81,7 +81,6 @@ MEMBERS_ALLOWED: dict[str, str] = {}
 
 _REPORTED = "a count the record reports for a reader to inspect"
 FIELDS_ALLOWED = {
-    "align.PhraseTable.dropped_pairs": "reports the empty pairs the build skipped",
     "analysis.Projection2D.components": "the PCA axes the coordinates are taken on",
     "analysis.Projection2D.explained_variance": "the share of variance the two axes keep",
     "analysis.Projection2D.mean": "with components, maps new vectors onto the same axes",
