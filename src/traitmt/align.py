@@ -19,6 +19,14 @@ every column down its rows at once.  At most four 8-byte arrays over the
 cells are alive at a time, and they are released before the t-table
 becomes dicts, one source word's row at a time.
 
+One format carries the alignments from IBM1 to scoring.  ibm1_em returns
+each direction's Viterbi links as one int32 per token.  symmetrize grows
+each sentence's links on plain sets of positions and returns the corpus's
+links as four int32 arrays: each sentence's first source and target token,
+and each link's source and target token, sorted by (source, target) with
+one `np.lexsort`.  They cost 8 bytes per link plus the sentence starts,
+and extraction and scoring both read them.
+
 In a consistent phrase pair every link of every word in either span lies
 inside the pair, so a word's lexical factor does not depend on the phrase:
 the mean of its linked translation probabilities, or its NULL probability
@@ -48,7 +56,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -174,65 +181,58 @@ def ibm1_em(pairs, iterations: int = 5):
     return probs, history, links
 
 
-@dataclass(frozen=True)
-class AlignmentMatrix:
-    links: frozenset  # of (source index, target index)
-    src_len: int
-    tgt_len: int
-
-    def __post_init__(self):
-        for i, j in self.links:
-            if not (0 <= i < self.src_len and 0 <= j < self.tgt_len):
-                raise ValueError(f"link ({i},{j}) outside {self.src_len}x{self.tgt_len}")
-
-
 _NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def symmetrize(fwd: AlignmentMatrix, rev: AlignmentMatrix) -> AlignmentMatrix:
-    """grow-diag-final-and over two directional alignments."""
-    if (fwd.src_len, fwd.tgt_len) != (rev.src_len, rev.tgt_len):
-        raise ValueError("alignment matrices cover different sentence lengths")
-    union = fwd.links | rev.links
-    alignment = set(fwd.links & rev.links)
-    aligned_src = {i for i, _ in alignment}
-    aligned_tgt = {j for _, j in alignment}
-    # grow-diag: absorb union neighbours of current points while one side
-    # is still unaligned
-    changed = True
-    while changed:
-        changed = False
-        for i, j in sorted(alignment):
-            for di, dj in _NEIGHBORS:
-                cand = (i + di, j + dj)
-                if cand in union and cand not in alignment:
-                    if cand[0] not in aligned_src or cand[1] not in aligned_tgt:
-                        alignment.add(cand)
-                        aligned_src.add(cand[0])
-                        aligned_tgt.add(cand[1])
-                        changed = True
-    # final-and over each directional alignment: both endpoints unaligned
-    for direction in (fwd.links, rev.links):
-        for i, j in sorted(direction):
-            if i not in aligned_src and j not in aligned_tgt:
-                alignment.add((i, j))
-                aligned_src.add(i)
-                aligned_tgt.add(j)
-    return AlignmentMatrix(frozenset(alignment), fwd.src_len, fwd.tgt_len)
+def symmetrize(lengths, fwd, rev):
+    """grow-diag-final-and over a corpus's two directional alignments, as
+    ibm1_em returns them: fwd holds each target token's source position in
+    its sentence, rev each source token's target position, -1 for the NULL
+    word.  lengths holds each sentence's (source, target) token counts.
 
-
-def _corpus_links(alignments):
-    """(source starts, target starts, link sources, link targets) of the
-    sentences, corpus-wide.  A start array holds each sentence's first
-    token and then the token count; the link arrays hold each link's
-    source and target token, ascending by source, then target token."""
-    src_start = np.zeros(len(alignments) + 1, dtype=np.int32)
-    tgt_start = np.zeros(len(alignments) + 1, dtype=np.int32)
-    np.cumsum([a.src_len for a in alignments], out=src_start[1:])
-    np.cumsum([a.tgt_len for a in alignments], out=tgt_start[1:])
-    counts = [len(a.links) for a in alignments]
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(a.links for a in alignments)),
-                       dtype=np.int32, count=2 * sum(counts))
+    Returns the links as (source starts, target starts, link sources, link
+    targets).  A start array holds each sentence's first token and then the
+    token count; the link arrays hold each link's source and target token,
+    ascending by source, then target token.  Each sentence grows on plain
+    sets of its (i, j) positions."""
+    src_start = np.zeros(len(lengths) + 1, dtype=np.int32)
+    tgt_start = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum([n for n, _ in lengths], out=src_start[1:])
+    np.cumsum([m for _, m in lengths], out=tgt_start[1:])
+    fwd, rev = fwd.tolist(), rev.tolist()
+    counts, flat = [], []
+    for i0, i1, j0, j1 in zip(src_start.tolist(), src_start[1:].tolist(),
+                              tgt_start.tolist(), tgt_start[1:].tolist()):
+        fwd_set = {(i, j) for j, i in enumerate(fwd[j0:j1]) if i >= 0}
+        rev_set = {(i, j) for i, j in enumerate(rev[i0:i1]) if j >= 0}
+        union = fwd_set | rev_set
+        alignment = fwd_set & rev_set
+        aligned_src = {i for i, _ in alignment}
+        aligned_tgt = {j for _, j in alignment}
+        # grow-diag: absorb union neighbours of current points while one
+        # side is still unaligned
+        changed = True
+        while changed:
+            changed = False
+            for i, j in sorted(alignment):
+                for di, dj in _NEIGHBORS:
+                    cand = (i + di, j + dj)
+                    if cand in union and cand not in alignment:
+                        if cand[0] not in aligned_src or cand[1] not in aligned_tgt:
+                            alignment.add(cand)
+                            aligned_src.add(cand[0])
+                            aligned_tgt.add(cand[1])
+                            changed = True
+        # final-and over each directional alignment: both endpoints unaligned
+        for direction in (fwd_set, rev_set):
+            for i, j in sorted(direction):
+                if i not in aligned_src and j not in aligned_tgt:
+                    alignment.add((i, j))
+                    aligned_src.add(i)
+                    aligned_tgt.add(j)
+        counts.append(len(alignment))
+        flat.extend(chain.from_iterable(alignment))
+    flat = np.array(flat, dtype=np.int32)
     link_src = flat[0::2] + np.repeat(src_start[:-1], counts)
     link_tgt = flat[1::2] + np.repeat(tgt_start[:-1], counts)
     order = np.lexsort((link_tgt, link_src))
@@ -263,12 +263,12 @@ def _offsets(counts):
     return np.arange(total, dtype=np.int32) - np.repeat(ends - counts, counts)
 
 
-def extract_phrases(alignments, max_len: int = 7) -> np.ndarray:
-    """Every phrase pair consistent with each alignment of an iterable,
-    read once, as an (N, 5) int32 array of inclusive (sentence, i1, i2, j1,
-    j2) spans: unaligned-boundary extensions included, both sides at most
-    max_len tokens; ordered by sentence, then source span, then target
-    start descending, then target end ascending.
+def extract_phrases(links, max_len: int = 7) -> np.ndarray:
+    """Every phrase pair consistent with the links of each sentence, as
+    symmetrize returns them, as an (N, 5) int32 array of inclusive
+    (sentence, i1, i2, j1, j2) spans: unaligned-boundary extensions
+    included, both sides at most max_len tokens; ordered by sentence, then
+    source span, then target start descending, then target end ascending.
 
     The target bounds of every source span of every length come from a
     running min and max over the lengths, and a span is consistent when
@@ -278,8 +278,7 @@ def extract_phrases(alignments, max_len: int = 7) -> np.ndarray:
     max_len below 1 raises ValueError."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    alignments = list(alignments)
-    src_start, tgt_start, link_src, link_tgt = _corpus_links(alignments)
+    src_start, tgt_start, link_src, link_tgt = links
     n_src, n_tgt = int(src_start[-1]), int(tgt_start[-1])
     # each source token's least and greatest linked target token, and each
     # target token's least and greatest linked source token; a token with
@@ -287,7 +286,7 @@ def extract_phrases(alignments, max_len: int = 7) -> np.ndarray:
     first_tgt, last_tgt = _bounds(link_src, link_tgt, n_src, n_tgt)
     by_tgt = np.lexsort((link_src, link_tgt))
     first_src, last_src = _bounds(link_tgt[by_tgt], link_src[by_tgt], n_tgt, n_src)
-    sentence = np.repeat(np.arange(len(alignments), dtype=np.int32), np.diff(src_start))
+    sentence = np.repeat(np.arange(len(src_start) - 1, dtype=np.int32), np.diff(src_start))
     # lo[c, i], hi[c, i]: the target bounds of the source span of c + 1
     # tokens from i on; spans past their sentence's end are masked below
     lo = np.empty((max_len, n_src), dtype=np.int32)
@@ -519,30 +518,31 @@ def _tuples(words, at):
     return map(words.__getitem__, map(slice, start.tolist(), (start + size + 1).tolist()))
 
 
-def score_phrases(sentences, spans, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
+def score_phrases(pairs, links, spans, lex_fwd: dict, lex_rev: dict) -> PhraseTable:
     """Relative-frequency phrase scores in both directions plus lexical
     weights maximized over the occurrences of each pair.
 
-    sentences is an iterable of (src tuple, tgt tuple, alignment), read
-    once, and spans an (N, 5) array of (sentence, i1, i2, j1, j2)
-    occurrences, as extract_phrases returns them for the alignments.  An
-    occurrence's lexical weight w(tgt | src, a) is the product over its
-    target span of the per-token factors (see _lexical_factors); the
-    reverse weight likewise over its source span.  Rows, and each row's
-    targets, come in order of first occurrence in spans.
+    pairs is an iterable of (src tuple, tgt tuple), read once, links
+    their alignment as symmetrize returns it, and spans an (N, 5) array of
+    (sentence, i1, i2, j1, j2) occurrences, as extract_phrases returns them
+    for the links.  An occurrence's lexical weight w(tgt | src, a) is the
+    product over its target span of the per-token factors (see
+    _lexical_factors); the reverse weight likewise over its source span.
+    Rows, and each row's targets, come in order of first occurrence in
+    spans.
 
     The table is filled straight from the arrays: a tuple per source
     phrase, and per pair its target phrase's first occurrence, as (first
     token, length) into the corpus's target tokens, and its four scores.
-    The only references to the sentences and the spans are dropped once
-    the occurrences are read off them."""
+    The only reference to the spans is dropped once the occurrences are
+    read off them."""
     if not len(spans):
         raise ValueError("no phrase pairs extracted")
-    sentences = list(sentences)
-    src_start, tgt_start, link_src, link_tgt = _corpus_links([a for _, _, a in sentences])
-    src_words = tuple(chain.from_iterable(s for s, _, _ in sentences))
-    tgt_words = tuple(chain.from_iterable(t for _, t, _ in sentences))
-    del sentences
+    pairs = list(pairs)
+    src_start, tgt_start, link_src, link_tgt = links
+    src_words = tuple(chain.from_iterable(s for s, _ in pairs))
+    tgt_words = tuple(chain.from_iterable(t for _, t in pairs))
+    del pairs
     by_tgt = np.lexsort((link_src, link_tgt))
     fwd = _lexical_factors(tgt_words, src_words, link_tgt[by_tgt], link_src[by_tgt], lex_fwd)
     rev = _lexical_factors(src_words, tgt_words, link_src, link_tgt, lex_rev)
@@ -655,21 +655,23 @@ def read_phrase_table(path) -> PhraseTable:
 
 def build_phrase_table(pairs):
     """Full pipeline: bidirectional IBM1 with its Viterbi alignments,
-    grow-diag-final-and symmetrization per sentence pair, then extraction
-    and scoring, each in one pass over the corpus.  Returns (PhraseTable,
-    fwd t-table, rev t-table); the table's dropped_pairs counts the pairs
-    skipped for an empty side.  A kept pair with the NULL word's token on
-    either side raises ValueError naming the side and the pair's index,
-    before IBM1 runs.
+    their grow-diag-final-and symmetrization, then extraction and scoring,
+    each called once over the corpus.  Returns (PhraseTable, fwd t-table,
+    rev t-table); the table's dropped_pairs counts the pairs skipped for an
+    empty side.  A kept pair with the NULL word's token on either side
+    raises ValueError naming the side and the pair's index, before IBM1
+    runs.
 
     Past IBM1, whose cell arrays span the corpus, memory holds the two
-    t-tables, every sentence's alignment and then the occurrence arrays:
-    the spans (20 bytes each) and, while scoring sorts them, a few 4- and
-    8-byte arrays over the occurrences and tables over (span length,
-    token).  These are freed as the table is filled, and after the build
-    memory holds the t-tables and the table: per source phrase a tuple, a
-    dict slot, a row number and a row end; per pair 40 bytes of arrays (see
-    PhraseTable); and the corpus's target tokens, one reference each."""
+    t-tables, IBM1's two link vectors (4 bytes per token), the symmetrized
+    links (8 bytes per link plus the sentence starts) and then the
+    occurrence arrays: the spans (20 bytes each) and, while scoring sorts
+    them, a few 4- and 8-byte arrays over the occurrences and tables over
+    (span length, token).  These are freed as the table is filled, and
+    after the build memory holds the t-tables and the table: per source
+    phrase a tuple, a dict slot, a row number and a row end; per pair 40
+    bytes of arrays (see PhraseTable); and the corpus's target tokens, one
+    reference each."""
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     kept = [(s, t) for s, t in pairs if s and t]
     # the reverse direction's source words are the target words
@@ -680,24 +682,9 @@ def build_phrase_table(pairs):
                                  "is reserved for the NULL word")
     lex_fwd, _, fwd_links = ibm1_em(kept)
     lex_rev, _, rev_links = ibm1_em([(t, s) for s, t in kept])
-    sentences = []
-    i0 = j0 = 0
-    for s, t in kept:
-        n, m = len(s), len(t)
-        # fwd_links gives each target word's source position, rev_links
-        # each source word's target position
-        fwd = AlignmentMatrix(frozenset(
-            (i, j) for j, i in enumerate(fwd_links[j0: j0 + m].tolist()) if i >= 0), n, m)
-        rev = AlignmentMatrix(frozenset(
-            (i, j) for i, j in enumerate(rev_links[i0: i0 + n].tolist()) if j >= 0), n, m)
-        i0, j0 = i0 + n, j0 + m
-        sentences.append((s, t, symmetrize(fwd, rev)))
-    # each stage reads its input once: handed iterators, score_phrases holds
-    # the only references to the alignments and drops them before it builds
-    # the rows; the spans too, on CPython 3.11 and later, where a call takes
-    # over the references its arguments held on the caller's stack
-    alignments = (a for _, _, a in sentences)
-    sentences = iter(sentences)
-    table = score_phrases(sentences, extract_phrases(alignments), lex_fwd, lex_rev)
+    links = symmetrize([(len(s), len(t)) for s, t in kept], fwd_links, rev_links)
+    # handed inline, the spans are score_phrases' alone to drop: from CPython
+    # 3.11 a call takes over the references its arguments held on the stack
+    table = score_phrases(kept, links, extract_phrases(links), lex_fwd, lex_rev)
     table.dropped_pairs = len(pairs) - len(kept)
     return table, lex_fwd, lex_rev

@@ -9,7 +9,6 @@ import pytest
 import traitmt.align as align_mod
 from traitmt.align import (
     NULL_TOKEN,
-    AlignmentMatrix,
     PhraseTable,
     build_phrase_table,
     extract_phrases,
@@ -246,50 +245,133 @@ class TestViterbi:
         _, _, links = ibm1_em(pairs, iterations=10)
         assert links_by_sentence(pairs, links)[0] == frozenset({(0, 0), (1, 1)})
 
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            AlignmentMatrix(frozenset({(2, 0)}), 2, 1)
+
+def corpus_links(sentences):
+    """symmetrize's arrays for (source length, target length, links)
+    sentences, each link an (i, j) pair of positions in its sentence."""
+    src_start = np.cumsum([0] + [n for n, _, _ in sentences], dtype=np.int32)
+    tgt_start = np.cumsum([0] + [m for _, m, _ in sentences], dtype=np.int32)
+    links = sorted((src_start[k] + i, tgt_start[k] + j)
+                   for k, (_, _, sentence) in enumerate(sentences) for i, j in sentence)
+    link_src, link_tgt = np.array(links, dtype=np.int32).reshape(-1, 2).T
+    return src_start, tgt_start, link_src, link_tgt
+
+
+def sentence_links(links):
+    """symmetrize's arrays back as one frozenset of (i, j) per sentence."""
+    src_start, tgt_start, link_src, link_tgt = links
+    sentence = np.searchsorted(src_start, link_src, side="right") - 1
+    i0, j0 = src_start.tolist(), tgt_start.tolist()
+    out = [set() for _ in range(len(i0) - 1)]
+    for k, i, j in zip(sentence.tolist(), link_src.tolist(), link_tgt.tolist()):
+        out[k].add((i - i0[k], j - j0[k]))
+    return [frozenset(a) for a in out]
+
+
+def symmetrize_one(fwd, rev):
+    """symmetrize's links for one sentence, from its fwd links (a source
+    position or -1 per target word) and rev links (a target position or -1
+    per source word)."""
+    links = symmetrize([(len(rev), len(fwd))], np.array(fwd, dtype=np.int32),
+                       np.array(rev, dtype=np.int32))
+    return sentence_links(links)[0]
+
+
+_NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def reference_symmetrize(fwd, rev):
+    """grow-diag-final-and over one sentence's two directional alignments,
+    each a set of (i, j) positions."""
+    union = fwd | rev
+    alignment = set(fwd & rev)
+    aligned_src = {i for i, _ in alignment}
+    aligned_tgt = {j for _, j in alignment}
+    # grow-diag: absorb union neighbours of current points while one side
+    # is still unaligned
+    changed = True
+    while changed:
+        changed = False
+        for i, j in sorted(alignment):
+            for di, dj in _NEIGHBORS:
+                cand = (i + di, j + dj)
+                if cand in union and cand not in alignment:
+                    if cand[0] not in aligned_src or cand[1] not in aligned_tgt:
+                        alignment.add(cand)
+                        aligned_src.add(cand[0])
+                        aligned_tgt.add(cand[1])
+                        changed = True
+    # final-and over each directional alignment: both endpoints unaligned
+    for direction in (fwd, rev):
+        for i, j in sorted(direction):
+            if i not in aligned_src and j not in aligned_tgt:
+                alignment.add((i, j))
+                aligned_src.add(i)
+                aligned_tgt.add(j)
+    return frozenset(alignment)
 
 
 class TestSymmetrize:
     def test_identical_inputs(self):
-        a = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
-        assert symmetrize(a, a).links == a.links
+        assert symmetrize_one([0, 1], [0, 1]) == frozenset({(0, 0), (1, 1)})
 
     def test_three_by_three_hand_trace(self):
-        # intersection {(0,0),(1,1)}; grow-diag pulls in (2,1) (source 2
-        # unaligned, diagonal neighbour of (1,1)) and then (2,2) (target 2
-        # unaligned, neighbour of (2,1)); final-and adds nothing
-        fwd = AlignmentMatrix(frozenset({(0, 0), (1, 1), (2, 1)}), 3, 3)
-        rev = AlignmentMatrix(frozenset({(0, 0), (1, 1), (2, 2)}), 3, 3)
-        result = symmetrize(fwd, rev)
-        assert result.links == frozenset({(0, 0), (1, 1), (2, 1), (2, 2)})
+        # fwd {(0,0),(1,1),(2,2)}, rev {(0,0),(1,1),(2,1)}: intersection
+        # {(0,0),(1,1)}; grow-diag pulls in (2,1) (source 2 unaligned,
+        # diagonal neighbour of (1,1)) and then (2,2) (target 2 unaligned,
+        # neighbour of (2,1)); final-and adds nothing
+        result = symmetrize_one([0, 1, 2], [0, 1, 1])
+        assert result == frozenset({(0, 0), (1, 1), (2, 1), (2, 2)})
 
     def test_final_and_rescues_isolated_links(self):
         # no intersection; final-and adds links whose both ends are free
-        fwd = AlignmentMatrix(frozenset({(0, 0)}), 2, 2)
-        rev = AlignmentMatrix(frozenset({(1, 1)}), 2, 2)
-        result = symmetrize(fwd, rev)
-        assert result.links == frozenset({(0, 0), (1, 1)})
+        assert symmetrize_one([0, -1], [-1, 1]) == frozenset({(0, 0), (1, 1)})
 
     def test_between_intersection_and_union(self):
         rng = random.Random(2)
         for _ in range(50):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
-            mk = lambda: frozenset(
-                (rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 6))
-            )
-            fwd = AlignmentMatrix(mk(), n, m)
-            rev = AlignmentMatrix(mk(), n, m)
-            result = symmetrize(fwd, rev)
-            assert result.links >= (fwd.links & rev.links)
-            assert result.links <= (fwd.links | rev.links)
+            fwd = [rng.randrange(-1, n) for _ in range(m)]
+            rev = [rng.randrange(-1, m) for _ in range(n)]
+            fwd_links = {(i, j) for j, i in enumerate(fwd) if i >= 0}
+            rev_links = {(i, j) for i, j in enumerate(rev) if j >= 0}
+            result = symmetrize_one(fwd, rev)
+            assert result >= (fwd_links & rev_links)
+            assert result <= (fwd_links | rev_links)
 
-    def test_mismatched_lengths_rejected(self):
-        fwd = AlignmentMatrix(frozenset(), 2, 2)
-        rev = AlignmentMatrix(frozenset(), 2, 3)
-        with pytest.raises(ValueError):
-            symmetrize(fwd, rev)
+    def test_matches_reference_per_sentence(self):
+        rng = random.Random(12)
+        seen = Counter()
+        for _ in range(200):
+            lengths, fwd, rev = [], [], []
+            for _ in range(rng.randint(0, 12)):
+                n, m = rng.choice([(1, 1), (0, rng.randint(0, 8)), (rng.randint(0, 8), 0),
+                                   (rng.randint(1, 8), rng.randint(1, 8))])
+                # some sentences link every word to NULL, some no word
+                p_null = rng.choice([0.0, 0.3, 1.0])
+                fwd.append([-1 if rng.random() < p_null or not n else rng.randrange(n)
+                            for _ in range(m)])
+                rev.append([-1 if rng.random() < p_null or not m else rng.randrange(m)
+                            for _ in range(n)])
+                lengths.append((n, m))
+            links = symmetrize(lengths, np.array(sum(fwd, []), dtype=np.int32),
+                               np.array(sum(rev, []), dtype=np.int32))
+            assert all(a.dtype == np.int32 for a in links)
+            assert links[0].tolist() == np.cumsum([0] + [n for n, _ in lengths]).tolist()
+            assert links[1].tolist() == np.cumsum([0] + [m for _, m in lengths]).tolist()
+            pairs = list(zip(links[2].tolist(), links[3].tolist()))
+            assert pairs == sorted(pairs)
+            want = [reference_symmetrize({(i, j) for j, i in enumerate(f) if i >= 0},
+                                         {(i, j) for i, j in enumerate(r) if j >= 0})
+                    for f, r in zip(fwd, rev)]
+            assert sentence_links(links) == want
+            for (n, m), f, a in zip(lengths, fwd, want):
+                seen["empty_side"] += not n or not m
+                seen["one_token"] += n == m == 1
+                seen["null_only"] += m > 0 and max(f, default=-1) < 0
+                seen["no_link"] += not a
+                seen["grown"] += len(a) > 1
+        assert len(seen) == 5 and min(seen.values()) >= 50, seen
 
 
 def oracle_extract(n, m, links, max_len):
@@ -316,9 +398,8 @@ def rows_of(spans, k):
 
 class TestExtractPhrases:
     def test_monotone_two_words(self):
-        alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
         src, tgt = ("w1", "w2"), ("v1", "v2")
-        spans = extract_phrases([alignment])
+        spans = extract_phrases(corpus_links([(2, 2, {(0, 0), (1, 1)})]))
         assert spans.dtype == np.int32 and spans.shape == (3, 5)
         as_tokens = {(src[i1: i2 + 1], tgt[j1: j2 + 1]) for _, i1, i2, j1, j2 in spans.tolist()}
         assert as_tokens == {
@@ -328,55 +409,51 @@ class TestExtractPhrases:
         }
 
     def test_crossing_link_blocks_span(self):
-        alignment = AlignmentMatrix(frozenset({(0, 1), (1, 0)}), 2, 2)
-        spans = set(rows_of(extract_phrases([alignment]), 0))
+        spans = set(rows_of(extract_phrases(corpus_links([(2, 2, {(0, 1), (1, 0)})])), 0))
         assert (0, 0, 0, 0) not in spans
         assert spans == {(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1)}
 
     def test_max_len_one(self):
-        alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
-        spans = rows_of(extract_phrases([alignment], max_len=1), 0)
+        links = corpus_links([(2, 2, {(0, 0), (1, 1)})])
+        spans = rows_of(extract_phrases(links, max_len=1), 0)
         assert spans and all(i1 == i2 and j1 == j2 for i1, i2, j1, j2 in spans)
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_max_len_below_one_rejected(self, max_len):
-        alignment = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
+        links = corpus_links([(2, 2, {(0, 0), (1, 1)})])
         with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
-            extract_phrases([alignment], max_len=max_len)
+            extract_phrases(links, max_len=max_len)
 
     def test_matches_brute_force_oracle(self):
-        assert extract_phrases([]).shape == (0, 5)
+        assert extract_phrases(corpus_links([])).shape == (0, 5)
         rng = random.Random(3)
         for max_len in range(1, 8):
             for _ in range(40):
-                alignments = []
+                sentences = []
                 for _ in range(rng.randint(0, 8)):
                     n, m = rng.randint(1, 6), rng.randint(1, 6)
                     links = frozenset(
                         (rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 8))
                     )
-                    alignments.append(AlignmentMatrix(links, n, m))
+                    sentences.append((n, m, links))
                 # sentences with no link, one-word sentences and an empty
                 # side; then an unaligned target run at the end of one
                 # sentence and another at the start of the next, which no
                 # extension may join
-                fixed = [AlignmentMatrix(frozenset(), 3, 2), AlignmentMatrix(frozenset(), 1, 1),
-                         AlignmentMatrix(frozenset({(0, 0)}), 1, 1),
-                         AlignmentMatrix(frozenset(), 0, 2)]
-                for alignment in fixed:
-                    alignments.insert(rng.randint(0, len(alignments)), alignment)
-                k = rng.randint(0, len(alignments))
-                alignments[k:k] = [AlignmentMatrix(frozenset({(0, 0)}), 2, 3),
-                                   AlignmentMatrix(frozenset({(1, 2)}), 2, 3)]
-                spans = extract_phrases(alignments, max_len=max_len)
+                fixed = [(3, 2, frozenset()), (1, 1, frozenset()), (1, 1, frozenset({(0, 0)})),
+                         (0, 2, frozenset())]
+                for sentence in fixed:
+                    sentences.insert(rng.randint(0, len(sentences)), sentence)
+                k = rng.randint(0, len(sentences))
+                sentences[k:k] = [(2, 3, frozenset({(0, 0)})), (2, 3, frozenset({(1, 2)}))]
+                spans = extract_phrases(corpus_links(sentences), max_len=max_len)
                 assert spans.dtype == np.int32 and spans.shape[1] == 5
-                sentences = spans[:, 0].tolist()
-                assert sentences == sorted(sentences)
-                for k, alignment in enumerate(alignments):
+                order = spans[:, 0].tolist()
+                assert order == sorted(order)
+                for k, (n, m, links) in enumerate(sentences):
                     rows = rows_of(spans, k)
                     assert len(set(rows)) == len(rows)
-                    assert set(rows) == oracle_extract(alignment.src_len, alignment.tgt_len,
-                                                       alignment.links, max_len)
+                    assert set(rows) == oracle_extract(n, m, links, max_len)
                     # the order scoring sees: source span, then target start
                     # descending, then target end ascending
                     order = [(i1, i2, -j1, j2) for i1, i2, j1, j2 in rows]
@@ -403,17 +480,17 @@ def reference_lexical_weight(src, tgt, links, table):
     return max(weight, align_mod._LEX_FLOOR)
 
 
-def internal_links(alignment, span):
-    """The sentence alignment's links inside the span, offset to its start."""
+def internal_links(links, span):
+    """The sentence's links inside the span, offset to its start."""
     i1, i2, j1, j2 = span
-    return frozenset((i - i1, j - j1) for i, j in alignment.links
-                     if i1 <= i <= i2 and j1 <= j <= j2)
+    return frozenset((i - i1, j - j1) for i, j in links if i1 <= i <= i2 and j1 <= j <= j2)
 
 
 def reference_score_phrases(sentences, rows, lex_fwd, lex_rev):
     """Relative frequencies, and lexical weights maximized over each pair's
-    distinct internal alignments, each weighed on its own; rows are
-    (sentence, i1, i2, j1, j2) tuples.  Returns the entries mapping."""
+    distinct internal alignments, each weighed on its own; sentences are
+    (src, tgt, links) triples and rows (sentence, i1, i2, j1, j2) tuples.
+    Returns the entries mapping."""
     pair_counts, src_counts, tgt_counts = Counter(), Counter(), Counter()
     alignments = defaultdict(set)
     for k, i1, i2, j1, j2 in rows:
@@ -445,11 +522,21 @@ def random_lexical_table(rng, given, conditioned, use_null):
     return {w: {v: rng.random() for v in given if rng.random() < 0.95} for w in sources}
 
 
+def sentence_arrays(sentences):
+    """score_phrases' pairs and links for (src, tgt, links) sentences."""
+    return ([(src, tgt) for src, tgt, _ in sentences],
+            corpus_links([(len(src), len(tgt), links) for src, tgt, links in sentences]))
+
+
 def scoring_input(cases, max_len=7):
-    """score_phrases' sentences and spans for (src, tgt, links) cases."""
-    sentences = [(src, tgt, AlignmentMatrix(frozenset(links), len(src), len(tgt)))
-                 for src, tgt, links in cases]
-    return sentences, extract_phrases([a for _, _, a in sentences], max_len)
+    """The (src, tgt, links) cases and the spans extract_phrases finds in
+    them."""
+    return cases, extract_phrases(sentence_arrays(cases)[1], max_len)
+
+
+def score(sentences, spans, lex_fwd, lex_rev):
+    """score_phrases over (src, tgt, links) sentences."""
+    return score_phrases(*sentence_arrays(sentences), spans, lex_fwd, lex_rev)
 
 
 class TestScorePhrases:
@@ -460,14 +547,14 @@ class TestScorePhrases:
         cases = [(("s",), (tgt,), {(0, 0)}) for tgt in ("x", "x", "x", "y")]
         lex = {"s": {"x": 0.7, "y": 0.3}, NULL_TOKEN: {"x": 0.5, "y": 0.5}}
         lex_rev = {"x": {"s": 1.0}, "y": {"s": 1.0}, NULL_TOKEN: {"s": 1.0}}
-        table = score_phrases(*scoring_input(cases), lex, lex_rev)
+        table = score(*scoring_input(cases), lex, lex_rev)
         phi_fwd = table.entries[("s",)][("x",)][0]
         assert phi_fwd == pytest.approx(0.75)
 
     def test_unique_pair_scores_one(self):
         lex = {"a": {"x": 0.8}, NULL_TOKEN: {"x": 0.2}}
         lex_rev = {"x": {"a": 0.9}, NULL_TOKEN: {"a": 0.1}}
-        table = score_phrases(*scoring_input([(("a",), ("x",), {(0, 0)})]), lex, lex_rev)
+        table = score(*scoring_input([(("a",), ("x",), {(0, 0)})]), lex, lex_rev)
         phi_fwd, lex_f, phi_rev, lex_r = table.entries[("a",)][("x",)]
         assert phi_fwd == 1.0 and phi_rev == 1.0
         # single 1:1 link: lexical weight equals the table probability
@@ -479,8 +566,8 @@ class TestScorePhrases:
         cases = [((rng.choice(("s1", "s2", "s3")),), (rng.choice(("t1", "t2")),), {(0, 0)})
                  for _ in range(200)]
         words = ("s1", "s2", "s3", "t1", "t2")
-        table = score_phrases(*scoring_input(cases), self.uniform_table(words),
-                              self.uniform_table(words))
+        table = score(*scoring_input(cases), self.uniform_table(words),
+                      self.uniform_table(words))
         by_src = {}
         by_tgt = {}
         for src, row in table.entries.items():
@@ -526,7 +613,7 @@ class TestScorePhrases:
 
     def test_matches_reference_scorer(self):
         for sentences, spans, lex_fwd, lex_rev in self.random_cases(5, 120):
-            table = score_phrases(sentences, spans, lex_fwd, lex_rev)
+            table = score(sentences, spans, lex_fwd, lex_rev)
             reference = reference_score_phrases(sentences, spans.tolist(), lex_fwd, lex_rev)
             # rows and their targets in order of first occurrence
             assert as_hex(table.entries) == as_hex(reference)
@@ -535,7 +622,7 @@ class TestScorePhrases:
         rng = random.Random(10)
         for sentences, spans, lex_fwd, lex_rev in self.random_cases(11, 120):
             shuffled = spans[rng.sample(range(len(spans)), len(spans))]
-            table = score_phrases(sentences, shuffled, lex_fwd, lex_rev)
+            table = score(sentences, shuffled, lex_fwd, lex_rev)
             assert table.entries == reference_score_phrases(sentences, spans.tolist(),
                                                             lex_fwd, lex_rev)
 
@@ -547,24 +634,24 @@ class TestScorePhrases:
         left_fold = (0.1 + 0.2) + 0.3
         assert left_fold != math.fsum((0.1, 0.2, 0.3))
         cases = [(("a", "b", "c"), ("x",), {(0, 0), (1, 0), (2, 0)})]
-        table = score_phrases(*scoring_input(cases), lex_fwd, lex_rev)
+        table = score(*scoring_input(cases), lex_fwd, lex_rev)
         assert table.entries[("a", "b", "c")][("x",)][1] == left_fold / 3
 
     def test_one_shot_iterator_scores_as_list(self):
-        # build_phrase_table hands over an iterator of its sentences
+        # the pairs are read once, so any iterable of them will do
         for sentences, spans, lex_fwd, lex_rev in self.random_cases(7, 60):
-            table = score_phrases(iter(sentences), spans, lex_fwd, lex_rev)
-            want = score_phrases(sentences, spans, lex_fwd, lex_rev)
+            pairs, links = sentence_arrays(sentences)
+            table = score_phrases(iter(pairs), links, spans, lex_fwd, lex_rev)
+            want = score_phrases(pairs, links, spans, lex_fwd, lex_rev)
             assert as_hex(table.entries) == as_hex(want.entries)
 
     def test_build_phrase_table_matches_reference_scorer(self, monkeypatch):
         seen = []
 
-        def recording(sentences, spans, lex_fwd, lex_rev):
-            # build_phrase_table hands over an iterator, so read it once
-            sentences = list(sentences)
+        def recording(pairs, links, spans, lex_fwd, lex_rev):
+            sentences = [(s, t, a) for (s, t), a in zip(pairs, sentence_links(links))]
             seen.append((sentences, spans.tolist(), lex_fwd, lex_rev))
-            return score_phrases(sentences, spans, lex_fwd, lex_rev)
+            return score_phrases(pairs, links, spans, lex_fwd, lex_rev)
 
         monkeypatch.setattr(align_mod, "score_phrases", recording)
         rng = random.Random(6)
@@ -582,9 +669,9 @@ class TestScorePhrases:
     def test_empty_extraction_rejected(self):
         lex = {}
         with pytest.raises(ValueError):
-            score_phrases([], extract_phrases([]), lex, lex)
+            score([], extract_phrases(corpus_links([])), lex, lex)
         with pytest.raises(ValueError):
-            score_phrases(*scoring_input([(("a",), ("x",), set())]), lex, lex)
+            score(*scoring_input([(("a",), ("x",), set())]), lex, lex)
 
 
 class TestBuildPhraseTable:
@@ -594,13 +681,13 @@ class TestBuildPhraseTable:
         # the benchmark's per-layer timings wrap these module attributes, and
         # each stage runs once over the whole corpus
         calls = []
-        for name in ("ibm1_em", "extract_phrases", "score_phrases"):
+        for name in ("ibm1_em", "symmetrize", "extract_phrases", "score_phrases"):
             def counting(*args, _name=name, _inner=getattr(align_mod, name), **kwargs):
                 calls.append(_name)
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(align_mod, name, counting)
         build_phrase_table(self.CORPUS)
-        assert calls == ["ibm1_em", "ibm1_em", "extract_phrases", "score_phrases"]
+        assert calls == ["ibm1_em", "ibm1_em", "symmetrize", "extract_phrases", "score_phrases"]
 
     def test_matches_reference_over_oracle_spans(self):
         # the two passes against the per-sentence specification: each kept
@@ -624,11 +711,9 @@ class TestBuildPhraseTable:
             rev = links_by_sentence(flipped, ibm1_em(flipped)[2])
             sentences, rows = [], []
             for k, ((s, t), f, r) in enumerate(zip(kept, fwd, rev)):
-                alignment = symmetrize(AlignmentMatrix(f, len(s), len(t)),
-                                       AlignmentMatrix(frozenset((i, j) for j, i in r),
-                                                       len(s), len(t)))
+                alignment = reference_symmetrize(f, {(i, j) for j, i in r})
                 sentences.append((s, t, alignment))
-                spans = oracle_extract(len(s), len(t), alignment.links, 7)
+                spans = oracle_extract(len(s), len(t), alignment, 7)
                 rows += [(k, i1, i2, j1, j2) for i1, i2, j1, j2 in
                          sorted(spans, key=lambda span: (span[0], span[1], -span[2], span[3]))]
             reference = reference_score_phrases(sentences, rows, lex_fwd, lex_rev)
@@ -700,7 +785,7 @@ class TestPhraseTable:
 
     def test_built_from_its_entries_keeps_order_and_bits(self):
         for sentences, spans, lex_fwd, lex_rev in TestScorePhrases().random_cases(3, 20):
-            table = score_phrases(sentences, spans, lex_fwd, lex_rev)
+            table = score(sentences, spans, lex_fwd, lex_rev)
             copy = PhraseTable(table.entries)
             assert as_hex(copy.entries) == as_hex(table.entries)
             assert (len(copy), copy.max_len) == (len(table), table.max_len)
