@@ -4,10 +4,13 @@ language models.
 Every translation option carries a full feature vector: one four-score
 block per phrase table (absent blocks filled with a floor constant) plus a
 presence indicator per block, one feature per language model, word and
-phrase penalties, and the distance-based distortion total.  Hypotheses are
-recombined on (coverage, last position, LM states).  The LM states are the
-minimized ones NgramLanguageModel.extend returns, so two histories that
-differ only in words no later score can see share one stack entry.
+phrase penalties, and the distance-based distortion total.  An option's
+static score is _score(weights, features), the products' sum correctly
+rounded by math.fsum, so it is the same in any feature order and on any
+platform.  Hypotheses are recombined on (coverage, last position, LM
+states).  The LM states are the minimized ones NgramLanguageModel.extend
+returns, so two histories that differ only in words no later score can
+see share one stack entry.
 
 Stacks are organized by covered-word count and filled lazily, best first,
 in the manner of cube pruning (Chiang 2007; Huang & Chiang 2007): each
@@ -35,7 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -101,12 +104,15 @@ class FeatureLayout:
         return w
 
 
-def _checked_weights(weights, layout: FeatureLayout) -> np.ndarray:
-    """weights as a float array; weights of another length than the layout's
-    raise ValueError."""
-    weights = np.asarray(weights, dtype=float)
+def _checked_weights(weights, layout: FeatureLayout) -> list:
+    """weights as a list of Python floats; weights of another length than
+    the layout's, or a non-finite weight, raise ValueError."""
+    weights = np.asarray(weights, dtype=float).tolist()
     if len(weights) != layout.dimension:
         raise ValueError(f"{len(weights)} weights for a layout of {layout.dimension} features")
+    for name, value in zip(layout.names(), weights):
+        if not math.isfinite(value):
+            raise ValueError(f"weight {name!r} is not finite: {value}")
     return weights
 
 
@@ -115,9 +121,6 @@ def write_weights(weights, layout: FeatureLayout, path) -> None:
     length, or a non-finite weight, raise ValueError before the file is
     opened."""
     weights = _checked_weights(weights, layout)
-    for name, value in zip(layout.names(), weights):
-        if not math.isfinite(value):
-            raise ValueError(f"weight {name!r} is not finite: {value}")
     with open(path, "w", encoding="utf-8") as fh:
         for name, value in zip(layout.names(), weights):
             fh.write(f"{name} {value:.17g}\n")
@@ -158,17 +161,27 @@ class TranslationOption:
     features: tuple    # static features as floats: table blocks, indicators, penalties
 
 
-def _static_features(layout: FeatureLayout, tgt, table_id, scores):
-    feats = np.zeros(layout.dimension)
+def _static_features(layout: FeatureLayout, tgt, table_id, scores) -> tuple:
+    """The option's features as a tuple of layout.dimension Python floats.
+    scores, a phrase-table row's, are four (PhraseTable refuses any other
+    count), so each block assignment keeps the length."""
+    feats = [0.0] * layout.dimension
     for k in range(layout.n_tables):
-        feats[layout.table_block(k)] = DEFAULT_FLOOR
+        feats[layout.table_block(k)] = [DEFAULT_FLOOR] * 4
     if table_id is not None:
-        block = layout.table_block(table_id)
-        feats[block] = [math.log10(s) if s > 0 else DEFAULT_FLOOR for s in scores]
+        feats[layout.table_block(table_id)] = [math.log10(s) if s > 0 else DEFAULT_FLOOR
+                                               for s in scores]
         feats[layout.indicator(table_id)] = 1.0
-    feats[layout.word_penalty] = len(tgt)
+    feats[layout.word_penalty] = float(len(tgt))
     feats[layout.phrase_penalty] = 1.0
-    return feats
+    return tuple(feats)
+
+
+def _score(weights, features) -> float:
+    """The dot product of weights and features: math.fsum rounds the exact
+    sum of the products once, so the score depends on the products alone,
+    not on their order, a BLAS or the platform."""
+    return math.fsum(map(mul, weights, features))
 
 
 def build_options(sentence, tables, layout: FeatureLayout, weights):
@@ -193,16 +206,15 @@ def build_options(sentence, tables, layout: FeatureLayout, weights):
                 for tgt, scores in table.lookup(phrase).items():
                     tgt = tuple(tgt)
                     feats = _static_features(layout, tgt, k, scores)
-                    found.append(((-float(weights @ feats), tgt),
-                                  TranslationOption(tgt, tuple(feats.tolist()))))
+                    found.append(((-_score(weights, feats), tgt), TranslationOption(tgt, feats)))
             if found:
                 found.sort(key=lambda f: f[0])
                 options[span] = [opt for _, opt in found[:MAX_OPTIONS_PER_SPAN]]
     for i, word in enumerate(sentence):
         span = (i, i + 1)
         if span not in options:
-            feats = _static_features(layout, (word,), None, None)
-            options[span] = [TranslationOption((word,), tuple(feats.tolist()))]
+            options[span] = [TranslationOption((word,),
+                                               _static_features(layout, (word,), None, None))]
     return options
 
 
@@ -217,8 +229,8 @@ def _future_costs(options, weighted, lm_weights, lms, n):
     """Per-span best weighted option score (LM part estimated by unigram
     scores, added left to right: the built-in sum compensates float
     rounding from Python 3.12 on), combined over splits by dynamic
-    programming.  weighted holds each option's static score, weights @
-    features, per span."""
+    programming.  weighted holds each option's static score per span,
+    _score(weights, features), correctly rounded."""
     direct = {}
     for span, opts in options.items():
         best = -math.inf
@@ -291,7 +303,8 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     distortion_limit (>= 0) caps every jump; a stack_size that no stack
     reaches gives exhaustive search up to recombination, and a
     distortion_limit of len(sentence) allows every jump.  lms must number
-    layout.n_lms.  Decoding is deterministic.
+    layout.n_lms, and every option hold layout.dimension features.
+    Decoding is deterministic.
 
     Pops.  A candidate for stack c (c words covered) expands a hypothesis
     of stack c - L by a span of L words and one of the span's options.  Its
@@ -340,11 +353,15 @@ def decode(sentence, options, weights, lms, layout: FeatureLayout,
     if len(lms) != layout.n_lms:
         raise ValueError(f"{len(lms)} language models for a layout of {layout.n_lms}")
     weights = _checked_weights(weights, layout)
+    for opt in (o for opts in options.values() for o in opts):
+        if len(opt.features) != layout.dimension:
+            raise ValueError(f"option {opt.tgt!r} has {len(opt.features)} features "
+                             f"for a layout of {layout.dimension}")
     n = len(sentence)
-    weighted = {span: [float(weights @ np.asarray(o.features)) for o in opts]
+    weighted = {span: [_score(weights, o.features) for o in opts]
                 for span, opts in options.items()}
-    lm_weights = [float(weights[layout.lm_feature(k)]) for k in range(len(lms))]
-    dist_weight = float(weights[layout.distortion])
+    lm_weights = [weights[layout.lm_feature(k)] for k in range(len(lms))]
+    dist_weight = weights[layout.distortion]
     fc = _future_costs(options, weighted, lm_weights, lms, n)
 
     # per last_end, the spans within the distortion limit in (start, end)

@@ -4,6 +4,9 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from traitmt.decoder import (
     TranslationOption,
     _coverage_future,
     _future_costs,
+    _score,
     build_options,
     decode,
     format_nbest,
@@ -67,7 +71,7 @@ def oracle_decode(sentence, options, weights, lms, layout, distortion_limit):
         feats[layout.distortion] = dist
         for k, lm in enumerate(lms):
             feats[layout.lm_feature(k)] = lm.extend(lm.start_state, tuple(target) + (EOS,))[0]
-        score = float(weights @ feats)
+        score = _score(weights, feats)
         key = (-score, tuple(target))
         if best is None or key < best[0]:
             best = (key, tuple(target), score, feats)
@@ -134,7 +138,7 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
     for span, opts in options.items():
         best = -math.inf
         for opt in opts:
-            score = float(weights @ np.asarray(opt.features))
+            score = _score(weights, opt.features)
             for w_lm, lm in zip(lm_weights, lms):
                 unigrams = 0.0
                 for w in opt.tgt:
@@ -169,7 +173,7 @@ def reference_beam_decode(sentence, options, weights, lms, layout, stack_size=10
     plan = []
     for (start, end), opts in options.items():
         mask = ((1 << (end - start)) - 1) << start
-        ranked = sorted(((o, float(weights @ np.asarray(o.features))) for o in opts),
+        ranked = sorted(((o, _score(weights, o.features)) for o in opts),
                         key=lambda ow: (-ow[1], ow[0].tgt))
         plan.append((start, end, mask, ranked))
 
@@ -304,6 +308,42 @@ class TestCoverageFuture:
         assert fc[0][1] == left_fold
 
 
+def exact_dot(weights, features):
+    """The exact dot product, rounded once to a float."""
+    return float(sum(Fraction(w) * Fraction(f) for w, f in zip(weights, features)))
+
+
+class TestScore:
+    def test_left_to_right_sum_loses_what_score_keeps(self):
+        weights, features = (1.0, 1.0, 1.0), (1e16, 1.0, -1e16)
+        assert reduce(add, map(mul, weights, features)) == 0.0
+        assert _score(weights, features) == exact_dot(weights, features) == 1.0
+
+    def test_order_free_and_exact_on_mixed_magnitudes(self):
+        # products from ~1e-9 to ~1e22, with one pair that cancels, so that
+        # a left-to-right sum loses the small terms in some orders.  Mantissas
+        # of at most 21 bits make every product exact, so the exact dot
+        # product is the exact sum of the products _score adds
+        rng = random.Random(46)
+        left_folds_off = 0
+        for trial in range(40):
+            weights = [rng.randint(-2**20, 2**20) * 2.0 ** rng.randint(-20, 0)
+                       for _ in range(rng.randint(1, 4))]
+            features = [rng.randint(-2**20, 2**20) * 2.0 ** rng.choice((-10, 0, 33))
+                        for _ in weights]
+            big = rng.randint(1, 2**20) * 2.0 ** 33
+            weights += [1.0, 1.0]
+            features += [big, -big]
+            pairs = list(zip(weights, features))
+            assert all(Fraction(w * f) == Fraction(w) * Fraction(f) for w, f in pairs)
+            want = exact_dot(weights, features)
+            for perm in itertools.permutations(pairs):
+                w, f = zip(*perm)
+                assert _score(w, f) == want, (trial, perm)
+                left_folds_off += reduce(add, map(mul, w, f)) != want
+        assert left_folds_off
+
+
 class TestBuildOptions:
     def test_indicator_block_placement(self):
         empty = table_from({})
@@ -327,14 +367,22 @@ class TestBuildOptions:
         assert indicators == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_oov_passthrough(self):
+        # every option, matched or passed through, holds one Python float
+        # per feature: a table block takes a row's four scores
         t = table_from({"a": {"x": (1.0, 1.0, 1.0, 1.0)}})
-        layout = FeatureLayout(1, 1)
-        options = build_options(("a", "qux"), [t], layout, layout.default_weights())
-        opt = options[(1, 2)][0]
-        assert opt.tgt == ("qux",)
-        feats = np.asarray(opt.features)
-        np.testing.assert_allclose(feats[layout.table_block(0)], DEFAULT_FLOOR)
-        assert feats[layout.indicator(0)] == 0.0
+        for layout in (FeatureLayout(1, 1), FeatureLayout(2, 2)):
+            options = build_options(("a", "qux"), [t] * layout.n_tables, layout,
+                                    layout.default_weights())
+            assert len(options[(0, 1)]) == layout.n_tables
+            for opt in itertools.chain.from_iterable(options.values()):
+                assert len(opt.features) == layout.dimension
+                assert all(type(v) is float for v in opt.features)
+            opt = options[(1, 2)][0]
+            assert opt.tgt == ("qux",)
+            feats = np.asarray(opt.features)
+            for k in range(layout.n_tables):
+                np.testing.assert_allclose(feats[layout.table_block(k)], DEFAULT_FLOOR)
+                assert feats[layout.indicator(k)] == 0.0
 
     def test_per_span_cap(self):
         row = {f"t{i}": (0.5 - i * 0.001, 0.5, 0.5, 0.5)
@@ -354,7 +402,8 @@ class TestBuildOptions:
             build_options(("a",), [t, t], layout, layout.default_weights())
 
     def test_weight_count_must_match_layout(self):
-        # else numpy's matmul fails on shapes that name no layout
+        # else an option would be scored on the features up to the shorter
+        # length only
         t = table_from({"a": {"x": (0.5,) * 4}})
         layout = FeatureLayout(1, 1)
         with pytest.raises(ValueError, match=rf"^3 weights for a layout of {layout.dimension} features$"):
@@ -773,6 +822,33 @@ class TestDecode:
         d = layout.dimension
         with pytest.raises(ValueError, match=rf"^{d + 1} weights for a layout of {d} features$"):
             decode(("a",), options, np.append(weights, 1.0), [lm], layout=layout)
+
+    def test_option_feature_count_must_match_layout(self):
+        # else each option would be scored on the features up to the
+        # shorter length only
+        table, lm, layout = self.simple_system()
+        wide = FeatureLayout(2, 1)
+        options = build_options(("a",), [table, table], wide, wide.default_weights())
+        d = layout.dimension
+        with pytest.raises(ValueError,
+                           match=rf"^option \('x',\) has {wide.dimension} features for a layout of {d}$"):
+            decode(("a",), options, layout.default_weights(), [lm], layout=layout)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["pt0.phi_fwd", "lm0"])
+    @pytest.mark.parametrize("stage", ["build_options", "decode"])
+    def test_non_finite_weight_rejected(self, stage, name, value):
+        # else the best target scores nan or -inf, or math.fsum raises on
+        # inf - inf, with no word of which weight is at fault
+        table, lm, layout = self.simple_system()
+        weights = layout.default_weights()
+        options = build_options(("a", "b"), [table], layout=layout, weights=weights)
+        weights[layout.names().index(name)] = value
+        with pytest.raises(ValueError, match=rf"^weight {re.escape(repr(name))} is not finite"):
+            if stage == "build_options":
+                build_options(("a", "b"), [table], layout=layout, weights=weights)
+            else:
+                decode(("a", "b"), options, weights, [lm], layout=layout)
 
 
 class TestWeightsIo:
