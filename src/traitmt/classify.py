@@ -18,11 +18,15 @@ does.
 Features are min-max scaled to [0,1] with statistics from the training
 set; the scaling is stored on the model and applied again at prediction
 time.
+
+`evaluate` is the one confusion-matrix builder; `cross_validate` pools
+its per-fold matrices, and `EvalReport.accuracy` is derived from them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +144,8 @@ def _label_signs(labels):
 def train_svm(X, labels) -> SvmModel:
     """Fit a linear SVM; the lexicographically first class is the +1 class."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature values")
     y, pos, neg = _label_signs(labels)
@@ -157,6 +163,8 @@ def predict(model: SvmModel, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1:] != model.w.shape:
         raise ValueError(f"dimension mismatch: rows of {X.shape} vs {model.w.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite feature values")
     margins = scale_apply(X, model.mins, model.maxs) @ model.w + model.b
     labels = [model.pos_label if m >= 0 else model.neg_label for m in margins.tolist()]
     return labels, margins
@@ -164,9 +172,28 @@ def predict(model: SvmModel, X):
 
 @dataclass
 class EvalReport:
-    classes: tuple
-    confusion: np.ndarray   # rows true class, columns predicted, pooled over folds
-    accuracy: float         # percent: trace over total
+    classes: tuple          # (pos_label, neg_label): the order of rows and columns
+    confusion: np.ndarray   # rows true class, columns predicted
+
+    @property
+    def accuracy(self) -> float:  # percent: trace over total
+        return 100.0 * np.trace(self.confusion) / self.confusion.sum()
+
+
+def evaluate(model: SvmModel, X, labels) -> EvalReport:
+    """Confusion of `predict`'s labels for X's rows against their true
+    labels, each of which must be one of the model's two classes."""
+    predicted, _ = predict(model, X)
+    labels = list(labels)
+    if len(labels) != len(predicted):
+        raise ValueError(f"{len(predicted)} rows but {len(labels)} labels")
+    classes = (model.pos_label, model.neg_label)
+    unknown = set(labels) - set(classes)
+    if unknown:
+        raise ValueError(f"labels {sorted(unknown, key=repr)} are not among {classes}")
+    counts = Counter(zip(labels, predicted))
+    confusion = np.array([[counts[t, p] for p in classes] for t in classes], dtype=float)
+    return EvalReport(classes, confusion)
 
 
 def balance_classes(items, labels, seed: int):
@@ -212,24 +239,20 @@ def stratified_folds(labels, folds: int, seed: int):
 
 def cross_validate(X, labels, folds: int = 10, seed: int = 0) -> EvalReport:
     """Stratified k-fold CV of `train_svm` at its defaults; scaling is
-    fitted per training fold; the confusion matrix is pooled over folds."""
+    fitted per training fold; each fold's `evaluate` confusion is summed
+    into the pooled one."""
     X = np.asarray(X, dtype=float)
     labels = list(labels)
     if len(labels) != len(X):
         raise ValueError(f"{len(X)} rows but {len(labels)} labels")
-    classes = sorted(set(labels))
-    class_index = {c: k for k, c in enumerate(classes)}
     assignment = np.array(stratified_folds(labels, folds, seed))
-    confusion = np.zeros((len(classes), len(classes)))
+    confusion = np.zeros((2, 2))
     for fold in range(folds):
-        train_mask = assignment != fold
-        test_mask = ~train_mask
-        model = train_svm(X[train_mask], [l for l, m in zip(labels, train_mask) if m])
-        predicted, _ = predict(model, X[test_mask])
-        for true, pred in zip((l for l, m in zip(labels, test_mask) if m), predicted):
-            confusion[class_index[true], class_index[pred]] += 1
-    accuracy = 100.0 * np.trace(confusion) / confusion.sum()
-    return EvalReport(tuple(classes), confusion, accuracy)
+        train = assignment != fold
+        model = train_svm(X[train], [l for l, m in zip(labels, train) if m])
+        report = evaluate(model, X[~train], [l for l, m in zip(labels, train) if not m])
+        confusion += report.confusion
+    return EvalReport(report.classes, confusion)
 
 
 def vectors_to_matrix(vectors, dimension: int):

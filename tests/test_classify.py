@@ -10,6 +10,7 @@ from traitmt.classify import (
     SvmModel,
     balance_classes,
     cross_validate,
+    evaluate,
     predict,
     scale_apply,
     scale_fit,
@@ -431,6 +432,21 @@ class TestPredict:
         with pytest.raises(ValueError):
             train_svm(np.array([[np.nan], [1.0]]), ["A", "B"])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, value):
+        model = train_svm(np.array([[1.0], [-1.0]]), ["A", "B"])
+        with pytest.raises(ValueError, match="non-finite feature values"):
+            predict(model, np.array([[0.5], [value]]))
+
+    @pytest.mark.parametrize("X", [np.array([1.0, -1.0]), np.zeros((2, 1, 1))])
+    def test_train_refuses_matrix_not_2d(self, X):
+        with pytest.raises(ValueError, match=r"X must be 2-D, got shape"):
+            train_svm(X, ["A", "B"])
+
+    def test_cross_validate_refuses_matrix_not_2d(self):
+        with pytest.raises(ValueError, match=r"X must be 2-D, got shape \(10,\)"):
+            cross_validate(np.arange(20.0), ["M", "F"] * 10, folds=2)
+
 
 class TestBalance:
     def test_downsample_to_minority(self):
@@ -522,6 +538,64 @@ class TestCrossValidate:
         labels = (["M", "F"] * 11)[:n_labels]
         with pytest.raises(ValueError, match=f"20 rows but {n_labels} labels"):
             cross_validate(np.zeros((20, 2)), labels, folds=2)
+
+
+def count_confusion(model, X, labels):
+    """Per-row count of (true, predicted) over predict's labels, rows and
+    columns in the order (pos_label, neg_label)."""
+    classes = [model.pos_label, model.neg_label]
+    predicted, _ = predict(model, X)
+    confusion = np.zeros((2, 2))
+    for true, pred in zip(labels, predicted):
+        confusion[classes.index(true), classes.index(pred)] += 1
+    return confusion
+
+
+def noisy_data(seed, n):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    labels = ["M" if x[0] + 0.8 * x[1] + rng.normal() > 0 else "F" for x in X]
+    return X, labels
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cross_validate_matches_per_row_count(self, seed):
+        X, labels = noisy_data(seed, 60)
+        folds = 5
+        report = cross_validate(X, labels, folds=folds, seed=seed)
+        assignment = stratified_folds(labels, folds, seed)
+        expected = np.zeros((2, 2))
+        for fold in range(folds):
+            train = [i for i, a in enumerate(assignment) if a != fold]
+            test = [i for i, a in enumerate(assignment) if a == fold]
+            model = train_svm(X[train], [labels[i] for i in train])
+            expected += count_confusion(model, X[test], [labels[i] for i in test])
+        assert report.classes == ("F", "M")
+        assert report.confusion.dtype == np.float64
+        assert np.array_equal(report.confusion, expected)
+        assert report.confusion.sum() == len(labels)
+        assert 0 < np.trace(report.confusion) < len(labels)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_held_out_matches_per_row_count(self, seed):
+        X, labels = noisy_data(seed, 80)
+        model = train_svm(X[:50], labels[:50])
+        report = evaluate(model, X[50:], labels[50:])
+        assert report.classes == (model.pos_label, model.neg_label)
+        assert np.array_equal(report.confusion, count_confusion(model, X[50:], labels[50:]))
+        assert report.accuracy == 100.0 * np.trace(report.confusion) / 30
+
+    def test_refuses_label_outside_model_classes(self):
+        model = train_svm(np.array([[1.0], [-1.0]]), ["A", "B"])
+        with pytest.raises(ValueError, match=r"labels \['C'\] are not among \('A', 'B'\)"):
+            evaluate(model, np.array([[1.0], [0.0]]), ["A", "C"])
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_label_count_must_match_rows(self, n_labels):
+        model = train_svm(np.array([[1.0], [-1.0]]), ["A", "B"])
+        with pytest.raises(ValueError, match=f"2 rows but {n_labels} labels"):
+            evaluate(model, np.array([[1.0], [0.0]]), ["A", "B", "A"][:n_labels])
 
 
 class TestReportsAndHelpers:
